@@ -314,8 +314,8 @@ fn main() {
         "measured MPCBF-1 query speedup at batch 64: {}x DRAM-resident \
          (512 Mb filter), {}x cache-resident (Table II, bounded by \
          hashing throughput); single-core run; fused pipeline: reusable \
-         plan buffer, per-op kernel routing, interleaved word walks; \
-         batch sizes below {} degrade to the scalar loop",
+         plan buffer, one carried-rank walk per update, interleaved word \
+         walks; batch sizes below {} degrade to the scalar loop",
         fixed(speedup_64("MPCBF-1/dram"), 2),
         fixed(speedup_64("MPCBF-1"), 2),
         mpcbf_core::SMALL_BATCH,

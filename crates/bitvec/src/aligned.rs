@@ -17,7 +17,7 @@
 //!
 //! # Safety
 //!
-//! This module owns the only heap `unsafe` in the crate. The invariants,
+//! This module owns the only `unsafe` in the crate. The invariants,
 //! upheld by every constructor and relied on by every method:
 //!
 //! 1. `ptr` came from `alloc::alloc` with `Self::layout(len)` (or is

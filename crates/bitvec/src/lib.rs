@@ -19,12 +19,10 @@
 //! paper's word sizes (w = 16…64 in the figures) and beyond (256/512-bit
 //! cache-line words).
 //!
-//! The crate is safe Rust except for two tightly-scoped modules:
-//! [`kernel`] (runtime-dispatched BMI2 intrinsics behind cached CPU-feature
-//! detection) and [`aligned`] (cache-line-aligned allocation). Both carry
-//! per-block safety comments and are covered by differential tests proving
-//! them observably identical to the portable baseline; everything else
-//! compiles to the obvious mask-and-shift instruction sequences.
+//! The crate is safe Rust except for one tightly-scoped module,
+//! [`aligned`] (cache-line-aligned allocation), whose blocks carry
+//! per-block safety comments; everything else compiles to the obvious
+//! mask-and-shift instruction sequences.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,14 +30,12 @@
 pub mod aligned;
 pub mod bitvec;
 pub mod counters;
-pub mod kernel;
 pub mod wide;
 pub mod word;
 
 pub use crate::aligned::{advise_huge_slice, AlignedVec, CACHE_LINE_BYTES};
 pub use crate::bitvec::BitVec;
 pub use crate::counters::CounterVec;
-pub use crate::kernel::{BatchKernel, Kernel, KernelOps};
 pub use crate::wide::WideWord;
 pub use crate::word::Word;
 

@@ -7,17 +7,26 @@
 //! increment inserts one zero bit into the middle of the word, shifting the
 //! tail right. The trait below is the minimal algebra for that.
 //!
-//! Each primitive exists in two tiers: the plain methods (`rank`,
-//! `insert_zero`, …) are the portable baseline, branch-free via
-//! [`Word::mask_below`]; the `_hot` methods default to the baseline but are
-//! overridden for the widths with runtime-dispatched kernels
-//! ([`crate::kernel`]) — `u64` and the wide words lower to
-//! `BZHI`/`PDEP`/`PEXT` on CPUs that have them. The two tiers are proven
-//! bit-identical by differential property tests, so the hot path may be
-//! swapped per process without any observable difference.
+//! Every primitive has exactly one portable body, branch-free via
+//! [`Word::mask_below`]: a masked popcount for `rank`, a mask/shift/merge
+//! for the shifting insert and remove. An HCBF operation costs one memory
+//! access (§III.B.2), so it is bound by that access, not by these few
+//! register instructions.
 
-use crate::kernel;
 use core::fmt::Debug;
+
+/// All ones strictly below bit `i` of a 64-bit limb (`i ≥ 64` saturates to
+/// all ones) — the mask [`WideWord`](crate::WideWord) builds its boundary
+/// limb from. The double shift `(MAX >> 1) >> (63 - i)` keeps every shift
+/// amount in `0..64` for every `i < 64`, so no shift is ever undefined.
+#[inline]
+pub fn mask_below_u64(i: u32) -> u64 {
+    if i >= 64 {
+        u64::MAX
+    } else {
+        (u64::MAX >> 1) >> (63 - i)
+    }
+}
 
 /// A fixed-width bit container.
 ///
@@ -82,67 +91,10 @@ pub trait Word: Copy + Clone + Eq + Debug + Default + Send + Sync + 'static {
     fn used_bits(&self) -> u32 {
         self.highest_set_bit().map_or(0, |b| b + 1)
     }
-
-    /// [`Word::rank`] through the runtime-dispatched kernel. Bit-identical
-    /// to the baseline; only the instruction sequence may differ.
-    #[inline]
-    fn rank_hot(&self, i: u32) -> u32 {
-        self.rank(i)
-    }
-
-    /// [`Word::rank_range`] through the runtime-dispatched kernel.
-    #[inline]
-    fn rank_range_hot(&self, a: u32, b: u32) -> u32 {
-        self.rank_range(a, b)
-    }
-
-    /// [`Word::insert_zero`] through the runtime-dispatched kernel.
-    #[inline]
-    fn insert_zero_hot(&mut self, pos: u32) {
-        self.insert_zero(pos);
-    }
-
-    /// [`Word::remove_bit`] through the runtime-dispatched kernel.
-    #[inline]
-    fn remove_bit_hot(&mut self, pos: u32) {
-        self.remove_bit(pos);
-    }
-
-    /// [`Word::rank`] through a batch-resolved kernel bundle
-    /// ([`Kernel::batch`](crate::Kernel::batch)): dispatch rides the
-    /// bundle's tag in a register instead of re-loading the cached atomic
-    /// on every probe. Defaults to the portable baseline; widths with
-    /// accelerated kernels override.
-    #[inline]
-    fn rank_routed(&self, i: u32, ops: &kernel::KernelOps) -> u32 {
-        let _ = ops;
-        self.rank(i)
-    }
-
-    /// [`Word::rank_range`] through a batch-resolved kernel bundle.
-    #[inline]
-    fn rank_range_routed(&self, a: u32, b: u32, ops: &kernel::KernelOps) -> u32 {
-        let _ = ops;
-        self.rank_range(a, b)
-    }
-
-    /// [`Word::insert_zero`] through a batch-resolved kernel bundle.
-    #[inline]
-    fn insert_zero_routed(&mut self, pos: u32, ops: &kernel::KernelOps) {
-        let _ = ops;
-        self.insert_zero(pos);
-    }
-
-    /// [`Word::remove_bit`] through a batch-resolved kernel bundle.
-    #[inline]
-    fn remove_bit_routed(&mut self, pos: u32, ops: &kernel::KernelOps) {
-        let _ = ops;
-        self.remove_bit(pos);
-    }
 }
 
 macro_rules! impl_word_for_prim {
-    ($($t:ty => { $($hot:item)* }),* $(,)?) => {$(
+    ($($t:ty),* $(,)?) => {$(
         impl Word for $t {
             const BITS: u32 = <$t>::BITS;
 
@@ -228,61 +180,11 @@ macro_rules! impl_word_for_prim {
                     Some(Self::BITS - 1 - self.leading_zeros())
                 }
             }
-
-            $($hot)*
         }
     )*};
 }
 
-impl_word_for_prim!(
-    u16 => {},
-    u32 => {},
-    // The paper's main word width carries the runtime-dispatched kernels:
-    // BZHI + POPCNT ranks and single-instruction PDEP/PEXT hierarchy
-    // shifts on CPUs with BMI2, the portable baseline elsewhere.
-    u64 => {
-        #[inline]
-        fn rank_hot(&self, i: u32) -> u32 {
-            kernel::rank_u64(*self, i)
-        }
-
-        #[inline]
-        fn rank_range_hot(&self, a: u32, b: u32) -> u32 {
-            kernel::rank_range_u64(*self, a, b)
-        }
-
-        #[inline]
-        fn insert_zero_hot(&mut self, pos: u32) {
-            *self = kernel::insert_zero_u64(*self, pos);
-        }
-
-        #[inline]
-        fn remove_bit_hot(&mut self, pos: u32) {
-            *self = kernel::remove_bit_u64(*self, pos);
-        }
-
-        #[inline]
-        fn rank_routed(&self, i: u32, ops: &kernel::KernelOps) -> u32 {
-            kernel::rank_u64_routed(*self, i, ops)
-        }
-
-        #[inline]
-        fn rank_range_routed(&self, a: u32, b: u32, ops: &kernel::KernelOps) -> u32 {
-            kernel::rank_range_u64_routed(*self, a, b, ops)
-        }
-
-        #[inline]
-        fn insert_zero_routed(&mut self, pos: u32, ops: &kernel::KernelOps) {
-            *self = kernel::insert_zero_u64_routed(*self, pos, ops);
-        }
-
-        #[inline]
-        fn remove_bit_routed(&mut self, pos: u32, ops: &kernel::KernelOps) {
-            *self = kernel::remove_bit_u64_routed(*self, pos, ops);
-        }
-    },
-    u128 => {},
-);
+impl_word_for_prim!(u16, u32, u64, u128);
 
 #[cfg(test)]
 mod tests {
@@ -338,72 +240,16 @@ mod tests {
         check_mask_below::<u128>();
     }
 
-    fn check_hot_matches_plain<W: Word>() {
-        // Drive a nontrivial pattern through plain and hot tiers in
-        // lockstep; every intermediate state must agree bit-for-bit.
-        let mut plain = W::zero();
-        for i in (0..W::BITS).step_by(3) {
-            plain.set_bit(i);
-        }
-        plain.clear_bit(W::BITS - 1);
-        let mut hot = plain;
-        for pos in 0..W::BITS - 1 {
-            assert_eq!(plain.rank_hot(pos), plain.rank(pos), "rank_hot({pos})");
-            assert_eq!(
-                plain.rank_range_hot(pos / 2, pos),
-                plain.rank_range(pos / 2, pos)
-            );
-            plain.insert_zero(pos);
-            hot.insert_zero_hot(pos);
-            assert_eq!(plain, hot, "insert_zero at {pos}");
-            plain.remove_bit(pos);
-            hot.remove_bit_hot(pos);
-            assert_eq!(plain, hot, "remove_bit at {pos}");
-        }
-    }
-
     #[test]
-    fn hot_tier_matches_plain_tier() {
-        check_hot_matches_plain::<u16>();
-        check_hot_matches_plain::<u32>();
-        check_hot_matches_plain::<u64>();
-        check_hot_matches_plain::<u128>();
-    }
-
-    fn check_routed_matches_plain<W: Word>() {
-        // Both bundles of a batch resolution must be bit-identical to the
-        // plain tier at every step.
-        let bk = crate::Kernel::batch();
-        for ops in [bk.query, bk.update] {
-            let mut plain = W::zero();
-            for i in (0..W::BITS).step_by(3) {
-                plain.set_bit(i);
-            }
-            plain.clear_bit(W::BITS - 1);
-            let mut routed = plain;
-            for pos in 0..W::BITS - 1 {
-                assert_eq!(plain.rank_routed(pos, &ops), plain.rank(pos));
-                assert_eq!(
-                    plain.rank_range_routed(pos / 2, pos, &ops),
-                    plain.rank_range(pos / 2, pos)
-                );
-                plain.insert_zero(pos);
-                routed.insert_zero_routed(pos, &ops);
-                assert_eq!(plain, routed, "insert_zero_routed at {pos}");
-                plain.remove_bit(pos);
-                routed.remove_bit_routed(pos, &ops);
-                assert_eq!(plain, routed, "remove_bit_routed at {pos}");
-            }
+    fn mask_below_u64_full_range() {
+        assert_eq!(mask_below_u64(0), 0);
+        assert_eq!(mask_below_u64(1), 1);
+        assert_eq!(mask_below_u64(63), u64::MAX >> 1);
+        assert_eq!(mask_below_u64(64), u64::MAX);
+        assert_eq!(mask_below_u64(200), u64::MAX);
+        for i in 0..=64u32 {
+            assert_eq!(mask_below_u64(i), u64::mask_below(i));
         }
-    }
-
-    #[test]
-    fn routed_tier_matches_plain_tier() {
-        check_routed_matches_plain::<u16>();
-        check_routed_matches_plain::<u64>();
-        check_routed_matches_plain::<u128>();
-        check_routed_matches_plain::<crate::W256>();
-        check_routed_matches_plain::<crate::W512>();
     }
 
     fn check_insert_remove_roundtrip<W: Word>() {

@@ -6,42 +6,24 @@
 //! structure for that word fits in the one atomic cell, so word-level
 //! linearisability comes for free and contention only arises when two
 //! threads hash to the *same* word simultaneously (probability ≈ 1/l).
+//!
+//! Scalar and batch operations run the same planned bodies: one CAS per
+//! word *group*, so all of a key's probes into one word land together.
+//! Each body returns its [`OpCost`]; the plain entry points drop it, the
+//! `*_batch_metered` entry points report it to an [`OpSink`].
 
-#[cfg(feature = "stats")]
-use crate::stats::AccessLedger;
+use crate::planned::{self, KeyPlan, Meter, Row, Update};
 use mpcbf_analysis::heuristic::MpcbfShape;
-use mpcbf_bitvec::{AlignedVec, Kernel, KernelOps};
+use mpcbf_bitvec::AlignedVec;
 use mpcbf_core::config::MpcbfConfig;
 use mpcbf_core::hcbf::{HcbfWord, WordError};
-#[cfg(feature = "stats")]
-use mpcbf_core::metrics::{AccessStats, OpCost, OpKind, WordTouches};
+use mpcbf_core::metrics::{OpCost, OpKind, OpSink};
 use mpcbf_core::scrub::{segment_of, FilterSeal, ScrubReport};
-#[cfg(feature = "stats")]
-use mpcbf_core::ProbePlan;
-use mpcbf_core::{FilterError, PlanBuffer};
-#[cfg(feature = "stats")]
+use mpcbf_core::{FilterError, PlanBuffer, ProbePlan};
 use mpcbf_hash::mix::bits_for;
-#[cfg(not(feature = "stats"))]
-use mpcbf_hash::DoubleHasher;
 use mpcbf_hash::{Hasher128, Murmur3};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(not(feature = "stats"))]
-const WORD_SALT: u64 = 0x4d50_4342_465f_5744;
-#[cfg(not(feature = "stats"))]
-const GROUP_SALT: u64 = 0x4d50_4342_465f_4752;
-
-#[cfg(not(feature = "stats"))]
-#[inline]
-fn split_hashes(k: u32, g: u32, t: u32) -> u32 {
-    let base = k / g;
-    if t < k % g {
-        base + 1
-    } else {
-        base
-    }
-}
 
 /// A lock-free MPCBF (64-bit words only).
 pub struct AtomicMpcbf<H: Hasher128 = Murmur3> {
@@ -49,8 +31,6 @@ pub struct AtomicMpcbf<H: Hasher128 = Murmur3> {
     shape: MpcbfShape,
     seed: u64,
     overflows: AtomicU64,
-    #[cfg(feature = "stats")]
-    stats: AccessLedger,
     _hasher: PhantomData<H>,
 }
 
@@ -68,8 +48,6 @@ impl<H: Hasher128> AtomicMpcbf<H> {
             shape,
             seed: config.seed(),
             overflows: AtomicU64::new(0),
-            #[cfg(feature = "stats")]
-            stats: AccessLedger::new(),
             _hasher: PhantomData,
         }
     }
@@ -92,207 +70,48 @@ impl<H: Hasher128> AtomicMpcbf<H> {
             .sum()
     }
 
-    #[cfg(not(feature = "stats"))]
+    /// CAS loop applying `op` to one word. Returns what `op` returned on
+    /// the attempt that published, or `Err` if `op` reports an error on
+    /// the *current* value (no retry — the error is a property of the
+    /// state, e.g. overflow).
     #[inline]
-    fn targets(&self, key: &[u8], out: &mut [(usize, u32); 64]) -> usize {
-        let digest = H::hash128(self.seed, key);
-        let mut word_picker = DoubleHasher::with_salt(digest, WORD_SALT, self.shape.l);
-        let mut n = 0;
-        for t in 0..self.shape.g {
-            let word = word_picker.next_index();
-            let k_t = split_hashes(self.shape.k, self.shape.g, t);
-            let mut inner = DoubleHasher::with_salt(
-                digest,
-                GROUP_SALT ^ u64::from(t),
-                u64::from(self.shape.b1),
-            );
-            for _ in 0..k_t {
-                out[n] = (word, inner.next_index() as u32);
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// CAS loop applying `op` to one word. Returns `Err` if `op` reports
-    /// an error on the *current* value (no retry — the error is a property
-    /// of the state, e.g. overflow).
-    #[inline]
-    fn update_word(
+    fn update_word<T>(
         &self,
         word: usize,
-        mut op: impl FnMut(&mut HcbfWord<u64>) -> Result<(), WordError>,
-    ) -> Result<(), WordError> {
+        mut op: impl FnMut(&mut HcbfWord<u64>) -> Result<T, WordError>,
+    ) -> Result<T, WordError> {
         let cell = &self.words[word];
         let mut current = cell.load(Ordering::Acquire);
         loop {
             let mut local = HcbfWord::from_raw(current);
-            op(&mut local)?;
+            let out = op(&mut local)?;
             match cell.compare_exchange_weak(
                 current,
                 *local.raw(),
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => return Ok(()),
+                Ok(_) => return Ok(out),
                 Err(actual) => current = actual,
             }
         }
     }
 
-    /// The metered cost of one operation, mirroring the sequential
-    /// filter's accounting exactly: distinct words touched, and hash bits
-    /// = word-picker bits per evaluated group + position bits per
-    /// evaluated probe + any counter-traversal bits an update reports.
-    #[cfg(feature = "stats")]
-    fn probe_cost(
-        &self,
-        words_eval: u32,
-        pos_eval: u32,
-        touches: &WordTouches,
-        traversal_bits: u32,
-    ) -> OpCost {
-        OpCost {
-            word_accesses: touches.count(),
-            hash_bits: words_eval * bits_for(self.shape.l)
-                + pos_eval * bits_for(u64::from(self.shape.b1))
-                + traversal_bits,
+    /// The sequential filter's cost model, exactly: a lock-free filter
+    /// places keys bit-for-bit as [`mpcbf_core::Mpcbf`] does.
+    #[inline]
+    fn meter(&self) -> Meter {
+        Meter {
+            route_bits: 0,
+            word_bits: bits_for(self.shape.l),
+            pos_bits: bits_for(u64::from(self.shape.b1)),
+            probes: self.shape.k,
         }
     }
 
-    /// Merged access ledger (feature `stats`): mean accesses / hash bits
-    /// per operation kind, measured under whatever concurrency actually
-    /// happened. With `stats` on, scalar operations run through the
-    /// planned (per-group) paths so their costs mirror the sequential
-    /// accounting; placement and final state are unchanged.
-    #[cfg(feature = "stats")]
-    pub fn access_stats(&self) -> AccessStats {
-        let mut stats = AccessStats::new();
-        self.stats.fold_into(&mut stats);
-        stats
-    }
-
-    /// Membership check.
-    pub fn contains<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> bool {
-        self.contains_bytes(key.key_bytes().as_slice())
-    }
-
-    /// Membership check on raw bytes.
-    #[cfg(not(feature = "stats"))]
-    pub fn contains_bytes(&self, key: &[u8]) -> bool {
-        let mut targets = [(0usize, 0u32); 64];
-        let n = self.targets(key, &mut targets);
-        let mut i = 0;
-        while i < n {
-            let word = targets[i].0;
-            // One atomic load serves every position in this word.
-            let snapshot = HcbfWord::from_raw(self.words[word].load(Ordering::Acquire));
-            while i < n && targets[i].0 == word {
-                if !snapshot.query(targets[i].1) {
-                    return false;
-                }
-                i += 1;
-            }
-        }
-        true
-    }
-
-    /// Membership check on raw bytes (metered).
-    #[cfg(feature = "stats")]
-    pub fn contains_bytes(&self, key: &[u8]) -> bool {
-        self.query_plan(&self.plan(key))
-    }
-
-    /// Inserts a key.
-    pub fn insert<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> Result<(), FilterError> {
-        self.insert_bytes(key.key_bytes().as_slice())
-    }
-
-    /// Inserts raw bytes, rolling back on overflow.
-    ///
-    /// Unlike the locked variants, a rollback step here *can* fail under
-    /// contention: another thread removing this key mid-rollback drains
-    /// the counter first. The state is then indeterminate for this key,
-    /// reported as [`FilterError::CorruptionDetected`] (a scrub resolves
-    /// it) — never a panic a remote caller could trigger.
-    #[cfg(not(feature = "stats"))]
-    pub fn insert_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        let mut targets = [(0usize, 0u32); 64];
-        let n = self.targets(key, &mut targets);
-        let b1 = self.shape.b1;
-        for i in 0..n {
-            let (word, p) = targets[i];
-            if let Err(e) = self.update_word(word, |w| w.increment(p, b1).map(|_| ())) {
-                for &(rw, rp) in targets[..i].iter().rev() {
-                    if self
-                        .update_word(rw, |w| w.decrement(rp, b1).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                self.overflows.fetch_add(1, Ordering::Relaxed);
-                return Err(e.at(word));
-            }
-        }
-        Ok(())
-    }
-
-    /// Inserts raw bytes, rolling back on overflow (metered; one CAS per
-    /// group — identical placement, strictly coarser granularity).
-    #[cfg(feature = "stats")]
-    pub fn insert_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        self.insert_planned(&self.plan(key), self.shape.b1)
-    }
-
-    /// Removes a key.
-    pub fn remove<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> Result<(), FilterError> {
-        self.remove_bytes(key.key_bytes().as_slice())
-    }
-
-    /// Removes raw bytes, rolling back if the element is absent. Rollback
-    /// failure reports `CorruptionDetected` instead of panicking — see
-    /// [`Self::insert_bytes`].
-    #[cfg(not(feature = "stats"))]
-    pub fn remove_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        let mut targets = [(0usize, 0u32); 64];
-        let n = self.targets(key, &mut targets);
-        let b1 = self.shape.b1;
-        for i in 0..n {
-            let (word, p) = targets[i];
-            if self
-                .update_word(word, |w| w.decrement(p, b1).map(|_| ()))
-                .is_err()
-            {
-                for &(rw, rp) in targets[..i].iter().rev() {
-                    if self
-                        .update_word(rw, |w| w.increment(rp, b1).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                return Err(FilterError::NotPresent);
-            }
-        }
-        Ok(())
-    }
-
-    /// Removes raw bytes, rolling back if the element is absent (metered;
-    /// one CAS per group).
-    #[cfg(feature = "stats")]
-    pub fn remove_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        self.remove_planned(&self.plan(key), self.shape.b1)
-    }
-
-    /// Plans a key's probes. The plan uses the same `WORD_SALT`/`GROUP_SALT`
-    /// streams as [`Self::targets`], so planned and scalar operations place
-    /// elements identically.
-    #[cfg(feature = "stats")]
+    /// Plans a key's probes with the sequential filter's digest streams,
+    /// so this filter places elements exactly as [`mpcbf_core::Mpcbf`]
+    /// does.
     #[inline]
     fn plan(&self, key: &[u8]) -> ProbePlan {
         ProbePlan::partitioned(
@@ -305,8 +124,8 @@ impl<H: Hasher128> AtomicMpcbf<H> {
     }
 
     /// Plans a whole batch into the caller's [`PlanBuffer`] — the same
-    /// digest streams as [`Self::targets`]/[`ProbePlan`], zero allocation
-    /// once the buffer is warm.
+    /// digest streams as [`Self::plan`], zero allocation once the buffer
+    /// is warm.
     fn plan_into(&self, keys: &[&[u8]], plans: &mut PlanBuffer) {
         plans.plan_partitioned(
             keys.iter().map(|key| H::hash128(self.seed, key)),
@@ -317,296 +136,103 @@ impl<H: Hasher128> AtomicMpcbf<H> {
         );
     }
 
-    /// Queries one planned key (metered twin: same verdict and
-    /// short-circuit, cost recorded into the ledger).
-    #[cfg(feature = "stats")]
-    fn query_plan(&self, plan: &ProbePlan) -> bool {
-        let mut touches = WordTouches::new();
-        let mut words_eval = 0u32;
-        let mut pos_eval = 0u32;
-        let mut hit = true;
-        for (word, probes) in plan.groups() {
-            touches.touch(word);
-            words_eval += 1;
-            let snapshot = HcbfWord::from_raw(self.words[word].load(Ordering::Acquire));
-            let (all_set, evaluated) = snapshot.query_all(probes);
-            pos_eval += evaluated;
-            if !all_set {
-                hit = false;
-                break;
-            }
-        }
-        let cost = self.probe_cost(words_eval, pos_eval, &touches, 0);
-        self.stats.record(OpKind::Query, cost);
-        hit
-    }
-
-    /// Queries one planned key out of the batch's [`PlanBuffer`] (one
-    /// `Acquire` snapshot per group's word, short-circuiting at the first
-    /// zero).
-    #[cfg(not(feature = "stats"))]
+    /// Queries one planned key: one `Acquire` snapshot per group's word,
+    /// short-circuiting at the first zero.
     #[inline]
-    fn query_planned_buf(&self, plans: &PlanBuffer, i: usize) -> bool {
-        for (word, probes) in plans.groups_of(i) {
-            let snapshot = HcbfWord::from_raw(self.words[word].load(Ordering::Acquire));
-            let (all_set, _) = snapshot.query_all(probes);
-            if !all_set {
-                return false;
-            }
-        }
-        true
+    fn query_planned(&self, plan: &impl KeyPlan) -> (bool, OpCost) {
+        planned::query(plan, self.meter(), |word, probes| {
+            HcbfWord::from_raw(self.words[word].load(Ordering::Acquire)).query_all(probes)
+        })
     }
 
-    /// Metered twin of [`Self::query_planned_buf`].
-    #[cfg(feature = "stats")]
-    fn query_planned_buf(&self, plans: &PlanBuffer, i: usize) -> bool {
-        let mut touches = WordTouches::new();
-        let mut words_eval = 0u32;
-        let mut pos_eval = 0u32;
-        let mut hit = true;
-        for (word, probes) in plans.groups_of(i) {
-            touches.touch(word);
-            words_eval += 1;
-            let snapshot = HcbfWord::from_raw(self.words[word].load(Ordering::Acquire));
-            let (all_set, evaluated) = snapshot.query_all(probes);
-            pos_eval += evaluated;
-            if !all_set {
-                hit = false;
-                break;
-            }
+    /// Applies `op` to one planned key: one CAS per *group* (the whole
+    /// group's walks land word-atomically), with cross-group rollback if
+    /// the key is refused. Traversal bits come from the CAS attempt that
+    /// published.
+    ///
+    /// Unlike the locked variants, a rollback step here *can* fail under
+    /// contention: another thread removing this key mid-rollback drains
+    /// the counter first. The state is then indeterminate for this key,
+    /// reported as [`FilterError::CorruptionDetected`] (a scrub resolves
+    /// it) — never a panic a remote caller could trigger.
+    #[inline]
+    fn update_planned(&self, plan: &impl KeyPlan, op: Update) -> Result<OpCost, FilterError> {
+        let b1 = self.shape.b1;
+        let result = planned::update(plan, op, self.meter(), |word, probes, op| {
+            self.update_word(word, |w| op.walk(w, probes, b1))
+        });
+        if matches!(result, Err(FilterError::WordOverflow { .. })) {
+            self.overflows.fetch_add(1, Ordering::Relaxed);
         }
-        let cost = self.probe_cost(words_eval, pos_eval, &touches, 0);
-        self.stats.record(OpKind::Query, cost);
-        hit
+        result
     }
 
-    /// Inserts one planned key out of the batch's [`PlanBuffer`]: one CAS
-    /// per *group* (the whole group's increments land word-atomically)
-    /// through the batch-resolved update kernel, with cross-group rollback
-    /// on overflow. Placement and final state are identical to the scalar
-    /// path; the per-word granularity is strictly coarser.
-    #[cfg(not(feature = "stats"))]
-    fn insert_planned_buf(
+    /// Membership check.
+    pub fn contains<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> bool {
+        self.contains_bytes(key.key_bytes().as_slice())
+    }
+
+    /// Membership check on raw bytes.
+    pub fn contains_bytes(&self, key: &[u8]) -> bool {
+        self.query_planned(&self.plan(key)).0
+    }
+
+    /// Inserts a key.
+    pub fn insert<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> Result<(), FilterError> {
+        self.insert_bytes(key.key_bytes().as_slice())
+    }
+
+    /// Inserts raw bytes, rolling back on overflow (see
+    /// [`Self::update_planned`] for the rollback-failure report).
+    pub fn insert_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
+        self.update_planned(&self.plan(key), Update::Insert)
+            .map(|_| ())
+    }
+
+    /// Removes a key.
+    pub fn remove<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> Result<(), FilterError> {
+        self.remove_bytes(key.key_bytes().as_slice())
+    }
+
+    /// Removes raw bytes, rolling back if the element is absent.
+    pub fn remove_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
+        self.update_planned(&self.plan(key), Update::Remove)
+            .map(|_| ())
+    }
+
+    /// The batch query body: plan all, probe all in key order. Verdicts
+    /// in input order, plus the summed cost.
+    fn query_batch(&self, keys: &[&[u8]], plans: &mut PlanBuffer) -> (Vec<bool>, OpCost) {
+        self.plan_into(keys, plans);
+        let mut total = OpCost::zero();
+        let hits = (0..keys.len())
+            .map(|i| {
+                let (hit, cost) = self.query_planned(&Row(plans, i));
+                total = total.add(cost);
+                hit
+            })
+            .collect();
+        (hits, total)
+    }
+
+    /// The batch update body: plan all, apply all in key order. Per-key
+    /// results in input order, plus the summed cost of the keys that were
+    /// not refused.
+    fn update_batch(
         &self,
-        plans: &PlanBuffer,
-        i: usize,
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<(), FilterError> {
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
-            if self
-                .update_word(word, |w| {
-                    w.increment_all_routed(probes, b1, ops).map(|_| ())
-                })
-                .is_err()
-            {
-                for u in (0..t).rev() {
-                    let (rw, rp) = plans.group(i, u);
-                    if self
-                        .update_word(rw, |w| w.decrement_all_routed(rp, b1, ops).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                self.overflows.fetch_add(1, Ordering::Relaxed);
-                return Err(FilterError::WordOverflow { word });
-            }
-        }
-        Ok(())
-    }
-
-    /// Metered twin of [`Self::insert_planned_buf`].
-    #[cfg(feature = "stats")]
-    fn insert_planned_buf(
-        &self,
-        plans: &PlanBuffer,
-        i: usize,
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<(), FilterError> {
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
-            touches.touch(word);
-            let mut group_bits = 0u32;
-            if self
-                .update_word(word, |w| {
-                    w.increment_all_routed(probes, b1, ops)
-                        .map(|bits| group_bits = bits)
-                })
-                .is_err()
-            {
-                for u in (0..t).rev() {
-                    let (rw, rp) = plans.group(i, u);
-                    if self
-                        .update_word(rw, |w| w.decrement_all_routed(rp, b1, ops).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                self.overflows.fetch_add(1, Ordering::Relaxed);
-                return Err(FilterError::WordOverflow { word });
-            }
-            traversal_bits += group_bits;
-        }
-        let cost = self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits);
-        self.stats.record(OpKind::Insert, cost);
-        Ok(())
-    }
-
-    /// Mirror of [`Self::insert_planned_buf`] for removal.
-    #[cfg(not(feature = "stats"))]
-    fn remove_planned_buf(
-        &self,
-        plans: &PlanBuffer,
-        i: usize,
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<(), FilterError> {
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
-            if self
-                .update_word(word, |w| {
-                    w.decrement_all_routed(probes, b1, ops).map(|_| ())
-                })
-                .is_err()
-            {
-                for u in (0..t).rev() {
-                    let (rw, rp) = plans.group(i, u);
-                    if self
-                        .update_word(rw, |w| w.increment_all_routed(rp, b1, ops).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                return Err(FilterError::NotPresent);
-            }
-        }
-        Ok(())
-    }
-
-    /// Metered twin of [`Self::remove_planned_buf`].
-    #[cfg(feature = "stats")]
-    fn remove_planned_buf(
-        &self,
-        plans: &PlanBuffer,
-        i: usize,
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<(), FilterError> {
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
-            touches.touch(word);
-            let mut group_bits = 0u32;
-            if self
-                .update_word(word, |w| {
-                    w.decrement_all_routed(probes, b1, ops)
-                        .map(|bits| group_bits = bits)
-                })
-                .is_err()
-            {
-                for u in (0..t).rev() {
-                    let (rw, rp) = plans.group(i, u);
-                    if self
-                        .update_word(rw, |w| w.increment_all_routed(rp, b1, ops).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                return Err(FilterError::NotPresent);
-            }
-            traversal_bits += group_bits;
-        }
-        let cost = self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits);
-        self.stats.record(OpKind::Remove, cost);
-        Ok(())
-    }
-
-    /// Metered twin of the planned insert: same effects, cost recorded on
-    /// success (a refused insert reports no cost). Traversal bits come
-    /// from the CAS attempt that actually published.
-    #[cfg(feature = "stats")]
-    fn insert_planned(&self, plan: &ProbePlan, b1: u32) -> Result<(), FilterError> {
-        let groups: Vec<(usize, &[u32])> = plan.groups().collect();
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for (i, &(word, probes)) in groups.iter().enumerate() {
-            touches.touch(word);
-            let mut group_bits = 0u32;
-            if self
-                .update_word(word, |w| {
-                    w.increment_all(probes, b1).map(|bits| group_bits = bits)
-                })
-                .is_err()
-            {
-                for &(rw, rp) in groups[..i].iter().rev() {
-                    if self
-                        .update_word(rw, |w| w.decrement_all(rp, b1).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                self.overflows.fetch_add(1, Ordering::Relaxed);
-                return Err(FilterError::WordOverflow { word });
-            }
-            traversal_bits += group_bits;
-        }
-        let cost = self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits);
-        self.stats.record(OpKind::Insert, cost);
-        Ok(())
-    }
-
-    /// Mirror of [`Self::insert_planned`] for removal (metered twin).
-    #[cfg(feature = "stats")]
-    fn remove_planned(&self, plan: &ProbePlan, b1: u32) -> Result<(), FilterError> {
-        let groups: Vec<(usize, &[u32])> = plan.groups().collect();
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for (i, &(word, probes)) in groups.iter().enumerate() {
-            touches.touch(word);
-            let mut group_bits = 0u32;
-            if self
-                .update_word(word, |w| {
-                    w.decrement_all(probes, b1).map(|bits| group_bits = bits)
-                })
-                .is_err()
-            {
-                for &(rw, rp) in groups[..i].iter().rev() {
-                    if self
-                        .update_word(rw, |w| w.increment_all(rp, b1).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                return Err(FilterError::NotPresent);
-            }
-            traversal_bits += group_bits;
-        }
-        let cost = self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits);
-        self.stats.record(OpKind::Remove, cost);
-        Ok(())
+        keys: &[&[u8]],
+        plans: &mut PlanBuffer,
+        op: Update,
+    ) -> (Vec<Result<(), FilterError>>, OpCost) {
+        self.plan_into(keys, plans);
+        let mut total = OpCost::zero();
+        let results = (0..keys.len())
+            .map(|i| {
+                self.update_planned(&Row(plans, i), op)
+                    .map(|cost| total = total.add(cost))
+            })
+            .collect();
+        (results, total)
     }
 
     /// Batched membership check (hash all → probe all, in key order).
@@ -619,10 +245,21 @@ impl<H: Hasher128> AtomicMpcbf<H> {
     /// reusing the buffer across batches allocates nothing after warm-up
     /// and yields bit-identical results to a fresh buffer.
     pub fn contains_batch_bytes_with(&self, keys: &[&[u8]], plans: &mut PlanBuffer) -> Vec<bool> {
-        self.plan_into(keys, plans);
-        (0..keys.len())
-            .map(|i| self.query_planned_buf(plans, i))
-            .collect()
+        self.query_batch(keys, plans).0
+    }
+
+    /// [`Self::contains_batch_bytes_with`] that also returns the batch's
+    /// summed [`OpCost`] and reports the batch to `sink` as one
+    /// `(kind, ops, cost, wall nanos)` sample.
+    pub fn contains_batch_metered(
+        &self,
+        keys: &[&[u8]],
+        plans: &mut PlanBuffer,
+        sink: &dyn OpSink,
+    ) -> (Vec<bool>, OpCost) {
+        planned::metered(sink, OpKind::Query, keys.len(), || {
+            self.query_batch(keys, plans)
+        })
     }
 
     /// Batched insertion (hash all → update all, in key order). Per-key
@@ -632,19 +269,26 @@ impl<H: Hasher128> AtomicMpcbf<H> {
     }
 
     /// [`Self::insert_batch_bytes`] against a caller-held [`PlanBuffer`].
-    /// The update kernel bundle is resolved once here and drives every CAS
-    /// walk in the batch, rollbacks included.
     pub fn insert_batch_bytes_with(
         &self,
         keys: &[&[u8]],
         plans: &mut PlanBuffer,
     ) -> Vec<Result<(), FilterError>> {
-        self.plan_into(keys, plans);
-        let ops = Kernel::batch().update;
-        let b1 = self.shape.b1;
-        (0..keys.len())
-            .map(|i| self.insert_planned_buf(plans, i, b1, &ops))
-            .collect()
+        self.update_batch(keys, plans, Update::Insert).0
+    }
+
+    /// [`Self::insert_batch_bytes_with`] that also returns the summed cost
+    /// of the accepted inserts and reports the batch to `sink`; refused
+    /// inserts count toward `ops` but cost nothing.
+    pub fn insert_batch_metered(
+        &self,
+        keys: &[&[u8]],
+        plans: &mut PlanBuffer,
+        sink: &dyn OpSink,
+    ) -> (Vec<Result<(), FilterError>>, OpCost) {
+        planned::metered(sink, OpKind::Insert, keys.len(), || {
+            self.update_batch(keys, plans, Update::Insert)
+        })
     }
 
     /// Batched removal (hash all → update all, in key order). Per-key
@@ -659,12 +303,20 @@ impl<H: Hasher128> AtomicMpcbf<H> {
         keys: &[&[u8]],
         plans: &mut PlanBuffer,
     ) -> Vec<Result<(), FilterError>> {
-        self.plan_into(keys, plans);
-        let ops = Kernel::batch().update;
-        let b1 = self.shape.b1;
-        (0..keys.len())
-            .map(|i| self.remove_planned_buf(plans, i, b1, &ops))
-            .collect()
+        self.update_batch(keys, plans, Update::Remove).0
+    }
+
+    /// [`Self::remove_batch_bytes_with`] that also returns the summed cost
+    /// of the completed removals and reports the batch to `sink`.
+    pub fn remove_batch_metered(
+        &self,
+        keys: &[&[u8]],
+        plans: &mut PlanBuffer,
+        sink: &dyn OpSink,
+    ) -> (Vec<Result<(), FilterError>>, OpCost) {
+        planned::metered(sink, OpKind::Remove, keys.len(), || {
+            self.update_batch(keys, plans, Update::Remove)
+        })
     }
 
     /// Batched membership for any [`mpcbf_hash::Key`] type.
@@ -751,7 +403,8 @@ impl<H: Hasher128> AtomicMpcbf<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpcbf_core::MpcbfConfig;
+    use crate::planned::TallySink;
+    use mpcbf_core::{CountingFilter, Filter, Mpcbf, MpcbfConfig};
 
     fn filter() -> AtomicMpcbf<Murmur3> {
         let c = MpcbfConfig::builder()
@@ -789,7 +442,6 @@ mod tests {
     #[test]
     fn agrees_with_sequential_filter() {
         // Same config/seed ⇒ identical hashing ⇒ identical membership.
-        use mpcbf_core::{CountingFilter, Filter, Mpcbf};
         let c = MpcbfConfig::builder()
             .memory_bits(500_000)
             .expected_items(5_000)
@@ -818,7 +470,6 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar_and_sequential() {
-        use mpcbf_core::{CountingFilter, Filter, Mpcbf};
         let c = MpcbfConfig::builder()
             .memory_bits(500_000)
             .expected_items(5_000)
@@ -931,42 +582,138 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "stats")]
-    #[test]
-    fn stats_ledger_matches_sequential_costs() {
-        // Same config/seed as the sequential filter: the atomic ledger's
-        // totals must equal what the sequential `_cost` calls report.
-        use mpcbf_core::{CountingFilter, Filter, Mpcbf};
-        let c = MpcbfConfig::builder()
-            .memory_bits(500_000)
-            .expected_items(5_000)
+    fn config(memory_bits: u64, items: u64, g: u32) -> MpcbfConfig {
+        MpcbfConfig::builder()
+            .memory_bits(memory_bits)
+            .expected_items(items)
             .hashes(3)
+            .accesses(g)
             .seed(44)
             .build()
-            .unwrap();
-        let atomic: AtomicMpcbf<Murmur3> = AtomicMpcbf::new(c);
+            .unwrap()
+    }
+
+    fn byte_keys(range: std::ops::Range<u64>) -> Vec<Vec<u8>> {
+        range.map(|i| i.to_le_bytes().to_vec()).collect()
+    }
+
+    fn views(keys: &[Vec<u8>]) -> Vec<&[u8]> {
+        keys.iter().map(Vec::as_slice).collect()
+    }
+
+    /// The sequential filter's scalar `_cost` loop: the reference the
+    /// metered batches must sum to (refused operations cost nothing).
+    fn sequential_costs(
+        seq: &mut Mpcbf<u64, Murmur3>,
+        keys: &[Vec<u8>],
+        op: Option<Update>,
+    ) -> OpCost {
+        OpCost::accumulate(keys.iter().map(|key| match op {
+            None => seq.contains_bytes_cost(key).1,
+            Some(Update::Insert) => seq.insert_bytes_cost(key).unwrap_or_default(),
+            Some(Update::Remove) => seq.remove_bytes_cost(key).unwrap_or_default(),
+        }))
+    }
+
+    #[test]
+    fn metered_batches_match_sequential_costs() {
+        // MPCBF-1, MPCBF-2, and a filter tiny enough that inserts overflow
+        // mid-batch: refused inserts must count as ops and cost nothing.
+        for c in [
+            config(500_000, 5_000, 1),
+            config(500_000, 5_000, 2),
+            config(256, 1, 1),
+        ] {
+            let atomic: AtomicMpcbf<Murmur3> = AtomicMpcbf::new(c);
+            let mut seq: Mpcbf<u64, Murmur3> = Mpcbf::new(c);
+            let sink = TallySink::default();
+            let mut plans = PlanBuffer::new();
+            let (inserts, queries) = (byte_keys(0..1_000), byte_keys(0..5_000));
+            // Removals include 100 never-inserted keys: refused and free.
+            let removes = [byte_keys(0..300), byte_keys(9_000..9_100)].concat();
+
+            let (results, cost) = atomic.insert_batch_metered(&views(&inserts), &mut plans, &sink);
+            let seq_results: Vec<_> = inserts.iter().map(|k| seq.insert_bytes(k)).collect();
+            assert_eq!(results, seq_results);
+            let mut replay: Mpcbf<u64, Murmur3> = Mpcbf::new(c);
+            assert_eq!(
+                cost,
+                sequential_costs(&mut replay, &inserts, Some(Update::Insert))
+            );
+            assert_eq!(sink.kind(OpKind::Insert), (1_000, cost));
+
+            let (hits, cost) = atomic.contains_batch_metered(&views(&queries), &mut plans, &sink);
+            assert_eq!(cost, sequential_costs(&mut replay, &queries, None));
+            assert_eq!(sink.kind(OpKind::Query), (5_000, cost));
+            assert!(queries
+                .iter()
+                .zip(&hits)
+                .all(|(k, &h)| seq.contains_bytes(k) == h));
+
+            let (results, cost) = atomic.remove_batch_metered(&views(&removes), &mut plans, &sink);
+            let seq_results: Vec<_> = removes.iter().map(|k| seq.remove_bytes(k)).collect();
+            assert_eq!(results, seq_results);
+            assert_eq!(
+                cost,
+                sequential_costs(&mut replay, &removes, Some(Update::Remove))
+            );
+            assert_eq!(sink.kind(OpKind::Remove), (400, cost));
+            assert_eq!(atomic.raw_snapshot(), seq.raw_words());
+        }
+    }
+
+    #[test]
+    fn metered_batches_sum_exactly_under_concurrent_callers() {
+        // MPCBF-1: each key touches one word. Thread `t` owns the keys of
+        // every word `w` with `w % THREADS == t`, so each word still sees
+        // one deterministic history and the shared sink must report
+        // exactly the sequential filter's costs for the same keys — while
+        // the four callers really overlap.
+        const THREADS: usize = 4;
+        let c = config(1_000_000, 10_000, 1);
+        let f: AtomicMpcbf<Murmur3> = AtomicMpcbf::new(c);
+        let keys = byte_keys(0..8_000);
+        let owned: Vec<Vec<Vec<u8>>> = (0..THREADS)
+            .map(|t| {
+                keys.iter()
+                    .filter(|k| f.plan(k).words()[0] as usize % THREADS == t)
+                    .cloned()
+                    .collect()
+            })
+            .collect();
         let mut seq: Mpcbf<u64, Murmur3> = Mpcbf::new(c);
-        let mut expected = mpcbf_core::AccessStats::new();
-        for i in 0..1_000u64 {
-            let key = i.to_le_bytes();
-            atomic.insert_bytes(&key).unwrap();
-            expected
-                .inserts
-                .record(seq.insert_bytes_cost(&key).unwrap());
+        let mut expected = [OpCost::zero(); 3];
+        for mine in &owned {
+            let half = &mine[..mine.len() / 2];
+            expected[1] = expected[1].add(sequential_costs(&mut seq, mine, Some(Update::Insert)));
+            expected[0] = expected[0].add(sequential_costs(&mut seq, mine, None));
+            expected[2] = expected[2].add(sequential_costs(&mut seq, half, Some(Update::Remove)));
         }
-        for i in 0..5_000u64 {
-            let key = i.to_le_bytes();
-            atomic.contains_bytes(&key);
-            expected.queries.record(seq.contains_bytes_cost(&key).1);
-        }
-        for i in 0..300u64 {
-            let key = i.to_le_bytes();
-            atomic.remove_bytes(&key).unwrap();
-            expected
-                .removes
-                .record(seq.remove_bytes_cost(&key).unwrap());
-        }
-        assert_eq!(atomic.access_stats(), expected);
+        let sink = TallySink::default();
+        crossbeam::scope(|s| {
+            for mine in &owned {
+                let (f, sink) = (&f, &sink);
+                s.spawn(move |_| {
+                    let mut plans = PlanBuffer::new();
+                    for chunk in mine.chunks(64) {
+                        let (results, _) = f.insert_batch_metered(&views(chunk), &mut plans, sink);
+                        assert!(results.iter().all(Result::is_ok));
+                    }
+                    for chunk in mine.chunks(64) {
+                        f.contains_batch_metered(&views(chunk), &mut plans, sink);
+                    }
+                    for chunk in mine[..mine.len() / 2].chunks(64) {
+                        f.remove_batch_metered(&views(chunk), &mut plans, sink);
+                    }
+                });
+            }
+        })
+        .unwrap();
+        assert_eq!(sink.kind(OpKind::Query), (8_000, expected[0]));
+        assert_eq!(sink.kind(OpKind::Insert), (8_000, expected[1]));
+        let removed = owned.iter().map(|m| m.len() as u64 / 2).sum::<u64>();
+        assert_eq!(sink.kind(OpKind::Remove), (removed, expected[2]));
+        assert_eq!(f.raw_snapshot(), seq.raw_words());
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! Both expose the batch-first pipeline (`contains_batch` /
 //! `insert_batch` / `remove_batch`, plus allocation-free `*_batch_bytes_with`
 //! twins that reuse caller-held scratch): hash every key up front into a
-//! [`PlanBuffer`](mpcbf_core::PlanBuffer), resolve the update kernel once
-//! per batch, then probe or update — with per-key results in input order
-//! and state bit-identical to the equivalent scalar loop.
+//! [`PlanBuffer`](mpcbf_core::PlanBuffer), then probe or update through the
+//! same planned bodies the scalar operations run — with per-key results in
+//! input order and state bit-identical to the equivalent scalar loop.
 //!
 //! ## Consistency model
 //!
@@ -34,17 +34,17 @@
 //! Sharded batch updates hold the shard lock for the whole per-shard run,
 //! so within one shard a batch is observed atomically.
 //!
-//! ## Instrumentation (feature `stats`)
+//! ## Metering
 //!
-//! With the `stats` feature enabled, both variants meter themselves from
-//! the inside: every operation's [`OpCost`](mpcbf_core::OpCost) lands in a
-//! wait-free relaxed-atomic ledger (one per shard for [`ShardedMpcbf`],
-//! one global for [`AtomicMpcbf`]), merged on read by `access_stats()`.
-//! The sharded variant additionally tallies per-shard lock acquisitions,
-//! contention (a failed `try_lock`) and hold time, readable via
-//! `lock_stats()` / `shard_lock_stats()`. The feature is off by default
-//! and the uninstrumented hot path compiles to exactly the code that
-//! existed before the feature — zero cost when off.
+//! Each planned operation body exists once and returns its
+//! [`OpCost`](mpcbf_core::OpCost), as the sequential filters' `*_cost`
+//! calls do; the plain entry points discard it. To meter served traffic,
+//! call the batch `*_batch_metered(keys, scratch, sink)` entry points: they
+//! return the batch's summed cost and report it to an
+//! [`OpSink`](mpcbf_core::OpSink) as one `(kind, ops, cost, wall nanos)`
+//! sample, like `CountingFilter::*_batch_metered`. [`AtomicMpcbf`] costs
+//! equal the sequential filter's exactly; [`ShardedMpcbf`] adds the
+//! shard-selector bits to each operation's hash bits.
 //!
 //! [`HcbfWord`]: mpcbf_core::HcbfWord
 
@@ -54,13 +54,10 @@
 pub mod atomic;
 pub mod bulk;
 pub mod elastic;
+mod planned;
 pub mod sharded;
-#[cfg(feature = "stats")]
-pub mod stats;
 
 pub use atomic::AtomicMpcbf;
 pub use bulk::{build_parallel, build_resilient_parallel, default_threads, ShardedBulkBuilder};
 pub use elastic::{ElasticShardedMpcbf, ElasticStats};
 pub use sharded::{ShardBatch, ShardedMpcbf};
-#[cfg(feature = "stats")]
-pub use stats::{AccessLedger, LockStats, ShardStats};

@@ -39,28 +39,29 @@
 //! (2) group keys by shard — a stable sort, so keys within one shard are
 //! processed in their original batch order, which keeps duplicate keys in
 //! a batch behaving exactly like a scalar loop — then per shard take the
-//! lock once for its whole contiguous run, (3) probe/update, with update
-//! runs driving the per-batch-resolved kernel bundle ([`Kernel::batch`]).
+//! lock once for its whole contiguous run, (3) probe/update through the
+//! same planned bodies the scalar entry points run.
+//!
+//! # Metering
+//!
+//! Every planned body returns its [`OpCost`]; the plain entry points drop
+//! it. The `*_batch_metered` entry points sum it per batch and report the
+//! batch to an [`OpSink`], like the sequential filters' metered batches.
 
-#[cfg(feature = "stats")]
-use crate::stats::{LockStats, ShardStats};
+use crate::planned::{self, KeyPlan, Meter, Row, Update};
 use mpcbf_analysis::heuristic::MpcbfShape;
-use mpcbf_bitvec::{AlignedVec, Kernel, KernelOps, Word};
+use mpcbf_bitvec::{AlignedVec, Word};
 use mpcbf_core::codec;
 use mpcbf_core::config::MpcbfConfig;
 use mpcbf_core::hcbf::HcbfWord;
-#[cfg(feature = "stats")]
-use mpcbf_core::metrics::{AccessStats, OpCost, OpKind, WordTouches};
+use mpcbf_core::metrics::{OpCost, OpKind, OpSink};
 use mpcbf_core::scrub::{FilterSeal, ScrubReport, SEGMENT_WORDS};
 use mpcbf_core::{FilterError, PlanBuffer, ProbePlan};
-#[cfg(feature = "stats")]
 use mpcbf_hash::mix::bits_for;
 use mpcbf_hash::{Hasher128, Murmur3};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "stats")]
-use std::time::Instant;
 
 /// Reusable scratch for the sharded batch pipeline: the batch's probe
 /// plans plus the shard routing and run ordering derived from them.
@@ -101,8 +102,6 @@ pub struct ShardedMpcbf<W: Word = u64, H: Hasher128 = Murmur3> {
     shape: MpcbfShape,
     seed: u64,
     overflows: AtomicU64,
-    #[cfg(feature = "stats")]
-    stats: Vec<ShardStats>,
     _hasher: PhantomData<H>,
 }
 
@@ -145,8 +144,6 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
             shape,
             seed: config.seed(),
             overflows: AtomicU64::new(0),
-            #[cfg(feature = "stats")]
-            stats: (0..shard_count).map(|_| ShardStats::new()).collect(),
             _hasher: PhantomData,
         }
     }
@@ -253,386 +250,69 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
         (shard, plan)
     }
 
+    /// The cost model of one operation inside a shard: the shard selector
+    /// ([`SHARD_BITS`]) stands in for the extra address entropy this
+    /// layout consumes, then the sequential filter's accounting over a
+    /// `words_per_shard`-word sub-filter.
+    #[inline]
+    fn meter(&self) -> Meter {
+        Meter {
+            route_bits: SHARD_BITS,
+            word_bits: bits_for(self.words_per_shard),
+            pos_bits: bits_for(u64::from(self.shape.b1)),
+            probes: self.shape.k,
+        }
+    }
+
     /// Queries one planned key against its (already locked) shard.
-    #[cfg(not(feature = "stats"))]
     #[inline]
-    fn query_planned(words: &[HcbfWord<W>], plan: &ProbePlan) -> bool {
-        for (word, probes) in plan.groups() {
-            let (all_set, _) = words[word].query_all(probes);
-            if !all_set {
-                return false;
-            }
-        }
-        true
+    fn query_planned(&self, words: &[HcbfWord<W>], plan: &impl KeyPlan) -> (bool, OpCost) {
+        planned::query(plan, self.meter(), |word, probes| {
+            words[word].query_all(probes)
+        })
     }
 
-    /// Inserts one planned key into its (already locked) shard, rolling
-    /// back every applied group on overflow. A rollback step that itself
-    /// fails means the word no longer holds what this call just wrote —
-    /// damage, not overflow — and is reported as `CorruptionDetected`
-    /// with a *shard-local* segment (the entry points globalize it)
-    /// rather than panicking while the shard lock is held, which would
-    /// poison the lock and brick the shard for every future caller.
-    #[cfg(not(feature = "stats"))]
-    fn insert_planned(
-        words: &mut [HcbfWord<W>],
-        plan: &ProbePlan,
-        b1: u32,
-    ) -> Result<(), FilterError> {
-        let groups: Vec<(usize, &[u32])> = plan.groups().collect();
-        for (i, &(word, probes)) in groups.iter().enumerate() {
-            if words[word].increment_all(probes, b1).is_err() {
-                for &(rw, rp) in groups[..i].iter().rev() {
-                    if words[rw].decrement_all(rp, b1).is_err() {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: rw / SEGMENT_WORDS,
-                        });
-                    }
-                }
-                return Err(FilterError::WordOverflow { word });
-            }
-        }
-        Ok(())
-    }
-
-    /// Removes one planned key from its (already locked) shard, rolling
-    /// back every applied group if the element turns out absent. Rollback
-    /// failure reports `CorruptionDetected` (shard-local segment) instead
-    /// of panicking — see [`Self::insert_planned`].
-    #[cfg(not(feature = "stats"))]
-    fn remove_planned(
-        words: &mut [HcbfWord<W>],
-        plan: &ProbePlan,
-        b1: u32,
-    ) -> Result<(), FilterError> {
-        let groups: Vec<(usize, &[u32])> = plan.groups().collect();
-        for (i, &(word, probes)) in groups.iter().enumerate() {
-            if words[word].decrement_all(probes, b1).is_err() {
-                for &(rw, rp) in groups[..i].iter().rev() {
-                    if words[rw].increment_all(rp, b1).is_err() {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: rw / SEGMENT_WORDS,
-                        });
-                    }
-                }
-                return Err(FilterError::NotPresent);
-            }
-        }
-        Ok(())
-    }
-
-    /// Buffer-indexed twin of [`Self::query_planned`]: reads key `i`'s
-    /// groups straight out of the batch's [`PlanBuffer`].
-    #[cfg(not(feature = "stats"))]
+    /// Applies `op` to one planned key in its (already locked) shard,
+    /// rolling back every applied group if the key is refused. A rollback
+    /// step that itself fails means the word no longer holds what this
+    /// call just wrote — damage, not a refusal — and is reported as
+    /// `CorruptionDetected` with a *shard-local* segment (see
+    /// [`Self::settle`]) rather than panicking while the shard lock is
+    /// held, which would poison the lock and brick the shard for every
+    /// future caller.
     #[inline]
-    fn query_planned_buf(words: &[HcbfWord<W>], plans: &PlanBuffer, i: usize) -> bool {
-        for (word, probes) in plans.groups_of(i) {
-            let (all_set, _) = words[word].query_all(probes);
-            if !all_set {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Buffer-indexed twin of [`Self::insert_planned`], driving the
-    /// batch-resolved update kernel. Rollback re-walks the already-applied
-    /// groups by index — no per-key allocation.
-    #[cfg(not(feature = "stats"))]
-    fn insert_planned_buf(
-        words: &mut [HcbfWord<W>],
-        plans: &PlanBuffer,
-        i: usize,
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<(), FilterError> {
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
-            if words[word].increment_all_routed(probes, b1, ops).is_err() {
-                for u in (0..t).rev() {
-                    let (rw, rp) = plans.group(i, u);
-                    if words[rw].decrement_all_routed(rp, b1, ops).is_err() {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: rw / SEGMENT_WORDS,
-                        });
-                    }
-                }
-                return Err(FilterError::WordOverflow { word });
-            }
-        }
-        Ok(())
-    }
-
-    /// Buffer-indexed twin of [`Self::remove_planned`].
-    #[cfg(not(feature = "stats"))]
-    fn remove_planned_buf(
-        words: &mut [HcbfWord<W>],
-        plans: &PlanBuffer,
-        i: usize,
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<(), FilterError> {
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
-            if words[word].decrement_all_routed(probes, b1, ops).is_err() {
-                for u in (0..t).rev() {
-                    let (rw, rp) = plans.group(i, u);
-                    if words[rw].increment_all_routed(rp, b1, ops).is_err() {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: rw / SEGMENT_WORDS,
-                        });
-                    }
-                }
-                return Err(FilterError::NotPresent);
-            }
-        }
-        Ok(())
-    }
-
-    /// The metered cost of an operation inside one shard: distinct words
-    /// touched, plus hash bits = shard routing ([`SHARD_BITS`]) +
-    /// word-picker bits per evaluated group + position bits per evaluated
-    /// probe + any counter-traversal bits an update reports. Mirrors the
-    /// sequential filter's accounting, with the shard selector standing in
-    /// for the extra address entropy this layout consumes.
-    #[cfg(feature = "stats")]
-    fn probe_cost(
-        &self,
-        words_eval: u32,
-        pos_eval: u32,
-        touches: &WordTouches,
-        traversal_bits: u32,
-    ) -> OpCost {
-        OpCost {
-            word_accesses: touches.count(),
-            hash_bits: SHARD_BITS
-                + words_eval * bits_for(self.words_per_shard)
-                + pos_eval * bits_for(u64::from(self.shape.b1))
-                + traversal_bits,
-        }
-    }
-
-    /// Metered twin of [`Self::query_planned`]: same verdict and the same
-    /// short-circuit, also reporting the [`OpCost`].
-    #[cfg(feature = "stats")]
-    fn query_planned_metered(&self, words: &[HcbfWord<W>], plan: &ProbePlan) -> (bool, OpCost) {
-        let mut touches = WordTouches::new();
-        let mut words_eval = 0u32;
-        let mut pos_eval = 0u32;
-        let mut hit = true;
-        for (word, probes) in plan.groups() {
-            touches.touch(word);
-            words_eval += 1;
-            let (all_set, evaluated) = words[word].query_all(probes);
-            pos_eval += evaluated;
-            if !all_set {
-                hit = false;
-                break;
-            }
-        }
-        (hit, self.probe_cost(words_eval, pos_eval, &touches, 0))
-    }
-
-    /// Metered twin of [`Self::insert_planned`] (identical state effects;
-    /// a refused insert reports no cost, as everywhere else).
-    #[cfg(feature = "stats")]
-    fn insert_planned_metered(
+    fn update_planned(
         &self,
         words: &mut [HcbfWord<W>],
-        plan: &ProbePlan,
+        plan: &impl KeyPlan,
+        op: Update,
     ) -> Result<OpCost, FilterError> {
         let b1 = self.shape.b1;
-        let groups: Vec<(usize, &[u32])> = plan.groups().collect();
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for (i, &(word, probes)) in groups.iter().enumerate() {
-            touches.touch(word);
-            match words[word].increment_all(probes, b1) {
-                Ok(bits) => traversal_bits += bits,
-                Err(_) => {
-                    for &(rw, rp) in groups[..i].iter().rev() {
-                        if words[rw].decrement_all(rp, b1).is_err() {
-                            return Err(FilterError::CorruptionDetected {
-                                segment: rw / SEGMENT_WORDS,
-                            });
-                        }
-                    }
-                    return Err(FilterError::WordOverflow { word });
-                }
-            }
-        }
-        Ok(self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits))
+        planned::update(plan, op, self.meter(), |word, probes, op| {
+            op.walk(&mut words[word], probes, b1)
+        })
     }
 
-    /// Metered twin of [`Self::remove_planned`].
-    #[cfg(feature = "stats")]
-    fn remove_planned_metered(
-        &self,
-        words: &mut [HcbfWord<W>],
-        plan: &ProbePlan,
-    ) -> Result<OpCost, FilterError> {
-        let b1 = self.shape.b1;
-        let groups: Vec<(usize, &[u32])> = plan.groups().collect();
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for (i, &(word, probes)) in groups.iter().enumerate() {
-            touches.touch(word);
-            match words[word].decrement_all(probes, b1) {
-                Ok(bits) => traversal_bits += bits,
-                Err(_) => {
-                    for &(rw, rp) in groups[..i].iter().rev() {
-                        if words[rw].increment_all(rp, b1).is_err() {
-                            return Err(FilterError::CorruptionDetected {
-                                segment: rw / SEGMENT_WORDS,
-                            });
-                        }
-                    }
-                    return Err(FilterError::NotPresent);
-                }
-            }
-        }
-        Ok(self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits))
-    }
-
-    /// Buffer-indexed twin of [`Self::query_planned_metered`].
-    #[cfg(feature = "stats")]
-    fn query_planned_metered_buf(
-        &self,
-        words: &[HcbfWord<W>],
-        plans: &PlanBuffer,
-        i: usize,
-    ) -> (bool, OpCost) {
-        let mut touches = WordTouches::new();
-        let mut words_eval = 0u32;
-        let mut pos_eval = 0u32;
-        let mut hit = true;
-        for (word, probes) in plans.groups_of(i) {
-            touches.touch(word);
-            words_eval += 1;
-            let (all_set, evaluated) = words[word].query_all(probes);
-            pos_eval += evaluated;
-            if !all_set {
-                hit = false;
-                break;
-            }
-        }
-        (hit, self.probe_cost(words_eval, pos_eval, &touches, 0))
-    }
-
-    /// Buffer-indexed twin of [`Self::insert_planned_metered`], driving
-    /// the batch-resolved update kernel (identical state effects).
-    #[cfg(feature = "stats")]
-    fn insert_planned_metered_buf(
-        &self,
-        words: &mut [HcbfWord<W>],
-        plans: &PlanBuffer,
-        i: usize,
-        ops: &KernelOps,
-    ) -> Result<OpCost, FilterError> {
-        let b1 = self.shape.b1;
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
-            touches.touch(word);
-            match words[word].increment_all_routed(probes, b1, ops) {
-                Ok(bits) => traversal_bits += bits,
-                Err(_) => {
-                    for u in (0..t).rev() {
-                        let (rw, rp) = plans.group(i, u);
-                        if words[rw].decrement_all_routed(rp, b1, ops).is_err() {
-                            return Err(FilterError::CorruptionDetected {
-                                segment: rw / SEGMENT_WORDS,
-                            });
-                        }
-                    }
-                    return Err(FilterError::WordOverflow { word });
-                }
-            }
-        }
-        Ok(self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits))
-    }
-
-    /// Buffer-indexed twin of [`Self::remove_planned_metered`].
-    #[cfg(feature = "stats")]
-    fn remove_planned_metered_buf(
-        &self,
-        words: &mut [HcbfWord<W>],
-        plans: &PlanBuffer,
-        i: usize,
-        ops: &KernelOps,
-    ) -> Result<OpCost, FilterError> {
-        let b1 = self.shape.b1;
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
-            touches.touch(word);
-            match words[word].decrement_all_routed(probes, b1, ops) {
-                Ok(bits) => traversal_bits += bits,
-                Err(_) => {
-                    for u in (0..t).rev() {
-                        let (rw, rp) = plans.group(i, u);
-                        if words[rw].increment_all_routed(rp, b1, ops).is_err() {
-                            return Err(FilterError::CorruptionDetected {
-                                segment: rw / SEGMENT_WORDS,
-                            });
-                        }
-                    }
-                    return Err(FilterError::NotPresent);
-                }
-            }
-        }
-        Ok(self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits))
-    }
-
-    /// Acquires one shard's lock, tallying the acquisition (and whether it
-    /// had to block) into that shard's ledger. Returns the acquisition
-    /// instant so the caller can report hold time on release.
-    #[cfg(feature = "stats")]
-    fn lock_shard(
+    /// Books one finished update of a key homed in `shard`: an overflow
+    /// refusal bumps the overflow tally, and a shard-local corruption
+    /// report is lifted to the global frame.
+    #[inline]
+    fn settle(
         &self,
         shard: usize,
-    ) -> (
-        parking_lot::MutexGuard<'_, AlignedVec<HcbfWord<W>>>,
-        Instant,
-    ) {
-        let (guard, contended) = match self.shards[shard].try_lock() {
-            Some(guard) => (guard, false),
-            None => (self.shards[shard].lock(), true),
-        };
-        self.stats[shard].record_lock(contended);
-        (guard, Instant::now())
-    }
-
-    /// Merged access ledger across every shard (feature `stats`): mean
-    /// accesses / hash bits per operation kind, as the paper's tables
-    /// report them, measured under whatever concurrency actually happened.
-    #[cfg(feature = "stats")]
-    pub fn access_stats(&self) -> AccessStats {
-        let mut stats = AccessStats::new();
-        for shard in &self.stats {
-            shard.accesses.fold_into(&mut stats);
+        result: Result<OpCost, FilterError>,
+    ) -> Result<OpCost, FilterError> {
+        if matches!(result, Err(FilterError::WordOverflow { .. })) {
+            self.overflows.fetch_add(1, Ordering::Relaxed);
         }
-        stats
+        result.map_err(|e| self.globalize_err(shard, e))
     }
 
-    /// One shard's lock behaviour (feature `stats`). Covers filter
-    /// operations only; maintenance passes (seal/scrub/verify/total_load)
-    /// are not tallied.
-    #[cfg(feature = "stats")]
-    pub fn shard_lock_stats(&self, shard: usize) -> LockStats {
-        self.stats[shard].lock_stats()
-    }
-
-    /// Aggregate lock behaviour across all shards (feature `stats`).
-    #[cfg(feature = "stats")]
-    pub fn lock_stats(&self) -> LockStats {
-        let mut total = LockStats::default();
-        for shard in &self.stats {
-            total.merge(&shard.lock_stats());
-        }
-        total
+    /// Scalar update body: plan, lock the home shard, apply.
+    fn update_key(&self, key: &[u8], op: Update) -> Result<OpCost, FilterError> {
+        let (shard, plan) = self.plan(key);
+        let result = self.update_planned(&mut self.shards[shard].lock(), &plan, op);
+        self.settle(shard, result)
     }
 
     /// Membership check.
@@ -641,23 +321,9 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
     }
 
     /// Membership check on raw bytes: one lock, `g` word reads.
-    #[cfg(not(feature = "stats"))]
     pub fn contains_bytes(&self, key: &[u8]) -> bool {
         let (shard, plan) = self.plan(key);
-        let guard = self.shards[shard].lock();
-        Self::query_planned(&guard, &plan)
-    }
-
-    /// Membership check on raw bytes: one lock, `g` word reads (metered).
-    #[cfg(feature = "stats")]
-    pub fn contains_bytes(&self, key: &[u8]) -> bool {
-        let (shard, plan) = self.plan(key);
-        let (guard, held_since) = self.lock_shard(shard);
-        let (hit, cost) = self.query_planned_metered(&guard, &plan);
-        drop(guard);
-        self.stats[shard].record_hold(held_since.elapsed().as_nanos() as u64);
-        self.stats[shard].accesses.record(OpKind::Query, cost);
-        hit
+        self.query_planned(&self.shards[shard].lock(), &plan).0
     }
 
     /// Inserts a key.
@@ -666,39 +332,8 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
     }
 
     /// Inserts raw bytes under a single lock, rolling back on overflow.
-    #[cfg(not(feature = "stats"))]
     pub fn insert_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        let (shard, plan) = self.plan(key);
-        let mut guard = self.shards[shard].lock();
-        let result = Self::insert_planned(&mut guard, &plan, self.shape.b1);
-        drop(guard);
-        if matches!(result, Err(FilterError::WordOverflow { .. })) {
-            self.overflows.fetch_add(1, Ordering::Relaxed);
-        }
-        result.map_err(|e| self.globalize_err(shard, e))
-    }
-
-    /// Inserts raw bytes under a single lock, rolling back on overflow
-    /// (metered).
-    #[cfg(feature = "stats")]
-    pub fn insert_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        let (shard, plan) = self.plan(key);
-        let (mut guard, held_since) = self.lock_shard(shard);
-        let result = self.insert_planned_metered(&mut guard, &plan);
-        drop(guard);
-        self.stats[shard].record_hold(held_since.elapsed().as_nanos() as u64);
-        match result {
-            Ok(cost) => {
-                self.stats[shard].accesses.record(OpKind::Insert, cost);
-                Ok(())
-            }
-            Err(e) => {
-                if matches!(e, FilterError::WordOverflow { .. }) {
-                    self.overflows.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(self.globalize_err(shard, e))
-            }
-        }
+        self.update_key(key, Update::Insert).map(|_| ())
     }
 
     /// Removes a key.
@@ -707,26 +342,8 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
     }
 
     /// Removes raw bytes under a single lock, rolling back if absent.
-    #[cfg(not(feature = "stats"))]
     pub fn remove_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        let (shard, plan) = self.plan(key);
-        let mut guard = self.shards[shard].lock();
-        Self::remove_planned(&mut guard, &plan, self.shape.b1)
-            .map_err(|e| self.globalize_err(shard, e))
-    }
-
-    /// Removes raw bytes under a single lock, rolling back if absent
-    /// (metered).
-    #[cfg(feature = "stats")]
-    pub fn remove_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        let (shard, plan) = self.plan(key);
-        let (mut guard, held_since) = self.lock_shard(shard);
-        let result = self.remove_planned_metered(&mut guard, &plan);
-        drop(guard);
-        self.stats[shard].record_hold(held_since.elapsed().as_nanos() as u64);
-        result
-            .map(|cost| self.stats[shard].accesses.record(OpKind::Remove, cost))
-            .map_err(|e| self.globalize_err(shard, e))
+        self.update_key(key, Update::Remove).map(|_| ())
     }
 
     /// Plans a whole batch into the caller's scratch: probe plans in the
@@ -759,8 +376,6 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
 
     /// Runs `body` once per shard that has keys in the batch, holding that
     /// shard's lock exactly once for its whole contiguous run of keys.
-    /// With the `stats` feature, lock acquisitions/contention/hold time
-    /// are tallied per shard here.
     fn for_each_shard_run(
         &self,
         scratch: &ShardBatch,
@@ -774,18 +389,50 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
             while i < order.len() && scratch.shards[order[i] as usize] as usize == shard {
                 i += 1;
             }
-            let run = &order[start..i];
-            #[cfg(feature = "stats")]
-            let (mut guard, held_since) = self.lock_shard(shard);
-            #[cfg(not(feature = "stats"))]
-            let mut guard = self.shards[shard].lock();
-            body(&mut guard, run, shard);
-            #[cfg(feature = "stats")]
-            {
-                drop(guard);
-                self.stats[shard].record_hold(held_since.elapsed().as_nanos() as u64);
-            }
+            body(&mut self.shards[shard].lock(), &order[start..i], shard);
         }
+    }
+
+    /// The batch query body: plan every key, then visit each shard once
+    /// (lock → probe run). Verdicts in input order, plus the summed cost.
+    fn query_batch(&self, keys: &[&[u8]], scratch: &mut ShardBatch) -> (Vec<bool>, OpCost) {
+        self.plan_batch_into(keys, scratch);
+        let plans = &scratch.plans;
+        let mut out = vec![false; keys.len()];
+        let mut total = OpCost::zero();
+        self.for_each_shard_run(scratch, |words, run, _| {
+            for &idx in run {
+                let (hit, cost) = self.query_planned(words, &Row(plans, idx as usize));
+                out[idx as usize] = hit;
+                total = total.add(cost);
+            }
+        });
+        (out, total)
+    }
+
+    /// The batch update body: each shard lock is taken once and its keys
+    /// are applied in batch order, so duplicates behave exactly as a
+    /// scalar loop would. Per-key results in input order, plus the summed
+    /// cost of the keys that were not refused.
+    fn update_batch(
+        &self,
+        keys: &[&[u8]],
+        scratch: &mut ShardBatch,
+        op: Update,
+    ) -> (Vec<Result<(), FilterError>>, OpCost) {
+        self.plan_batch_into(keys, scratch);
+        let plans = &scratch.plans;
+        let mut out = vec![Ok(()); keys.len()];
+        let mut total = OpCost::zero();
+        self.for_each_shard_run(scratch, |words, run, shard| {
+            for &idx in run {
+                let result = self.update_planned(words, &Row(plans, idx as usize), op);
+                out[idx as usize] = self.settle(shard, result).map(|cost| {
+                    total = total.add(cost);
+                });
+            }
+        });
+        (out, total)
     }
 
     /// Batched membership check: hashes all keys, then visits each shard
@@ -798,24 +445,21 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
     /// reusing `scratch` across batches allocates nothing after warm-up
     /// and yields bit-identical results to a fresh scratch.
     pub fn contains_batch_bytes_with(&self, keys: &[&[u8]], scratch: &mut ShardBatch) -> Vec<bool> {
-        self.plan_batch_into(keys, scratch);
-        let plans = &scratch.plans;
-        let mut out = vec![false; keys.len()];
-        self.for_each_shard_run(scratch, |words, run, _shard| {
-            for &idx in run {
-                #[cfg(feature = "stats")]
-                {
-                    let (hit, cost) = self.query_planned_metered_buf(words, plans, idx as usize);
-                    self.stats[_shard].accesses.record(OpKind::Query, cost);
-                    out[idx as usize] = hit;
-                }
-                #[cfg(not(feature = "stats"))]
-                {
-                    out[idx as usize] = Self::query_planned_buf(words, plans, idx as usize);
-                }
-            }
-        });
-        out
+        self.query_batch(keys, scratch).0
+    }
+
+    /// [`Self::contains_batch_bytes_with`] that also returns the batch's
+    /// summed [`OpCost`] and reports the batch to `sink` as one
+    /// `(kind, ops, cost, wall nanos)` sample.
+    pub fn contains_batch_metered(
+        &self,
+        keys: &[&[u8]],
+        scratch: &mut ShardBatch,
+        sink: &dyn OpSink,
+    ) -> (Vec<bool>, OpCost) {
+        planned::metered(sink, OpKind::Query, keys.len(), || {
+            self.query_batch(keys, scratch)
+        })
     }
 
     /// Batched insertion: each shard lock is taken once; keys within a
@@ -825,51 +469,27 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
         self.insert_batch_bytes_with(keys, &mut ShardBatch::new())
     }
 
-    /// [`Self::insert_batch_bytes`] against a caller-held scratch. The
-    /// update kernel bundle is resolved once here and drives every word
-    /// walk in the batch, rollbacks included.
+    /// [`Self::insert_batch_bytes`] against a caller-held scratch.
     pub fn insert_batch_bytes_with(
         &self,
         keys: &[&[u8]],
         scratch: &mut ShardBatch,
     ) -> Vec<Result<(), FilterError>> {
-        self.plan_batch_into(keys, scratch);
-        let plans = &scratch.plans;
-        let ops = Kernel::batch().update;
-        #[cfg(not(feature = "stats"))]
-        let b1 = self.shape.b1;
-        let mut out = vec![Ok(()); keys.len()];
-        let mut failed = 0u64;
-        self.for_each_shard_run(scratch, |words, run, _shard| {
-            for &idx in run {
-                #[cfg(feature = "stats")]
-                {
-                    out[idx as usize] =
-                        match self.insert_planned_metered_buf(words, plans, idx as usize, &ops) {
-                            Ok(cost) => {
-                                self.stats[_shard].accesses.record(OpKind::Insert, cost);
-                                Ok(())
-                            }
-                            Err(e) => {
-                                if matches!(e, FilterError::WordOverflow { .. }) {
-                                    failed += 1;
-                                }
-                                Err(self.globalize_err(_shard, e))
-                            }
-                        };
-                }
-                #[cfg(not(feature = "stats"))]
-                {
-                    let r = Self::insert_planned_buf(words, plans, idx as usize, b1, &ops);
-                    if matches!(r, Err(FilterError::WordOverflow { .. })) {
-                        failed += 1;
-                    }
-                    out[idx as usize] = r.map_err(|e| self.globalize_err(_shard, e));
-                }
-            }
-        });
-        self.overflows.fetch_add(failed, Ordering::Relaxed);
-        out
+        self.update_batch(keys, scratch, Update::Insert).0
+    }
+
+    /// [`Self::insert_batch_bytes_with`] that also returns the summed cost
+    /// of the accepted inserts and reports the batch to `sink`; refused
+    /// inserts count toward `ops` but cost nothing.
+    pub fn insert_batch_metered(
+        &self,
+        keys: &[&[u8]],
+        scratch: &mut ShardBatch,
+        sink: &dyn OpSink,
+    ) -> (Vec<Result<(), FilterError>>, OpCost) {
+        planned::metered(sink, OpKind::Insert, keys.len(), || {
+            self.update_batch(keys, scratch, Update::Insert)
+        })
     }
 
     /// Batched removal: mirror of [`Self::insert_batch_bytes`].
@@ -883,30 +503,20 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
         keys: &[&[u8]],
         scratch: &mut ShardBatch,
     ) -> Vec<Result<(), FilterError>> {
-        self.plan_batch_into(keys, scratch);
-        let plans = &scratch.plans;
-        let ops = Kernel::batch().update;
-        #[cfg(not(feature = "stats"))]
-        let b1 = self.shape.b1;
-        let mut out = vec![Ok(()); keys.len()];
-        self.for_each_shard_run(scratch, |words, run, _shard| {
-            for &idx in run {
-                #[cfg(feature = "stats")]
-                {
-                    out[idx as usize] = self
-                        .remove_planned_metered_buf(words, plans, idx as usize, &ops)
-                        .map(|cost| self.stats[_shard].accesses.record(OpKind::Remove, cost))
-                        .map_err(|e| self.globalize_err(_shard, e));
-                }
-                #[cfg(not(feature = "stats"))]
-                {
-                    out[idx as usize] =
-                        Self::remove_planned_buf(words, plans, idx as usize, b1, &ops)
-                            .map_err(|e| self.globalize_err(_shard, e));
-                }
-            }
-        });
-        out
+        self.update_batch(keys, scratch, Update::Remove).0
+    }
+
+    /// [`Self::remove_batch_bytes_with`] that also returns the summed cost
+    /// of the completed removals and reports the batch to `sink`.
+    pub fn remove_batch_metered(
+        &self,
+        keys: &[&[u8]],
+        scratch: &mut ShardBatch,
+        sink: &dyn OpSink,
+    ) -> (Vec<Result<(), FilterError>>, OpCost) {
+        planned::metered(sink, OpKind::Remove, keys.len(), || {
+            self.update_batch(keys, scratch, Update::Remove)
+        })
     }
 
     /// Batched membership for any [`mpcbf_hash::Key`] type.
@@ -1114,6 +724,7 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planned::TallySink;
     use mpcbf_core::MpcbfConfig;
 
     fn filter() -> ShardedMpcbf<u64> {
@@ -1408,61 +1019,112 @@ mod tests {
         assert_eq!(f.total_load(), 0);
     }
 
-    #[cfg(feature = "stats")]
-    #[test]
-    fn stats_ledger_meters_every_op_kind() {
-        let f = filter();
-        let keys: Vec<u64> = (0..1_000).collect();
-        for r in f.insert_batch(&keys) {
-            r.unwrap();
-        }
-        for k in 0..500u64 {
-            assert!(f.contains(&k));
-        }
-        f.remove(&0u64).unwrap();
-        let stats = f.access_stats();
-        assert_eq!(stats.inserts.ops(), 1_000);
-        assert_eq!(stats.queries.ops(), 500);
-        assert_eq!(stats.removes.ops(), 1);
-        let g = f.shape().g as f64;
-        for tally in [stats.inserts, stats.queries, stats.removes] {
-            assert!(tally.mean_accesses() >= 1.0 && tally.mean_accesses() <= g);
-            assert!(tally.mean_hash_bits() > 0.0);
-        }
-        let locks = f.lock_stats();
-        // 501 scalar ops = 501 acquisitions, plus one per shard run of the
-        // batch insert.
-        assert!(locks.acquisitions >= 501);
-        assert_eq!(locks.contended, 0, "single-threaded: nothing contends");
+    /// The scalar path's cost for each key in turn on `f`: the reference
+    /// the metered batches must sum to.
+    fn scalar_costs(f: &ShardedMpcbf<u64>, keys: &[Vec<u8>], op: Option<Update>) -> OpCost {
+        OpCost::accumulate(keys.iter().map(|key| match op {
+            None => {
+                let (shard, plan) = f.plan(key);
+                f.query_planned(&f.shards[shard].lock(), &plan).1
+            }
+            Some(op) => f.update_key(key, op).unwrap_or_default(),
+        }))
     }
 
-    #[cfg(feature = "stats")]
+    fn byte_keys(range: std::ops::Range<u64>) -> Vec<Vec<u8>> {
+        range.map(|i| i.to_le_bytes().to_vec()).collect()
+    }
+
+    fn views(keys: &[Vec<u8>]) -> Vec<&[u8]> {
+        keys.iter().map(Vec::as_slice).collect()
+    }
+
     #[test]
-    fn batch_and_scalar_metering_agree() {
+    fn metered_batches_report_the_scalar_costs() {
         let scalar = filter();
         let batch = filter();
-        let keys: Vec<u64> = (0..2_000).collect();
-        for k in &keys {
-            scalar.insert(k).unwrap();
+        let sink = TallySink::default();
+        let mut scratch = ShardBatch::new();
+        let inserts = byte_keys(0..2_000);
+        let queries = byte_keys(1_000..4_000);
+        // 100 removals of never-inserted keys: refused, counted, free.
+        let removes = [byte_keys(0..600), byte_keys(9_000..9_100)].concat();
+        let insert_cost = scalar_costs(&scalar, &inserts, Some(Update::Insert));
+        let query_cost = scalar_costs(&scalar, &queries, None);
+        let remove_cost = scalar_costs(&scalar, &removes, Some(Update::Remove));
+
+        let (results, cost) = batch.insert_batch_metered(&views(&inserts), &mut scratch, &sink);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(cost, insert_cost);
+        let (hits, cost) = batch.contains_batch_metered(&views(&queries), &mut scratch, &sink);
+        assert_eq!(cost, query_cost);
+        assert_eq!(hits, batch.contains_batch_bytes(&views(&queries)));
+        let (results, cost) = batch.remove_batch_metered(&views(&removes), &mut scratch, &sink);
+        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 100);
+        assert_eq!(cost, remove_cost);
+
+        assert_eq!(sink.kind(OpKind::Insert), (2_000, insert_cost));
+        assert_eq!(sink.kind(OpKind::Query), (3_000, query_cost));
+        assert_eq!(sink.kind(OpKind::Remove), (700, remove_cost));
+        // MPCBF-1: one word per update, routing bits on every op.
+        assert_eq!(insert_cost.word_accesses, 2_000);
+        assert!(insert_cost.hash_bits > 2_000 * SHARD_BITS);
+        for s in 0..scalar.shard_count() {
+            assert_eq!(scalar.shard_raw_words(s), batch.shard_raw_words(s));
         }
-        for r in batch.insert_batch(&keys) {
-            r.unwrap();
+    }
+
+    #[test]
+    fn metered_batches_sum_exactly_under_concurrent_callers() {
+        // Each thread owns the keys of every shard `s` with `s % THREADS
+        // == t`, so every shard still sees one deterministic history and
+        // the shared sink's totals must equal a single-threaded scalar run
+        // of the same keys — while the four callers really overlap.
+        const THREADS: usize = 4;
+        let f = filter();
+        let twin = filter();
+        let keys = byte_keys(0..8_000);
+        let owned: Vec<Vec<Vec<u8>>> = (0..THREADS)
+            .map(|t| {
+                keys.iter()
+                    .filter(|k| f.home_shard(k) % THREADS == t)
+                    .cloned()
+                    .collect()
+            })
+            .collect();
+        let mut expected = [OpCost::zero(); 3];
+        for mine in &owned {
+            expected[1] = expected[1].add(scalar_costs(&twin, mine, Some(Update::Insert)));
+            expected[0] = expected[0].add(scalar_costs(&twin, mine, None));
+            let half = &mine[..mine.len() / 2];
+            expected[2] = expected[2].add(scalar_costs(&twin, half, Some(Update::Remove)));
         }
-        let probes: Vec<u64> = (1_000..4_000).collect();
-        for k in &probes {
-            scalar.contains(k);
-        }
-        batch.contains_batch(&probes);
-        for k in 0..500u64 {
-            scalar.remove(&k).unwrap();
-        }
-        let removals: Vec<u64> = (0..500).collect();
-        for r in batch.remove_batch(&removals) {
-            r.unwrap();
-        }
-        // Identical keys against identical filters: the batch pipeline
-        // must meter exactly what the scalar loop does.
-        assert_eq!(scalar.access_stats(), batch.access_stats());
+        let sink = TallySink::default();
+        crossbeam::scope(|s| {
+            for mine in &owned {
+                let (f, sink) = (&f, &sink);
+                s.spawn(move |_| {
+                    let mut scratch = ShardBatch::new();
+                    for chunk in mine.chunks(64) {
+                        let (results, _) =
+                            f.insert_batch_metered(&views(chunk), &mut scratch, sink);
+                        assert!(results.iter().all(Result::is_ok));
+                    }
+                    for chunk in mine.chunks(64) {
+                        f.contains_batch_metered(&views(chunk), &mut scratch, sink);
+                    }
+                    for chunk in mine[..mine.len() / 2].chunks(64) {
+                        f.remove_batch_metered(&views(chunk), &mut scratch, sink);
+                    }
+                });
+            }
+        })
+        .unwrap();
+        assert_eq!(sink.kind(OpKind::Query), (8_000, expected[0]));
+        assert_eq!(sink.kind(OpKind::Insert), (8_000, expected[1]));
+        let removed = owned.iter().map(|m| m.len() as u64 / 2).sum::<u64>();
+        assert_eq!(sink.kind(OpKind::Remove), (removed, expected[2]));
+        assert_eq!(f.total_load(), twin.total_load());
     }
 
     #[test]

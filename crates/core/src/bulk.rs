@@ -758,11 +758,11 @@ fn apply_entries(
                     refused += 1;
                     continue;
                 }
-                word.increment_inline((e & 0x3f) as u32, b1)
+                word.increment((e & 0x3f) as u32, b1)
                     .expect("capacity checked against the running total");
-                word.increment_inline(((e >> SLOT_BITS) & 0x3f) as u32, b1)
+                word.increment(((e >> SLOT_BITS) & 0x3f) as u32, b1)
                     .expect("capacity checked against the running total");
-                word.increment_inline(((e >> (2 * SLOT_BITS)) & 0x3f) as u32, b1)
+                word.increment(((e >> (2 * SLOT_BITS)) & 0x3f) as u32, b1)
                     .expect("capacity checked against the running total");
                 region[w] = word;
                 items += 1;
@@ -778,7 +778,7 @@ fn apply_entries(
                 }
                 for j in 0..k {
                     let slot = ((e >> (SLOT_BITS * j)) & 0x3f) as u32;
-                    word.increment_inline(slot, b1)
+                    word.increment(slot, b1)
                         .expect("capacity checked against the running total");
                 }
                 region[w] = word;
@@ -790,7 +790,7 @@ fn apply_entries(
                 let w = ((e >> word_shift) - base) as usize;
                 let slot = (e & 0x3f) as u32;
                 region[w]
-                    .increment_inline(slot, b1)
+                    .increment(slot, b1)
                     .expect("entry was admitted at push time");
             }
         }

@@ -26,7 +26,7 @@
 //!    improved HCBF (§III.B.3) can maximise `b1 = w − k·n_max`.
 
 use crate::FilterError;
-use mpcbf_bitvec::{KernelOps, Word};
+use mpcbf_bitvec::Word;
 use mpcbf_hash::mix::bits_for;
 
 /// Errors a single-word HCBF operation can report.
@@ -166,9 +166,9 @@ impl<W: Word> HcbfWord<W> {
                 return count;
             }
             count += 1;
-            let child = self.bits.rank_hot(gp) - r_start;
+            let child = self.bits.rank(gp) - r_start;
             let next_start = level_start + level_size;
-            let r_next = self.bits.rank_hot(next_start);
+            let r_next = self.bits.rank(next_start);
             level_start = next_start;
             level_size = r_next - r_start;
             r_start = r_next;
@@ -183,6 +183,11 @@ impl<W: Word> HcbfWord<W> {
     /// [`WordError::Overflow`] when the word has no spare bit, leaving the
     /// word unchanged; the caller maps it to the filter-level error via
     /// [`WordError::at`] with the real word index.
+    ///
+    /// Carried-rank walk, as in [`HcbfWord::counter`]. This is the one
+    /// production walk: scalar and batch inserts, rollbacks, the bulk
+    /// sweep and the lock-free CAS closures all run it.
+    #[inline]
     pub fn increment(&mut self, p: u32, b1: u32) -> Result<IncrementReport, WordError> {
         debug_assert!(p < b1 && b1 <= W::BITS);
         // Capacity: inserting always consumes exactly one bit.
@@ -197,18 +202,18 @@ impl<W: Word> HcbfWord<W> {
         let mut r_start = 0u32; // rank(level_start), carried across levels
         loop {
             let gp = level_start + pos;
-            let child = self.bits.rank_hot(gp) - r_start;
+            let child = self.bits.rank(gp) - r_start;
             let next_start = level_start + level_size;
             if !self.bits.bit(gp) {
                 // First zero on the chain: flip it, give it a child slot.
                 self.bits.set_bit(gp);
-                self.bits.insert_zero_hot(next_start + child);
+                self.bits.insert_zero(next_start + child);
                 return Ok(IncrementReport {
                     new_count: depth,
                     traversal_bits,
                 });
             }
-            let r_next = self.bits.rank_hot(next_start);
+            let r_next = self.bits.rank(next_start);
             let next_size = r_next - r_start;
             level_start = next_start;
             level_size = next_size;
@@ -219,9 +224,9 @@ impl<W: Word> HcbfWord<W> {
         }
     }
 
-    /// Portable baseline for [`HcbfWord::increment`]: the naive
-    /// `rank_range`-per-level walk with no kernel dispatch. Kept verbatim
-    /// for differential tests pinning the hot walk bit-identical.
+    /// Reference twin of [`HcbfWord::increment`]: the naive
+    /// `rank_range`-per-level walk. Kept verbatim for differential tests
+    /// pinning the carried-rank walk bit-identical.
     pub fn increment_reference(&mut self, p: u32, b1: u32) -> Result<IncrementReport, WordError> {
         debug_assert!(p < b1 && b1 <= W::BITS);
         if self.used_bits(b1) >= W::BITS {
@@ -259,6 +264,7 @@ impl<W: Word> HcbfWord<W> {
     /// slot and clears the bit — the mirror of [`HcbfWord::increment`].
     /// Fails with [`WordError::ZeroCounter`] if the counter is zero,
     /// leaving the word unchanged.
+    #[inline]
     pub fn decrement(&mut self, p: u32, b1: u32) -> Result<DecrementReport, WordError> {
         debug_assert!(p < b1 && b1 <= W::BITS);
         if !self.bits.bit(p) {
@@ -272,102 +278,15 @@ impl<W: Word> HcbfWord<W> {
         let mut r_start = 0u32; // rank(level_start), carried across levels
         loop {
             let gp = level_start + pos;
-            let child = self.bits.rank_hot(gp) - r_start;
+            let child = self.bits.rank(gp) - r_start;
             let next_start = level_start + level_size;
             let child_gp = next_start + child;
             if !self.bits.bit(child_gp) {
                 // `gp` is the deepest one: drop its child slot, clear it.
-                self.bits.remove_bit_hot(child_gp);
+                self.bits.remove_bit(child_gp);
                 self.bits.clear_bit(gp);
                 return Ok(DecrementReport {
                     new_count: depth - 1,
-                    traversal_bits,
-                });
-            }
-            let r_next = self.bits.rank_hot(next_start);
-            let next_size = r_next - r_start;
-            level_start = next_start;
-            level_size = next_size;
-            r_start = r_next;
-            pos = child;
-            depth += 1;
-            traversal_bits += bits_for(u64::from(next_size));
-        }
-    }
-
-    /// [`HcbfWord::increment`] through a batch-resolved kernel bundle
-    /// ([`mpcbf_bitvec::Kernel::batch`]): the same carried-rank walk, but
-    /// dispatch rides the bundle tag resolved once per batch instead of
-    /// the cached atomic load every primitive pays. Bit-identical to
-    /// [`HcbfWord::increment`] by the routed-tier differential tests.
-    pub fn increment_routed(
-        &mut self,
-        p: u32,
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<IncrementReport, WordError> {
-        debug_assert!(p < b1 && b1 <= W::BITS);
-        if self.used_bits(b1) >= W::BITS {
-            return Err(WordError::Overflow);
-        }
-        let mut level_start = 0u32;
-        let mut level_size = b1;
-        let mut pos = p;
-        let mut depth = 1u32;
-        let mut traversal_bits = 0u32;
-        let mut r_start = 0u32; // rank(level_start), carried across levels
-        loop {
-            let gp = level_start + pos;
-            let child = self.bits.rank_routed(gp, ops) - r_start;
-            let next_start = level_start + level_size;
-            if !self.bits.bit(gp) {
-                self.bits.set_bit(gp);
-                self.bits.insert_zero_routed(next_start + child, ops);
-                return Ok(IncrementReport {
-                    new_count: depth,
-                    traversal_bits,
-                });
-            }
-            let r_next = self.bits.rank_routed(next_start, ops);
-            let next_size = r_next - r_start;
-            level_start = next_start;
-            level_size = next_size;
-            r_start = r_next;
-            pos = child;
-            depth += 1;
-            traversal_bits += bits_for(u64::from(next_size));
-        }
-    }
-
-    /// [`HcbfWord::increment`] with every primitive statically inlined:
-    /// the bulk sweep's walk. A sweep applies millions of staged
-    /// increments back to back, and at that rate the per-primitive
-    /// indirect call of the routed tier costs more than any accelerated
-    /// kernel saves — the portable primitives inline to two or three
-    /// instructions each. Bit-identical to [`HcbfWord::increment`] and
-    /// [`HcbfWord::increment_routed`]: same carried-rank walk over the
-    /// same primitives, differing only in dispatch.
-    #[inline]
-    pub fn increment_inline(&mut self, p: u32, b1: u32) -> Result<IncrementReport, WordError> {
-        debug_assert!(p < b1 && b1 <= W::BITS);
-        if self.used_bits(b1) >= W::BITS {
-            return Err(WordError::Overflow);
-        }
-        let mut level_start = 0u32;
-        let mut level_size = b1;
-        let mut pos = p;
-        let mut depth = 1u32;
-        let mut traversal_bits = 0u32;
-        let mut r_start = 0u32; // rank(level_start), carried across levels
-        loop {
-            let gp = level_start + pos;
-            let child = self.bits.rank(gp) - r_start;
-            let next_start = level_start + level_size;
-            if !self.bits.bit(gp) {
-                self.bits.set_bit(gp);
-                self.bits.insert_zero(next_start + child);
-                return Ok(IncrementReport {
-                    new_count: depth,
                     traversal_bits,
                 });
             }
@@ -382,49 +301,7 @@ impl<W: Word> HcbfWord<W> {
         }
     }
 
-    /// [`HcbfWord::decrement`] through a batch-resolved kernel bundle;
-    /// see [`HcbfWord::increment_routed`].
-    pub fn decrement_routed(
-        &mut self,
-        p: u32,
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<DecrementReport, WordError> {
-        debug_assert!(p < b1 && b1 <= W::BITS);
-        if !self.bits.bit(p) {
-            return Err(WordError::ZeroCounter);
-        }
-        let mut level_start = 0u32;
-        let mut level_size = b1;
-        let mut pos = p;
-        let mut depth = 1u32;
-        let mut traversal_bits = 0u32;
-        let mut r_start = 0u32; // rank(level_start), carried across levels
-        loop {
-            let gp = level_start + pos;
-            let child = self.bits.rank_routed(gp, ops) - r_start;
-            let next_start = level_start + level_size;
-            let child_gp = next_start + child;
-            if !self.bits.bit(child_gp) {
-                self.bits.remove_bit_routed(child_gp, ops);
-                self.bits.clear_bit(gp);
-                return Ok(DecrementReport {
-                    new_count: depth - 1,
-                    traversal_bits,
-                });
-            }
-            let r_next = self.bits.rank_routed(next_start, ops);
-            let next_size = r_next - r_start;
-            level_start = next_start;
-            level_size = next_size;
-            r_start = r_next;
-            pos = child;
-            depth += 1;
-            traversal_bits += bits_for(u64::from(next_size));
-        }
-    }
-
-    /// Portable baseline for [`HcbfWord::decrement`]; see
+    /// Reference twin of [`HcbfWord::decrement`]; see
     /// [`HcbfWord::increment_reference`].
     pub fn decrement_reference(&mut self, p: u32, b1: u32) -> Result<DecrementReport, WordError> {
         debug_assert!(p < b1 && b1 <= W::BITS);
@@ -463,14 +340,12 @@ impl<W: Word> HcbfWord<W> {
     /// short-circuit). Returns the verdict and how many positions were
     /// evaluated, for bandwidth metering.
     ///
-    /// This is deliberately the plain portable short-circuit loop — the
-    /// same walk the scalar path runs. An earlier gather-all-bits-then-
+    /// This is deliberately the plain short-circuit loop — the same walk
+    /// the scalar path runs. An earlier gather-all-bits-then-
     /// `trailing_zeros` variant measured *slower* (it always evaluates the
-    /// whole chunk while real workloads short-circuit early), and the BMI2
-    /// kernels never help here: a query touches no rank/insert/remove
-    /// primitive at all. Per-op kernel routing therefore pins query walks
-    /// to portable; batching wins come from the plan/interleave layers
-    /// above, not from this loop.
+    /// whole chunk while real workloads short-circuit early), and a query
+    /// touches no rank/insert/remove primitive at all; batching wins come
+    /// from the plan/interleave layers above, not from this loop.
     #[inline]
     pub fn query_all(&self, probes: &[u32]) -> (bool, u32) {
         let mut evaluated = 0u32;
@@ -483,7 +358,7 @@ impl<W: Word> HcbfWord<W> {
         (true, evaluated)
     }
 
-    /// Portable baseline for [`HcbfWord::query_all`]: the short-circuiting
+    /// Reference twin of [`HcbfWord::query_all`]: the short-circuiting
     /// scalar loop, kept for differential tests of the metering contract.
     #[inline]
     pub fn query_all_reference(&self, probes: &[u32]) -> (bool, u32) {
@@ -539,57 +414,7 @@ impl<W: Word> HcbfWord<W> {
         Ok(traversal_bits)
     }
 
-    /// [`HcbfWord::increment_all`] through a batch-resolved kernel bundle:
-    /// the all-or-nothing contract with every walk (including rollback)
-    /// routed via `ops`. The batch insert path resolves routing once and
-    /// drives every word through this.
-    pub fn increment_all_routed(
-        &mut self,
-        probes: &[u32],
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<u32, WordError> {
-        let mut traversal_bits = 0u32;
-        for (i, &p) in probes.iter().enumerate() {
-            match self.increment_routed(p, b1, ops) {
-                Ok(r) => traversal_bits += r.traversal_bits,
-                Err(e) => {
-                    for &q in probes[..i].iter().rev() {
-                        self.decrement_routed(q, b1, ops)
-                            .expect("rollback of a fresh increment cannot fail");
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(traversal_bits)
-    }
-
-    /// [`HcbfWord::decrement_all`] through a batch-resolved kernel bundle;
-    /// see [`HcbfWord::increment_all_routed`].
-    pub fn decrement_all_routed(
-        &mut self,
-        probes: &[u32],
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<u32, WordError> {
-        let mut traversal_bits = 0u32;
-        for (i, &p) in probes.iter().enumerate() {
-            match self.decrement_routed(p, b1, ops) {
-                Ok(r) => traversal_bits += r.traversal_bits,
-                Err(e) => {
-                    for &q in probes[..i].iter().rev() {
-                        self.increment_routed(q, b1, ops)
-                            .expect("rollback of a fresh decrement cannot fail");
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(traversal_bits)
-    }
-
-    /// Portable baseline for [`HcbfWord::increment_all`]: the same
+    /// Reference twin of [`HcbfWord::increment_all`]: the same
     /// all-or-nothing contract driven entirely by the reference walks.
     pub fn increment_all_reference(&mut self, probes: &[u32], b1: u32) -> Result<u32, WordError> {
         let mut traversal_bits = 0u32;
@@ -608,7 +433,7 @@ impl<W: Word> HcbfWord<W> {
         Ok(traversal_bits)
     }
 
-    /// Portable baseline for [`HcbfWord::decrement_all`]; see
+    /// Reference twin of [`HcbfWord::decrement_all`]; see
     /// [`HcbfWord::increment_all_reference`].
     pub fn decrement_all_reference(&mut self, probes: &[u32], b1: u32) -> Result<u32, WordError> {
         let mut traversal_bits = 0u32;
@@ -886,66 +711,6 @@ mod tests {
         assert_eq!(w.query_all(&[2, 5, 9]), (false, 2)); // stops at the zero
         assert_eq!(w.query_all(&[7]), (false, 1));
         assert_eq!(w.query_all(&[]), (true, 0));
-    }
-
-    #[test]
-    fn routed_walks_match_hot_walks() {
-        // Both bundles of one batch resolution must yield bit-identical
-        // words and reports to the dispatched hot walks, step for step.
-        let bk = mpcbf_bitvec::Kernel::batch();
-        for ops in [bk.query, bk.update] {
-            let mut hot = H64::new();
-            let mut routed = H64::new();
-            let mut s = 0x9e37_79b9_7f4a_7c15u64;
-            let mut rand = move || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s
-            };
-            for _ in 0..3_000 {
-                let p = (rand() % 40) as u32;
-                if rand() % 3 == 0 {
-                    let a = hot.decrement(p, 40);
-                    let b = routed.decrement_routed(p, 40, &ops);
-                    assert_eq!(a, b);
-                } else if hot.remaining_capacity(40) > 0 {
-                    let a = hot.increment(p, 40);
-                    let b = routed.increment_routed(p, 40, &ops);
-                    assert_eq!(a, b);
-                }
-                assert_eq!(hot.raw(), routed.raw());
-            }
-        }
-    }
-
-    #[test]
-    fn routed_batches_match_plain_batches() {
-        let bk = mpcbf_bitvec::Kernel::batch();
-        let probes = [3u32, 3, 17, 0, 9];
-        let mut plain = H64::new();
-        let mut routed = H64::new();
-        assert_eq!(
-            plain.increment_all(&probes, 40),
-            routed.increment_all_routed(&probes, 40, &bk.update)
-        );
-        assert_eq!(plain.raw(), routed.raw());
-        assert_eq!(
-            plain.decrement_all(&probes, 40),
-            routed.decrement_all_routed(&probes, 40, &bk.update)
-        );
-        assert_eq!(plain.raw(), routed.raw());
-        // Rollback on failure is routed too and leaves the word intact.
-        let mut w = H16::new();
-        for _ in 0..4 {
-            w.increment(0, 10).unwrap();
-        }
-        let before = *w.raw();
-        assert_eq!(
-            w.increment_all_routed(&[1, 2, 3], 10, &bk.update),
-            Err(WordError::Overflow)
-        );
-        assert_eq!(*w.raw(), before);
     }
 
     #[test]

@@ -152,16 +152,6 @@ impl OpTally {
         }
     }
 
-    /// Folds pre-aggregated totals into the tally — how instrumentation
-    /// that keeps its own atomic counters (the concurrent filters'
-    /// per-shard ledgers) reports into the shared [`AccessStats`] shape.
-    #[inline]
-    pub fn record_totals(&mut self, ops: u64, word_accesses: u64, hash_bits: u64) {
-        self.ops += ops;
-        self.word_accesses += word_accesses;
-        self.hash_bits += hash_bits;
-    }
-
     /// Merges another tally into this one.
     #[inline]
     pub fn merge(&mut self, other: &OpTally) {

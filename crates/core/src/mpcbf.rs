@@ -26,7 +26,7 @@ use crate::scrub::{segment_of, FilterSeal, ScrubReport};
 use crate::traits::{CountingFilter, Filter};
 use crate::{split_hashes, FilterError, GROUP_SALT, WORD_SALT};
 use mpcbf_analysis::heuristic::MpcbfShape;
-use mpcbf_bitvec::{AlignedVec, Kernel, Word};
+use mpcbf_bitvec::{AlignedVec, Word};
 use mpcbf_hash::mix::bits_for;
 use mpcbf_hash::{DoubleHasher, Hasher128, Murmur3};
 use std::marker::PhantomData;
@@ -469,14 +469,12 @@ impl<W: Word, H: Hasher128> Filter for Mpcbf<W, H> {
     }
 
     /// Fused batch insert: keys are applied strictly in order via
-    /// [`HcbfWord::increment_all_routed`] per group, with the update
-    /// kernel bundle resolved **once** for the whole batch
-    /// ([`Kernel::batch`]) instead of a cached-atomic load per word probe.
-    /// A word overflow rolls back that key's earlier groups through the
-    /// plan buffer (no allocation; the HCBF encoding is canonical in the
-    /// counter multiset, so the filter is left bit-identical to never
-    /// having attempted the key) and is reported per key. Batches below
-    /// [`SMALL_BATCH`] degrade to the scalar loop.
+    /// [`HcbfWord::increment_all`] per group. A word overflow rolls back
+    /// that key's earlier groups through the plan buffer (no allocation;
+    /// the HCBF encoding is canonical in the counter multiset, so the
+    /// filter is left bit-identical to never having attempted the key)
+    /// and is reported per key. Batches below [`SMALL_BATCH`] degrade to
+    /// the scalar loop.
     fn insert_batch_with(
         &mut self,
         keys: &[&[u8]],
@@ -497,7 +495,6 @@ impl<W: Word, H: Hasher128> Filter for Mpcbf<W, H> {
             return (results, total);
         }
         self.plan_into(keys, plans);
-        let ops = Kernel::batch().update;
         let b1 = self.shape.b1;
         let mut results = Vec::with_capacity(keys.len());
         let mut total = OpCost::zero();
@@ -506,7 +503,7 @@ impl<W: Word, H: Hasher128> Filter for Mpcbf<W, H> {
             let mut failed: Option<(usize, WordError)> = None;
             let mut applied_groups = 0usize;
             for (word, probes) in plans.groups_of(i) {
-                match self.words[word].increment_all_routed(probes, b1, &ops) {
+                match self.words[word].increment_all(probes, b1) {
                     Ok(bits) => {
                         traversal_bits += bits;
                         applied_groups += 1;
@@ -522,7 +519,7 @@ impl<W: Word, H: Hasher128> Filter for Mpcbf<W, H> {
                 for t in (0..applied_groups).rev() {
                     let (rw, probes) = plans.group(i, t);
                     self.words[rw]
-                        .decrement_all_routed(probes, b1, &ops)
+                        .decrement_all(probes, b1)
                         .expect("rollback decrement must succeed");
                 }
                 self.overflows += 1;
@@ -585,11 +582,10 @@ impl<W: Word, H: Hasher128> CountingFilter for Mpcbf<W, H> {
     }
 
     /// Fused batch remove: the mirror of the batch insert — keys are
-    /// drained strictly in order via [`HcbfWord::decrement_all_routed`]
-    /// per group under one batch-resolved update bundle, with a
-    /// [`FilterError::NotPresent`] rolling back that key's earlier groups
-    /// through the plan buffer and costing nothing, exactly like the
-    /// scalar path.
+    /// drained strictly in order via [`HcbfWord::decrement_all`] per
+    /// group, with a [`FilterError::NotPresent`] rolling back that key's
+    /// earlier groups through the plan buffer and costing nothing, exactly
+    /// like the scalar path.
     fn remove_batch_with(
         &mut self,
         keys: &[&[u8]],
@@ -610,7 +606,6 @@ impl<W: Word, H: Hasher128> CountingFilter for Mpcbf<W, H> {
             return (results, total);
         }
         self.plan_into(keys, plans);
-        let ops = Kernel::batch().update;
         let b1 = self.shape.b1;
         let mut results = Vec::with_capacity(keys.len());
         let mut total = OpCost::zero();
@@ -619,7 +614,7 @@ impl<W: Word, H: Hasher128> CountingFilter for Mpcbf<W, H> {
             let mut failed = false;
             let mut applied_groups = 0usize;
             for (word, probes) in plans.groups_of(i) {
-                match self.words[word].decrement_all_routed(probes, b1, &ops) {
+                match self.words[word].decrement_all(probes, b1) {
                     Ok(bits) => {
                         traversal_bits += bits;
                         applied_groups += 1;
@@ -635,7 +630,7 @@ impl<W: Word, H: Hasher128> CountingFilter for Mpcbf<W, H> {
                 for t in (0..applied_groups).rev() {
                     let (rw, probes) = plans.group(i, t);
                     self.words[rw]
-                        .increment_all_routed(probes, b1, &ops)
+                        .increment_all(probes, b1)
                         .expect("rollback increment must succeed");
                 }
                 results.push(Err(FilterError::NotPresent));

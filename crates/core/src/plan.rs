@@ -82,7 +82,7 @@ pub struct ProbePlan {
 /// computed by an O(g²) scan over the plan's word slice instead of
 /// maintaining a 520-byte zero-initialised tracker per key.
 #[inline]
-pub(crate) fn distinct_words(words: &[u32]) -> u32 {
+pub fn distinct_words(words: &[u32]) -> u32 {
     let mut n = 0u32;
     for (i, &w) in words.iter().enumerate() {
         if !words[..i].contains(&w) {
@@ -190,6 +190,15 @@ impl ProbePlan {
     #[inline]
     pub fn words(&self) -> &[u32] {
         &self.words[..self.groups as usize]
+    }
+
+    /// Group `t` of a partitioned plan as `(word, in-word probes)`.
+    #[inline]
+    pub fn group(&self, t: usize) -> (usize, &[u32]) {
+        debug_assert!(t < self.groups as usize);
+        let start: usize = self.group_len[..t].iter().map(|&n| n as usize).sum();
+        let len = self.group_len[t] as usize;
+        (self.words[t] as usize, &self.slots[start..start + len])
     }
 
     /// Iterates a partitioned plan's groups as `(word, in-word probes)`,
@@ -447,6 +456,9 @@ mod tests {
         // split_hashes(7, 3, ·) = [3, 2, 2].
         let lens: Vec<usize> = plan.groups().map(|(_, p)| p.len()).collect();
         assert_eq!(lens, vec![3, 2, 2]);
+        for (t, group) in plan.groups().enumerate() {
+            assert_eq!(plan.group(t), group, "group {t}");
+        }
     }
 
     #[test]

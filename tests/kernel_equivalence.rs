@@ -1,20 +1,16 @@
-//! Differential proptests: the kernel-dispatched hot paths must be
-//! bit-identical to the portable reference walks.
+//! Differential proptests: the production carried-rank walks must be
+//! bit-identical to the `*_reference` walks.
 //!
-//! Every `HcbfWord` mutation exists in two tiers — the dispatched hot walk
-//! (carried ranks + `kernel` primitives, BMI2 where the CPU has it) and the
-//! `*_reference` baseline (the naive portable `rank_range` walk). These
-//! tests drive both tiers with identical scripts and demand identical raw
-//! bit patterns, identical reports (count, traversal bits), and identical
-//! errors — including the all-or-nothing rollback paths, where a failed
-//! batch's intermediate hot-walk mutations must be undone to the exact
-//! pre-batch bits.
-//!
-//! CI runs this suite twice: once with native feature detection and once
-//! with `MPCBF_KERNEL=portable`, so the equivalence holds on whichever
-//! kernel dispatch selects.
+//! Every `HcbfWord` mutation has exactly one production walk (carried
+//! ranks: each level costs two masked popcounts) and a `*_reference` twin
+//! (the naive `rank_range`-per-level walk). These tests drive both with
+//! identical scripts, on every width from `u16` to `W512`, and demand
+//! identical raw bit patterns, identical reports (count, traversal bits),
+//! and identical errors — including the all-or-nothing rollback paths,
+//! where a failed batch's intermediate mutations must be undone to the
+//! exact pre-batch bits.
 
-use mpcbf::bitvec::{Kernel, Word, W256, W512};
+use mpcbf::bitvec::{Word, W256, W512};
 use mpcbf::core::hcbf::HcbfWord;
 use proptest::prelude::*;
 
@@ -177,19 +173,4 @@ proptest! {
         }
         prop_assert_eq!(w.query_all(&probes), w.query_all_reference(&probes));
     }
-}
-
-#[test]
-fn active_kernel_is_reported() {
-    // Not an equivalence check — just pin that dispatch resolved and that
-    // the forced-portable override is honoured when CI sets it.
-    let k = Kernel::active();
-    if std::env::var("MPCBF_KERNEL").as_deref() == Ok("portable") {
-        assert_eq!(k, Kernel::Portable, "MPCBF_KERNEL=portable not honoured");
-    }
-    eprintln!(
-        "kernel_equivalence ran against kernel `{}` (features: {})",
-        k.name(),
-        Kernel::cpu_features()
-    );
 }
