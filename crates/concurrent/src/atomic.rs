@@ -355,7 +355,7 @@ impl<H: Hasher128> AtomicMpcbf<H> {
     /// Checksums the current word array (see [`Self::raw_snapshot`] for
     /// the quiescence caveat).
     pub fn seal(&self) -> FilterSeal {
-        FilterSeal::compute(&self.raw_snapshot())
+        FilterSeal::compute(self.words.iter().map(|w| w.load(Ordering::Acquire)))
     }
 
     /// Structural self-check: re-walks every word's hierarchy invariants
@@ -382,7 +382,7 @@ impl<H: Hasher128> AtomicMpcbf<H> {
     /// Panics if `seal` was computed over a different word count.
     pub fn scrub(&self, seal: &FilterSeal) -> ScrubReport {
         let snapshot = self.raw_snapshot();
-        let mut corrupt = seal.diff(&snapshot);
+        let mut corrupt = seal.diff(snapshot.iter().copied());
         let b1 = self.shape.b1;
         for (i, &raw) in snapshot.iter().enumerate() {
             if HcbfWord::from_raw(raw).check_invariants(b1).is_err() {

@@ -584,11 +584,7 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
     pub fn seal(&self) -> Vec<FilterSeal> {
         self.shards
             .iter()
-            .map(|shard| {
-                let guard = shard.lock();
-                let raw: Vec<u64> = guard.iter().map(|w| *w.raw()).collect();
-                FilterSeal::compute(&raw)
-            })
+            .map(|shard| FilterSeal::compute(shard.lock().iter().map(|w| *w.raw())))
             .collect()
     }
 
@@ -614,8 +610,8 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
         let mut checked = 0usize;
         for (s, (shard, seal)) in self.shards.iter().zip(seals).enumerate() {
             let guard = shard.lock();
-            let raw: Vec<u64> = guard.iter().map(|w| *w.raw()).collect();
-            corrupt.extend(seal.diff(&raw).into_iter().map(|seg| s * per + seg));
+            let damaged = seal.diff(guard.iter().map(|w| *w.raw()));
+            corrupt.extend(damaged.into_iter().map(|seg| s * per + seg));
             for (i, w) in guard.iter().enumerate() {
                 if w.check_invariants(b1).is_err() {
                     corrupt.push(s * per + i / SEGMENT_WORDS);
@@ -660,10 +656,10 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
         w.u32(self.shards.len() as u32);
         w.u64(self.words_per_shard);
         w.u64(self.overflows());
+        // Every limb plus the CRC trailer.
+        w.reserve(self.shards.len() * self.words_per_shard as usize * 8 + 4);
         for shard in &self.shards {
-            let guard = shard.lock();
-            let raw: Vec<u64> = guard.iter().map(|word| *word.raw()).collect();
-            w.limbs(&raw);
+            w.limbs(shard.lock().iter().map(|word| *word.raw()));
         }
         w.finish()
     }
@@ -707,12 +703,12 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
         for shard in &filter.shards {
             let limbs = r.limbs(words_per_shard as usize)?;
             let mut guard = shard.lock();
-            for (i, &raw) in limbs.iter().enumerate() {
+            for (slot, raw) in guard.iter_mut().zip(limbs) {
                 let word = HcbfWord::<u64>::from_raw(raw);
                 if word.check_invariants(b1).is_err() {
                     return Err(CodecError::BadHeader("word invariant"));
                 }
-                guard[i] = word;
+                *slot = word;
             }
         }
         r.expect_end()?;

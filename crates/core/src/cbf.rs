@@ -169,7 +169,7 @@ impl<H: Hasher128> Cbf<H> {
     /// updates, before going idle); [`Cbf::scrub`] later compares the
     /// storage against it to localise silent memory corruption.
     pub fn seal(&self) -> FilterSeal {
-        FilterSeal::compute(self.counters.raw_limbs())
+        FilterSeal::compute(self.counters.raw_limbs().iter().copied())
     }
 
     /// Checks the structural invariants no sequence of operations can
@@ -199,7 +199,7 @@ impl<H: Hasher128> Cbf<H> {
     /// # Panics
     /// Panics if `seal` was taken from a different-sized filter.
     pub fn scrub(&self, seal: &FilterSeal) -> ScrubReport {
-        let mut corrupt = seal.diff(self.counters.raw_limbs());
+        let mut corrupt = seal.diff(self.counters.raw_limbs().iter().copied());
         if let Err(FilterError::CorruptionDetected { segment }) = self.verify() {
             corrupt.push(segment);
         }

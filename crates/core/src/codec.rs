@@ -89,15 +89,89 @@ pub const KIND_ELASTIC_SHARDED: u8 = 6;
 /// header can never drive `Vec::with_capacity` into an abort or OOM.
 const MAX_DECODE_ENTRIES: u64 = 1 << 40;
 
-/// IEEE CRC-32 (reflected, poly 0xEDB88320), table-free bitwise variant —
-/// encoding happens once per broadcast, so simplicity beats speed here.
+/// The reflected IEEE CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0][b]` is the classic byte-at-a-time
+/// table, and `CRC_TABLES[t][b]` is the CRC contribution of byte `b`
+/// followed by `t` zero bytes. Built at compile time (8 KiB, static).
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut b = 0;
+    while b < 256 {
+        let mut t = 1;
+        while t < 8 {
+            let prev = tables[t - 1][b];
+            tables[t][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            t += 1;
+        }
+        b += 1;
+    }
+    tables
+}
+
+/// IEEE CRC-32 (reflected, poly 0xEDB88320) of `data`.
+///
+/// Every full-image integrity pass runs through here: codec images at
+/// each checkpoint and cold start, MPSS snapshot envelopes, WAL frames,
+/// and the per-segment seals of scrubs. It therefore runs slicing-by-8
+/// (eight table lookups per 8 input bytes, no data-dependent branches),
+/// several times the throughput of a bit-at-a-time loop, with output
+/// bit-identical to it so every stored image stays valid.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// Extends a finished CRC-32 with more bytes: for any split,
+/// `crc32_update(crc32(a), b) == crc32(a ‖ b)`, and `crc32_update(0, x)`
+/// is `crc32(x)`. Lets callers checksum data that is not contiguous in
+/// memory (e.g. a segment of words read in place) without copying it.
+#[inline]
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !crc;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// Bit-at-a-time CRC-32: the test oracle [`crc32`] must match on every
+/// input.
+#[cfg(test)]
+fn crc32_reference(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     for &b in data {
         crc ^= u32::from(b);
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            crc = (crc >> 1) ^ (CRC_POLY & mask);
         }
     }
     !crc
@@ -123,6 +197,12 @@ impl Writer {
         Writer { buf }
     }
 
+    /// Reserves room for `bytes` more bytes, so an image whose size is
+    /// known up front is written without regrowing its buffer.
+    pub fn reserve(&mut self, bytes: usize) {
+        self.buf.reserve(bytes);
+    }
+
     /// Appends a little-endian u32 field.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -138,10 +218,13 @@ impl Writer {
         self.buf.extend_from_slice(b);
     }
 
-    /// Appends a limb array as little-endian u64s.
-    pub fn limbs(&mut self, limbs: &[u64]) {
-        self.buf.reserve(limbs.len() * 8);
-        for &l in limbs {
+    /// Appends limbs as little-endian u64s, straight from any source
+    /// (a slice, or words read in place under a lock) without staging
+    /// them in a `Vec<u64>` first.
+    pub fn limbs(&mut self, limbs: impl IntoIterator<Item = u64>) {
+        let limbs = limbs.into_iter();
+        self.buf.reserve(limbs.size_hint().0 * 8);
+        for l in limbs {
             self.buf.extend_from_slice(&l.to_le_bytes());
         }
     }
@@ -230,24 +313,24 @@ impl<'a> Reader<'a> {
         self.buf.len().saturating_sub(self.pos)
     }
 
-    /// Reads `count` little-endian u64 limbs.
+    /// Reads `count` little-endian u64 limbs in place, bounds-checked
+    /// once for the whole run: callers check and install each limb
+    /// straight into its destination, or collect them.
     ///
-    /// The count is validated against the remaining body *before* any
-    /// allocation: a CRC-valid image with a crafted huge length field
-    /// must produce [`CodecError::Truncated`], not an OOM abort from
-    /// `Vec::with_capacity`.
-    pub fn limbs(&mut self, count: usize) -> Result<Vec<u64>, CodecError> {
+    /// The count is validated against the remaining body before anything
+    /// is read: a CRC-valid image with a crafted huge length field
+    /// produces [`CodecError::Truncated`], never an OOM abort.
+    pub fn limbs(
+        &mut self,
+        count: usize,
+    ) -> Result<impl ExactSizeIterator<Item = u64> + 'a, CodecError> {
         let need = count
             .checked_mul(8)
             .ok_or(CodecError::BadHeader("limb count overflows"))?;
-        if need > self.remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.u64()?);
-        }
-        Ok(out)
+        Ok(self
+            .bytes(need)?
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))))
     }
 
     /// Fails unless every body byte has been consumed.
@@ -272,7 +355,7 @@ impl<H: Hasher128> Cbf<H> {
         w.u32(self.word_bits());
         w.u64(self.items());
         w.u64(saturations);
-        w.limbs(limbs);
+        w.limbs(limbs.iter().copied());
         w.finish()
     }
 
@@ -299,7 +382,7 @@ impl<H: Hasher128> Cbf<H> {
             .checked_mul(width as usize)
             .ok_or(CodecError::BadHeader("counter geometry"))?
             .div_ceil(64);
-        let limbs = r.limbs(limb_count)?;
+        let limbs = r.limbs(limb_count)?.collect();
         r.expect_end()?;
         Ok(Self::from_raw_parts(
             limbs,
@@ -327,7 +410,7 @@ impl<H: Hasher128> Mpcbf<u64, H> {
         w.u64(self.seed());
         w.u64(self.items());
         w.u64(self.overflows());
-        w.limbs(&self.raw_words());
+        w.limbs(self.raw_iter());
         w.finish()
     }
 
@@ -353,7 +436,7 @@ impl<H: Hasher128> Mpcbf<u64, H> {
             .seed(seed)
             .build()
             .map_err(|_| CodecError::BadHeader("shape"))?;
-        let limbs = r.limbs(l as usize)?;
+        let limbs: Vec<u64> = r.limbs(l as usize)?.collect();
         r.expect_end()?;
         // Reject corrupted words: every word must satisfy the HCBF
         // capacity invariant for this b1.
@@ -803,6 +886,68 @@ mod tests {
         // The classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// `len + 8` bytes from a seed, so every start offset 0..8 of a
+    /// `len`-byte window exists.
+    fn crc_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_on_short_inputs() {
+        // Every length through several 8-byte chunks, at every alignment:
+        // covers each remainder length after each chunk count.
+        let bytes = crc_bytes(0x5eed, 64);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let window = &bytes[offset..offset + len];
+                assert_eq!(crc32(window), crc32_reference(window), "{offset}+{len}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn crc32_matches_the_bitwise_reference(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..=4096,
+            offset in 0usize..8,
+        ) {
+            let bytes = crc_bytes(seed, len);
+            let window = &bytes[offset..offset + len];
+            proptest::prop_assert_eq!(crc32(window), crc32_reference(window));
+        }
+
+        #[test]
+        fn crc32_update_chains_over_any_split(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..=4096,
+            cuts in proptest::prelude::prop::collection::vec(0usize..=4096, 0..4),
+        ) {
+            let bytes = crc_bytes(seed, len);
+            let data = &bytes[..len];
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+            cuts.sort_unstable();
+            let mut crc = 0;
+            let mut start = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                crc = crc32_update(crc, &data[start..cut]);
+                start = cut;
+            }
+            proptest::prop_assert_eq!(crc, crc32(data));
+        }
     }
 
     #[test]

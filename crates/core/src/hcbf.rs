@@ -452,7 +452,8 @@ impl<W: Word> HcbfWord<W> {
         Ok(traversal_bits)
     }
 
-    /// The sizes of all non-empty levels, starting with `b1`.
+    /// The sizes of all non-empty levels, starting with `b1` (for the
+    /// walkthrough, the tests and [`Self::check_invariants`]' error text).
     pub fn level_sizes(&self, b1: u32) -> Vec<u32> {
         let mut sizes = vec![b1];
         let mut level_start = 0u32;
@@ -469,30 +470,48 @@ impl<W: Word> HcbfWord<W> {
         sizes
     }
 
-    /// Structural invariant check, used by property tests:
+    /// Structural invariant check, run on every word by decode, verify
+    /// and scrub, so it allocates nothing unless it fails:
     ///
     /// 1. levels fit in the word: `b1 + count_ones ≤ W::BITS`;
     /// 2. all bits beyond the used region are zero;
-    /// 3. level sizes satisfy `|v_{j+1}| = popcount(v_j)` by construction
-    ///    (verified by re-walking the layout).
+    /// 3. walking the levels (`|v_{j+1}| = popcount(v_j)`, stopping at the
+    ///    first level with no ones) covers exactly the `used` bits.
+    ///
+    /// Check 3 needs no walk. Let `P(e)` count the ones below bit `e` and
+    /// `h(e) = b1 + P(e) − e`. The walk's level ends are `e₀ = b1`,
+    /// `e_{j+1} = e_j + h(e_j)`, and it stops at the first `e ≥ b1` with
+    /// `h(e) = 0`. Each step of `h` adds `bit(e) − 1 ≤ 0`, so `h` never
+    /// rises and the walk never steps over its first zero; under check 2,
+    /// `h(used) = 0`. The walk therefore ends at `used` exactly when
+    /// `h(used − 1) > 0`, i.e. when the last used bit is zero (it lies in
+    /// the final, all-zero level), or when nothing is stored. Checks 2
+    /// and 3 together thus say: every one lies below bit `used − 1`.
+    /// `tests/hcbf_word_properties.rs` checks this against the walk for
+    /// every 16-bit word and for arbitrary 64-bit ones.
+    #[inline]
     pub fn check_invariants(&self, b1: u32) -> Result<(), String> {
         let used = self.used_bits(b1);
+        // `&`/`|`, not `&&`/`||`: the common (valid) case stays branch-free.
+        if (used <= W::BITS) & ((self.bits.used_bits() < used) | self.is_empty()) {
+            Ok(())
+        } else {
+            Err(self.invariant_violation(b1))
+        }
+    }
+
+    /// Names the first invariant of [`Self::check_invariants`] that fails.
+    #[cold]
+    fn invariant_violation(&self, b1: u32) -> String {
+        let used = self.used_bits(b1);
         if used > W::BITS {
-            return Err(format!("used bits {used} exceed word width {}", W::BITS));
+            return format!("used bits {used} exceed word width {}", W::BITS);
         }
         if !self.bits.is_zero_from(used) {
-            return Err(format!("dirty bits beyond used region (used = {used})"));
+            return format!("dirty bits beyond used region (used = {used})");
         }
-        // Walking the level layout must consume exactly `used` bits: every
-        // level beyond v1 is counted by count_ones, so the walk's total
-        // must equal b1 + count_ones.
         let walked: u32 = self.level_sizes(b1).iter().sum();
-        if walked != used {
-            return Err(format!(
-                "level walk covered {walked} bits but used_bits says {used}"
-            ));
-        }
-        Ok(())
+        format!("level walk covered {walked} bits but used_bits says {used}")
     }
 }
 

@@ -650,16 +650,22 @@ impl<W: Word, H: Hasher128> CountingFilter for Mpcbf<W, H> {
 }
 
 impl<H: Hasher128> Mpcbf<u64, H> {
-    /// The raw word array (for the wire codec; 64-bit words only).
+    /// The raw word array, copied (diagnostics and tests; 64-bit words
+    /// only).
     pub fn raw_words(&self) -> Vec<u64> {
-        self.words.iter().map(|w| *w.raw()).collect()
+        self.raw_iter().collect()
+    }
+
+    /// The raw words read in place, for the wire codec and the seal.
+    pub(crate) fn raw_iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.words.iter().map(|w| *w.raw())
     }
 
     /// Checksums the current word array for later [`Mpcbf::scrub`] passes.
     /// Re-seal after every batch of legitimate updates — any update flips
     /// its segment's CRC, exactly like a corruption would.
     pub fn seal(&self) -> FilterSeal {
-        FilterSeal::compute(&self.raw_words())
+        FilterSeal::compute(self.raw_iter())
     }
 
     /// Scrub pass: recomputes every segment CRC against `seal` *and*
@@ -670,8 +676,7 @@ impl<H: Hasher128> Mpcbf<u64, H> {
     /// # Panics
     /// Panics if `seal` was taken from a differently-sized filter.
     pub fn scrub(&self, seal: &FilterSeal) -> ScrubReport {
-        let raw = self.raw_words();
-        let mut corrupt = seal.diff(&raw);
+        let mut corrupt = seal.diff(self.raw_iter());
         let b1 = self.shape.b1;
         for (i, w) in self.words.iter().enumerate() {
             if w.check_invariants(b1).is_err() {

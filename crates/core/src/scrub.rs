@@ -21,7 +21,7 @@
 //! response is [`FilterError::CorruptionDetected`] and a rebuild from the
 //! source of truth, not a guess.
 
-use crate::codec::crc32;
+use crate::codec::crc32_update;
 use crate::FilterError;
 
 /// 64-bit limbs per checksummed segment (512 bytes of filter state — a
@@ -50,12 +50,12 @@ pub struct FilterSeal {
 }
 
 impl FilterSeal {
-    /// Checksums `limbs` in [`SEGMENT_WORDS`]-sized segments.
-    pub fn compute(limbs: &[u64]) -> Self {
-        FilterSeal {
-            limbs: limbs.len(),
-            crcs: limbs.chunks(SEGMENT_WORDS).map(segment_crc).collect(),
-        }
+    /// Checksums `limbs` in [`SEGMENT_WORDS`]-sized segments, reading
+    /// each limb once, in place (a slice, or words under a lock).
+    pub fn compute(limbs: impl IntoIterator<Item = u64>) -> Self {
+        let mut crcs = Vec::new();
+        let limbs = segment_crcs(limbs, |_, crc| crcs.push(crc));
+        FilterSeal { limbs, crcs }
     }
 
     /// Number of checksummed segments.
@@ -74,7 +74,12 @@ impl FilterSeal {
     /// # Panics
     /// Panics if `limbs` has a different length than the sealed array —
     /// the seal belongs to a different filter.
-    pub fn diff(&self, limbs: &[u64]) -> Vec<usize> {
+    pub fn diff<I>(&self, limbs: I) -> Vec<usize>
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let limbs = limbs.into_iter();
         assert_eq!(
             limbs.len(),
             self.limbs,
@@ -82,21 +87,33 @@ impl FilterSeal {
             self.limbs,
             limbs.len()
         );
-        limbs
-            .chunks(SEGMENT_WORDS)
-            .enumerate()
-            .filter(|(i, seg)| segment_crc(seg) != self.crcs[*i])
-            .map(|(i, _)| i)
-            .collect()
+        let mut damaged = Vec::new();
+        segment_crcs(limbs, |i, crc| {
+            if crc != self.crcs[i] {
+                damaged.push(i);
+            }
+        });
+        damaged
     }
 }
 
-fn segment_crc(segment: &[u64]) -> u32 {
-    let mut bytes = Vec::with_capacity(segment.len() * 8);
-    for limb in segment {
-        bytes.extend_from_slice(&limb.to_le_bytes());
+/// Streams `limbs` through the CRC, calling `f(segment, crc)` as each
+/// [`SEGMENT_WORDS`]-limb segment (the last one possibly short) closes.
+/// Returns the limb count.
+fn segment_crcs(limbs: impl IntoIterator<Item = u64>, mut f: impl FnMut(usize, u32)) -> usize {
+    let (mut count, mut crc) = (0usize, 0u32);
+    for limb in limbs {
+        crc = crc32_update(crc, &limb.to_le_bytes());
+        count += 1;
+        if count % SEGMENT_WORDS == 0 {
+            f(count / SEGMENT_WORDS - 1, crc);
+            crc = 0;
+        }
     }
-    crc32(&bytes)
+    if count % SEGMENT_WORDS != 0 {
+        f(count / SEGMENT_WORDS, crc);
+    }
+    count
 }
 
 /// Outcome of one scrub pass over a filter's storage.
@@ -150,37 +167,37 @@ mod tests {
     #[test]
     fn seal_detects_any_single_bit_flip() {
         let mut limbs: Vec<u64> = (0..200u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
-        let seal = FilterSeal::compute(&limbs);
+        let seal = FilterSeal::compute(limbs.iter().copied());
         assert_eq!(seal.segments(), 200usize.div_ceil(SEGMENT_WORDS));
-        assert!(seal.diff(&limbs).is_empty());
+        assert!(seal.diff(limbs.iter().copied()).is_empty());
         for limb in [0usize, 63, 64, 150, 199] {
             for bit in [0u32, 17, 63] {
                 limbs[limb] ^= 1u64 << bit;
                 assert_eq!(
-                    seal.diff(&limbs),
+                    seal.diff(limbs.iter().copied()),
                     vec![segment_of(limb)],
                     "flip at limb {limb} bit {bit}"
                 );
                 limbs[limb] ^= 1u64 << bit; // restore
             }
         }
-        assert!(seal.diff(&limbs).is_empty());
+        assert!(seal.diff(limbs.iter().copied()).is_empty());
     }
 
     #[test]
     fn diff_reports_multiple_segments() {
         let mut limbs = vec![0u64; 3 * SEGMENT_WORDS];
-        let seal = FilterSeal::compute(&limbs);
+        let seal = FilterSeal::compute(limbs.iter().copied());
         limbs[0] ^= 1;
         limbs[2 * SEGMENT_WORDS] ^= 1 << 40;
-        assert_eq!(seal.diff(&limbs), vec![0, 2]);
+        assert_eq!(seal.diff(limbs.iter().copied()), vec![0, 2]);
     }
 
     #[test]
     #[should_panic(expected = "seal covers")]
     fn diff_rejects_mismatched_length() {
-        let seal = FilterSeal::compute(&[1, 2, 3]);
-        let _ = seal.diff(&[1, 2]);
+        let seal = FilterSeal::compute([1, 2, 3]);
+        let _ = seal.diff([1, 2]);
     }
 
     #[test]
@@ -200,8 +217,8 @@ mod tests {
 
     #[test]
     fn empty_storage_seals_cleanly() {
-        let seal = FilterSeal::compute(&[]);
+        let seal = FilterSeal::compute([]);
         assert_eq!(seal.segments(), 0);
-        assert!(seal.diff(&[]).is_empty());
+        assert!(seal.diff([]).is_empty());
     }
 }

@@ -24,7 +24,8 @@ pub struct RecoveryReport {
     pub segments_dropped: u64,
     /// Total WAL bytes removed by repairs.
     pub bytes_truncated: u64,
-    /// Whether the post-replay `scrub()` cross-check came back clean.
+    /// Whether the post-replay integrity check came back clean: the
+    /// structural `verify()` (plus a seal/scrub pass for single filters).
     pub scrub_clean: bool,
     /// Highest sequence number in the recovered state.
     pub last_seq: u64,

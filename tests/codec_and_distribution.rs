@@ -149,3 +149,73 @@ proptest! {
         prop_assert_eq!(a.raw_words(), whole.raw_words(), "merged != whole build");
     }
 }
+
+/// Bytes written by the bit-at-a-time CRC-32 the codec shipped with
+/// before it moved to slicing-by-8: a 2-shard sharded image (the filter
+/// built in `images_written_by_the_bitwise_crc_still_decode`), the CRC
+/// trailer of its MPSS envelope with shard seqs `[3, 5]`, and one WAL
+/// batch frame.
+const GOLDEN_SHARDED_IMAGE: &str = "\
+4d5043420401200000000000000003000000010000000400000007000000000000000200000010000000000000000000\
+000000000000004000100800000010000a08c004a0000000000910500200800002800000000040010000004000000040\
+020040060800000000000000000000040a10002200000000240084040100000000000000000000a00105004000000000\
+00000000000020980008000100008242d000001100000010000008400000000000000000000010000008010000001000\
+000000800800408000100900200001400200000000000040010000000100050200000000000000000000000000000080\
+000c0000000002204041004000000000000000000000000814008204000048000002000000000000200002080000000000\
+000000000080011004001200008004420008200000768a4e1c";
+const GOLDEN_ENVELOPE_CRC: &str = "f7a9541e";
+const GOLDEN_WAL_FRAME: &str =
+    "25000000090000000000000003b28a2dc671664a4c0200000005000000616c69636503000000626f62dd473222";
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+#[test]
+fn images_written_by_the_bitwise_crc_still_decode() {
+    use mpcbf::concurrent::ShardedMpcbf;
+    use mpcbf::durability::{
+        decode_envelope, decode_frame, encode_envelope, encode_frame, WalOp, WalRecord,
+    };
+
+    let c = MpcbfConfig::builder()
+        .memory_bits(2048)
+        .expected_items(40)
+        .hashes(3)
+        .seed(7)
+        .build()
+        .unwrap();
+    let filter: ShardedMpcbf<u64> = ShardedMpcbf::new(c, 2);
+    for i in 0..40u64 {
+        filter.insert(&i).unwrap();
+    }
+
+    // The stored image decodes to the same filter, and encoding today
+    // writes it byte for byte.
+    let golden = unhex(GOLDEN_SHARDED_IMAGE);
+    let decoded = ShardedMpcbf::<u64>::decode(&golden).expect("golden image decodes");
+    for s in 0..filter.shard_count() {
+        assert_eq!(decoded.shard_raw_words(s), filter.shard_raw_words(s));
+    }
+    assert!((0..40u64).all(|i| decoded.contains(&i)));
+    assert_eq!(filter.encode(), golden);
+
+    let envelope = encode_envelope(&[3, 5], &golden);
+    assert_eq!(envelope[envelope.len() - 4..], unhex(GOLDEN_ENVELOPE_CRC));
+    let (seqs, image) = decode_envelope(&envelope).expect("golden envelope decodes");
+    assert_eq!((seqs, image), (vec![3, 5], &golden[..]));
+
+    let record = WalRecord {
+        seq: 9,
+        op: WalOp::InsertBatch(vec![b"alice".to_vec(), b"bob".to_vec()]),
+    };
+    let frame = unhex(GOLDEN_WAL_FRAME);
+    assert_eq!(encode_frame(&record), frame);
+    assert_eq!(
+        decode_frame(&frame).expect("golden frame decodes"),
+        (record, frame.len())
+    );
+}

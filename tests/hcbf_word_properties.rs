@@ -4,6 +4,7 @@
 //! checked, after every operation, against a plain counter-array oracle
 //! and the structural invariants of §III.B.1.
 
+use mpcbf::bitvec::Word;
 use mpcbf::core::hcbf::{HcbfWord, WordError};
 use proptest::prelude::*;
 
@@ -20,7 +21,7 @@ fn ops(b1: u32, len: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn check_against_oracle<W: mpcbf::bitvec::Word>(b1: u32, script: &[Op]) {
+fn check_against_oracle<W: Word>(b1: u32, script: &[Op]) {
     let mut word: HcbfWord<W> = HcbfWord::new();
     let mut oracle = vec![0u32; b1 as usize];
     for op in script {
@@ -65,8 +66,53 @@ fn check_against_oracle<W: mpcbf::bitvec::Word>(b1: u32, script: &[Op]) {
     }
 }
 
+/// The level-walk rule: the levels fit, no dirty tail, and the collected
+/// level sizes sum to the used bits.
+fn walk_verdict<W: Word>(word: &HcbfWord<W>, b1: u32) -> bool {
+    let used = word.used_bits(b1);
+    used <= W::BITS
+        && word.raw().is_zero_from(used)
+        && word.level_sizes(b1).iter().sum::<u32>() == used
+}
+
+#[test]
+fn word_check_matches_the_level_walk_on_every_u16_word() {
+    let mut accepted = 0u32;
+    for raw in 0..=u16::MAX {
+        let word = HcbfWord::<u16>::from_raw(raw);
+        for b1 in 1..=16 {
+            let walk = walk_verdict(&word, b1);
+            assert_eq!(
+                word.check_invariants(b1).is_ok(),
+                walk,
+                "word {raw:#06x}, b1 {b1}"
+            );
+            accepted += u32::from(walk);
+        }
+    }
+    // Both verdicts occur: the sweep is not vacuous.
+    assert!(accepted > 0 && accepted < 16 * 65_536);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Real HCBF words (which pass) with one bit flipped (which mostly
+    // fail), so both verdicts are exercised on realistic layouts.
+    #[test]
+    fn word_check_matches_the_level_walk_on_damaged_words(
+        points in prop::collection::vec(0u32..40, 0..24),
+        flip in 0u32..=64,
+    ) {
+        let mut word: HcbfWord<u64> = HcbfWord::new();
+        for &p in &points {
+            word.increment(p, 40).unwrap();
+        }
+        prop_assert!(word.check_invariants(40).is_ok());
+        let bits = if flip < 64 { *word.raw() ^ (1 << flip) } else { *word.raw() };
+        let damaged = HcbfWord::<u64>::from_raw(bits);
+        prop_assert_eq!(damaged.check_invariants(40).is_ok(), walk_verdict(&damaged, 40));
+    }
 
     #[test]
     fn u64_word_matches_oracle(script in ops(40, 120)) {
@@ -122,5 +168,29 @@ proptest! {
         // Level-size invariant: sizes are popcounts of the previous level.
         let sizes = word.level_sizes(40);
         prop_assert_eq!(sizes.iter().sum::<u32>(), word.used_bits(40));
+    }
+}
+
+proptest! {
+    // Cheap cases: enough that the boundary `b1 = used − popcount` is hit
+    // for many cut points.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    // Raw words cut at an arbitrary bit (so tails are sometimes clean and
+    // sometimes dirty), optionally with one more bit flipped (breaking
+    // the level walk), against every first-level size.
+    #[test]
+    fn word_check_matches_the_level_walk_on_raw_u64_words(
+        raw in any::<u64>(),
+        cut in 0u32..=64,
+        flip in 0u32..=64,
+        b1 in 1u32..=64,
+    ) {
+        let mut bits = raw & u64::mask_below(cut);
+        if flip < 64 {
+            bits ^= 1 << flip;
+        }
+        let word = HcbfWord::<u64>::from_raw(bits);
+        prop_assert_eq!(word.check_invariants(b1).is_ok(), walk_verdict(&word, b1));
     }
 }
