@@ -27,8 +27,7 @@ use mpcbf_bench::Args;
 use mpcbf_concurrent::{ShardedBulkBuilder, ShardedMpcbf};
 use mpcbf_core::{Mpcbf, MpcbfConfig};
 use mpcbf_durability::{
-    decode_envelope, encode_envelope, DurabilityOptions, DurableFilter, DurableShardedMpcbf,
-    FsyncPolicy,
+    decode_envelope, encode_envelope, DurabilityOptions, DurableFilter, DurableSharded, FsyncPolicy,
 };
 use mpcbf_hash::Murmur3;
 use mpcbf_workloads::BulkKeys;
@@ -207,11 +206,11 @@ fn cold_start(keys: u64) -> ColdStartRow {
     let mut fresh = dirs.iter();
     let bootstrap_ms = median_millis(|| {
         let dir = fresh.next().expect("one directory per repetition");
-        DurableShardedMpcbf::bootstrap(&filter, DurabilityOptions::new(dir)).expect("bootstrap")
+        DurableSharded::bootstrap(&filter, DurabilityOptions::new(dir)).expect("bootstrap")
     });
     let mut scrub_clean = true;
     let open_or_recover_ms = median_millis(|| {
-        let (recovered, report) = DurableShardedMpcbf::<Murmur3>::open_or_recover(
+        let (recovered, report) = DurableSharded::<ShardedMpcbf<u64, Murmur3>>::open_or_recover(
             DurabilityOptions::new(&dirs[0]),
             || unreachable!("snapshot present"),
         )

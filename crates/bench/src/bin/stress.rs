@@ -47,8 +47,8 @@ use mpcbf_concurrent::ShardedMpcbf;
 use mpcbf_core::scrub::SEGMENT_WORDS;
 use mpcbf_core::{Cbf, CountingFilter, Filter, Mpcbf, MpcbfConfig, ResilientMpcbf};
 use mpcbf_durability::{
-    encode_frame, DurabilityOptions, DurableFilter, DurableShardedMpcbf, KillSite, KillSwitch,
-    WalOp, WalRecord,
+    encode_frame, DurabilityOptions, DurableFilter, DurableSharded, KillSite, KillSwitch, WalOp,
+    WalRecord,
 };
 use mpcbf_hash::Murmur3;
 use mpcbf_variants::{DlCbf, Rcbf, ViCbf};
@@ -615,8 +615,8 @@ fn drill_sharded_kill(seed: u64, op_hint: u64, byte_hint: u64) {
     let dir = drill_dir("sharded");
     let kill = KillSwitch::new();
     let opts = DurabilityOptions::new(&dir).kill(kill.clone());
-    let mut durable: DurableShardedMpcbf<Murmur3> =
-        DurableShardedMpcbf::create(ShardedMpcbf::new(cfg, 8), opts).expect("create");
+    let mut durable: DurableSharded<ShardedMpcbf<u64, Murmur3>> =
+        DurableSharded::create(ShardedMpcbf::new(cfg, 8), opts).expect("create");
     let reference: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(cfg, 8);
 
     let ops = drill_ops(seed ^ 0x77, 200);
@@ -650,7 +650,7 @@ fn drill_sharded_kill(seed: u64, op_hint: u64, byte_hint: u64) {
     assert!(err.is_kill(), "expected a kill, got: {err}");
     drop(durable);
 
-    let (recovered, report) = DurableShardedMpcbf::open_or_recover(
+    let (recovered, report) = DurableSharded::open_or_recover(
         DurabilityOptions::new(&dir),
         || -> ShardedMpcbf<u64, Murmur3> { ShardedMpcbf::new(cfg, 8) },
     )

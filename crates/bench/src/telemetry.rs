@@ -4,7 +4,8 @@
 //!
 //! Each contender (CBF, MPCBF-1, MPCBF-2) at the Table II configuration
 //! (M = 8 Mb, n = 100 K, k = 3, 80% member queries) gets a fresh
-//! [`Telemetry`] registry as its [`OpSink`]; after the replay the
+//! [`Telemetry`] registry as its
+//! [`OpSink`](mpcbf_core::metrics::OpSink); after the replay the
 //! registry's per-kind ledgers yield the mean accesses per query and per
 //! update, which the paper reports as its headline speed metric. The
 //! harness emits `BENCH_telemetry.json` (hand-rolled JSON, like the other

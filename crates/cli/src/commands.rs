@@ -134,17 +134,14 @@ fn bulk_build(opts: &Opts, keys: &mut Keys<'_>) -> Result<(), CliError> {
         .unwrap_or_else(mpcbf_concurrent::default_threads);
 
     if let Some(dir) = opts.dir.as_deref() {
-        use mpcbf_durability::{DurabilityOptions, DurableShardedMpcbf};
+        use mpcbf_durability::{DurabilityOptions, DurableSharded};
         let mut builder: ShardedBulkBuilder<Murmur3> =
             ShardedBulkBuilder::new(config, opts.shards.unwrap_or(8));
         let total = feed_keys(opts, keys, &mut |key| builder.push(key))?;
         let filter = builder.finish_parallel(threads);
         let fsync = parse_fsync(opts.fsync.as_deref().unwrap_or("always"))?;
-        DurableShardedMpcbf::<Murmur3>::bootstrap(
-            &filter,
-            DurabilityOptions::new(dir).fsync(fsync),
-        )
-        .map_err(|e| CliError::Runtime(format!("bootstrap failed: {e}")))?;
+        DurableSharded::bootstrap(&filter, DurabilityOptions::new(dir).fsync(fsync))
+            .map_err(|e| CliError::Runtime(format!("bootstrap failed: {e}")))?;
         eprintln!(
             "bulk-built {dir}: {total} keys into {} shards ({} refused), \
              snapshot written, no WAL replay needed",
@@ -896,7 +893,7 @@ mod tests {
     #[test]
     fn bulk_build_dir_cold_starts_without_replay() {
         use mpcbf_concurrent::ShardedMpcbf;
-        use mpcbf_durability::{DurabilityOptions, DurableShardedMpcbf};
+        use mpcbf_durability::{DurabilityOptions, DurableSharded};
 
         let dir = tmp("bulk-dir");
         let _ = std::fs::remove_dir_all(&dir);
@@ -922,8 +919,8 @@ mod tests {
             .build()
             .unwrap();
         let (recovered, report) =
-            DurableShardedMpcbf::<Murmur3>::open_or_recover(DurabilityOptions::new(&dir), || {
-                ShardedMpcbf::new(config, 4)
+            DurableSharded::open_or_recover(DurabilityOptions::new(&dir), || {
+                ShardedMpcbf::<u64, Murmur3>::new(config, 4)
             })
             .unwrap();
         assert_eq!(report.records_replayed, 0, "bootstrap dir replayed WAL");

@@ -183,7 +183,7 @@ impl<H: Hasher128> AtomicMpcbf<H> {
     }
 
     /// Inserts raw bytes, rolling back on overflow (see
-    /// [`Self::update_planned`] for the rollback-failure report).
+    /// `update_planned` for the rollback-failure report).
     pub fn insert_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
         self.update_planned(&self.plan(key), Update::Insert)
             .map(|_| ())

@@ -26,12 +26,12 @@
 //!
 //! The sweep itself has two tiers. A region's *first* sweep lands on
 //! all-empty words, so it skips incremental increments entirely:
-//! [`construct_entries`] histograms each word's slot counts (arrival
+//! `construct_entries` histograms each word's slot counts (arrival
 //! order, exact admission bookkeeping) and then serialises each word's
 //! canonical encoding in one pass — the words are written once,
 //! sequentially, never read. A region swept *again* (its bucket
 //! overflowed mid-stream — only when pushes exceed the sizing hint) is
-//! dirty, and [`apply_entries`] replays its entries in arrival order
+//! dirty, and `apply_entries` replays its entries in arrival order
 //! through a statically inlined counter walk. No sort in that walk:
 //! within a region every word access is a cache hit anyway, and arrival
 //! order keeps same-word entries apart so their dependent walks
@@ -111,7 +111,7 @@ const L3_REGION_BITS: u32 = 15;
 /// that in the common case a region buckets *every* one of its entries
 /// and flushes exactly once — onto still-empty words, where the sweep
 /// can construct each word directly instead of walking increments
-/// (see [`construct_entries`]). A bucket that does overflow mid-stream
+/// (see `construct_entries`). A bucket that does overflow mid-stream
 /// flushes early and its region falls back to the incremental walk;
 /// only speed is lost, never exactness.
 const L3_MIN_DENSITY: usize = 2;
@@ -214,7 +214,7 @@ impl BulkStage {
     /// 1.5× the expected entries-per-word plus one, so a region ingests
     /// its whole expected share without a mid-stream flush and the final
     /// sweep lands on still-empty words, unlocking direct word
-    /// construction (see [`construct_entries`]).
+    /// construction (see `construct_entries`).
     pub fn with_expected(l: u64, k: u32, g: u32, b1: u32, expected: u64) -> Self {
         let deferred = g == 1 && SLOT_BITS * k + index_bits(l) <= 64;
         let epw = expected.div_ceil(l.max(1)) as usize;
@@ -798,7 +798,7 @@ fn apply_entries(
     (items, refused)
 }
 
-/// Reusable per-thread scratch for [`construct_entries`]: slot
+/// Reusable per-thread scratch for `construct_entries`: slot
 /// histograms for every word of one region (≤ `2^L3_REGION_BITS` words,
 /// so ≤ 2 MB of counts — cache-resident through a sweep). Kept all-zero
 /// between sweeps: the serialisation pass re-zeroes exactly the rows it
@@ -839,7 +839,7 @@ impl Default for SweepScratch {
     }
 }
 
-/// [`apply_entries`] for a region whose words are **all still empty**
+/// `apply_entries` for a region whose words are **all still empty**
 /// (its first sweep): instead of walking `k` dependent carried-rank
 /// increments per key, histogram the slot counts per word and emit each
 /// word's canonical encoding in one serialisation pass.

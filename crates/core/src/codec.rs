@@ -71,7 +71,8 @@ const VERSION: u8 = 1;
 pub const KIND_CBF: u8 = 1;
 /// Image kind byte for [`Mpcbf`] over 64-bit words.
 pub const KIND_MPCBF64: u8 = 2;
-/// Image kind byte for [`ResilientMpcbf`] (main + gate + spill map).
+/// Image kind byte for [`ResilientMpcbf`](crate::resilient::ResilientMpcbf)
+/// (main + gate + spill map).
 pub const KIND_RESILIENT: u8 = 3;
 /// Image kind byte for `ShardedMpcbf` over 64-bit words (encoded by the
 /// `mpcbf-concurrent` crate through this module's [`Writer`]/[`Reader`]).
@@ -480,7 +481,7 @@ impl<H: Hasher128> crate::resilient::ResilientMpcbf<H> {
         w.finish()
     }
 
-    /// Decodes a filter previously produced by [`ResilientMpcbf::encode`].
+    /// Decodes a filter previously produced by [`ResilientMpcbf::encode`](crate::resilient::ResilientMpcbf::encode).
     ///
     /// Both nested images revalidate their own envelopes, and every
     /// spill entry is bounds-checked — a malformed image errors, it
@@ -562,7 +563,7 @@ impl<H: Hasher128> crate::elastic::ElasticMpcbf<H> {
     /// deterministically. Rosters are sorted, so the encoding is
     /// deterministic end to end (durability snapshots rely on this).
     ///
-    /// [`decode`]: ElasticMpcbf::decode
+    /// [`decode`]: crate::elastic::ElasticMpcbf::decode
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new(KIND_ELASTIC);
         // Policy (f64 thresholds as raw bits).
@@ -622,7 +623,7 @@ impl<H: Hasher128> crate::elastic::ElasticMpcbf<H> {
         w.finish()
     }
 
-    /// Decodes a filter previously produced by [`ElasticMpcbf::encode`].
+    /// Decodes a filter previously produced by [`ElasticMpcbf::encode`](crate::elastic::ElasticMpcbf::encode).
     ///
     /// Every nested resilient image revalidates its own envelope, the
     /// policy is re-validated, generation ids must be strictly increasing

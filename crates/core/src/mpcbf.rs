@@ -385,7 +385,7 @@ impl<W: Word, H: Hasher128> Filter for Mpcbf<W, H> {
     }
 
     /// Fused batch query: hash every key into the caller's plan buffer,
-    /// then walk [`LANES`] keys' word sets concurrently — each block first
+    /// then walk `LANES` keys' word sets concurrently — each block first
     /// snapshots every lane's planned HCBF words (independent loads the
     /// CPU overlaps), then evaluates verdicts from the snapshots with the
     /// scalar evaluation order and short-circuit accounting. Batches below

@@ -19,6 +19,7 @@ use crate::error::DurableError;
 use crate::kill::KillSwitch;
 use crate::record::{WalOp, WalRecord};
 use crate::report::RecoveryReport;
+use crate::sharded::stored_mode;
 use crate::snapshot::SnapshotStore;
 use crate::wal::{FsyncPolicy, Wal};
 use mpcbf_core::{Cbf, CodecError, CountingFilter, FilterError, Mpcbf, ResilientMpcbf};
@@ -180,16 +181,30 @@ impl<F: CountingFilter + DurableImage> DurableFilter<F> {
     /// the scrub machinery, and reopens for writing. `fallback` builds
     /// the filter when no usable snapshot exists (fresh directory, or
     /// every snapshot corrupt — the WAL then replays from seq 1).
+    ///
+    /// Fails with [`DurableError::ModeMismatch`], leaving the directory
+    /// untouched, when the snapshot is a sharded pool's.
     pub fn open_or_recover(
         opts: DurabilityOptions,
         fallback: impl FnOnce() -> F,
     ) -> Result<(Self, RecoveryReport), DurableError> {
         let snapshots = SnapshotStore::new(&opts.dir, SNAP_PREFIX, opts.kill.clone())?;
         let mut report = RecoveryReport::default();
-        let (base, corrupt) = snapshots.load_latest_with(|bytes| F::decode_image(bytes).ok())?;
+        let (base, corrupt) = snapshots.load_latest_with(|bytes| match F::decode_image(bytes) {
+            Ok(filter) => Some(Ok(filter)),
+            // Intact, but a sharded pool's envelope.
+            Err(CodecError::BadMagic) => stored_mode(bytes).map(Err),
+            Err(_) => None,
+        })?;
         report.snapshots_corrupt = corrupt;
         let (mut inner, snap_seq) = match base {
-            Some((seq, filter)) => {
+            Some((snapshot_seq, Err(stored))) => {
+                return Err(DurableError::ModeMismatch {
+                    snapshot_seq,
+                    stored,
+                })
+            }
+            Some((seq, Ok(filter))) => {
                 report.snapshot_seq = Some(seq);
                 (filter, seq)
             }
@@ -362,9 +377,9 @@ pub(crate) fn apply_op<F: CountingFilter>(filter: &mut F, op: &WalOp) {
             let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
             let _ = filter.remove_batch_cost(&views);
         }
-        // Structural events belong to the elastic replay path
-        // (`elastic::apply_elastic_op`); a fixed-size filter has no
-        // generations to scale or compact.
+        // Structural events belong to the sharded elastic pool's replay
+        // (`sharded::replay_shard`); a single filter has no generations
+        // to scale or compact.
         WalOp::ScaleUp { .. } | WalOp::Compact => {}
     }
 }

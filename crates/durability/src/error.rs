@@ -22,6 +22,23 @@ pub enum DurableError {
     /// The wrapped filter refused the operation (e.g. word overflow).
     /// The op is already logged; replay re-refuses it deterministically.
     Filter(FilterError),
+    /// The newest usable snapshot is an intact image written in another
+    /// mode (`"fixed"`, `"elastic"` or `"single-filter"`). Recovery
+    /// refuses and touches nothing: skipping the snapshot would rebuild
+    /// from the WAL tail alone, and the next checkpoint would purge it.
+    ModeMismatch {
+        /// Sequence number of the refused snapshot.
+        snapshot_seq: u64,
+        /// The mode that wrote it.
+        stored: &'static str,
+    },
+    /// An earlier append to this shard's WAL failed, so the log refuses
+    /// every later one: a record appended behind the failed frame would
+    /// be cut off by recovery. Reopening the directory recovers it.
+    LogBroken {
+        /// The shard whose log failed.
+        shard: usize,
+    },
 }
 
 impl DurableError {
@@ -42,6 +59,17 @@ impl std::fmt::Display for DurableError {
             DurableError::Killed(site) => write!(f, "injected crash at {site}"),
             DurableError::Image(e) => write!(f, "snapshot image: {e}"),
             DurableError::Filter(e) => write!(f, "filter refused: {e:?}"),
+            DurableError::ModeMismatch {
+                snapshot_seq,
+                stored,
+            } => write!(
+                f,
+                "snapshot {snapshot_seq} was written in {stored} mode; reopen the directory in {stored} mode"
+            ),
+            DurableError::LogBroken { shard } => write!(
+                f,
+                "shard {shard} wal refused: an earlier append failed; reopen the directory"
+            ),
         }
     }
 }

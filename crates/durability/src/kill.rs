@@ -5,7 +5,7 @@
 //! binary. Instead every durability-critical syscall site consults a
 //! [`KillSwitch`] first: when the switch is armed at that site it
 //! "crashes" — the in-flight write is cut short at a seeded byte budget
-//! and the operation returns [`DurableError::Killed`]. The caller then
+//! and the operation returns [`DurableError::Killed`](crate::DurableError::Killed). The caller then
 //! abandons the writer state (as a crashed process would) and recovery
 //! is exercised against exactly the bytes that made it to disk,
 //! including torn frames at any byte offset.

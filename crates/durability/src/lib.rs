@@ -15,7 +15,16 @@
 //! * [`DurableFilter`] — log→apply→ack wrapper over any
 //!   [`DurableImage`]-capable counting filter ([`mpcbf_core::Mpcbf`],
 //!   [`mpcbf_core::Cbf`], [`mpcbf_core::ResilientMpcbf`]).
-//! * [`DurableShardedMpcbf`] — one WAL per shard, recovery in parallel.
+//! * [`DurableSharded`] — the one wrapper for both sharded pools, the
+//!   fixed-size [`mpcbf_concurrent::ShardedMpcbf`] and the elastic
+//!   [`mpcbf_concurrent::ElasticShardedMpcbf`], which plug in through
+//!   [`ShardPool`]: one WAL per shard (`wal-s{NNNN}`), one log-then-apply
+//!   step per shard ([`ShardLog`], also run by the server's shard
+//!   workers; after a failed append it refuses every later one with
+//!   [`DurableError::LogBroken`]), one checkpoint publisher ([`publish_checkpoint`]) and one
+//!   parallel recovery loop. A directory keeps its mode for life:
+//!   recovery refuses another mode's intact snapshot with
+//!   [`DurableError::ModeMismatch`].
 //! * [`kill`] — seeded in-process crash injection for the drill matrix
 //!   (crash mid-append, mid-fsync, mid-snapshot-rename, …).
 //!
@@ -52,6 +61,34 @@
 //! assert!(report.scrub_clean);
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
+//!
+//! The sharded pools recover the same way, one log per shard:
+//!
+//! ```
+//! use mpcbf_concurrent::ElasticShardedMpcbf;
+//! use mpcbf_core::{CapacityPolicy, MpcbfConfig};
+//! use mpcbf_durability::{DurabilityOptions, DurableSharded};
+//!
+//! let dir = std::env::temp_dir().join(format!("mpcbf-doc-sharded-{}", std::process::id()));
+//! let _ = std::fs::remove_dir_all(&dir);
+//! let config = MpcbfConfig::builder()
+//!     .memory_bits(100_000)
+//!     .expected_items(1_000)
+//!     .hashes(3)
+//!     .build()
+//!     .unwrap();
+//! // A manual pool: every scale-up is logged before it is applied.
+//! let pool = || -> ElasticShardedMpcbf {
+//!     ElasticShardedMpcbf::manual(config.clone(), 4, CapacityPolicy::default()).unwrap()
+//! };
+//! let mut durable = DurableSharded::create(pool(), DurabilityOptions::new(&dir)).unwrap();
+//! durable.insert_bytes(b"alice").unwrap();
+//! drop(durable); // simulated crash
+//!
+//! let (recovered, _) = DurableSharded::open_or_recover(DurabilityOptions::new(&dir), pool).unwrap();
+//! assert!(recovered.contains_bytes(b"alice"));
+//! std::fs::remove_dir_all(&dir).unwrap();
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +96,6 @@
 mod error;
 
 pub mod durable;
-pub mod elastic;
 pub mod kill;
 pub mod record;
 pub mod report;
@@ -68,11 +104,13 @@ pub mod snapshot;
 pub mod wal;
 
 pub use durable::{DurabilityOptions, DurableFilter, DurableImage};
-pub use elastic::{apply_elastic_op, DurableElasticSharded};
 pub use error::DurableError;
 pub use kill::{KillSite, KillSwitch};
 pub use record::{decode_frame, encode_frame, FrameError, WalOp, WalRecord};
 pub use report::RecoveryReport;
-pub use sharded::{decode_envelope, encode_envelope, DurableShardedMpcbf};
+pub use sharded::{
+    decode_envelope, encode_envelope, group_by_shard, publish_checkpoint, DurableSharded, ShardLog,
+    ShardPool,
+};
 pub use snapshot::SnapshotStore;
 pub use wal::{FsyncPolicy, TornTail, Wal, WalScan};

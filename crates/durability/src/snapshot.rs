@@ -117,10 +117,13 @@ impl SnapshotStore {
 
     /// Deletes every published snapshot older than `keep_seq` and any
     /// stray `.tmp` debris. Never touches the snapshot at `keep_seq`.
+    /// Syncs the directory only when a published snapshot was deleted.
     pub fn purge_below(&self, keep_seq: u64) -> Result<(), DurableError> {
+        let mut purged = false;
         for (seq, path) in self.list()? {
             if seq < keep_seq {
                 fs::remove_file(&path).map_err(|e| DurableError::io("purge snapshot", e))?;
+                purged = true;
             }
         }
         if let Ok(entries) = fs::read_dir(&self.dir) {
@@ -130,7 +133,10 @@ impl SnapshotStore {
                 }
             }
         }
-        sync_dir(&self.dir)
+        if purged {
+            sync_dir(&self.dir)?;
+        }
+        Ok(())
     }
 }
 

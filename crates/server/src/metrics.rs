@@ -50,7 +50,7 @@ fn answer(shared: &Shared, mut stream: TcpStream) {
 }
 
 /// Blocking one-shot HTTP GET returning the response body — the client
-/// side of [`serve`], for tests, benches, and the CLI.
+/// side of the `/metrics` listener, for tests, benches, and the CLI.
 pub fn http_get_text(addr: SocketAddr, path: &str) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;

@@ -1,5 +1,5 @@
 //! The filter server: a thread-per-shard service over
-//! [`DurableShardedMpcbf`]'s decomposed parts.
+//! [`DurableSharded`]'s decomposed parts.
 //!
 //! # Architecture
 //!
@@ -7,17 +7,19 @@
 //!            accept loop (one thread)
 //!                 │ one thread per connection
 //!                 ▼
-//!   connection threads ── queries ──► Arc<ShardedMpcbf>  (lock-striped,
-//!        │                                               read in place)
+//!   connection threads ── queries ──► Arc<dyn ShardPool>  (lock-striped,
+//!        │                                                 read in place)
 //!        │ mutations, routed by home_shard(key)
 //!        ▼
 //!   mpsc queue per shard ──► shard worker thread
-//!                              owns that shard's Wal + seq counter:
+//!                              owns that shard's ShardLog (WAL + seq):
 //!                              log → apply → reply(ack)
 //! ```
 //!
-//! Queries never touch a queue: connection threads read the shared
-//! filter directly. Mutations are WAL-first — a shard worker appends the
+//! The pool is the fixed-size [`ShardedMpcbf`] or, with `--elastic`, the
+//! autoscaling [`ElasticShardedMpcbf`]; the server picks one at start-up
+//! and otherwise sees only the [`ShardPool`] trait. Queries never touch a
+//! queue: connection threads read the shared pool directly. Mutations are WAL-first — a shard worker appends the
 //! record (the configured [`FsyncPolicy`] decides whether that append
 //! reaches the platter before the ack), applies it to the filter, and
 //! only then replies. A batch fans out as one WAL frame per touched
@@ -41,8 +43,8 @@ use mpcbf_core::metrics::{OpCost, OpKind, OpSink};
 use mpcbf_core::policy::CapacityPolicy;
 use mpcbf_core::MpcbfConfig;
 use mpcbf_durability::{
-    encode_envelope, DurabilityOptions, DurableElasticSharded, DurableError, DurableShardedMpcbf,
-    RecoveryReport, SnapshotStore, Wal, WalOp, WalRecord,
+    group_by_shard, publish_checkpoint, DurabilityOptions, DurableError, DurableSharded,
+    RecoveryReport, ShardLog, ShardPool, SnapshotStore, WalOp,
 };
 use mpcbf_hash::Murmur3;
 use mpcbf_telemetry::Telemetry;
@@ -50,7 +52,7 @@ use std::fmt;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,65 +114,6 @@ impl From<io::Error> for ServerError {
 impl From<DurableError> for ServerError {
     fn from(e: DurableError) -> Self {
         ServerError::Durable(e)
-    }
-}
-
-/// The served filter: a fixed-size sharded pool or the autoscaling
-/// elastic pool. Both route keys by disjoint digest bits, expose the
-/// same query surface, and snapshot through the same envelope — the
-/// variants only diverge on the worker's structural duties.
-#[derive(Clone)]
-pub(crate) enum ServiceFilter {
-    /// Fixed-geometry pool ([`DurableShardedMpcbf`] parts).
-    Fixed(Arc<ShardedMpcbf<u64, Murmur3>>),
-    /// Autoscaling per-shard generation stacks
-    /// ([`DurableElasticSharded`] parts).
-    Elastic(Arc<ElasticShardedMpcbf<Murmur3>>),
-}
-
-impl ServiceFilter {
-    fn shard_count(&self) -> usize {
-        match self {
-            ServiceFilter::Fixed(f) => f.shard_count(),
-            ServiceFilter::Elastic(f) => f.shard_count(),
-        }
-    }
-
-    fn home_shard(&self, key: &[u8]) -> usize {
-        match self {
-            ServiceFilter::Fixed(f) => f.home_shard(key),
-            ServiceFilter::Elastic(f) => f.home_shard(key),
-        }
-    }
-
-    fn contains_bytes(&self, key: &[u8]) -> bool {
-        match self {
-            ServiceFilter::Fixed(f) => f.contains_bytes(key),
-            ServiceFilter::Elastic(f) => f.contains_bytes(key),
-        }
-    }
-
-    fn contains_batch_bytes(&self, keys: &[&[u8]]) -> Vec<bool> {
-        match self {
-            ServiceFilter::Fixed(f) => f.contains_batch_bytes(keys),
-            ServiceFilter::Elastic(f) => f.contains_batch_bytes(keys),
-        }
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        match self {
-            ServiceFilter::Fixed(f) => f.encode(),
-            ServiceFilter::Elastic(f) => f.encode(),
-        }
-    }
-
-    /// Word-overflow refusals (the elastic pool absorbs overload into
-    /// spill stores instead of refusing, so it reports none).
-    fn overflows(&self) -> u64 {
-        match self {
-            ServiceFilter::Fixed(f) => f.overflows(),
-            ServiceFilter::Elastic(_) => 0,
-        }
     }
 }
 
@@ -244,7 +187,10 @@ struct ServerCounters {
 
 /// State shared by the acceptor, connection threads, and coordinator.
 pub(crate) struct Shared {
-    filter: ServiceFilter,
+    pool: Arc<dyn ShardPool>,
+    /// The same pool, typed, in elastic mode: its capacity counters feed
+    /// `STATS` and `/metrics`.
+    elastic: Option<Arc<ElasticShardedMpcbf<Murmur3>>>,
     /// Per-shard "reorganising" latches: raised by a shard worker from
     /// the moment it commits to a logged scale-up until the migration
     /// drains; dispatch sheds mutations for flagged shards.
@@ -289,6 +235,15 @@ impl Shared {
         let (lock, cv) = &self.stop_signal;
         *lock.lock().expect("stop signal poisoned") = true;
         cv.notify_all();
+    }
+
+    /// The pool's mode as `STATS` reports it.
+    fn mode(&self) -> &'static str {
+        if self.elastic.is_some() {
+            "elastic"
+        } else {
+            "fixed"
+        }
     }
 
     /// Blocking checkpoint: barrier → snapshot → truncate.
@@ -343,12 +298,7 @@ impl Shared {
         } else if st.sync_failed {
             Err("a shard fsync failed; snapshot abandoned".to_string())
         } else {
-            let envelope = encode_envelope(&st.seqs, &self.filter.encode());
-            let snap_seq = st.seqs.iter().copied().max().unwrap_or(0);
-            self.snapshots
-                .write(snap_seq, &envelope)
-                .and_then(|()| self.snapshots.purge_below(snap_seq))
-                .map_err(|e| e.to_string())
+            publish_checkpoint(&self.snapshots, &st.seqs, &*self.pool).map_err(|e| e.to_string())
         };
         st.truncate = result.is_ok();
         st.released = true;
@@ -365,9 +315,9 @@ impl Shared {
         let snap = self.telemetry.snapshot();
         let ops: u64 = snap.kinds().iter().map(|(_, k)| k.ops).sum();
         let r = &self.recovery;
-        let elastic = match &self.filter {
-            ServiceFilter::Fixed(_) => String::new(),
-            ServiceFilter::Elastic(pool) => {
+        let elastic = match &self.elastic {
+            None => String::new(),
+            Some(pool) => {
                 let st = pool.stats();
                 format!(
                     concat!(
@@ -394,14 +344,11 @@ impl Shared {
                 "\"recovery\":{{\"records_replayed\":{},\"ops_replayed\":{},",
                 "\"torn_tails\":{},\"segments_dropped\":{},\"scrub_clean\":{}}}{}}}"
             ),
-            self.filter.shard_count(),
-            match &self.filter {
-                ServiceFilter::Fixed(_) => "fixed",
-                ServiceFilter::Elastic(_) => "elastic",
-            },
+            self.pool.shard_count(),
+            self.mode(),
             self.fsync_name,
             ops,
-            self.filter.overflows(),
+            self.pool.overflows(),
             self.counters.connections.load(Ordering::Relaxed),
             self.counters.frames.load(Ordering::Relaxed),
             self.counters.bad_requests.load(Ordering::Relaxed),
@@ -438,10 +385,10 @@ impl Shared {
         snap.counters
             .insert("server_shed".into(), c.shed.load(Ordering::Relaxed));
         snap.gauges
-            .insert("server_shards".into(), self.filter.shard_count() as f64);
+            .insert("server_shards".into(), self.pool.shard_count() as f64);
         snap.gauges
-            .insert("filter_overflows".into(), self.filter.overflows() as f64);
-        if let ServiceFilter::Elastic(pool) = &self.filter {
+            .insert("filter_overflows".into(), self.pool.overflows() as f64);
+        if let Some(pool) = &self.elastic {
             let st = pool.stats();
             snap.counters
                 .insert("elastic_scale_events".into(), st.scale_events);
@@ -466,14 +413,13 @@ impl Shared {
     }
 }
 
-/// One shard's single-writer loop: owns the WAL and sequence counter.
-/// In elastic mode it also owns the shard's structural lifecycle: it
-/// logs and applies scale-ups, and drains migrations between jobs.
+/// One shard's single-writer loop around its [`ShardLog`]: log, apply,
+/// reply, then settle (elastic mode: log a parked scale-up, move one
+/// migration batch). While the shard migrates it raises the shed latch
+/// and drains a batch whenever its queue is empty.
 struct ShardWorker {
-    shard: usize,
-    wal: Wal,
-    seq: u64,
-    filter: ServiceFilter,
+    log: ShardLog,
+    pool: Arc<dyn ShardPool>,
     /// Shared with dispatch: raised while this shard reorganises.
     scaling: Arc<AtomicBool>,
 }
@@ -482,20 +428,17 @@ impl ShardWorker {
     fn run(mut self, rx: Receiver<ShardJob>) {
         // Recovery may hand back a shard mid-migration; resume draining
         // (and shedding) instead of forgetting the in-flight work.
-        if let ServiceFilter::Elastic(pool) = &self.filter {
-            if pool.with_shard(self.shard, |f| f.compacting()) {
-                self.scaling.store(true, Ordering::SeqCst);
-            }
-        }
+        self.step();
         loop {
             let job = if self.scaling.load(Ordering::Relaxed) {
-                // Interleave migration batches with queued work: a busy
-                // queue still drains the migration one timeout at a
-                // time, an idle one drains it at full speed.
-                match rx.recv_timeout(Duration::from_millis(1)) {
+                // Interleave migration batches with queued work: every
+                // applied op moves one batch, and an empty queue moves
+                // the next one at once, so an idle shard drains at full
+                // speed.
+                match rx.try_recv() {
                     Ok(job) => Some(job),
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                    Err(TryRecvError::Empty) => None,
+                    Err(TryRecvError::Disconnected) => break,
                 }
             } else {
                 match rx.recv() {
@@ -504,49 +447,41 @@ impl ShardWorker {
                 }
             };
             let Some(job) = job else {
-                self.step_migration();
+                self.step();
                 continue;
             };
+            let shard = self.log.shard();
             match job {
                 ShardJob::Apply { op, reply } => {
-                    let record = WalRecord {
-                        seq: self.seq + 1,
-                        op,
+                    let (codes, error) = match self.log.apply(&*self.pool, op) {
+                        Ok(results) => (results.iter().map(key_code).collect(), None),
+                        Err(e) => (Vec::new(), Some(e.to_string())),
                     };
-                    match self.wal.append(&record) {
-                        Ok(()) => {
-                            self.seq += 1;
-                            let codes = apply_codes(&self.filter, &record.op);
-                            let _ = reply.send(ShardReply {
-                                shard: self.shard,
-                                codes,
-                                error: None,
-                            });
-                            self.drive_capacity();
-                        }
-                        Err(e) => {
-                            let _ = reply.send(ShardReply {
-                                shard: self.shard,
-                                codes: Vec::new(),
-                                error: Some(e.to_string()),
-                            });
-                        }
+                    let _ = reply.send(ShardReply {
+                        shard,
+                        codes,
+                        error,
+                    });
+                    // A failed structural append breaks the log: later
+                    // mutations on this shard are refused, never lost.
+                    if let Ok(migrating) = self.log.settle(&*self.pool) {
+                        self.scaling.store(migrating, Ordering::SeqCst);
                     }
                 }
                 ShardJob::Sync { reply } => {
-                    let error = self.wal.sync().err().map(|e| e.to_string());
+                    let error = self.log.sync().err().map(|e| e.to_string());
                     let _ = reply.send(ShardReply {
-                        shard: self.shard,
+                        shard,
                         codes: Vec::new(),
                         error,
                     });
                 }
                 ShardJob::Checkpoint(gate) => {
-                    let synced = self.wal.sync().is_ok();
+                    let synced = self.log.sync().is_ok();
                     let truncate;
                     {
                         let mut st = gate.state.lock().expect("gate poisoned");
-                        st.seqs[self.shard] = self.seq;
+                        st.seqs[shard] = self.log.seq();
                         if !synced {
                             st.sync_failed = true;
                         }
@@ -558,8 +493,7 @@ impl ShardWorker {
                         truncate = st.truncate;
                     }
                     if truncate {
-                        let _ = self.wal.rotate(self.seq + 1);
-                        let _ = self.wal.purge_below(self.seq + 1);
+                        let _ = self.log.truncate();
                     }
                 }
             }
@@ -568,94 +502,13 @@ impl ShardWorker {
         // under a relaxed policy before the thread exits. An in-flight
         // migration is persisted by the teardown checkpoint's image and
         // resumes after recovery.
-        let _ = self.wal.sync();
+        let _ = self.log.sync();
     }
 
-    /// After a mutation lands: if the shard parked a scale plan, commit
-    /// to it — log the exact spec, push the generation, log the
-    /// compaction marker, start migrating — and raise the shed latch
-    /// until the migration drains.
-    fn drive_capacity(&mut self) {
-        let ServiceFilter::Elastic(pool) = &self.filter else {
-            return;
-        };
-        let Some(spec) = pool.with_shard(self.shard, |f| f.scale_plan()) else {
-            return;
-        };
-        let scale = WalRecord {
-            seq: self.seq + 1,
-            op: WalOp::ScaleUp {
-                memory_bits: spec.memory_bits,
-                expected_items: spec.expected_items,
-            },
-        };
-        if self.wal.append(&scale).is_err() {
-            // The plan stays parked; the next mutation retries the log.
-            return;
-        }
-        self.seq += 1;
-        self.scaling.store(true, Ordering::SeqCst);
-        // An unshapeable spec fails identically during replay, so the
-        // log and the filter cannot disagree.
-        let _ = pool.with_shard(self.shard, |f| f.apply_scale(&spec));
-        let compact = WalRecord {
-            seq: self.seq + 1,
-            op: WalOp::Compact,
-        };
-        if self.wal.append(&compact).is_ok() {
-            self.seq += 1;
-            pool.with_shard(self.shard, |f| {
-                f.begin_compaction();
-            });
-        }
-        self.step_migration();
-    }
-
-    /// Moves one batch of keys into the active generation; drops the
-    /// shed latch once the migration is drained.
-    fn step_migration(&mut self) {
-        let ServiceFilter::Elastic(pool) = &self.filter else {
-            self.scaling.store(false, Ordering::SeqCst);
-            return;
-        };
-        let still_going = pool.with_shard(self.shard, |f| {
-            if f.compacting() {
-                let batch = f.policy().compact_batch.max(64);
-                f.step_compaction(batch);
-            }
-            f.compacting()
-        });
-        if !still_going {
-            self.scaling.store(false, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Applies a logged op to the filter, collecting per-key wire codes in
-/// the op's own key order.
-fn apply_codes(filter: &ServiceFilter, op: &WalOp) -> Vec<u8> {
-    match (filter, op) {
-        (ServiceFilter::Fixed(f), WalOp::Insert(key)) => vec![key_code(&f.insert_bytes(key))],
-        (ServiceFilter::Fixed(f), WalOp::Remove(key)) => vec![key_code(&f.remove_bytes(key))],
-        (ServiceFilter::Fixed(f), WalOp::InsertBatch(keys)) => {
-            let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            f.insert_batch_bytes(&views).iter().map(key_code).collect()
-        }
-        (ServiceFilter::Fixed(f), WalOp::RemoveBatch(keys)) => {
-            let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            f.remove_batch_bytes(&views).iter().map(key_code).collect()
-        }
-        (ServiceFilter::Elastic(f), WalOp::Insert(key)) => vec![key_code(&f.insert_bytes(key))],
-        (ServiceFilter::Elastic(f), WalOp::Remove(key)) => vec![key_code(&f.remove_bytes(key))],
-        (ServiceFilter::Elastic(f), WalOp::InsertBatch(keys)) => {
-            keys.iter().map(|k| key_code(&f.insert_bytes(k))).collect()
-        }
-        (ServiceFilter::Elastic(f), WalOp::RemoveBatch(keys)) => {
-            keys.iter().map(|k| key_code(&f.remove_bytes(k))).collect()
-        }
-        // Structural records are authored by the worker itself, never
-        // dispatched as jobs; they only flow through recovery replay.
-        (_, WalOp::ScaleUp { .. } | WalOp::Compact) => Vec::new(),
+    /// Moves one migration batch; drops the shed latch once drained.
+    fn step(&self) {
+        let migrating = self.pool.step_compaction(self.log.shard());
+        self.scaling.store(migrating, Ordering::SeqCst);
     }
 }
 
@@ -686,34 +539,27 @@ impl Server {
         } = config;
         let fsync_name = durability.fsync.name();
         let snapshot_every = durability.snapshot_every;
-        let (filter, wals, seqs, snapshots, recovery) = if elastic {
-            let (durable, recovery) =
-                DurableElasticSharded::<Murmur3>::open_or_recover(durability, || {
-                    ElasticShardedMpcbf::manual(filter, shards, CapacityPolicy::default())
-                        .expect("default capacity policy is valid")
+        // The one branch on the mode: everything below sees the trait.
+        let (pool, elastic, logs, snapshots, recovery): (Arc<dyn ShardPool>, _, _, _, _) =
+            if elastic {
+                let (durable, recovery) = DurableSharded::open_or_recover(durability, || {
+                    ElasticShardedMpcbf::<Murmur3>::manual(
+                        filter,
+                        shards,
+                        CapacityPolicy::default(),
+                    )
+                    .expect("default capacity policy is valid")
                 })?;
-            let (pool, wals, seqs, snapshots) = durable.into_service_parts();
-            (
-                ServiceFilter::Elastic(Arc::new(pool)),
-                wals,
-                seqs,
-                snapshots,
-                recovery,
-            )
-        } else {
-            let (durable, recovery) =
-                DurableShardedMpcbf::<Murmur3>::open_or_recover(durability, || {
-                    ShardedMpcbf::new(filter, shards)
+                let (pool, logs, snapshots) = durable.into_service_parts();
+                let pool = Arc::new(pool);
+                (pool.clone(), Some(pool), logs, snapshots, recovery)
+            } else {
+                let (durable, recovery) = DurableSharded::open_or_recover(durability, || {
+                    ShardedMpcbf::<u64, Murmur3>::new(filter, shards)
                 })?;
-            let (pool, wals, seqs, snapshots) = durable.into_service_parts();
-            (
-                ServiceFilter::Fixed(Arc::new(pool)),
-                wals,
-                seqs,
-                snapshots,
-                recovery,
-            )
-        };
+                let (pool, logs, snapshots) = durable.into_service_parts();
+                (Arc::new(pool), None, logs, snapshots, recovery)
+            };
         let telemetry = Arc::new(Telemetry::new());
         recovery.record_to(&telemetry);
 
@@ -728,19 +574,18 @@ impl Server {
             None => None,
         };
 
-        let mut txs = Vec::with_capacity(wals.len());
-        let mut workers = Vec::with_capacity(wals.len());
-        let mut scaling = Vec::with_capacity(wals.len());
-        for (shard, (wal, seq)) in wals.into_iter().zip(seqs).enumerate() {
+        let mut txs = Vec::with_capacity(logs.len());
+        let mut workers = Vec::with_capacity(logs.len());
+        let mut scaling = Vec::with_capacity(logs.len());
+        for log in logs {
+            let shard = log.shard();
             let (tx, rx) = channel();
             txs.push(tx);
             let flag = Arc::new(AtomicBool::new(false));
             scaling.push(flag.clone());
             let worker = ShardWorker {
-                shard,
-                wal,
-                seq,
-                filter: filter.clone(),
+                log,
+                pool: pool.clone(),
                 scaling: flag,
             };
             workers.push(
@@ -751,7 +596,8 @@ impl Server {
         }
 
         let shared = Arc::new(Shared {
-            filter,
+            pool,
+            elastic,
             scaling,
             shard_txs: Mutex::new(txs),
             snapshots,
@@ -953,9 +799,10 @@ fn read_frame_polling(stream: &mut TcpStream, shutdown: &AtomicBool) -> Option<V
     }
 }
 
-/// The suggested client backoff while a shard reorganises. Migration
-/// batches drain on a millisecond cadence, so single-digit-millisecond
-/// retries converge quickly without hammering the dispatch path.
+/// The suggested client backoff while a shard reorganises. A shed
+/// shard's queue empties, and its worker then drains the migration batch
+/// after batch, so single-digit-millisecond retries converge quickly
+/// without hammering the dispatch path.
 const RETRY_AFTER_MS: u32 = 5;
 
 fn shed_response() -> Vec<u8> {
@@ -1010,7 +857,7 @@ fn dispatch(shared: &Shared, req: Request) -> Vec<u8> {
         Request::Ping => vec![STATUS_OK],
         Request::Query(key) => {
             let start = Instant::now();
-            let present = shared.filter.contains_bytes(&key);
+            let present = shared.pool.contains_bytes(&key);
             shared.telemetry.record_batch(
                 OpKind::Query,
                 1,
@@ -1022,7 +869,7 @@ fn dispatch(shared: &Shared, req: Request) -> Vec<u8> {
         Request::QueryBatch(keys) => {
             let start = Instant::now();
             let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            let hits = shared.filter.contains_batch_bytes(&views);
+            let hits = shared.pool.contains_batch_bytes(&views);
             shared.telemetry.record_batch(
                 OpKind::Query,
                 hits.len() as u64,
@@ -1095,7 +942,7 @@ fn mutate_scalar(shared: &Shared, key: Vec<u8>, insert: bool) -> Vec<u8> {
     } else {
         OpKind::Remove
     };
-    let shard = shared.filter.home_shard(&key);
+    let shard = shared.pool.home_shard(&key);
     if shared.is_scaling(shard) {
         shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         return shed_response();
@@ -1165,13 +1012,7 @@ fn mutate_batch(shared: &Shared, keys: Vec<Vec<u8>>, insert: bool) -> Vec<u8> {
     }
     // Route each key to its home shard, remembering where it came from
     // so the reply codes land back in request order.
-    let mut per_shard: Vec<Vec<Vec<u8>>> = vec![Vec::new(); txs.len()];
-    let mut origin: Vec<Vec<u32>> = vec![Vec::new(); txs.len()];
-    for (i, key) in keys.into_iter().enumerate() {
-        let shard = shared.filter.home_shard(&key);
-        per_shard[shard].push(key);
-        origin[shard].push(i as u32);
-    }
+    let (per_shard, origin) = group_by_shard(&*shared.pool, keys);
     // A batch is one all-or-nothing frame per shard: if any touched
     // shard is reorganising, shed the whole batch (partial acks would
     // force the client to split the batch to retry).

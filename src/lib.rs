@@ -16,7 +16,7 @@
 //! * [`variants`] — related-work comparators (d-left CBF, VI-CBF).
 //! * [`concurrent`] — thread-safe MPCBF variants.
 //! * [`durability`] — write-ahead log, snapshots, and crash recovery
-//!   (`DurableFilter`, `DurableShardedMpcbf`, kill-point drills).
+//!   (`DurableFilter`, `DurableSharded`, kill-point drills).
 //! * [`telemetry`] — latency histograms, counters/gauges, Prometheus-text
 //!   and JSON exporters fed by the metered batch operations.
 //! * [`workloads`] — synthetic-string, flow-trace and patent workloads.

@@ -14,7 +14,7 @@
 
 use mpcbf::concurrent::{build_parallel, ShardedBulkBuilder, ShardedMpcbf};
 use mpcbf::core::{BulkBuilder, Filter, Mpcbf, MpcbfConfig, ResilientBulkBuilder, ResilientMpcbf};
-use mpcbf::durability::{DurabilityOptions, DurableShardedMpcbf};
+use mpcbf::durability::{DurabilityOptions, DurableSharded};
 use mpcbf::hash::Murmur3;
 use mpcbf::workloads::BulkKeys;
 use proptest::prelude::*;
@@ -195,7 +195,7 @@ proptest! {
 }
 
 /// The durability fast path: a bulk-built sharded filter materialised
-/// via [`DurableShardedMpcbf::bootstrap`] cold-starts from the snapshot
+/// via [`DurableSharded::bootstrap`] cold-starts from the snapshot
 /// alone — zero WAL records replayed — and serves the exact state the
 /// builder produced.
 #[test]
@@ -212,13 +212,12 @@ fn bootstrap_cold_start_replays_nothing() {
     let built = builder.finish_parallel(2);
     let image = built.encode();
 
-    DurableShardedMpcbf::<Murmur3>::bootstrap(&built, DurabilityOptions::new(&dir)).unwrap();
+    DurableSharded::bootstrap(&built, DurabilityOptions::new(&dir)).unwrap();
 
-    let (recovered, report) =
-        DurableShardedMpcbf::<Murmur3>::open_or_recover(DurabilityOptions::new(&dir), || {
-            ShardedMpcbf::new(cfg, 4)
-        })
-        .unwrap();
+    let (recovered, report) = DurableSharded::open_or_recover(DurabilityOptions::new(&dir), || {
+        ShardedMpcbf::<u64, Murmur3>::new(cfg, 4)
+    })
+    .unwrap();
 
     assert_eq!(report.records_replayed, 0, "cold start must not replay WAL");
     assert_eq!(report.snapshots_corrupt, 0);

@@ -16,9 +16,11 @@
 //! * the snapshot/truncate sites — housekeeping crashed with no op in
 //!   flight; the prefix is every acknowledged op.
 
-use mpcbf::core::{CountingFilter, Filter, Mpcbf, MpcbfConfig};
+use mpcbf::concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
+use mpcbf::core::{CapacityPolicy, CountingFilter, Filter, Mpcbf, MpcbfConfig};
 use mpcbf::durability::{
-    encode_frame, DurabilityOptions, DurableFilter, KillSite, KillSwitch, WalOp, WalRecord,
+    encode_envelope, encode_frame, DurabilityOptions, DurableFilter, DurableSharded, FsyncPolicy,
+    KillSite, KillSwitch, SnapshotStore, Wal, WalOp, WalRecord,
 };
 use mpcbf::hash::Murmur3;
 use proptest::prelude::*;
@@ -229,4 +231,187 @@ proptest! {
         prop_assert!(report.scrub_clean, "recovered image must scrub clean");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Records each shard's log already held when the raw directory's
+/// snapshot was taken; the snapshot covers them.
+const COVERED: u64 = 3;
+const RAW_SHARDS: usize = 2;
+
+fn raw_config() -> MpcbfConfig {
+    MpcbfConfig::builder()
+        .memory_bits(131_072)
+        .expected_items(2_000)
+        .hashes(3)
+        .seed(0x1A70)
+        .build()
+        .unwrap()
+}
+
+fn raw_key(tag: &str, i: usize) -> Vec<u8> {
+    format!("{tag}-{i}").into_bytes()
+}
+
+/// Each shard's WAL tail past the snapshot: scalar and batch inserts, a
+/// logged scale-up and its compaction marker, a removal, then more
+/// inserts into the new generation. Keys go to their home shard's log.
+fn raw_tails(home: impl Fn(&[u8]) -> usize) -> Vec<Vec<WalOp>> {
+    let of_shard = |range: std::ops::Range<usize>, shard: usize| -> Vec<Vec<u8>> {
+        range
+            .map(|i| raw_key("tail", i))
+            .filter(|k| home(k) == shard)
+            .collect()
+    };
+    (0..RAW_SHARDS)
+        .map(|shard| {
+            let scalar = of_shard(0..40, shard);
+            let mut ops: Vec<WalOp> = scalar.iter().cloned().map(WalOp::Insert).collect();
+            ops.push(WalOp::InsertBatch(of_shard(40..80, shard)));
+            ops.push(WalOp::ScaleUp {
+                memory_bits: 131_072,
+                expected_items: 2_000,
+            });
+            ops.push(WalOp::Compact);
+            ops.push(WalOp::Remove(scalar[0].clone()));
+            ops.push(WalOp::InsertBatch(of_shard(80..120, shard)));
+            ops
+        })
+        .collect()
+}
+
+/// Writes a durable sharded directory with the raw public primitives
+/// only — `Wal` under `wal-s{NNNN}`, `SnapshotStore` under `snap`, and
+/// `encode_envelope` — so the layout is pinned independently of the
+/// wrapper that normally writes it. Each log holds `COVERED` records the
+/// snapshot already includes (keys recovery must skip), then `tails`.
+fn write_raw_dir(dir: &std::path::Path, image: &[u8], tails: &[Vec<WalOp>]) {
+    let seqs = vec![COVERED; tails.len()];
+    let store = SnapshotStore::new(dir, "snap", KillSwitch::new()).unwrap();
+    store
+        .write(COVERED, &encode_envelope(&seqs, image))
+        .unwrap();
+    for (shard, tail) in tails.iter().enumerate() {
+        let prefix = format!("wal-s{shard:04}");
+        let mut wal = Wal::new(
+            dir,
+            &prefix,
+            FsyncPolicy::Always,
+            1 << 20,
+            KillSwitch::new(),
+        )
+        .unwrap();
+        wal.rotate(1).unwrap();
+        let covered = (0..COVERED as usize).map(|i| WalOp::Insert(raw_key("covered", i)));
+        for (i, op) in covered.chain(tail.iter().cloned()).enumerate() {
+            wal.append(&WalRecord {
+                seq: i as u64 + 1,
+                op,
+            })
+            .unwrap();
+        }
+        wal.sync().unwrap();
+    }
+}
+
+/// Old directories must keep opening: one written by the raw primitives
+/// recovers through `DurableSharded` in both modes. The fixed pool lands
+/// bit-identical to a reference that applied the same key ops (structural
+/// records are no-ops for it); the elastic pool replays the logged
+/// scale-up and compaction with zero false negatives.
+#[test]
+fn a_directory_written_with_the_raw_primitives_recovers_through_the_wrapper() {
+    let base_keys: Vec<Vec<u8>> = (0..200).map(|i| raw_key("base", i)).collect();
+
+    // Fixed pool.
+    let dir = scratch_dir();
+    let base: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(raw_config(), RAW_SHARDS);
+    for key in &base_keys {
+        base.insert_bytes(key).unwrap();
+    }
+    let tails = raw_tails(|k| base.home_shard(k));
+    write_raw_dir(&dir, &base.encode(), &tails);
+    let reference = base;
+    for op in tails.iter().flatten() {
+        match op {
+            WalOp::Insert(key) => {
+                let _ = reference.insert_bytes(key);
+            }
+            WalOp::Remove(key) => {
+                let _ = reference.remove_bytes(key);
+            }
+            WalOp::InsertBatch(keys) => {
+                let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+                let _ = reference.insert_batch_bytes(&views);
+            }
+            _ => {}
+        }
+    }
+    let (recovered, report) = DurableSharded::<ShardedMpcbf<u64, Murmur3>>::open_or_recover(
+        DurabilityOptions::new(&dir),
+        || unreachable!("the raw snapshot must decode"),
+    )
+    .unwrap();
+    let records: u64 = tails.iter().map(|t| t.len() as u64).sum();
+    assert_eq!(report.snapshot_seq, Some(COVERED));
+    assert_eq!(report.snapshots_corrupt, 0);
+    assert_eq!(
+        report.records_replayed, records,
+        "covered records must be skipped"
+    );
+    assert!(report.scrub_clean);
+    for shard in 0..RAW_SHARDS {
+        assert_eq!(
+            recovered.inner().shard_raw_words(shard),
+            reference.shard_raw_words(shard),
+            "fixed shard {shard} must recover bit-identical"
+        );
+    }
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // Elastic pool.
+    let dir = scratch_dir();
+    let base: ElasticShardedMpcbf<Murmur3> =
+        ElasticShardedMpcbf::manual(raw_config(), RAW_SHARDS, CapacityPolicy::default()).unwrap();
+    for key in &base_keys {
+        base.insert_bytes(key).unwrap();
+    }
+    let tails = raw_tails(|k| base.home_shard(k));
+    write_raw_dir(&dir, &base.encode(), &tails);
+    let (recovered, report) = DurableSharded::<ElasticShardedMpcbf<Murmur3>>::open_or_recover(
+        DurabilityOptions::new(&dir),
+        || unreachable!("the raw snapshot must decode"),
+    )
+    .unwrap();
+    assert_eq!(report.snapshot_seq, Some(COVERED));
+    assert_eq!(report.records_replayed, records);
+    assert!(report.scrub_clean);
+    let stats = recovered.inner().stats();
+    assert_eq!(
+        stats.scale_events, RAW_SHARDS as u64,
+        "one logged scale-up per shard"
+    );
+    assert_eq!(
+        stats.compactions, RAW_SHARDS as u64,
+        "each Compact drains its shard"
+    );
+    let mut live: Vec<Vec<u8>> = base_keys.clone();
+    for op in tails.iter().flatten() {
+        match op {
+            WalOp::Insert(key) => live.push(key.clone()),
+            WalOp::InsertBatch(keys) => live.extend(keys.iter().cloned()),
+            WalOp::Remove(key) => live.retain(|k| k != key),
+            _ => {}
+        }
+    }
+    assert_eq!(stats.items, live.len() as u64);
+    for key in &live {
+        assert!(
+            recovered.contains_bytes(key),
+            "false negative for {}",
+            String::from_utf8_lossy(key)
+        );
+    }
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,14 +4,17 @@
 //! negatives on the live set; the sliding-window variant must never go
 //! false-negative in-window across a full rotation cycle; the durable
 //! elastic pool must recover a crash mid-scale-up with every acked key
-//! present; and an elastic server must shed with RETRY_LATER while a
-//! shard reorganises, with the client's backoff absorbing every shed.
+//! present; an elastic server must shed with RETRY_LATER while a
+//! shard reorganises, with the client's backoff absorbing every shed;
+//! and a durability directory must refuse to open in the other mode.
 
 use mpcbf::concurrent::ElasticShardedMpcbf;
-use mpcbf::core::{CapacityPolicy, ElasticMpcbf, Filter, MpcbfConfig, SlidingWindowMpcbf};
-use mpcbf::durability::{DurabilityOptions, DurableElasticSharded, FsyncPolicy};
+use mpcbf::core::{CapacityPolicy, ElasticMpcbf, Filter, Mpcbf, MpcbfConfig, SlidingWindowMpcbf};
+use mpcbf::durability::{
+    DurabilityOptions, DurableError, DurableFilter, DurableSharded, FsyncPolicy,
+};
 use mpcbf::hash::Murmur3;
-use mpcbf::server::{Client, Server, ServerConfig};
+use mpcbf::server::{Client, Server, ServerConfig, ServerError};
 use mpcbf::workloads::RampSpec;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -149,9 +152,10 @@ fn durable_elastic_recovers_a_crash_mid_scale_up() {
     let opts = || DurabilityOptions::new(&dir).fsync(FsyncPolicy::Always);
     let mut acked: Vec<Vec<u8>> = Vec::new();
     {
-        let mut durable: DurableElasticSharded<Murmur3> =
-            DurableElasticSharded::create(config, 2, CapacityPolicy::default(), opts())
-                .expect("create durable elastic");
+        let pool = ElasticShardedMpcbf::manual(config, 2, CapacityPolicy::default())
+            .expect("manual elastic pool");
+        let mut durable: DurableSharded<ElasticShardedMpcbf<Murmur3>> =
+            DurableSharded::create(pool, opts()).expect("create durable elastic");
         // Push far past capacity; stop the moment a migration is in
         // flight so the "crash" lands mid-scale-up.
         for i in 0u64..40_000 {
@@ -172,10 +176,12 @@ fn durable_elastic_recovers_a_crash_mid_scale_up() {
         std::mem::forget(durable);
     }
 
-    let (recovered, report) = DurableElasticSharded::<Murmur3>::open_or_recover(opts(), || {
-        ElasticShardedMpcbf::manual(config, 2, CapacityPolicy::default()).expect("fallback pool")
-    })
-    .expect("recover");
+    let (recovered, report) =
+        DurableSharded::<ElasticShardedMpcbf<Murmur3>>::open_or_recover(opts(), || {
+            ElasticShardedMpcbf::manual(config, 2, CapacityPolicy::default())
+                .expect("fallback pool")
+        })
+        .expect("recover");
     assert!(report.scrub_clean, "recovered pool must verify clean");
     let stats = recovered.inner().stats();
     assert!(
@@ -242,4 +248,96 @@ fn elastic_server_sheds_and_the_client_backoff_absorbs_it() {
     }
     server.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("list dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(entry.path()).expect("read file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A durability directory keeps its mode for life. Opening it in the
+/// other mode — `mpcbf serve` on an elastic directory, `mpcbf serve
+/// --elastic` on a fixed one, or the single-filter `mpcbf recover` on
+/// either — must fail with a typed error naming the stored mode and
+/// leave every file as it was, instead of counting the intact snapshot
+/// as corrupt, rebuilding from the WAL tail alone, and purging the image
+/// at the next checkpoint. The right mode then still serves every acked
+/// key.
+#[test]
+fn a_directory_opened_in_the_other_mode_is_refused_and_left_untouched() {
+    let filter = MpcbfConfig::builder()
+        .memory_bits(400_000)
+        .expected_items(4_000)
+        .hashes(3)
+        .seed(0x30DE)
+        .build()
+        .expect("mode config");
+    for (elastic, stored) in [(true, "elastic"), (false, "fixed")] {
+        let dir = scratch_dir(stored);
+        let config = |elastic: bool| ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            metrics_addr: None,
+            durability: DurabilityOptions::new(&dir),
+            filter,
+            shards: 2,
+            elastic,
+        };
+        let keys: Vec<Vec<u8>> = (0..1_000u32)
+            .map(|i| format!("{stored}-{i}").into_bytes())
+            .collect();
+        let server = Server::start(config(elastic)).expect("start");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        for key in &keys {
+            assert!(client.insert(key).expect("insert").is_applied());
+        }
+        server.shutdown().expect("shutdown");
+        let before = dir_contents(&dir);
+        assert!(
+            before
+                .iter()
+                .any(|(name, _)| name.starts_with("snap-") && name.ends_with(".snap")),
+            "the final checkpoint must have published a snapshot"
+        );
+
+        match Server::start(config(!elastic)) {
+            Err(ServerError::Durable(DurableError::ModeMismatch { stored: found, .. })) => {
+                assert_eq!(found, stored)
+            }
+            Err(e) => panic!("{stored} directory: wrong error {e}"),
+            Ok(server) => {
+                let report = server.recovery_report().clone();
+                server.shutdown().expect("shutdown");
+                panic!("{stored} directory opened in the other mode: {report}");
+            }
+        }
+        match DurableFilter::open_or_recover(DurabilityOptions::new(&dir), || {
+            Mpcbf::<u64, Murmur3>::new(filter)
+        }) {
+            Err(DurableError::ModeMismatch { stored: found, .. }) => assert_eq!(found, stored),
+            Err(e) => panic!("{stored} directory: wrong single-filter error {e}"),
+            Ok(_) => panic!("{stored} directory opened as a single filter"),
+        }
+        assert!(
+            dir_contents(&dir) == before,
+            "a refused open must leave the {stored} directory untouched"
+        );
+
+        let server = Server::start(config(elastic)).expect("reopen in the stored mode");
+        assert_eq!(server.recovery_report().snapshots_corrupt, 0);
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        for key in &keys {
+            assert!(client.query(key).expect("query"), "acked key lost");
+        }
+        server.shutdown().expect("shutdown");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
