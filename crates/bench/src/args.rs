@@ -17,6 +17,8 @@
 //! * `--gate` — regression-gate mode (honoured by `bench_batch`): measure,
 //!   compare against the recorded baseline JSON instead of overwriting it,
 //!   and exit non-zero on a regression;
+//! * `--max-n N` — skip workload rungs above `N` keys (honoured by
+//!   `bench_bulk`, whose top rung needs gigabytes);
 //! * `--ramp` — run the elastic capacity-ramp drill instead of the normal
 //!   workload (honoured by `stress`): a 10x key ramp against the elastic
 //!   pool, checking zero false negatives and the analytic FPR envelope at
@@ -45,6 +47,8 @@ pub struct Args {
     pub gate: bool,
     /// Run the elastic capacity-ramp drill (`--ramp`).
     pub ramp: bool,
+    /// Largest rung to run (`--max-n N`), if capped.
+    pub max_n: Option<u64>,
 }
 
 impl Default for Args {
@@ -59,6 +63,7 @@ impl Default for Args {
             telemetry: false,
             gate: false,
             ramp: false,
+            max_n: None,
         }
     }
 }
@@ -103,6 +108,14 @@ impl Args {
                             .unwrap_or_else(|| usage("--faults needs a seed (u64)")),
                     )
                 }
+                "--max-n" => {
+                    args.max_n = Some(
+                        it.next()
+                            .and_then(|v| v.parse().ok())
+                            .filter(|&n| n >= 1)
+                            .unwrap_or_else(|| usage("--max-n needs a positive integer")),
+                    )
+                }
                 "--drill-matrix" => args.drill_matrix = true,
                 "--telemetry" => args.telemetry = true,
                 "--gate" => args.gate = true,
@@ -132,7 +145,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: <bin> [--scale N] [--trials N] [--out DIR] [--quiet] [--faults SEED] \
-         [--drill-matrix] [--telemetry] [--gate] [--ramp]"
+         [--drill-matrix] [--telemetry] [--gate] [--ramp] [--max-n N]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -188,6 +201,12 @@ mod tests {
     fn telemetry_flag() {
         assert!(!parse(&[]).telemetry);
         assert!(parse(&["--telemetry"]).telemetry);
+    }
+
+    #[test]
+    fn max_n_flag() {
+        assert_eq!(parse(&[]).max_n, None);
+        assert_eq!(parse(&["--max-n", "1000"]).max_n, Some(1000));
     }
 
     #[test]

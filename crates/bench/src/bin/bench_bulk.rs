@@ -3,24 +3,33 @@
 //!
 //! ```text
 //! cargo run --release -p mpcbf-bench --bin bench_bulk
+//! cargo run --release -p mpcbf-bench --bin bench_bulk -- --max-n 100000000 --trials 3
 //! cargo run --release -p mpcbf-bench --bin bench_bulk -- --scale 100
-//! cargo run --release -p mpcbf-bench --bin bench_bulk -- --scale 100 --gate
+//! cargo run --release -p mpcbf-bench --bin bench_bulk -- --gate
 //! ```
 //!
-//! Builds MPCBF-1 at 16 bits/key over a ladder of key counts up to 10^8
+//! Builds MPCBF-1 at 16 bits/key over a ladder of key counts up to 10^9
 //! (DRAM-resident at the top) from the shared [`BulkKeys`] stream, and
 //! emits `BENCH_bulk.json` with per-contender wall time, keys/s, speedup
 //! over the naive scalar loop, and the peak-RSS delta attributed to each
 //! build (the high-water mark is reset before each contender). Every
 //! contender's filter is checked identical to the naive build before the
-//! row is trusted.
+//! row is trusted. `--trials N` runs each contender `N` times and
+//! reports the median time and the least peak RSS; each row records its
+//! sample count. `--max-n N` stops
+//! the ladder at `N` keys and carries the committed rows above it over,
+//! marked `"rerun": false`.
 //!
-//! `--gate` re-measures only the buffered contender at the ladder's base
-//! rung (n = 10^6) and compares its speedup against the same-n row in
-//! the committed `BENCH_bulk.json` — the full-scale rungs are too slow
-//! for CI, and cache-resident speedups are far below the DRAM-resident
-//! headline, so the gate compares like with like (and still applies a
-//! generous tolerance: staging costs are noisy near cache capacity).
+//! `--gate` re-measures the two base rungs (n = 10^6 and 10^7), with the
+//! committed sample count, against the committed `BENCH_bulk.json` and
+//! fails on either regression:
+//!
+//! * the buffered contender's speedup at n = 10^6 falls below half its
+//!   recorded value — cache-resident speedups are far below the
+//!   DRAM-resident headline, so the gate compares like with like, with a
+//!   generous tolerance (staging costs are noisy near cache capacity);
+//! * a buffered or parallel row's peak RSS exceeds its recorded value by
+//!   more than 10% — the staging buffers must stay sized to the keys.
 
 use mpcbf_bench::{rss, Args};
 use mpcbf_core::{BulkBuilder, Filter, Mpcbf, MpcbfConfig};
@@ -40,8 +49,15 @@ const SEED: u64 = 0x1b9d;
 /// staging overhead and machine noise swing the ratio hardest.
 const GATE_TOLERANCE: f64 = 0.5;
 
-/// The ladder rung the gate compares (present at every `--scale`).
+/// The ladder rung the speedup gate compares (present at every
+/// `--scale`).
 const GATE_N: u64 = 1_000_000;
+
+/// The rungs the peak-RSS gate re-measures.
+const RSS_GATE_NS: [u64; 2] = [1_000_000, 10_000_000];
+
+/// Gate ceiling: measured peak RSS must stay below `recorded * this`.
+const RSS_GATE_TOLERANCE: f64 = 1.10;
 
 struct Row {
     n: u64,
@@ -50,7 +66,11 @@ struct Row {
     keys_per_sec: f64,
     speedup_vs_naive: f64,
     peak_rss_mib: Option<f64>,
+    samples: usize,
 }
+
+/// The contenders, in run order.
+const CONTENDERS: [&str; 3] = ["naive", "buffered", "parallel"];
 
 fn config(n: u64) -> MpcbfConfig {
     MpcbfConfig::builder()
@@ -90,38 +110,61 @@ fn buffered_builder(n: u64) -> BulkBuilder<Murmur3> {
     builder
 }
 
-/// One ladder rung: runs all three contenders, checks them identical,
-/// returns their rows.
-fn rung(n: u64, threads: usize, quiet: bool) -> Vec<Row> {
-    let (naive, naive_secs, naive_peak) = timed(|| naive_build(n));
-    let (buffered, buffered_secs, buffered_peak) = timed(|| buffered_builder(n).finish());
-    let (parallel, parallel_secs, parallel_peak) =
-        timed(|| mpcbf_concurrent::build_parallel(buffered_builder(n), threads));
-    assert_eq!(
-        naive.raw_words(),
-        buffered.raw_words(),
-        "buffered build diverged from naive at n={n}"
-    );
-    assert_eq!(
-        naive.raw_words(),
-        parallel.raw_words(),
-        "parallel build diverged from naive at n={n}"
-    );
-    assert_eq!(naive.items(), buffered.items());
-    assert_eq!(naive.overflows(), buffered.overflows());
+/// Median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// One ladder rung: runs all three contenders `samples` times, checks
+/// every build identical to the naive one, and returns their rows:
+/// median time, and the *least* peak RSS — memory the allocator kept
+/// from an earlier sample only ever adds to a reading, and how much it
+/// keeps varies from run to run.
+fn rung(n: u64, threads: usize, samples: usize, quiet: bool) -> Vec<Row> {
+    let mut secs = [const { Vec::new() }; 3];
+    let mut peaks = [const { Vec::new() }; 3];
+    for _ in 0..samples {
+        let (naive, naive_secs, naive_peak) = timed(|| naive_build(n));
+        let (buffered, buffered_secs, buffered_peak) = timed(|| buffered_builder(n).finish());
+        let (parallel, parallel_secs, parallel_peak) =
+            timed(|| mpcbf_concurrent::build_parallel(buffered_builder(n), threads));
+        assert_eq!(
+            naive.raw_words(),
+            buffered.raw_words(),
+            "buffered build diverged from naive at n={n}"
+        );
+        assert_eq!(
+            naive.raw_words(),
+            parallel.raw_words(),
+            "parallel build diverged from naive at n={n}"
+        );
+        assert_eq!(naive.items(), buffered.items());
+        assert_eq!(naive.overflows(), buffered.overflows());
+        for (i, (t, peak)) in [
+            (naive_secs, naive_peak),
+            (buffered_secs, buffered_peak),
+            (parallel_secs, parallel_peak),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            secs[i].push(t);
+            peaks[i].extend(peak);
+        }
+    }
+    let naive_secs = median(secs[0].clone());
     let mut rows = Vec::new();
-    for (contender, secs, peak) in [
-        ("naive", naive_secs, naive_peak),
-        ("buffered", buffered_secs, buffered_peak),
-        ("parallel", parallel_secs, parallel_peak),
-    ] {
+    for (i, contender) in CONTENDERS.into_iter().enumerate() {
+        let t = median(secs[i].clone());
         let row = Row {
             n,
             contender,
-            secs,
-            keys_per_sec: n as f64 / secs,
-            speedup_vs_naive: naive_secs / secs,
-            peak_rss_mib: peak,
+            secs: t,
+            keys_per_sec: n as f64 / t,
+            speedup_vs_naive: naive_secs / t,
+            peak_rss_mib: peaks[i].iter().copied().reduce(f64::min),
+            samples,
         };
         if !quiet {
             println!(
@@ -141,14 +184,18 @@ fn rung(n: u64, threads: usize, quiet: bool) -> Vec<Row> {
     rows
 }
 
-/// Pulls the recorded buffered speedup at the gate rung out of a
-/// previously written `BENCH_bulk.json` (hand-rolled like the writer).
-fn baseline_buffered_speedup(json: &str, n: u64) -> Option<f64> {
+/// The committed row line for `(n, contender)` in a previously written
+/// `BENCH_bulk.json` (hand-rolled like the writer: one row per line).
+fn baseline_row<'a>(json: &'a str, n: u64, contender: &str) -> Option<&'a str> {
     let needle_n = format!("\"n\": {n},");
-    let line = json
-        .lines()
-        .find(|l| l.contains(&needle_n) && l.contains("\"contender\": \"buffered\""))?;
-    let value = line.split("\"speedup_vs_naive\": ").nth(1)?;
+    let needle_c = format!("\"contender\": \"{contender}\"");
+    json.lines()
+        .find(|l| l.contains(&needle_n) && l.contains(&needle_c))
+}
+
+/// A numeric field of a committed row line.
+fn row_field(line: &str, field: &str) -> Option<f64> {
+    let value = line.split(&format!("\"{field}\": ")).nth(1)?;
     value
         .split(|c: char| c != '.' && !c.is_ascii_digit())
         .next()?
@@ -156,32 +203,73 @@ fn baseline_buffered_speedup(json: &str, n: u64) -> Option<f64> {
         .ok()
 }
 
+/// Re-measures the gate rungs against the committed baseline, with the
+/// sample count the baseline recorded (peak RSS depends on what earlier
+/// samples left in the allocator, so the gate repeats the same
+/// sequence); returns whether every check passed.
+fn gate(json: &str, threads: usize, quiet: bool) -> bool {
+    let mut ok = true;
+    let rss_measurable = rss::reset_peak_rss();
+    let samples = baseline_row(json, GATE_N, "buffered")
+        .and_then(|l| row_field(l, "samples"))
+        .map_or(1, |s| s as usize);
+    for n in RSS_GATE_NS {
+        let rows = rung(n, threads, samples, quiet);
+        if n == GATE_N {
+            let recorded = baseline_row(json, n, "buffered")
+                .and_then(|l| row_field(l, "speedup_vs_naive"))
+                .unwrap_or_else(|| {
+                    eprintln!("gate: no buffered n={n} baseline in BENCH_bulk.json");
+                    std::process::exit(2);
+                });
+            let measured = rows[1].speedup_vs_naive;
+            let floor = recorded * GATE_TOLERANCE;
+            println!(
+                "gate: buffered n={n} speedup measured {measured:.3}x, \
+                 recorded baseline {recorded:.3}x (floor {floor:.3}x)"
+            );
+            if measured < floor {
+                eprintln!("gate: FAIL — bulk-build speedup regressed below the recorded baseline");
+                ok = false;
+            }
+        }
+        if !rss_measurable {
+            println!("gate: peak RSS not measurable here (no VmHWM reset); RSS check skipped");
+            continue;
+        }
+        for row in rows.iter().filter(|r| r.contender != "naive") {
+            let Some(recorded) =
+                baseline_row(json, n, row.contender).and_then(|l| row_field(l, "peak_rss_mib"))
+            else {
+                eprintln!(
+                    "gate: no {} n={n} peak_rss_mib in BENCH_bulk.json",
+                    row.contender
+                );
+                std::process::exit(2);
+            };
+            let measured = row.peak_rss_mib.expect("peak RSS measurable");
+            let ceiling = recorded * RSS_GATE_TOLERANCE;
+            println!(
+                "gate: {} n={n} peak RSS measured {measured:.1} MiB, \
+                 recorded {recorded:.1} MiB (ceiling {ceiling:.1} MiB)",
+                row.contender
+            );
+            if measured > ceiling {
+                eprintln!("gate: FAIL — bulk-build peak RSS grew past the recorded baseline");
+                ok = false;
+            }
+        }
+    }
+    ok
+}
+
 fn main() {
     let args = Args::parse();
     let threads = mpcbf_concurrent::default_threads();
+    let committed = std::fs::read_to_string("BENCH_bulk.json").unwrap_or_default();
 
     if args.gate {
-        let recorded = std::fs::read_to_string("BENCH_bulk.json")
-            .ok()
-            .as_deref()
-            .and_then(|j| baseline_buffered_speedup(j, GATE_N))
-            .unwrap_or_else(|| {
-                eprintln!("gate: no buffered n={GATE_N} baseline in BENCH_bulk.json");
-                std::process::exit(2);
-            });
-        let rows = rung(GATE_N, threads, args.quiet);
-        let measured = rows
-            .iter()
-            .find(|r| r.contender == "buffered")
-            .map(|r| r.speedup_vs_naive)
-            .expect("buffered row");
-        let floor = recorded * GATE_TOLERANCE;
-        println!(
-            "gate: buffered n={GATE_N} speedup measured {measured:.3}x, \
-             recorded baseline {recorded:.3}x (floor {floor:.3}x)"
-        );
-        if measured < floor {
-            eprintln!("gate: FAIL — bulk-build speedup regressed below the recorded baseline");
+        if !gate(&committed, threads, args.quiet) {
             std::process::exit(1);
         }
         println!("gate: OK");
@@ -196,31 +284,52 @@ fn main() {
         .iter()
         .map(|&n| (n / args.scale).max(100_000))
         .collect();
+    let samples = args.trials_or(1);
     let mut rows = Vec::new();
+    let mut carried = Vec::new();
     for &n in &ladder {
         if rows.iter().any(|r: &Row| r.n == n) {
             continue; // scale collapsed two rungs onto the same n
         }
-        rows.extend(rung(n, threads, args.quiet));
+        if args.max_n.is_some_and(|max| n > max) {
+            // Not re-run: keep the committed rows, marked as such.
+            for contender in CONTENDERS {
+                if let Some(line) = baseline_row(&committed, n, contender) {
+                    let line = line.trim().trim_end_matches(',').trim_end_matches('}');
+                    let line = match line.contains("\"samples\"") {
+                        true => line.replace("\"rerun\": true", "\"rerun\": false"),
+                        false => format!("{line}, \"samples\": 1, \"rerun\": false"),
+                    };
+                    carried.push(format!("    {}}}", line.trim()));
+                }
+            }
+            continue;
+        }
+        rows.extend(rung(n, threads, samples, args.quiet));
     }
 
+    let mut lines: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"n\": {}, \"contender\": \"{}\", \"secs\": {:.4}, \
+                 \"keys_per_sec\": {:.0}, \"speedup_vs_naive\": {:.3}, \"peak_rss_mib\": {}, \
+                 \"samples\": {}, \"rerun\": true}}",
+                r.n,
+                r.contender,
+                r.secs,
+                r.keys_per_sec,
+                r.speedup_vs_naive,
+                r.peak_rss_mib
+                    .map(|m| format!("{m:.1}"))
+                    .unwrap_or_else(|| "null".to_string()),
+                r.samples,
+            )
+        })
+        .collect();
+    lines.extend(carried);
     let mut json = String::from("{\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"n\": {}, \"contender\": \"{}\", \"secs\": {:.4}, \
-             \"keys_per_sec\": {:.0}, \"speedup_vs_naive\": {:.3}, \"peak_rss_mib\": {}}}{}",
-            r.n,
-            r.contender,
-            r.secs,
-            r.keys_per_sec,
-            r.speedup_vs_naive,
-            r.peak_rss_mib
-                .map(|m| format!("{m:.1}"))
-                .unwrap_or_else(|| "null".to_string()),
-            if i + 1 == rows.len() { "" } else { "," },
-        );
-    }
+    let _ = writeln!(json, "{}", lines.join(",\n"));
     let _ = write!(
         json,
         "  ],\n  \"threads\": {threads}, \"bits_per_key\": 16, \"hashes\": 3, \

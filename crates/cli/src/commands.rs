@@ -2,6 +2,7 @@
 
 use crate::opts::{CliError, Kind, Opts};
 use mpcbf_analysis::tradeoff;
+use mpcbf_core::codec::{Measure, Sink};
 use mpcbf_core::{Cbf, CodecError, CountingFilter, Filter, Mpcbf, MpcbfConfig};
 use mpcbf_hash::Murmur3;
 use std::io::Write;
@@ -36,10 +37,14 @@ impl AnyFilter {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
+    fn encode_to(&self, sink: &mut dyn Sink) {
         match self {
-            AnyFilter::Mpcbf(f) => f.encode(),
-            AnyFilter::Cbf(f) => f.encode(),
+            AnyFilter::Mpcbf(f) => {
+                f.encode_to(sink);
+            }
+            AnyFilter::Cbf(f) => {
+                f.encode_to(sink);
+            }
         }
     }
 
@@ -65,9 +70,19 @@ impl AnyFilter {
         Self::decode(&image)
     }
 
+    /// Replaces the file at `path` atomically: the image streams into
+    /// `path.tmp`, which is fsynced and renamed over `path`, so a failed
+    /// or interrupted store leaves the previous file whole.
     fn store(&self, path: &str) -> Result<(), CliError> {
-        std::fs::write(path, self.encode())
-            .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))
+        let mut measured = Measure::default();
+        self.encode_to(&mut measured);
+        mpcbf_durability::write_file_atomic(
+            std::path::Path::new(path),
+            measured.bytes,
+            &mpcbf_durability::KillSwitch::new(),
+            |sink| self.encode_to(sink),
+        )
+        .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))
     }
 }
 
@@ -858,6 +873,43 @@ mod tests {
             stats(&opts(&["--filter", &path]), &mut Vec::new()),
             Err(CliError::Runtime(_))
         ));
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn failed_store_keeps_the_previous_file_and_leaves_no_tmp() {
+        // `path.tmp` is a symlink to /dev/full: the store's writes fail
+        // with ENOSPC, as on a full disk, after the temp file opened.
+        let path = tmp("store-fails.mpcbf");
+        build(
+            &opts(&["--out", &path, "--items", "100"]),
+            &mut keys(&["kept"]),
+        )
+        .unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let temp = format!("{path}.tmp");
+        let _ = std::fs::remove_file(&temp);
+        std::os::unix::fs::symlink("/dev/full", &temp).unwrap();
+        let err = update(&opts(&["--filter", &path]), &mut keys(&["added"]), true).unwrap_err();
+        assert!(
+            matches!(err, CliError::Runtime(ref m) if m.contains("cannot write")),
+            "{err:?}"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "previous file changed"
+        );
+        assert!(
+            std::fs::symlink_metadata(&temp).is_err(),
+            "a failed store left {temp} behind"
+        );
+        // The next store goes through and replaces the file whole.
+        update(&opts(&["--filter", &path]), &mut keys(&["added"]), true).unwrap();
+        let mut out = Vec::new();
+        query(&opts(&["--filter", &path]), &mut keys(&["added"]), &mut out).unwrap();
+        assert!(String::from_utf8(out).unwrap().contains("added\ttrue"));
+        assert!(std::fs::symlink_metadata(&temp).is_err());
     }
 
     #[test]

@@ -24,7 +24,8 @@ use mpcbf_core::bulk::{
 use mpcbf_core::{HcbfWord, Mpcbf, MpcbfConfig, ResilientMpcbf};
 use mpcbf_hash::{Hasher128, Murmur3};
 
-use crate::sharded::ShardedMpcbf;
+use crate::sharded::{split_digest, ShardedMpcbf};
+use std::marker::PhantomData;
 
 /// Runs a slice of region jobs on up to `threads` scoped threads
 /// (inline when one thread suffices).
@@ -75,12 +76,14 @@ pub fn build_resilient_parallel<H: Hasher128>(
 /// Streaming bulk builder for [`ShardedMpcbf`]: each shard gets its own
 /// staging hierarchy and word array, keys route by the same top-16
 /// digest bits as the live insert path, and finish builds shards on
-/// scoped threads before installing the arrays — the filter's shard
-/// locks are taken only for the final swap.
+/// scoped threads, then hands the arrays to the filter as its shards —
+/// the builder's words are the only copy ever allocated.
 pub struct ShardedBulkBuilder<H: Hasher128 = Murmur3> {
-    filter: ShardedMpcbf<u64, H>,
+    config: MpcbfConfig,
+    shard_mask: u64,
     stages: Vec<BulkStage>,
     words: Vec<AlignedVec<HcbfWord<u64>>>,
+    _hasher: PhantomData<H>,
 }
 
 impl<H: Hasher128> ShardedBulkBuilder<H> {
@@ -90,11 +93,9 @@ impl<H: Hasher128> ShardedBulkBuilder<H> {
     /// # Panics
     /// Panics if the configuration derives a non-64-bit word.
     pub fn new(config: MpcbfConfig, shards: usize) -> Self {
-        let filter = ShardedMpcbf::new(config, shards);
-        let shape = filter.shape();
+        let shape = config.shape();
         assert_eq!(shape.w, 64, "bulk build requires 64-bit words");
-        let per = filter.words_per_shard();
-        let count = filter.shard_count();
+        let (count, per) = ShardedMpcbf::<u64, H>::geometry(&config, shards);
         let expected_per_shard = config.expected_items().div_ceil(count as u64);
         ShardedBulkBuilder {
             stages: (0..count)
@@ -105,14 +106,16 @@ impl<H: Hasher128> ShardedBulkBuilder<H> {
             words: (0..count)
                 .map(|_| AlignedVec::filled_huge(per as usize, HcbfWord::new()))
                 .collect(),
-            filter,
+            shard_mask: count as u64 - 1,
+            config,
+            _hasher: PhantomData,
         }
     }
 
     /// Stages one key into its home shard.
     pub fn push(&mut self, key: &[u8]) {
-        let digest = H::hash128(self.filter.bulk_seed(), key);
-        let (shard, probe_digest) = self.filter.bulk_split_digest(digest);
+        let digest = H::hash128(self.config.seed(), key);
+        let (shard, probe_digest) = split_digest(digest, self.shard_mask);
         self.stages[shard].push_digest(self.words[shard].as_mut_slice(), probe_digest);
     }
 
@@ -135,9 +138,9 @@ impl<H: Hasher128> ShardedBulkBuilder<H> {
     }
 
     /// Completes the build with shards drained on up to `threads`
-    /// scoped threads, then installs every shard's word array.
+    /// scoped threads; the word arrays become the filter's shards.
     pub fn finish_parallel(mut self, threads: usize) -> ShardedMpcbf<u64, H> {
-        let shards: Vec<(&mut BulkStage, &mut AlignedVec<HcbfWord<u64>>)> =
+        let mut shards: Vec<(&mut BulkStage, &mut AlignedVec<HcbfWord<u64>>)> =
             self.stages.iter_mut().zip(self.words.iter_mut()).collect();
         if threads <= 1 || shards.len() <= 1 {
             for (stage, words) in shards {
@@ -145,9 +148,8 @@ impl<H: Hasher128> ShardedBulkBuilder<H> {
             }
         } else {
             let per = shards.len().div_ceil(threads);
-            let mut chunks: Vec<_> = shards.into_iter().collect();
             std::thread::scope(|scope| {
-                for chunk in chunks.chunks_mut(per) {
+                for chunk in shards.chunks_mut(per) {
                     scope.spawn(move || {
                         for (stage, words) in chunk {
                             stage.finish_into(words.as_mut_slice());
@@ -156,15 +158,8 @@ impl<H: Hasher128> ShardedBulkBuilder<H> {
                 }
             });
         }
-        let mut refused = 0u64;
-        for (shard, words) in self.words.into_iter().enumerate() {
-            self.filter.bulk_install(shard, words);
-            refused += self.stages[shard].refused();
-        }
-        if refused > 0 {
-            self.filter.bulk_add_overflows(refused);
-        }
-        self.filter
+        let refused = self.stages.iter().map(BulkStage::refused).sum();
+        ShardedMpcbf::from_shard_words(self.config, self.words, refused)
     }
 }
 

@@ -16,7 +16,7 @@
 //! stack directly so a serving layer can drive manual-mode scale and
 //! compaction events under its own write-ahead log.
 
-use mpcbf_core::codec::{self, CodecError};
+use mpcbf_core::codec::{self, CodecError, Sink};
 use mpcbf_core::config::MpcbfConfig;
 use mpcbf_core::elastic::ElasticMpcbf;
 use mpcbf_core::policy::CapacityPolicy;
@@ -246,11 +246,21 @@ impl<H: Hasher128> ElasticShardedMpcbf<H> {
     /// images are emitted in index order and each is itself
     /// deterministic.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = codec::Writer::new(codec::KIND_ELASTIC_SHARDED);
+        self.encode_to(Vec::with_capacity(64))
+    }
+
+    /// [`ElasticShardedMpcbf::encode`] streamed into any [`Sink`]: each
+    /// shard's image is encoded under its lock into one reused buffer and
+    /// written after the lock is released, so the stream holds at most
+    /// one shard's image.
+    pub fn encode_to<S: Sink>(&self, sink: S) -> S {
+        let mut w = codec::Writer::framed(sink, codec::KIND_ELASTIC_SHARDED);
         w.u64(self.seed);
         w.u32(self.shards.len() as u32);
+        let mut image = Vec::new();
         for shard in &self.shards {
-            let image = shard.lock().encode();
+            image.clear();
+            image = shard.lock().encode_to(image);
             w.u64(image.len() as u64);
             w.bytes(&image);
         }
@@ -389,6 +399,9 @@ mod tests {
         }
         let image = pool.encode();
         assert_eq!(image, pool.encode(), "encoding must be deterministic");
+        assert_eq!(pool.encode_to(Vec::new()), image);
+        let measured = pool.encode_to(codec::Measure::default());
+        assert_eq!(measured.bytes, image.len() as u64);
         let decoded = ElasticShardedMpcbf::<Murmur3>::decode(&image).unwrap();
         assert_eq!(decoded.shard_count(), pool.shard_count());
         assert_eq!(decoded.items(), pool.items());

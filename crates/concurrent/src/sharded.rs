@@ -51,7 +51,7 @@
 use crate::planned::{self, KeyPlan, Meter, Row, Update};
 use mpcbf_analysis::heuristic::MpcbfShape;
 use mpcbf_bitvec::{AlignedVec, Word};
-use mpcbf_core::codec;
+use mpcbf_core::codec::{self, Sink};
 use mpcbf_core::config::MpcbfConfig;
 use mpcbf_core::hcbf::HcbfWord;
 use mpcbf_core::metrics::{OpCost, OpKind, OpSink};
@@ -92,6 +92,16 @@ impl ShardBatch {
 /// two fields share no entropy. Caps the shard count at `2^SHARD_BITS`.
 pub const SHARD_BITS: u32 = 16;
 
+/// Splits a digest into (shard index under `shard_mask`, probe digest)
+/// along the documented bit boundary; the live filter and the bulk
+/// builder route through this one function.
+#[inline]
+pub(crate) fn split_digest(digest: u128, shard_mask: u64) -> (usize, u128) {
+    let shard = ((digest >> (128 - SHARD_BITS)) as u64 & shard_mask) as usize;
+    let probe_digest = digest & ((1u128 << (128 - SHARD_BITS)) - 1);
+    (shard, probe_digest)
+}
+
 /// A thread-safe MPCBF: a power-of-two pool of independent sub-filters,
 /// each guarded by one [`parking_lot::Mutex`], with keys routed by a digest
 /// field disjoint from the probe bits.
@@ -121,6 +131,19 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
     /// # Panics
     /// Panics if the configuration's word size differs from `W::BITS`.
     pub fn new(config: MpcbfConfig, shards: usize) -> Self {
+        let (shard_count, words_per_shard) = Self::geometry(&config, shards);
+        let shards = (0..shard_count)
+            .map(|_| AlignedVec::filled(words_per_shard as usize, HcbfWord::new()))
+            .collect();
+        Self::from_shard_words(config, shards, 0)
+    }
+
+    /// The `(shard count, words per shard)` a configuration and a
+    /// requested shard count round to (see [`ShardedMpcbf::new`]).
+    ///
+    /// # Panics
+    /// Panics if the configuration's word size differs from `W::BITS`.
+    pub(crate) fn geometry(config: &MpcbfConfig, shards: usize) -> (usize, u64) {
         let shape = config.shape();
         assert_eq!(shape.w, W::BITS, "config word size mismatch");
         let l = shape.l as usize;
@@ -133,17 +156,33 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
             .next_power_of_two()
             .clamp(1, word_cap)
             .min(1 << SHARD_BITS);
-        let words_per_shard = l.div_ceil(shard_count).max(1);
-        let shards = (0..shard_count)
-            .map(|_| Mutex::new(AlignedVec::filled(words_per_shard, HcbfWord::new())))
-            .collect();
+        (shard_count, l.div_ceil(shard_count).max(1) as u64)
+    }
+
+    /// A filter over word arrays built elsewhere (the bulk builder's),
+    /// one per shard, with `overflows` refusals already tallied.
+    ///
+    /// # Panics
+    /// Panics unless `shards` has the count and lengths
+    /// [`ShardedMpcbf::geometry`] derives for `config`.
+    pub(crate) fn from_shard_words(
+        config: MpcbfConfig,
+        shards: Vec<AlignedVec<HcbfWord<W>>>,
+        overflows: u64,
+    ) -> Self {
+        let (shard_count, words_per_shard) = Self::geometry(&config, shards.len());
+        assert_eq!(shards.len(), shard_count, "shard count");
+        assert!(
+            shards.iter().all(|s| s.len() as u64 == words_per_shard),
+            "shard length"
+        );
         ShardedMpcbf {
-            shards,
+            shards: shards.into_iter().map(Mutex::new).collect(),
             shard_mask: shard_count as u64 - 1,
-            words_per_shard: words_per_shard as u64,
-            shape,
+            words_per_shard,
+            shape: config.shape(),
             seed: config.seed(),
-            overflows: AtomicU64::new(0),
+            overflows: AtomicU64::new(overflows),
             _hasher: PhantomData,
         }
     }
@@ -231,9 +270,7 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
     /// documented bit boundary.
     #[inline]
     fn split_digest(&self, digest: u128) -> (usize, u128) {
-        let shard = ((digest >> (128 - SHARD_BITS)) as u64 & self.shard_mask) as usize;
-        let probe_digest = digest & ((1u128 << (128 - SHARD_BITS)) - 1);
-        (shard, probe_digest)
+        split_digest(digest, self.shard_mask)
     }
 
     /// Hashes `key` and plans its probes inside its home shard.
@@ -547,34 +584,6 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
         self.shards[shard].lock().iter().map(|w| *w.raw()).collect()
     }
 
-    /// Installs a bulk-built word array into one shard (the
-    /// `bulk::ShardedBulkBuilder` finish path — builders stage into
-    /// their own arrays and swap them in here).
-    ///
-    /// # Panics
-    /// Panics if `words` is not exactly one shard's length.
-    pub(crate) fn bulk_install(&self, shard: usize, words: AlignedVec<HcbfWord<u64>>) {
-        assert_eq!(words.len() as u64, self.words_per_shard);
-        *self.shards[shard].lock() = words;
-    }
-
-    /// Adds bulk-build refusals to the overflow tally.
-    pub(crate) fn bulk_add_overflows(&self, n: u64) {
-        self.overflows.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The digest split the insert path uses (shard, probe digest), for
-    /// the bulk builder's router.
-    #[inline]
-    pub(crate) fn bulk_split_digest(&self, digest: u128) -> (usize, u128) {
-        self.split_digest(digest)
-    }
-
-    /// The hash seed, for the bulk builder's digest computation.
-    pub(crate) fn bulk_seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Epoch-based seal: checksums every shard's word array, taking each
     /// shard lock exactly once. Returns one [`FilterSeal`] per shard.
     ///
@@ -646,8 +655,17 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
     /// not-yet-visited shards can land in the image, so snapshot callers
     /// should quiesce writers first (the durability layer does).
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_to(Vec::with_capacity(64))
+    }
+
+    /// [`ShardedMpcbf::encode`] streamed into any [`Sink`]. Each shard is
+    /// copied out under its lock into one reused shard-sized buffer, then
+    /// checksummed and written after the lock is released, so a slow sink
+    /// (a disk) never stalls the shard and the stream holds at most one
+    /// shard's image. A measuring sink takes no lock and copies nothing.
+    pub fn encode_to<S: Sink>(&self, sink: S) -> S {
         let shape = self.shape;
-        let mut w = codec::Writer::new(codec::KIND_SHARDED64);
+        let mut w = codec::Writer::framed(sink, codec::KIND_SHARDED64);
         w.u64(shape.l);
         w.u32(shape.k);
         w.u32(shape.g);
@@ -658,8 +676,17 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
         w.u64(self.overflows());
         // Every limb plus the CRC trailer.
         w.reserve(self.shards.len() * self.words_per_shard as usize * 8 + 4);
+        let shard_bytes = self.words_per_shard as usize * 8;
+        let mut copy: Vec<u8> = Vec::new();
         for shard in &self.shards {
-            w.limbs(shard.lock().iter().map(|word| *word.raw()));
+            if w.measure(shard_bytes as u64) {
+                continue;
+            }
+            copy.resize(shard_bytes, 0);
+            for (out, word) in copy.chunks_exact_mut(8).zip(shard.lock().iter()) {
+                out.copy_from_slice(&word.raw().to_le_bytes());
+            }
+            w.bytes(&copy);
         }
         w.finish()
     }
@@ -1194,6 +1221,9 @@ mod tests {
         }
         let image = f.encode();
         assert_eq!(image, f.encode(), "encode must be deterministic");
+        assert_eq!(f.encode_to(Vec::new()), image);
+        let measured = f.encode_to(codec::Measure::default());
+        assert_eq!(measured.bytes, image.len() as u64);
         let d = ShardedMpcbf::<u64>::decode(&image).unwrap();
         assert_eq!(d.shard_count(), f.shard_count());
         assert_eq!(d.words_per_shard(), f.words_per_shard());

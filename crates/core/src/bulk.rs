@@ -19,10 +19,23 @@
 //! * **L3**: one bucket per *region* (a `2^s3 ≤ 32768`-word aligned
 //!   range, so the region's words occupy at most 256 KB and stay
 //!   cache-resident during a sweep), all striped through one flat
-//!   lazily-faulted slab sized off the expected load so that in the
-//!   common case a region buckets *every* one of its entries. A full L2
-//!   bucket is split-appended by region; a full region bucket is
-//!   **flushed** as one sweep over the region's words.
+//!   lazily-faulted slab. A full L2 bucket is split-appended by region;
+//!   a full region bucket is **flushed** as one sweep over the region's
+//!   words.
+//!
+//! # Memory budget
+//!
+//! Given the expected key count, a region bucket holds `μ + 8·√(cμ) +
+//! 64` entries, where `μ` is the region's expected share of the staged
+//! entries and `c` the entries one key drops into one word (1 when
+//! deferred, `⌈k/g⌉` when admitted). A region's count is (compound)
+//! Poisson with variance `cμ`, so the bucket sits eight standard
+//! deviations above the mean: every region buckets *all* of its entries
+//! and sweeps once, onto still-empty words. The slab is then the staged
+//! entries plus a few percent — 8 B per key when deferred, 8 B per
+//! probe (`k` per key) when admitted — on top of the filter's own words.
+//! A bucket that overflows anyway (pushes past the hint) only flushes
+//! early: speed is lost, never exactness.
 //!
 //! The sweep itself has two tiers. A region's *first* sweep lands on
 //! all-empty words, so it skips incremental increments entirely:
@@ -107,14 +120,26 @@ const L3_REGION_BITS: u32 = 15;
 
 /// Fallback region-bucket density (staged entries per region word) when
 /// the caller gives no expected-key hint. [`BulkStage::with_expected`]
-/// sizes the density off the expected load instead, with head-room, so
-/// that in the common case a region buckets *every* one of its entries
-/// and flushes exactly once — onto still-empty words, where the sweep
-/// can construct each word directly instead of walking increments
-/// (see `construct_entries`). A bucket that does overflow mid-stream
-/// flushes early and its region falls back to the incremental walk;
-/// only speed is lost, never exactness.
-const L3_MIN_DENSITY: usize = 2;
+/// sizes each bucket off the region's expected entries instead (see the
+/// module docs), so that in the common case a region buckets *every*
+/// one of its entries and flushes exactly once — onto still-empty
+/// words, where the sweep can construct each word directly instead of
+/// walking increments (see `construct_entries`). A bucket that does
+/// overflow mid-stream flushes early and its region falls back to the
+/// incremental walk; only speed is lost, never exactness.
+const L3_MIN_DENSITY: u64 = 2;
+
+/// Ceiling on a hinted bucket's expected entries per region word: a
+/// word admits fewer than 64 increments, so a larger expectation can
+/// only stage entries that will be refused.
+const L3_MAX_DENSITY: u64 = 64;
+
+/// Standard deviations of head-room above a region's expected count.
+const L3_SIGMAS: f64 = 8.0;
+
+/// Entries of slack every hinted bucket carries on top, so small
+/// regions (few expected entries, large relative spread) stay covered.
+const L3_SLACK: u64 = 64;
 
 /// In-word slot indices are `< b1 ≤ 63`, so six bits pack one.
 const SLOT_BITS: u32 = 6;
@@ -180,7 +205,10 @@ pub struct BulkStage {
     /// the worst-case gigabytes (see [`advise_huge_slice`]).
     l3: Vec<u64>,
     l3_len: Vec<u32>,
+    /// Bucket stride: the capacity of every full-width region.
     l3_cap: usize,
+    /// Capacity of the last region, which may be narrower than `2^s3`.
+    l3_last_cap: usize,
     /// Regions already swept at least once. A fresh region's words are
     /// still all-empty (the stage's contract: it owns every write to the
     /// word array), so its first sweep may *construct* words from slot
@@ -207,37 +235,43 @@ impl BulkStage {
     /// `b1` is not in `1..64`.
     pub fn new(l: u64, k: u32, g: u32, b1: u32) -> Self {
         let deferred = g == 1 && SLOT_BITS * k + index_bits(l) <= 64;
-        Self::with_mode(l, k, g, b1, deferred, L3_MIN_DENSITY)
+        Self::with_mode(l, k, g, b1, deferred, None)
     }
 
     /// [`BulkStage::new`] with region buckets sized for `expected` keys:
-    /// 1.5× the expected entries-per-word plus one, so a region ingests
-    /// its whole expected share without a mid-stream flush and the final
-    /// sweep lands on still-empty words, unlocking direct word
+    /// each holds its region's expected entries plus eight standard
+    /// deviations and 64 entries of slack (see the module docs), so a
+    /// region ingests its whole share without a mid-stream flush and the
+    /// final sweep lands on still-empty words, unlocking direct word
     /// construction (see `construct_entries`).
     pub fn with_expected(l: u64, k: u32, g: u32, b1: u32, expected: u64) -> Self {
         let deferred = g == 1 && SLOT_BITS * k + index_bits(l) <= 64;
-        let epw = expected.div_ceil(l.max(1)) as usize;
-        let density = (epw + epw / 2 + 1).clamp(L3_MIN_DENSITY, 128);
-        Self::with_mode(l, k, g, b1, deferred, density)
+        // A deferred entry carries a whole key; an admitted one a probe.
+        let entries = if deferred {
+            expected
+        } else {
+            expected.saturating_mul(u64::from(k))
+        };
+        Self::with_mode(l, k, g, b1, deferred, Some(entries))
     }
 
     /// A stage that always decides admission at push time, for callers
     /// that must observe refusals per key (the resilient spill path).
     pub fn admitted(l: u64, k: u32, g: u32, b1: u32) -> Self {
-        Self::with_mode(l, k, g, b1, false, L3_MIN_DENSITY)
+        Self::with_mode(l, k, g, b1, false, None)
     }
 
     /// [`BulkStage::admitted`] with expectation-sized region buckets
     /// (`k` staged probes per key — admitted entries carry one probe
     /// each, unlike the one-entry-per-key deferred packing).
     pub fn admitted_with_expected(l: u64, k: u32, g: u32, b1: u32, expected: u64) -> Self {
-        let epw = (expected.saturating_mul(u64::from(k))).div_ceil(l.max(1)) as usize;
-        let density = (epw + epw / 2 + 1).clamp(L3_MIN_DENSITY, 128);
-        Self::with_mode(l, k, g, b1, false, density)
+        let entries = expected.saturating_mul(u64::from(k));
+        Self::with_mode(l, k, g, b1, false, Some(entries))
     }
 
-    fn with_mode(l: u64, k: u32, g: u32, b1: u32, deferred: bool, density: usize) -> Self {
+    /// `entries`: the staged entries expected over the whole array, or
+    /// `None` for the unhinted [`L3_MIN_DENSITY`] buckets.
+    fn with_mode(l: u64, k: u32, g: u32, b1: u32, deferred: bool, entries: Option<u64>) -> Self {
         assert!(l >= 1, "empty word array");
         assert!((1..=64).contains(&k) && g >= 1 && g <= k, "probe shape");
         assert!((1..64).contains(&b1), "b1 = {b1} out of 1..64");
@@ -248,6 +282,20 @@ impl BulkStage {
         let r1 = l.div_ceil(1 << s1) as usize;
         let r2 = l.div_ceil(1 << s2) as usize;
         let r3 = l.div_ceil(1 << s3) as usize;
+        // Entries one key drops into one word: the cluster size of the
+        // compound-Poisson region count.
+        let cluster = if deferred { 1 } else { k.div_ceil(g) };
+        let bucket = |words: u64| -> usize {
+            let Some(entries) = entries else {
+                return (L3_MIN_DENSITY * words) as usize;
+            };
+            let mu =
+                (entries as f64 * words as f64 / l as f64).min((L3_MAX_DENSITY * words) as f64);
+            let spread = L3_SIGMAS * (f64::from(cluster) * mu).sqrt();
+            (mu + spread).ceil() as usize + L3_SLACK as usize
+        };
+        let l3_cap = bucket(1 << s3);
+        let l3_last_cap = bucket(l - ((r3 as u64 - 1) << s3));
         let (mode, word_shift) = if deferred {
             (Mode::Deferred, SLOT_BITS * k)
         } else {
@@ -274,12 +322,13 @@ impl BulkStage {
             l2: vec![0; r2 * L2_CAP],
             l2_len: vec![0; r2],
             l3: {
-                let mut slab = vec![0u64; r3 * (density << s3)];
+                let mut slab = vec![0u64; (r3 - 1) * l3_cap + l3_last_cap];
                 advise_huge_slice(&mut slab);
                 slab
             },
             l3_len: vec![0; r3],
-            l3_cap: density << s3,
+            l3_cap,
+            l3_last_cap,
             dirty: vec![false; r3],
             scratch: SweepScratch::new(),
             items: 0,
@@ -505,7 +554,7 @@ impl BulkStage {
     }
 
     /// Splits L2 bucket `r2` into its regions' L3 buckets, flushing any
-    /// region bucket that reaches the density cap.
+    /// region bucket that fills.
     fn spill_l2(&mut self, words: &mut [HcbfWord<u64>], r2: usize) {
         let n = self.l2_len[r2] as usize;
         if n == 0 {
@@ -518,7 +567,12 @@ impl BulkStage {
             let len = self.l3_len[r3] as usize;
             self.l3[r3 * self.l3_cap + len] = entry;
             self.l3_len[r3] = (len + 1) as u32;
-            if len + 1 == self.l3_cap {
+            let cap = if r3 + 1 == self.l3_len.len() {
+                self.l3_last_cap
+            } else {
+                self.l3_cap
+            };
+            if len + 1 == cap {
                 self.flush_region(words, r3);
             }
         }
@@ -1439,6 +1493,71 @@ mod tests {
         assert_eq!(built.raw_words(), seq.raw_words());
         assert_eq!(built.items(), seq.items());
         assert_eq!(built.overflows(), seq.overflows());
+    }
+
+    /// Regions of `words` holding any admitted key: the sweeps a build
+    /// needs when no region flushes early.
+    fn nonempty_regions(words: &[HcbfWord<u64>]) -> u64 {
+        let width = 1usize << index_bits(words.len() as u64).min(L3_REGION_BITS);
+        words
+            .chunks(width)
+            .filter(|region| region.iter().any(|w| !w.is_empty()))
+            .count() as u64
+    }
+
+    #[test]
+    fn hinted_slab_holds_the_expected_entries_plus_a_tenth() {
+        // Deferred (one entry per key) on whole regions, and admitted
+        // (k entries per key, clusters of two) with a narrow last region.
+        for (l, k, g, expected) in [
+            (1u64 << 18, 3u32, 1u32, 209_715u64),
+            ((1 << 18) + 12_345, 4, 2, 70_000),
+        ] {
+            let stage = BulkStage::with_expected(l, k, g, 50, expected);
+            let entries = if stage.is_deferred() {
+                expected
+            } else {
+                expected * u64::from(k)
+            };
+            let regions = stage.l3_len.len() as f64;
+            let bound = 1.1 * entries as f64 + 64.0 * regions;
+            assert!(
+                stage.l3.len() as f64 <= bound,
+                "slab {} entries over {bound:.0} (l={l}, k={k}, g={g})",
+                stage.l3.len()
+            );
+            assert!(stage.l3.len() as u64 >= entries, "slab below the hint");
+        }
+    }
+
+    #[test]
+    fn unhinted_stage_keeps_the_minimum_density() {
+        let stage = BulkStage::new(1 << 16, 3, 1, 50);
+        assert_eq!(stage.l3.len() as u64, L3_MIN_DENSITY << 16);
+        let stage = BulkStage::admitted(1 << 16, 3, 1, 50);
+        assert_eq!(stage.l3.len() as u64, L3_MIN_DENSITY << 16);
+    }
+
+    #[test]
+    fn at_the_hint_every_region_sweeps_exactly_once() {
+        // Deferred and admitted stages over sixteen regions, each fed
+        // exactly the expected keys. Every flush — mid-stream, while the
+        // finish drains L1/L2, or the final sweep — is counted: with the
+        // head-room honest there is one per non-empty region.
+        for (k, g, n) in [(3u32, 1u32, 420_000u64), (4, 2, 200_000)] {
+            let l = 1u64 << 19;
+            let mut stage = BulkStage::with_expected(l, k, g, 50, n);
+            assert_eq!(stage.is_deferred(), g == 1);
+            let mut words = vec![HcbfWord::<u64>::new(); l as usize];
+            let digests: Vec<u128> = (0..n)
+                .map(|i| u128::from(mix(i)) << 64 | u128::from(mix(!i)))
+                .collect();
+            stage.push_digests(&mut words, &digests);
+            stage.finish_into(&mut words);
+            let regions = nonempty_regions(&words);
+            assert_eq!(regions, 16, "test premise (g={g})");
+            assert_eq!(stage.stats().flushes, regions, "g={g}");
+        }
     }
 
     #[test]

@@ -178,63 +178,193 @@ fn crc32_reference(data: &[u8]) -> u32 {
     !crc
 }
 
+/// Where a [`Writer`] sends the bytes it encodes: an in-memory image
+/// (`Vec<u8>`), a [`Measure`] that only counts them, or a file (the
+/// durability crate streams snapshots through a buffered file sink).
+///
+/// Sinks compose: a [`Writer`] is itself a sink that carries its running
+/// CRC-32, so an image written into another writer (the snapshot
+/// envelope) chains both checksums in one pass over the bytes.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Accounts for `len` bytes without receiving them when this sink
+    /// only measures, returning `true`; a sink that needs the bytes
+    /// returns `false` and accounts nothing. Writers ask before
+    /// producing a payload, so a measuring pass skips the copies and the
+    /// checksum.
+    fn measure(&mut self, _len: u64) -> bool {
+        false
+    }
+
+    /// Room for `bytes` more bytes (a hint: in-memory sinks pre-size).
+    fn reserve(&mut self, _bytes: usize) {}
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn reserve(&mut self, bytes: usize) {
+        Vec::reserve(self, bytes);
+    }
+}
+
+impl<S: Sink + ?Sized> Sink for &mut S {
+    fn put(&mut self, bytes: &[u8]) {
+        (**self).put(bytes);
+    }
+
+    fn measure(&mut self, len: u64) -> bool {
+        (**self).measure(len)
+    }
+
+    fn reserve(&mut self, bytes: usize) {
+        (**self).reserve(bytes);
+    }
+}
+
+/// A sink that only counts: the length an encoder's image will have,
+/// found without producing (or checksumming) its payload.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Measure {
+    /// Bytes accounted so far.
+    pub bytes: u64,
+}
+
+impl Sink for Measure {
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes += bytes.len() as u64;
+    }
+
+    fn measure(&mut self, len: u64) -> bool {
+        self.bytes += len;
+        true
+    }
+}
+
+/// Bytes a [`Writer`] checksums and hands to its sink at once: small
+/// enough to stay in L1 between the two.
+const CHUNK: usize = 4096;
+
 /// Builds a framed image: magic + kind + version, caller-appended
-/// fields, and a trailing CRC-32 sealed by [`Writer::finish`].
+/// fields, and a trailing CRC-32 sealed by [`Writer::finish`]. The CRC
+/// runs as the bytes pass through, so the image streams into any
+/// [`Sink`] and is never held whole unless the sink is a `Vec`.
 ///
 /// Public so sibling crates (e.g. `mpcbf-concurrent`'s sharded codec and
 /// the durability crate's snapshots) can emit images in the same framed
 /// format without re-implementing the envelope.
-pub struct Writer {
-    buf: Vec<u8>,
+pub struct Writer<S: Sink = Vec<u8>> {
+    sink: S,
+    crc: u32,
 }
 
 impl Writer {
-    /// Starts an image of the given kind byte (see the `KIND_*` consts).
+    /// Starts an in-memory image of the given kind byte (see the
+    /// `KIND_*` consts).
     pub fn new(kind: u8) -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(MAGIC);
-        buf.push(kind);
-        buf.push(VERSION);
-        Writer { buf }
+        Writer::framed(Vec::with_capacity(64), kind)
+    }
+}
+
+impl<S: Sink> Writer<S> {
+    /// Starts an image of the given kind byte, written into `sink`.
+    pub fn framed(sink: S, kind: u8) -> Self {
+        let mut w = Writer::unframed(sink);
+        w.bytes(MAGIC);
+        w.bytes(&[kind, VERSION]);
+        w
     }
 
-    /// Reserves room for `bytes` more bytes, so an image whose size is
-    /// known up front is written without regrowing its buffer.
+    /// A writer without the codec header: only the running CRC and its
+    /// trailer (the snapshot envelope frames itself this way).
+    pub fn unframed(sink: S) -> Self {
+        Writer { sink, crc: 0 }
+    }
+
+    /// Reserves room for `bytes` more bytes, so an in-memory image whose
+    /// size is known up front is written without regrowing its buffer.
     pub fn reserve(&mut self, bytes: usize) {
-        self.buf.reserve(bytes);
+        self.sink.reserve(bytes);
+    }
+
+    /// True, accounting `len` bytes, when the sink only measures: the
+    /// caller must then skip writing those bytes (see [`Sink::measure`]).
+    pub fn measure(&mut self, len: u64) -> bool {
+        self.sink.measure(len)
     }
 
     /// Appends a little-endian u32 field.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian u64 field.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
-    /// Appends raw bytes verbatim (callers encode the length separately).
+    /// Appends raw bytes verbatim (callers encode the length separately),
+    /// in cache-sized pieces: the sink copies each piece while the
+    /// checksum has just brought it into L1.
     pub fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Appends limbs as little-endian u64s, straight from any source
-    /// (a slice, or words read in place under a lock) without staging
-    /// them in a `Vec<u64>` first.
-    pub fn limbs(&mut self, limbs: impl IntoIterator<Item = u64>) {
-        let limbs = limbs.into_iter();
-        self.buf.reserve(limbs.size_hint().0 * 8);
-        for l in limbs {
-            self.buf.extend_from_slice(&l.to_le_bytes());
+        if self.sink.measure(b.len() as u64) {
+            return;
+        }
+        for piece in b.chunks(CHUNK) {
+            self.crc = crc32_update(self.crc, piece);
+            self.sink.put(piece);
         }
     }
 
-    /// Seals the image with its CRC-32 and returns the bytes.
-    pub fn finish(mut self) -> Vec<u8> {
-        let crc = crc32(&self.buf);
+    /// Appends limbs as little-endian u64s, straight from any source
+    /// (a slice, or words read in place) without staging them in a
+    /// `Vec<u64>` first: they go out in small chunks, each checksummed
+    /// while cache-hot. A measuring sink counts an exact-size source
+    /// without reading it.
+    pub fn limbs(&mut self, limbs: impl IntoIterator<Item = u64>) {
+        let mut limbs = limbs.into_iter();
+        let (count, exact) = limbs.size_hint();
+        if exact == Some(count) && self.sink.measure(count as u64 * 8) {
+            return;
+        }
+        self.sink.reserve(count * 8);
+        let mut chunk = [0u8; CHUNK];
+        loop {
+            let mut filled = 0;
+            for (slot, limb) in chunk.chunks_exact_mut(8).zip(&mut limbs) {
+                slot.copy_from_slice(&limb.to_le_bytes());
+                filled += 8;
+            }
+            self.bytes(&chunk[..filled]);
+            if filled < CHUNK {
+                return;
+            }
+        }
+    }
+
+    /// Seals the image with its CRC-32 and returns the sink.
+    pub fn finish(mut self) -> S {
+        let crc = self.crc;
         self.u32(crc);
-        self.buf
+        self.sink
+    }
+}
+
+impl<S: Sink> Sink for Writer<S> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+
+    fn measure(&mut self, len: u64) -> bool {
+        self.sink.measure(len)
+    }
+
+    fn reserve(&mut self, bytes: usize) {
+        self.sink.reserve(bytes);
     }
 }
 
@@ -347,8 +477,13 @@ impl<'a> Reader<'a> {
 impl<H: Hasher128> Cbf<H> {
     /// Encodes the filter into the portable wire format.
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_to(Vec::with_capacity(64))
+    }
+
+    /// [`Cbf::encode`] streamed into any [`Sink`].
+    pub fn encode_to<S: Sink>(&self, sink: S) -> S {
         let (limbs, len, width, saturations) = self.raw_parts();
-        let mut w = Writer::new(KIND_CBF);
+        let mut w = Writer::framed(sink, KIND_CBF);
         w.u64(len as u64);
         w.u32(width);
         w.u32(self.num_hashes());
@@ -402,8 +537,13 @@ impl<H: Hasher128> Mpcbf<u64, H> {
     /// Encodes the filter into the portable wire format
     /// (64-bit-word filters only — the paper's deployment configuration).
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_to(Vec::with_capacity(64))
+    }
+
+    /// [`Mpcbf::encode`] streamed into any [`Sink`].
+    pub fn encode_to<S: Sink>(&self, sink: S) -> S {
         let shape = self.shape();
-        let mut w = Writer::new(KIND_MPCBF64);
+        let mut w = Writer::framed(sink, KIND_MPCBF64);
         w.u64(shape.l);
         w.u32(shape.k);
         w.u32(shape.g);
@@ -517,7 +657,7 @@ impl<H: Hasher128> crate::resilient::ResilientMpcbf<H> {
 }
 
 /// Encodes one sorted roster (key → multiplicity) into `w`.
-fn encode_roster(w: &mut Writer, roster: &std::collections::HashMap<Vec<u8>, u32>) {
+fn encode_roster<S: Sink>(w: &mut Writer<S>, roster: &std::collections::HashMap<Vec<u8>, u32>) {
     w.u64(roster.len() as u64);
     let mut entries: Vec<(&Vec<u8>, &u32)> = roster.iter().collect();
     entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
@@ -565,7 +705,13 @@ impl<H: Hasher128> crate::elastic::ElasticMpcbf<H> {
     ///
     /// [`decode`]: crate::elastic::ElasticMpcbf::decode
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(KIND_ELASTIC);
+        self.encode_to(Vec::with_capacity(64))
+    }
+
+    /// [`ElasticMpcbf::encode`](crate::elastic::ElasticMpcbf::encode)
+    /// streamed into any [`Sink`].
+    pub fn encode_to<S: Sink>(&self, sink: S) -> S {
+        let mut w = Writer::framed(sink, KIND_ELASTIC);
         // Policy (f64 thresholds as raw bits).
         w.u64(self.policy.max_pressure.to_bits());
         w.u64(self.policy.release_pressure.to_bits());
@@ -1125,6 +1271,83 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    #[test]
+    fn streamed_encoders_match_the_in_memory_image() {
+        let images: [(Vec<u8>, Vec<u8>, u64); 3] = {
+            let cbf = loaded_cbf();
+            let mpcbf = loaded_mpcbf();
+            let elastic = loaded_elastic();
+            let measure = |m: Measure| m.bytes;
+            [
+                (
+                    cbf.encode(),
+                    cbf.encode_to(Vec::new()),
+                    measure(cbf.encode_to(Measure::default())),
+                ),
+                (
+                    mpcbf.encode(),
+                    mpcbf.encode_to(Vec::new()),
+                    measure(mpcbf.encode_to(Measure::default())),
+                ),
+                (
+                    elastic.encode(),
+                    elastic.encode_to(Vec::new()),
+                    measure(elastic.encode_to(Measure::default())),
+                ),
+            ]
+        };
+        for (image, streamed, measured) in images {
+            assert_eq!(streamed, image);
+            assert_eq!(measured, image.len() as u64);
+        }
+    }
+
+    #[test]
+    fn limbs_stream_in_chunks_without_changing_the_bytes() {
+        // Every count around the chunk size, and two chunks over.
+        for count in [0usize, 1, 511, 512, 513, 1024, 1025, 1500] {
+            let limbs: Vec<u64> = (0..count as u64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect();
+            let mut w = Writer::new(KIND_MPCBF64);
+            w.limbs(limbs.iter().copied());
+            let image = w.finish();
+            let mut expected = b"MPCB\x02\x01".to_vec();
+            for l in &limbs {
+                expected.extend_from_slice(&l.to_le_bytes());
+            }
+            let crc = crc32(&expected);
+            expected.extend_from_slice(&crc.to_le_bytes());
+            assert_eq!(image, expected, "{count} limbs");
+            // A source without an exact length is still measured right.
+            let mut measured = Writer::framed(Measure::default(), KIND_MPCBF64);
+            measured.limbs(limbs.iter().copied().filter(|_| true));
+            assert_eq!(measured.finish().bytes, expected.len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_writer_chains_the_checksum_of_an_image_written_through_it() {
+        // An outer unframed writer around an inner image: the outer CRC
+        // covers the prefix and the whole inner image, trailer included,
+        // exactly as if the image had been built first and copied in.
+        let image = loaded_mpcbf().encode();
+        let mut outer = Writer::unframed(Vec::new());
+        outer.bytes(b"HEAD");
+        loaded_mpcbf().encode_to(&mut outer);
+        let chained = outer.finish();
+        let mut expected = b"HEAD".to_vec();
+        expected.extend_from_slice(&image);
+        let crc = crc32(&expected);
+        expected.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(chained, expected);
+        // Measuring through the chain counts the same bytes.
+        let mut outer = Writer::unframed(Measure::default());
+        outer.bytes(b"HEAD");
+        loaded_mpcbf().encode_to(&mut outer);
+        assert_eq!(outer.finish().bytes, expected.len() as u64);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //!   reopened.
 //! * **Checkpoints.** [`publish_checkpoint`] writes a small envelope (the
 //!   per-shard sequence numbers at capture time, then the pool's codec
-//!   image, CRC-sealed) as `snap-*.snap` and purges older snapshots.
+//!   image, CRC-sealed) as `snap-*.snap` and purges older snapshots. The
+//!   envelope streams to disk one shard at a time, so a checkpoint never
+//!   holds a second copy of the pool.
 //! * **Recovery.** Load the newest valid snapshot, then scan, repair and
 //!   replay every shard's WAL **in parallel** (scoped threads — pool ops
 //!   take `&self`), each shard skipping records at or below its snapshot
@@ -44,7 +46,7 @@ use crate::report::RecoveryReport;
 use crate::snapshot::SnapshotStore;
 use crate::wal::Wal;
 use mpcbf_concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
-use mpcbf_core::codec::{self, crc32, CodecError};
+use mpcbf_core::codec::{self, crc32, CodecError, Measure, Sink, Writer};
 use mpcbf_core::{FilterError, ScaleSpec};
 use mpcbf_hash::Hasher128;
 use std::path::Path;
@@ -56,19 +58,43 @@ fn wal_prefix(shard: usize) -> String {
     format!("wal-s{shard:04}")
 }
 
-/// Builds the snapshot envelope: magic, per-shard seqs, inner image, CRC.
-pub fn encode_envelope(seqs: &[u64], image: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 4 + seqs.len() * 8 + 8 + image.len() + 4);
-    out.extend_from_slice(ENVELOPE_MAGIC);
-    out.extend_from_slice(&(seqs.len() as u32).to_le_bytes());
+/// Bytes of the envelope around an `image_len`-byte image for `shards`
+/// shards: magic, shard count, seqs, image length, image, CRC.
+fn envelope_len(shards: usize, image_len: u64) -> u64 {
+    4 + 4 + 8 * shards as u64 + 8 + image_len + 4
+}
+
+/// Streams the snapshot envelope into `sink`: magic, per-shard seqs, the
+/// `image_len`-byte image that `image` writes, and a CRC-32 over all of
+/// it, chained as the bytes pass through (the image's own codec CRC runs
+/// alongside in the same pass).
+fn write_envelope<S: Sink>(
+    sink: S,
+    seqs: &[u64],
+    image_len: u64,
+    image: impl FnOnce(&mut Writer<S>),
+) -> S {
+    let mut env = Writer::unframed(sink);
+    env.bytes(ENVELOPE_MAGIC);
+    env.u32(seqs.len() as u32);
     for &s in seqs {
-        out.extend_from_slice(&s.to_le_bytes());
+        env.u64(s);
     }
-    out.extend_from_slice(&(image.len() as u64).to_le_bytes());
-    out.extend_from_slice(image);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    env.u64(image_len);
+    image(&mut env);
+    env.finish()
+}
+
+/// Builds the snapshot envelope: magic, per-shard seqs, inner image, CRC.
+/// The bytes [`publish_checkpoint`] streams to disk for the same image.
+pub fn encode_envelope(seqs: &[u64], image: &[u8]) -> Vec<u8> {
+    let len = envelope_len(seqs.len(), image.len() as u64);
+    write_envelope(
+        Vec::with_capacity(len as usize),
+        seqs,
+        image.len() as u64,
+        |env| env.bytes(image),
+    )
 }
 
 /// Total parse of the envelope; `None` on any inconsistency.
@@ -143,9 +169,10 @@ pub trait ShardPool: Send + Sync {
     fn overflows(&self) -> u64 {
         0
     }
-    /// The pool's codec image, as checkpoints store it.
-    fn encode(&self) -> Vec<u8>;
-    /// Rebuilds a pool from [`ShardPool::encode`]'s image, validating
+    /// Streams the pool's codec image, as checkpoints store it, into
+    /// `sink` (a measuring sink gets its length).
+    fn encode_to(&self, sink: &mut dyn Sink);
+    /// Rebuilds a pool from [`ShardPool::encode_to`]'s image, validating
     /// everything.
     fn decode(image: &[u8]) -> Result<Self, CodecError>
     where
@@ -189,8 +216,8 @@ impl<H: Hasher128> ShardPool for ShardedMpcbf<u64, H> {
     fn overflows(&self) -> u64 {
         ShardedMpcbf::overflows(self)
     }
-    fn encode(&self) -> Vec<u8> {
-        ShardedMpcbf::encode(self)
+    fn encode_to(&self, sink: &mut dyn Sink) {
+        ShardedMpcbf::encode_to(self, sink);
     }
     fn decode(image: &[u8]) -> Result<Self, CodecError> {
         ShardedMpcbf::decode(image)
@@ -231,8 +258,8 @@ impl<H: Hasher128> ShardPool for ElasticShardedMpcbf<H> {
     fn contains_batch_bytes(&self, keys: &[&[u8]]) -> Vec<bool> {
         ElasticShardedMpcbf::contains_batch_bytes(self, keys)
     }
-    fn encode(&self) -> Vec<u8> {
-        ElasticShardedMpcbf::encode(self)
+    fn encode_to(&self, sink: &mut dyn Sink) {
+        ElasticShardedMpcbf::encode_to(self, sink);
     }
     fn decode(image: &[u8]) -> Result<Self, CodecError> {
         ElasticShardedMpcbf::decode(image)
@@ -381,13 +408,25 @@ impl ShardLog {
 /// shard's sequence number at capture time) and `pool`'s image, written
 /// atomically, then every older snapshot purged. Writers must be
 /// quiesced; afterwards each shard may [`ShardLog::truncate`].
+///
+/// The envelope is streamed to disk, never held whole: a measuring pass
+/// finds the image length the header carries, then the header, the
+/// pool's image (one shard at a time) and the CRC trailer go through the
+/// snapshot file's buffer. The file is byte-identical to
+/// [`encode_envelope`] of the pool's image; if the image length changed
+/// between the two passes, the snapshot is abandoned before publication.
 pub fn publish_checkpoint<P: ShardPool + ?Sized>(
     snapshots: &SnapshotStore,
     seqs: &[u64],
     pool: &P,
 ) -> Result<(), DurableError> {
     let snap_seq = seqs.iter().copied().max().unwrap_or(0);
-    snapshots.write(snap_seq, &encode_envelope(seqs, &pool.encode()))?;
+    let mut measured = Measure::default();
+    pool.encode_to(&mut measured);
+    let image_len = measured.bytes;
+    snapshots.write_with(snap_seq, envelope_len(seqs.len(), image_len), |file| {
+        write_envelope(file, seqs, image_len, |env| pool.encode_to(env));
+    })?;
     snapshots.purge_below(snap_seq)
 }
 

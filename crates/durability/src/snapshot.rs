@@ -2,20 +2,145 @@
 //!
 //! A snapshot is a full filter image (the codec's framed, CRC-sealed
 //! format) written under `{prefix}-{seq}.snap`. Publication is atomic:
-//! the image is written to a `.tmp` sibling, synced, then `rename`d over
+//! the image is streamed to a `.tmp` sibling, synced, then `rename`d over
 //! the final name, then the directory is synced. At no point does a
 //! half-written file carry a `.snap` name — a crash leaves either the
 //! old snapshot set, or the old set plus a stray `.tmp` that recovery
 //! ignores and the next snapshot cycle deletes. Snapshot images also
 //! self-validate (codec CRC), so even a corrupted published file is
 //! detected and skipped, falling back to the next-newest snapshot.
+//!
+//! The image is never materialised: the caller streams it through a
+//! buffered file [`Sink`] ([`SnapshotStore::write_with`]), so writing a
+//! snapshot costs a write buffer, not a second copy of the filter.
 
 use crate::error::DurableError;
 use crate::kill::{KillSite, KillSwitch};
 use crate::wal::sync_dir;
-use std::fs::{self, OpenOptions};
-use std::io::Write;
+use mpcbf_core::codec::Sink;
+use std::fs::{self, File, OpenOptions};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+
+/// Write buffer of a streamed file: four `write` calls per megabyte of
+/// image, and small next to the filter it is written beside.
+const FILE_BUFFER: usize = 256 << 10;
+
+/// The buffered file [`Sink`] behind [`write_file_atomic`]: counts every
+/// byte it is given, lets only an armed [`KillSite::SnapshotWrite`]
+/// budget's worth reach the file, and keeps the first I/O error for the
+/// end of the write (encoders cannot fail mid-stream).
+struct FileSink {
+    out: BufWriter<File>,
+    written: u64,
+    /// Bytes still allowed through before an injected crash.
+    budget: Option<u64>,
+    error: Option<std::io::Error>,
+}
+
+impl Sink for FileSink {
+    fn put(&mut self, bytes: &[u8]) {
+        self.written += bytes.len() as u64;
+        if self.error.is_some() {
+            return;
+        }
+        let bytes = match &mut self.budget {
+            Some(left) => {
+                let take = (*left).min(bytes.len() as u64);
+                *left -= take;
+                &bytes[..take as usize]
+            }
+            None => bytes,
+        };
+        if let Err(e) = self.out.write_all(bytes) {
+            self.error = Some(e);
+        }
+    }
+}
+
+/// Writes `path` atomically from a streamed body: `body` writes exactly
+/// `len` bytes into a buffered sink over `path.tmp`, which is flushed,
+/// fsynced, renamed over `path`, and the directory synced. A body that
+/// writes any other byte count aborts before the rename, and an I/O
+/// error removes the temp file; the previous `path` is untouched either
+/// way. An injected crash (`kill`) leaves the temp file, as a real one
+/// would.
+pub fn write_file_atomic(
+    path: &Path,
+    len: u64,
+    kill: &KillSwitch,
+    body: impl FnOnce(&mut dyn Sink),
+) -> Result<(), DurableError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let result = stream_file(&tmp, len, kill, body).and_then(|()| {
+        if let Some(site) = kill.check(KillSite::SnapshotRename) {
+            return Err(DurableError::Killed(site));
+        }
+        fs::rename(&tmp, path).map_err(|e| DurableError::io("rename temp file", e))
+    });
+    if let Err(e) = result {
+        if !e.is_kill() {
+            let _ = fs::remove_file(&tmp);
+        }
+        return Err(e);
+    }
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => sync_dir(dir),
+        _ => sync_dir(Path::new(".")),
+    }
+}
+
+/// Streams `body` into a fresh `tmp` and syncs it: the write half of
+/// [`write_file_atomic`].
+fn stream_file(
+    tmp: &Path,
+    len: u64,
+    kill: &KillSwitch,
+    body: impl FnOnce(&mut dyn Sink),
+) -> Result<(), DurableError> {
+    let file = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(true)
+        .open(tmp)
+        .map_err(|e| DurableError::io("create temp file", e))?;
+    let mut sink = FileSink {
+        out: BufWriter::with_capacity(FILE_BUFFER, file),
+        written: 0,
+        budget: kill.write_budget(KillSite::SnapshotWrite),
+        error: None,
+    };
+    body(&mut sink);
+    let FileSink {
+        out,
+        written,
+        budget,
+        error,
+    } = sink;
+    if let Some(e) = error {
+        return Err(DurableError::io("write temp file", e));
+    }
+    let file = out
+        .into_inner()
+        .map_err(|e| DurableError::io("write temp file", e.into_error()))?;
+    if budget.is_some() {
+        let _ = file.sync_data();
+        return Err(DurableError::Killed(KillSite::SnapshotWrite));
+    }
+    if written != len {
+        return Err(DurableError::io(
+            "write temp file",
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("streamed {written} bytes where {len} were measured"),
+            ),
+        ));
+    }
+    file.sync_data()
+        .map_err(|e| DurableError::io("sync temp file", e))
+}
 
 /// Snapshot reader/writer bound to one directory and prefix.
 pub struct SnapshotStore {
@@ -41,30 +166,19 @@ impl SnapshotStore {
 
     /// Publishes `image` as the snapshot at `seq`, atomically.
     pub fn write(&self, seq: u64, image: &[u8]) -> Result<(), DurableError> {
-        let tmp = self.dir.join(format!("{}-{seq:020}.snap.tmp", self.prefix));
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|e| DurableError::io("create snapshot tmp", e))?;
-        if let Some(budget) = self.kill.write_budget(KillSite::SnapshotWrite) {
-            let cut = (budget as usize).min(image.len());
-            file.write_all(&image[..cut])
-                .map_err(|e| DurableError::io("write snapshot", e))?;
-            let _ = file.sync_data();
-            return Err(DurableError::Killed(KillSite::SnapshotWrite));
-        }
-        file.write_all(image)
-            .map_err(|e| DurableError::io("write snapshot", e))?;
-        file.sync_data()
-            .map_err(|e| DurableError::io("sync snapshot", e))?;
-        drop(file);
-        if let Some(site) = self.kill.check(KillSite::SnapshotRename) {
-            return Err(DurableError::Killed(site));
-        }
-        fs::rename(&tmp, self.path(seq)).map_err(|e| DurableError::io("publish snapshot", e))?;
-        sync_dir(&self.dir)
+        self.write_with(seq, image.len() as u64, |sink| sink.put(image))
+    }
+
+    /// Publishes the snapshot at `seq`, atomically, streamed: `body`
+    /// writes exactly `len` bytes of image into the sink it is given
+    /// (see [`write_file_atomic`]).
+    pub fn write_with(
+        &self,
+        seq: u64,
+        len: u64,
+        body: impl FnOnce(&mut dyn Sink),
+    ) -> Result<(), DurableError> {
+        write_file_atomic(&self.path(seq), len, &self.kill, body)
     }
 
     /// Published snapshots, newest first. Stray `.tmp` files are ignored.
@@ -210,6 +324,29 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_length_mismatch_aborts_before_publication() {
+        // The body streams one byte more, then one byte fewer, than was
+        // measured: neither write may publish, and no temp file stays.
+        let dir = scratch_dir("mismatch");
+        let store = SnapshotStore::new(&dir, "snap", KillSwitch::new()).unwrap();
+        store.write(1, &[9, 0xAA]).unwrap();
+        for streamed in [&[1u8, 2, 3, 0xAA][..], &[1, 0xAA][..]] {
+            let err = store
+                .write_with(2, 3, |sink| sink.put(streamed))
+                .unwrap_err();
+            assert!(!err.is_kill(), "{err}");
+            let names: Vec<_> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            assert_eq!(names, vec![format!("snap-{:020}.snap", 1)], "{names:?}");
+        }
+        let (found, _) = store.load_latest_with(decode_ok).unwrap();
+        assert_eq!(found, Some((1, vec![9, 0xAA])));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,9 +13,12 @@
 //! from per-word running totals alone.
 
 use mpcbf::concurrent::{build_parallel, ShardedBulkBuilder, ShardedMpcbf};
-use mpcbf::core::{BulkBuilder, Filter, Mpcbf, MpcbfConfig, ResilientBulkBuilder, ResilientMpcbf};
+use mpcbf::core::bulk::BulkStage;
+use mpcbf::core::{
+    BulkBuilder, Filter, HcbfWord, Mpcbf, MpcbfConfig, ResilientBulkBuilder, ResilientMpcbf,
+};
 use mpcbf::durability::{DurabilityOptions, DurableSharded};
-use mpcbf::hash::Murmur3;
+use mpcbf::hash::{Hasher128, Murmur3};
 use mpcbf::workloads::BulkKeys;
 use proptest::prelude::*;
 
@@ -248,5 +251,69 @@ fn bulk_keys_deterministic_across_chunkings() {
             walked.extend(keys.iter().copied());
         });
         assert_eq!(walked, whole, "chunk size {chunk} changed the stream");
+    }
+}
+
+/// Under-hinted builds: the configuration expects a quarter of the keys
+/// pushed, so region buckets overflow mid-stream and their regions are
+/// swept again incrementally (dirty). Both staging modes must still
+/// match the scalar loop bit for bit, refusals included.
+#[test]
+fn under_hinted_builds_flush_mid_stream_and_stay_exact() {
+    for (k, g) in [(3u32, 1u32), (4, 2)] {
+        // 2^18 words, eight staging regions. The L1/L2 buckets hold about
+        // 266k entries before any reaches a region bucket, so the stream
+        // must run well past that.
+        let n = 400_000u64;
+        let cfg = config(1 << 24, n / 4, k, g, 31);
+        let stream = keys(31, n, 0, 0);
+
+        let mut naive: Mpcbf<u64, Murmur3> = Mpcbf::new(cfg);
+        for key in &stream {
+            let _ = naive.insert_bytes(key);
+        }
+
+        let mut builder: BulkBuilder<Murmur3> = BulkBuilder::new(cfg);
+        assert_eq!(builder.is_deferred(), g == 1);
+        builder.push_chunk(&stream);
+        assert!(
+            builder.stats().flushes > 0,
+            "test premise: a quarter hint must flush mid-stream (g={g})"
+        );
+        let bulk = build_parallel(builder, 2);
+
+        assert_eq!(naive.raw_words(), bulk.raw_words(), "g={g}");
+        assert_eq!(naive.items(), bulk.items(), "g={g}");
+        assert_eq!(naive.overflows(), bulk.overflows(), "g={g}");
+    }
+}
+
+/// At the hint every region is swept exactly once, onto empty words:
+/// no bucket fills mid-stream or while the finish drains L1 and L2, in
+/// either staging mode.
+#[test]
+fn at_the_hint_every_region_sweeps_once() {
+    // 2^19 words, sixteen regions, 0.8 keys per word.
+    let n = 420_000u64;
+    for (k, g) in [(3u32, 1u32), (4, 2)] {
+        let cfg = config(1 << 25, n, k, g, 33);
+        let shape = cfg.shape();
+        let mut stage = BulkStage::with_expected(shape.l, shape.k, shape.g, shape.b1, n);
+        assert_eq!(stage.is_deferred(), g == 1);
+        let mut words = vec![HcbfWord::<u64>::new(); shape.l as usize];
+        BulkKeys::new(33, n).for_each_chunk(8_192, |chunk| {
+            let digests: Vec<u128> = chunk
+                .iter()
+                .map(|key| Murmur3::hash128(cfg.seed(), key))
+                .collect();
+            stage.push_digests(&mut words, &digests);
+        });
+        stage.finish_into(&mut words);
+        let regions = words
+            .chunks(1 << 15)
+            .filter(|region| region.iter().any(|w| !w.is_empty()))
+            .count() as u64;
+        assert_eq!(regions, 16, "test premise, g={g}");
+        assert_eq!(stage.stats().flushes, regions, "g={g}");
     }
 }

@@ -415,3 +415,123 @@ fn a_directory_written_with_the_raw_primitives_recovers_through_the_wrapper() {
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The newest published snapshot file in `dir`.
+fn snapshot_file(dir: &std::path::Path) -> Vec<u8> {
+    let mut snaps: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .collect();
+    snaps.sort();
+    std::fs::read(snaps.last().expect("a published snapshot")).unwrap()
+}
+
+fn streamed_keys(tag: &str, n: usize) -> Vec<Vec<u8>> {
+    (0..n).map(|i| raw_key(tag, i)).collect()
+}
+
+/// A checkpoint streams its envelope to disk shard by shard; the file
+/// must still be byte-for-byte the in-memory envelope of the pool's
+/// image, for both pools.
+#[test]
+fn streamed_checkpoints_equal_the_in_memory_envelope() {
+    let keys = streamed_keys("stream", 3_000);
+    let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+
+    let dir = scratch_dir();
+    let pool: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(raw_config(), 4);
+    let mut durable = DurableSharded::create(pool, DurabilityOptions::new(&dir)).unwrap();
+    durable.insert_batch_bytes(&views).unwrap();
+    durable.snapshot().unwrap();
+    let expected = encode_envelope(&durable.shard_seqs(), &durable.inner().encode());
+    assert_eq!(snapshot_file(&dir), expected, "fixed pool");
+    drop(durable);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dir = scratch_dir();
+    let pool: ElasticShardedMpcbf<Murmur3> =
+        ElasticShardedMpcbf::manual(raw_config(), 4, CapacityPolicy::default()).unwrap();
+    let mut durable = DurableSharded::create(pool, DurabilityOptions::new(&dir)).unwrap();
+    durable.insert_batch_bytes(&views).unwrap();
+    durable.snapshot().unwrap();
+    let expected = encode_envelope(&durable.shard_seqs(), &durable.inner().encode());
+    assert_eq!(snapshot_file(&dir), expected, "elastic pool");
+    drop(durable);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A crash while the envelope streams to disk cuts the temp file at the
+/// exact byte budget — in the envelope header, inside shard 0's words,
+/// exactly on the boundary between two shards, and inside the CRC
+/// trailer — and recovery always lands on the previous snapshot plus
+/// the WAL, bit-identical to the pool at the crash.
+#[test]
+fn a_torn_streamed_checkpoint_recovers_the_previous_snapshot() {
+    const SHARDS: usize = 4;
+    let probe: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(raw_config(), SHARDS);
+    let envelope_header = 4 + 4 + 8 * SHARDS as u64 + 8;
+    let image_header = 6 + 8 + 4 + 4 + 4 + 8 + 4 + 8 + 8;
+    let shard_bytes = probe.words_per_shard() * 8;
+    let shard0 = envelope_header + image_header;
+    let total = envelope_header + probe.encode().len() as u64 + 4;
+    let budgets = [
+        ("envelope header", 10),
+        ("inside shard 0", shard0 + shard_bytes / 2),
+        ("shard boundary", shard0 + shard_bytes),
+        ("CRC trailer", total - 2),
+    ];
+    let first = streamed_keys("first", 1_000);
+    let second = streamed_keys("second", 500);
+    for (site, budget) in budgets {
+        let dir = scratch_dir();
+        let kill = KillSwitch::new();
+        let opts = DurabilityOptions::new(&dir).kill(kill.clone());
+        let pool: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(raw_config(), SHARDS);
+        let mut durable = DurableSharded::create(pool, opts.clone()).unwrap();
+        for key in &first {
+            durable.insert_bytes(key).unwrap();
+        }
+        durable.snapshot().unwrap();
+        let previous = durable.shard_seqs().into_iter().max();
+        for key in &second {
+            durable.insert_bytes(key).unwrap();
+        }
+        kill.arm(KillSite::SnapshotWrite, budget);
+        assert!(durable.snapshot().unwrap_err().is_kill(), "{site}");
+        let torn: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.to_string_lossy().ends_with(".snap.tmp"))
+            .collect();
+        assert_eq!(torn.len(), 1, "{site}: one torn temp file");
+        assert_eq!(
+            std::fs::metadata(&torn[0]).unwrap().len(),
+            budget,
+            "{site}: the file must be cut at the exact byte"
+        );
+        let reference: Vec<Vec<u64>> = (0..SHARDS)
+            .map(|s| durable.inner().shard_raw_words(s))
+            .collect();
+        drop(durable);
+
+        let (recovered, report) =
+            DurableSharded::<ShardedMpcbf<u64, Murmur3>>::open_or_recover(opts, || {
+                unreachable!("{site}: the previous snapshot must decode")
+            })
+            .unwrap();
+        assert_eq!(report.snapshot_seq, previous, "{site}");
+        assert_eq!(report.snapshots_corrupt, 0, "{site}");
+        assert_eq!(report.records_replayed, second.len() as u64, "{site}");
+        assert!(report.scrub_clean, "{site}");
+        for (s, words) in reference.iter().enumerate() {
+            assert_eq!(
+                &recovered.inner().shard_raw_words(s),
+                words,
+                "{site}: shard {s}"
+            );
+        }
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
