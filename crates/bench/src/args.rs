@@ -14,9 +14,10 @@
 //! * `--telemetry` — run the metered telemetry validation instead of the
 //!   normal workload: emits `BENCH_telemetry.json` plus a Prometheus text
 //!   page (honoured by `stress`);
-//! * `--gate` — regression-gate mode (honoured by `bench_batch`): measure,
-//!   compare against the recorded baseline JSON instead of overwriting it,
-//!   and exit non-zero on a regression;
+//! * `--gate` — regression-gate mode: measure, and exit non-zero on a
+//!   regression instead of writing a JSON — `bench_batch` and
+//!   `bench_bulk` against their committed JSON, `bench_durability`
+//!   against a fixed ceiling on the snapshot load's memory;
 //! * `--max-n N` — skip workload rungs above `N` keys (honoured by
 //!   `bench_bulk`, whose top rung needs gigabytes);
 //! * `--ramp` — run the elastic capacity-ramp drill instead of the normal

@@ -18,16 +18,24 @@
 //!   plus the scrub verdict;
 //! * `cold_start` — `bootstrap` plus `open_or_recover` of a bulk-built
 //!   8-shard filter (the `batch-mix-dram` shape at `--scale 1`: 6.4 M
-//!   keys in 512 Mb, k = 3), and each full-image pass inside them timed
-//!   alone, in ms and MB/s (10^6 bytes of codec image per second; each
-//!   figure the median of 3 runs), so a regression of any one pass shows
-//!   in the artifact.
+//!   keys in 512 Mb, k = 3), and the streamed stages inside them —
+//!   `publish` (the checkpoint written to disk), `load` (the snapshot
+//!   streamed into the pool) and `verify` — in ms and MB/s (10^6 bytes
+//!   of snapshot per second; each figure the median of 3 runs), plus the
+//!   peak-RSS growth of the load, so a regression of any one stage, or a
+//!   load that buffers the file again, shows in the artifact.
+//!
+//! `--gate` runs only the cold start and exits non-zero when the load's
+//! peak-RSS growth passes [`LOAD_RSS_GATE`] times the snapshot's bytes:
+//! a streamed load holds the pool and a read buffer, while one that
+//! reads the whole file first holds it twice.
 
-use mpcbf_bench::Args;
+use mpcbf_bench::{rss, Args};
 use mpcbf_concurrent::{ShardedBulkBuilder, ShardedMpcbf};
 use mpcbf_core::{Mpcbf, MpcbfConfig};
 use mpcbf_durability::{
-    decode_envelope, encode_envelope, DurabilityOptions, DurableFilter, DurableSharded, FsyncPolicy,
+    publish_checkpoint, DurabilityOptions, DurableFilter, DurableSharded, FsyncPolicy, KillSwitch,
+    SnapshotStore,
 };
 use mpcbf_hash::Murmur3;
 use mpcbf_workloads::BulkKeys;
@@ -121,8 +129,11 @@ fn recovery(wal_records: u64) -> RecoveryRow {
 const COLD_SHARDS: usize = 8;
 /// Repetitions per cold-start stage; the row reports their median.
 const COLD_REPS: usize = 3;
+/// Largest peak-RSS growth `--gate` accepts for a cold-start load, as a
+/// multiple of the snapshot's bytes.
+const LOAD_RSS_GATE: f64 = 1.25;
 
-/// One full-image pass of the cold start, timed alone.
+/// One streamed stage of the cold start, timed alone.
 struct Stage {
     name: &'static str,
     millis: f64,
@@ -131,11 +142,27 @@ struct Stage {
 
 struct ColdStartRow {
     keys: u64,
-    image_bytes: usize,
+    snapshot_bytes: u64,
     bootstrap_ms: f64,
     open_or_recover_ms: f64,
+    /// Largest peak-RSS growth over the loads, if measurable.
+    load_rss_growth: Option<u64>,
     scrub_clean: bool,
     stages: Vec<Stage>,
+}
+
+impl ColdStartRow {
+    /// The load's peak-RSS growth over the snapshot's bytes.
+    fn load_rss_ratio(&self) -> Option<f64> {
+        self.load_rss_growth
+            .map(|g| g as f64 / self.snapshot_bytes.max(1) as f64)
+    }
+}
+
+/// Median of `samples`, in place.
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Median wall-clock milliseconds of `COLD_REPS` calls of `f`; each
@@ -150,8 +177,7 @@ fn median_millis<T>(mut f: impl FnMut() -> T) -> f64 {
             millis
         })
         .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    median(&mut samples)
 }
 
 fn cold_start(keys: u64) -> ColdStartRow {
@@ -171,35 +197,7 @@ fn cold_start(keys: u64) -> ColdStartRow {
     let filter = builder.finish_parallel(2);
     let seqs = vec![0; filter.shard_count()];
 
-    let image = filter.encode();
-    let envelope = encode_envelope(&seqs, &image);
-    let stage = |name, millis: f64| Stage {
-        name,
-        millis,
-        mb_per_s: image.len() as f64 / 1e3 / millis.max(1e-9),
-    };
-    let seals = filter.seal();
-    let stages = vec![
-        stage("encode", median_millis(|| filter.encode())),
-        stage("envelope", median_millis(|| encode_envelope(&seqs, &image))),
-        stage(
-            "decode_envelope",
-            median_millis(|| decode_envelope(&envelope).expect("envelope")),
-        ),
-        stage(
-            "decode",
-            median_millis(|| ShardedMpcbf::<u64, Murmur3>::decode(&image).expect("decode")),
-        ),
-        stage("verify", median_millis(|| filter.verify().expect("verify"))),
-        stage("seal", median_millis(|| filter.seal())),
-        stage(
-            "scrub",
-            median_millis(|| assert!(filter.scrub(&seals).is_clean())),
-        ),
-    ];
-    drop(envelope);
-
-    // A fresh directory per bootstrap; recovery reopens the first.
+    // A fresh directory per bootstrap; the loads reopen the first.
     let dirs: Vec<PathBuf> = (0..COLD_REPS)
         .map(|rep| scratch_dir(&format!("cold-start-{rep}")))
         .collect();
@@ -208,27 +206,52 @@ fn cold_start(keys: u64) -> ColdStartRow {
         let dir = fresh.next().expect("one directory per repetition");
         DurableSharded::bootstrap(&filter, DurabilityOptions::new(dir)).expect("bootstrap")
     });
-    let mut scrub_clean = true;
+    let store = SnapshotStore::new(&dirs[1], "snap", KillSwitch::new()).expect("store");
+    let publish_ms = median_millis(|| publish_checkpoint(&store, &seqs, &filter).expect("publish"));
+    drop(filter);
+
+    let (mut load, mut verify) = (Vec::new(), Vec::new());
+    let (mut snapshot_bytes, mut scrub_clean) = (0, true);
+    let mut load_rss_growth = rss::reset_peak_rss().then_some(0);
     let open_or_recover_ms = median_millis(|| {
+        let before = rss::current_rss_bytes();
+        rss::reset_peak_rss();
         let (recovered, report) = DurableSharded::<ShardedMpcbf<u64, Murmur3>>::open_or_recover(
             DurabilityOptions::new(&dirs[0]),
             || unreachable!("snapshot present"),
         )
         .expect("recovery");
+        let growth = rss::peak_rss_bytes()
+            .zip(before)
+            .map(|(peak, before)| peak.saturating_sub(before));
+        load_rss_growth = load_rss_growth.zip(growth).map(|(max, g)| max.max(g));
         assert_eq!(report.records_replayed, 0, "bootstrap dir replayed WAL");
+        load.push(report.snapshot_load.as_secs_f64() * 1e3);
+        verify.push(report.verify.as_secs_f64() * 1e3);
+        snapshot_bytes = report.snapshot_bytes;
         scrub_clean &= report.scrub_clean;
         recovered
     });
     for dir in &dirs {
         std::fs::remove_dir_all(dir).expect("scratch cleanup");
     }
+    let stage = |name, millis: f64| Stage {
+        name,
+        millis,
+        mb_per_s: snapshot_bytes as f64 / 1e3 / millis.max(1e-9),
+    };
     ColdStartRow {
         keys,
-        image_bytes: image.len(),
+        snapshot_bytes,
         bootstrap_ms,
         open_or_recover_ms,
+        load_rss_growth,
         scrub_clean,
-        stages,
+        stages: vec![
+            stage("publish", publish_ms),
+            stage("load", median(&mut load)),
+            stage("verify", median(&mut verify)),
+        ],
     }
 }
 
@@ -265,12 +288,19 @@ fn to_json(
             "\n"
         });
     }
+    let growth = |v: Option<String>| v.unwrap_or_else(|| "null".into());
     let _ = write!(
         json,
-        "  ],\n  \"cold_start\": {{\"keys\": {}, \"shards\": {COLD_SHARDS}, \"image_bytes\": {}, \
-         \"bootstrap_ms\": {:.2}, \"open_or_recover_ms\": {:.2}, \"scrub_clean\": {}, \
-         \"stages\": [\n",
-        cold.keys, cold.image_bytes, cold.bootstrap_ms, cold.open_or_recover_ms, cold.scrub_clean
+        "  ],\n  \"cold_start\": {{\"keys\": {}, \"shards\": {COLD_SHARDS}, \"snapshot_bytes\": {}, \
+         \"bootstrap_ms\": {:.2}, \"open_or_recover_ms\": {:.2}, \"load_rss_growth_bytes\": {}, \
+         \"load_rss_ratio\": {}, \"scrub_clean\": {}, \"stages\": [\n",
+        cold.keys,
+        cold.snapshot_bytes,
+        cold.bootstrap_ms,
+        cold.open_or_recover_ms,
+        growth(cold.load_rss_growth.map(|g| g.to_string())),
+        growth(cold.load_rss_ratio().map(|r| format!("{r:.3}"))),
+        cold.scrub_clean
     );
     for (i, s) in cold.stages.iter().enumerate() {
         let _ = write!(
@@ -288,8 +318,60 @@ fn to_json(
     json
 }
 
+fn print_cold_start(cold: &ColdStartRow) {
+    println!(
+        "cold start of a bulk-built {COLD_SHARDS}-shard filter ({} keys, {:.1} MB snapshot):",
+        cold.keys,
+        cold.snapshot_bytes as f64 / 1e6
+    );
+    println!(
+        "  bootstrap {:>9.2} ms   open_or_recover {:>9.2} ms   scrub {}",
+        cold.bootstrap_ms,
+        cold.open_or_recover_ms,
+        if cold.scrub_clean { "clean" } else { "DIRTY" }
+    );
+    for s in &cold.stages {
+        println!(
+            "  {:<16} {:>9.2} ms {:>9.1} MB/s",
+            s.name, s.millis, s.mb_per_s
+        );
+    }
+    match (cold.load_rss_growth, cold.load_rss_ratio()) {
+        (Some(growth), Some(ratio)) => println!(
+            "  load peak RSS growth {:.1} MiB ({ratio:.3}x the snapshot)",
+            rss::bytes_to_mib(growth)
+        ),
+        _ => println!("  load peak RSS not measurable here (no VmHWM reset)"),
+    }
+}
+
+/// `--gate`: the cold start alone, failing when the load's peak-RSS
+/// growth passes [`LOAD_RSS_GATE`] times the snapshot's bytes.
+fn gate(keys: u64) -> bool {
+    let cold = cold_start(keys);
+    print_cold_start(&cold);
+    assert!(cold.scrub_clean, "cold-started image must scrub clean");
+    let Some(ratio) = cold.load_rss_ratio() else {
+        println!("gate: peak RSS not measurable here (no VmHWM reset); check skipped");
+        return true;
+    };
+    println!("gate: load peak RSS growth {ratio:.3}x the snapshot (ceiling {LOAD_RSS_GATE}x)");
+    if ratio > LOAD_RSS_GATE {
+        eprintln!("gate: FAIL — the snapshot load holds more than one copy of the filter");
+        return false;
+    }
+    true
+}
+
 fn main() {
     let args = Args::parse();
+    if args.gate {
+        if !gate(args.scaled(6_400_000)) {
+            std::process::exit(1);
+        }
+        println!("gate: OK");
+        return;
+    }
     let ops = args.scaled(8_000);
 
     println!("durable insert throughput ({ops} scalar inserts per policy):");
@@ -326,25 +408,8 @@ fn main() {
     }
 
     let cold = cold_start(args.scaled(6_400_000));
-    println!(
-        "cold start of a bulk-built {COLD_SHARDS}-shard filter ({} keys, {:.1} MB image):",
-        cold.keys,
-        cold.image_bytes as f64 / 1e6
-    );
-    println!(
-        "  bootstrap {:>9.2} ms   open_or_recover {:>9.2} ms   scrub {}",
-        cold.bootstrap_ms,
-        cold.open_or_recover_ms,
-        if cold.scrub_clean { "clean" } else { "DIRTY" }
-    );
-    for s in &cold.stages {
-        println!(
-            "  {:<16} {:>9.2} ms {:>9.1} MB/s",
-            s.name, s.millis, s.mb_per_s
-        );
-    }
+    print_cold_start(&cold);
     assert!(cold.scrub_clean, "cold-started image must scrub clean");
-
     let json = to_json(&throughputs, &recoveries, &cold);
     std::fs::write("BENCH_durability.json", &json).expect("write BENCH_durability.json");
     println!("wrote BENCH_durability.json");

@@ -121,37 +121,15 @@ impl<T> AlignedVec<T> {
     }
 
     /// Allocates `len` elements, initialising element `i` to `f(i)`.
-    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> T) -> Self {
-        if len == 0 {
-            return AlignedVec {
-                ptr: NonNull::dangling(),
-                len: 0,
-                _owns: PhantomData,
-            };
-        }
-        let layout = Self::layout(len);
-        // SAFETY: `len > 0` and `T` is sized, so `layout` is non-zero-sized.
-        let raw = unsafe { alloc(layout) };
-        let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
-            handle_alloc_error(layout);
-        };
-        let mut guard = BuildGuard {
-            ptr,
-            initialised: 0,
-            layout,
-        };
-        for i in 0..len {
-            // SAFETY: `i < len`, so `ptr.add(i)` is in the allocation; the
-            // slot is uninitialised, so `write` leaks nothing.
-            unsafe { ptr.as_ptr().add(i).write(f(i)) };
-            guard.initialised = i + 1;
-        }
-        core::mem::forget(guard);
-        AlignedVec {
-            ptr,
-            len,
-            _owns: PhantomData,
-        }
+    pub fn from_fn(len: usize, f: impl FnMut(usize) -> T) -> Self {
+        Self::build(len, false, f)
+    }
+
+    /// [`AlignedVec::from_fn`], but the fresh buffer is advised toward
+    /// transparent huge pages *before* `f`'s values first touch it (see
+    /// [`AlignedVec::filled_huge`]).
+    pub fn from_fn_huge(len: usize, f: impl FnMut(usize) -> T) -> Self {
+        Self::build(len, true, f)
     }
 
     /// Allocates `len` copies of `value`.
@@ -174,8 +152,18 @@ impl<T> AlignedVec<T> {
     where
         T: Clone,
     {
+        Self::from_fn_huge(len, |_| value.clone())
+    }
+
+    /// The one constructor: allocates, optionally advises huge pages
+    /// before the first write, then initialises element `i` to `f(i)`.
+    fn build(len: usize, huge: bool, mut f: impl FnMut(usize) -> T) -> Self {
         if len == 0 {
-            return Self::filled(len, value);
+            return AlignedVec {
+                ptr: NonNull::dangling(),
+                len: 0,
+                _owns: PhantomData,
+            };
         }
         let layout = Self::layout(len);
         // SAFETY: `len > 0` and `T` is sized, so `layout` is non-zero-sized.
@@ -183,7 +171,9 @@ impl<T> AlignedVec<T> {
         let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
             handle_alloc_error(layout);
         };
-        advise_huge_raw(raw as usize, raw as usize + layout.size());
+        if huge {
+            advise_huge_raw(raw as usize, raw as usize + layout.size());
+        }
         let mut guard = BuildGuard {
             ptr,
             initialised: 0,
@@ -192,7 +182,7 @@ impl<T> AlignedVec<T> {
         for i in 0..len {
             // SAFETY: `i < len`, so `ptr.add(i)` is in the allocation; the
             // slot is uninitialised, so `write` leaks nothing.
-            unsafe { ptr.as_ptr().add(i).write(value.clone()) };
+            unsafe { ptr.as_ptr().add(i).write(f(i)) };
             guard.initialised = i + 1;
         }
         core::mem::forget(guard);
@@ -216,15 +206,6 @@ impl<T> AlignedVec<T> {
     pub fn advise_huge(&mut self) {
         let start = self.ptr.as_ptr() as usize;
         advise_huge_raw(start, start + self.len * core::mem::size_of::<T>());
-    }
-
-    /// Collects an iterator of exactly `len` elements.
-    ///
-    /// # Panics
-    /// Panics if the iterator yields fewer than `len` elements.
-    pub fn from_iter_exact(len: usize, iter: impl IntoIterator<Item = T>) -> Self {
-        let mut iter = iter.into_iter();
-        Self::from_fn(len, |_| iter.next().expect("iterator shorter than len"))
     }
 
     /// The fixed element count.
@@ -426,9 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn from_iter_exact_roundtrips() {
-        let v = AlignedVec::from_iter_exact(4, [10u64, 20, 30, 40]);
-        assert_eq!(v.as_slice(), &[10, 20, 30, 40]);
+    fn huge_advised_buffers_hold_what_they_were_built_with() {
+        let v = AlignedVec::from_fn_huge(300_000, |i| i as u64 * 3);
+        assert_eq!(v.as_ptr() as usize % CACHE_LINE_BYTES, 0);
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i as u64 * 3));
+        assert!(AlignedVec::<u64>::from_fn_huge(0, |_| unreachable!()).is_empty());
     }
 
     #[test]

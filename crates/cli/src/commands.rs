@@ -48,26 +48,30 @@ impl AnyFilter {
         }
     }
 
-    fn decode(image: &[u8]) -> Result<Self, CliError> {
+    /// Loads the image at `path`, streamed from the file into the filter
+    /// (one copy of it in memory): MPCBF first, then CBF.
+    fn load(path: &str) -> Result<Self, CliError> {
+        use std::io::{Seek, SeekFrom};
+        let failed = |e: std::io::Error| CliError::Runtime(format!("cannot read {path}: {e}"));
+        let file = std::fs::File::open(path).map_err(failed)?;
+        let len = file.metadata().map_err(failed)?.len();
+        let mut src = std::io::BufReader::with_capacity(256 << 10, file);
         // Keep the error of the decoder the image was *for*: a corrupt
         // MPCBF image fails the CBF fallback with `UnknownKind`, which
         // would mask the precise diagnosis (checksum mismatch, truncation).
-        let first = match Mpcbf::<u64, Murmur3>::decode(image) {
+        let first = match Mpcbf::<u64, Murmur3>::read_from(&mut src, len).0 {
             Ok(f) => return Ok(AnyFilter::Mpcbf(f)),
+            Err(CodecError::Io(kind)) => return Err(failed(kind.into())),
             Err(e) => e,
         };
-        let e = match Cbf::<Murmur3>::decode(image) {
+        src.seek(SeekFrom::Start(0)).map_err(failed)?;
+        let e = match Cbf::<Murmur3>::read_from(&mut src, len).0 {
             Ok(f) => return Ok(AnyFilter::Cbf(f)),
+            Err(CodecError::Io(kind)) => return Err(failed(kind.into())),
             Err(CodecError::UnknownKind(_)) => first,
             Err(e) => e,
         };
         Err(CliError::Runtime(format!("cannot decode filter: {e}")))
-    }
-
-    fn load(path: &str) -> Result<Self, CliError> {
-        let image = std::fs::read(path)
-            .map_err(|e| CliError::Runtime(format!("cannot read {path}: {e}")))?;
-        Self::decode(&image)
     }
 
     /// Replaces the file at `path` atomically: the image streams into

@@ -23,6 +23,7 @@ use mpcbf_core::policy::CapacityPolicy;
 use mpcbf_core::{CountingFilter, Filter, FilterError};
 use mpcbf_hash::{Hasher128, Murmur3};
 use parking_lot::Mutex;
+use std::io::BufRead;
 
 use crate::sharded::SHARD_BITS;
 
@@ -271,18 +272,26 @@ impl<H: Hasher128> ElasticShardedMpcbf<H> {
     /// [`ElasticShardedMpcbf::encode`]. Every nested elastic image
     /// revalidates its own envelope and invariants.
     pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
-        let mut r = codec::Reader::open(buf, codec::KIND_ELASTIC_SHARDED)?;
+        codec::decode_framed(buf, codec::KIND_ELASTIC_SHARDED, Self::read_body)
+    }
+
+    /// [`ElasticShardedMpcbf::decode`] of a `len`-byte image streamed
+    /// from `src` (a snapshot file).
+    pub fn read_from(src: &mut dyn BufRead, len: u64) -> codec::Framed<Self> {
+        codec::read_framed(src, len, codec::KIND_ELASTIC_SHARDED, Self::read_body)
+    }
+
+    fn read_body(r: &mut codec::Reader<'_>) -> Result<Self, CodecError> {
         let seed = r.u64()?;
         let count = r.u32()? as usize;
         if count == 0 || !count.is_power_of_two() || count > 1usize << SHARD_BITS {
             return Err(CodecError::BadHeader("shard count"));
         }
-        let mut shards = Vec::with_capacity(count.min(r.remaining() / 8));
+        let mut shards = Vec::with_capacity(count.min(r.remaining() as usize / 8));
         for _ in 0..count {
-            let len = r.u64()? as usize;
-            shards.push(ElasticMpcbf::<H>::decode(r.bytes(len)?)?);
+            let len = r.u64()?;
+            shards.push(r.nested(len, ElasticMpcbf::<H>::read_from)?);
         }
-        r.expect_end()?;
         Ok(Self::from_shards(shards, seed))
     }
 }

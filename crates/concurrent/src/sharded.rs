@@ -60,6 +60,7 @@ use mpcbf_core::{FilterError, PlanBuffer, ProbePlan};
 use mpcbf_hash::mix::bits_for;
 use mpcbf_hash::{Hasher128, Murmur3};
 use parking_lot::Mutex;
+use std::io::BufRead;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -159,8 +160,9 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
         (shard_count, l.div_ceil(shard_count).max(1) as u64)
     }
 
-    /// A filter over word arrays built elsewhere (the bulk builder's),
-    /// one per shard, with `overflows` refusals already tallied.
+    /// A filter over word arrays built elsewhere (the bulk builder's, or
+    /// the codec's, which streams an image's words into them), one per
+    /// shard, with `overflows` refusals already tallied.
     ///
     /// # Panics
     /// Panics unless `shards` has the count and lengths
@@ -695,8 +697,19 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
     /// revalidating the shard geometry and every word's hierarchy
     /// invariant — malformed images error, never panic.
     pub fn decode(buf: &[u8]) -> Result<Self, codec::CodecError> {
+        codec::decode_framed(buf, codec::KIND_SHARDED64, Self::read_body)
+    }
+
+    /// [`ShardedMpcbf::decode`] of a `len`-byte image streamed from
+    /// `src` (a snapshot file): each shard's words are read in cache-sized
+    /// chunks, checksummed, checked and written straight into that
+    /// shard's array, so the load holds one copy of the filter.
+    pub fn read_from(src: &mut dyn BufRead, len: u64) -> codec::Framed<Self> {
+        codec::read_framed(src, len, codec::KIND_SHARDED64, Self::read_body)
+    }
+
+    fn read_body(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
         use codec::CodecError;
-        let mut r = codec::Reader::open(buf, codec::KIND_SHARDED64)?;
         let l = r.u64()?;
         let k = r.u32()?;
         let g = r.u32()?;
@@ -720,27 +733,17 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
             .seed(seed)
             .build()
             .map_err(|_| CodecError::BadHeader("shape"))?;
-        let filter: Self = ShardedMpcbf::new(config, shard_count);
-        // `new` re-derives the geometry from (l, shard_count); a stored
+        // The geometry `new` would derive from (l, shard_count); a stored
         // geometry it disagrees with means the header is inconsistent.
-        if filter.shard_count() != shard_count || filter.words_per_shard != words_per_shard {
+        if Self::geometry(&config, shard_count) != (shard_count, words_per_shard) {
             return Err(CodecError::BadHeader("shard geometry"));
         }
-        let b1 = filter.shape.b1;
-        for shard in &filter.shards {
-            let limbs = r.limbs(words_per_shard as usize)?;
-            let mut guard = shard.lock();
-            for (slot, raw) in guard.iter_mut().zip(limbs) {
-                let word = HcbfWord::<u64>::from_raw(raw);
-                if word.check_invariants(b1).is_err() {
-                    return Err(CodecError::BadHeader("word invariant"));
-                }
-                *slot = word;
-            }
+        let b1 = config.shape().b1;
+        let mut shards = Vec::with_capacity(shard_count);
+        for _ in 0..shard_count {
+            shards.push(r.hcbf_words(words_per_shard as usize, b1)?);
         }
-        r.expect_end()?;
-        filter.overflows.store(overflows, Ordering::Relaxed);
-        Ok(filter)
+        Ok(Self::from_shard_words(config, shards, overflows))
     }
 }
 

@@ -1176,7 +1176,7 @@ impl<H: Hasher128> BulkBuilder<H> {
         exec(&mut jobs);
         self.stage.absorb_jobs(&jobs);
         drop(jobs);
-        Mpcbf::from_bulk_parts(
+        Mpcbf::from_words(
             self.config,
             self.words,
             self.stage.items(),

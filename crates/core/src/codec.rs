@@ -14,14 +14,39 @@
 //! ```
 //!
 //! No serde: the format is explicit, stable, and independent of Rust
-//! struct layout. Decoding validates the checksum, the magic, and every
-//! structural invariant before constructing a filter.
+//! struct layout.
+//!
+//! Both directions stream, so each byte of an image crosses memory once
+//! per side. A [`Writer`] checksums and hands on cache-sized pieces as
+//! it goes, into any [`Sink`] (a `Vec`, a [`Measure`], a file). A
+//! [`Reader`] reads from any [`BufRead`] (a slice, or a buffered file):
+//! per cache-sized chunk it checksums, parses, checks each word and
+//! writes it straight into the filter's array. Decoding still checks
+//! everything before a filter is returned, with the checks run while
+//! the bytes stream:
+//!
+//! * magic, kind and version come first, from the header;
+//! * every length field is bounded by the bytes the image holds (the
+//!   slice's or the file's length) before anything is allocated for it;
+//! * every word is checked as it lands;
+//! * no value is returned until the trailer matches the CRC of the body;
+//!   after any structural failure the rest of the body is still
+//!   checksummed, so damage reports [`CodecError::ChecksumMismatch`]
+//!   ahead of whatever structural error it caused.
+//!
+//! Nested images (a resilient filter's main and gate, an elastic stack's
+//! generations) are read in the same pass: their CRC joins the outer one
+//! through [`crc32_combine`] instead of a second checksum of their bytes.
+//! `decode(&[u8])` is the slice form of each type's `read_from`.
 
 use crate::cbf::Cbf;
 use crate::config::MpcbfConfig;
+use crate::hcbf::HcbfWord;
 use crate::mpcbf::Mpcbf;
 use crate::traits::Filter;
+use mpcbf_bitvec::AlignedVec;
 use mpcbf_hash::Hasher128;
+use std::io::BufRead;
 
 /// Errors from decoding a filter image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,6 +68,9 @@ pub enum CodecError {
     },
     /// A header field is structurally invalid.
     BadHeader(&'static str),
+    /// Reading the image's source failed (a streamed file), or it ended
+    /// before the length it was opened with. Not a verdict on the image.
+    Io(std::io::ErrorKind),
 }
 
 impl std::fmt::Display for CodecError {
@@ -59,6 +87,7 @@ impl std::fmt::Display for CodecError {
                 )
             }
             CodecError::BadHeader(what) => write!(f, "invalid header field: {what}"),
+            CodecError::Io(kind) => write!(f, "read error: {}", std::io::Error::from(*kind)),
         }
     }
 }
@@ -93,13 +122,14 @@ const MAX_DECODE_ENTRIES: u64 = 1 << 40;
 /// The reflected IEEE CRC-32 polynomial.
 const CRC_POLY: u32 = 0xEDB8_8320;
 
-/// Slicing-by-8 tables: `CRC_TABLES[0][b]` is the classic byte-at-a-time
-/// table, and `CRC_TABLES[t][b]` is the CRC contribution of byte `b`
-/// followed by `t` zero bytes. Built at compile time (8 KiB, static).
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+/// Slicing-by-16 tables: `CRC_TABLES[0][b]` is the classic
+/// byte-at-a-time table, and `CRC_TABLES[t][b]` is the CRC contribution
+/// of byte `b` followed by `t` zero bytes. Built at compile time
+/// (16 KiB, static).
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut b = 0;
     while b < 256 {
         let mut crc = b as u32;
@@ -114,7 +144,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     let mut b = 0;
     while b < 256 {
         let mut t = 1;
-        while t < 8 {
+        while t < 16 {
             let prev = tables[t - 1][b];
             tables[t][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             t += 1;
@@ -127,13 +157,23 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 /// IEEE CRC-32 (reflected, poly 0xEDB88320) of `data`.
 ///
 /// Every full-image integrity pass runs through here: codec images at
-/// each checkpoint and cold start, MPSS snapshot envelopes, WAL frames,
-/// and the per-segment seals of scrubs. It therefore runs slicing-by-8
-/// (eight table lookups per 8 input bytes, no data-dependent branches),
-/// several times the throughput of a bit-at-a-time loop, with output
-/// bit-identical to it so every stored image stays valid.
+/// each checkpoint and cold start, WAL frames, and the per-segment seals
+/// of scrubs. It therefore runs slicing-by-16 (sixteen independent table
+/// lookups per 16 input bytes, no data-dependent branches), many times
+/// the throughput of a bit-at-a-time loop, with output bit-identical to
+/// it so every stored image stays valid.
 pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0, data)
+}
+
+/// The contribution of the 4 bytes of `word` (little-endian) followed
+/// by `zeros` zero bytes.
+#[inline(always)]
+fn crc_fold(t: &[[u32; 256]; 16], word: u32, zeros: usize) -> u32 {
+    t[zeros + 3][(word & 0xFF) as usize]
+        ^ t[zeros + 2][((word >> 8) & 0xFF) as usize]
+        ^ t[zeros + 1][((word >> 16) & 0xFF) as usize]
+        ^ t[zeros][(word >> 24) as usize]
 }
 
 /// Extends a finished CRC-32 with more bytes: for any split,
@@ -143,25 +183,82 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[inline]
 pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
+    let word = |c: &[u8], at: usize| u32::from_le_bytes([c[at], c[at + 1], c[at + 2], c[at + 3]]);
     let mut crc = !crc;
-    let mut chunks = data.chunks_exact(8);
+    let mut chunks = data.chunks_exact(16);
     for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        crc = crc_fold(t, crc ^ word(c, 0), 12)
+            ^ crc_fold(t, word(c, 4), 8)
+            ^ crc_fold(t, word(c, 8), 4)
+            ^ crc_fold(t, word(c, 12), 0);
     }
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
+
+/// The CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`,
+/// without touching the bytes: zlib's `crc32_combine`, which shifts
+/// `crc32(a)` across `len_b` zero bytes by squaring a GF(2) 32×32
+/// matrix, O(log len_b) steps. The snapshot envelope uses it to take in
+/// the CRC its image already carries instead of checksumming the image a
+/// second time, on write and on load.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    fn times(matrix: &[u32; 32], mut vector: u32) -> u32 {
+        let mut sum = 0;
+        let mut row = 0;
+        while vector != 0 {
+            if vector & 1 != 0 {
+                sum ^= matrix[row];
+            }
+            vector >>= 1;
+            row += 1;
+        }
+        sum
+    }
+    fn square(matrix: &[u32; 32]) -> [u32; 32] {
+        std::array::from_fn(|row| times(matrix, matrix[row]))
+    }
+    if len_b == 0 {
+        return crc_a;
+    }
+    // The operator for one zero bit, then two, then four.
+    let mut odd = [0u32; 32];
+    odd[0] = CRC_POLY;
+    for (row, slot) in odd.iter_mut().enumerate().skip(1) {
+        *slot = 1 << (row - 1);
+    }
+    let mut even = square(&odd);
+    odd = square(&even);
+    // Apply len_b zero bytes, one power-of-two operator per set bit.
+    let (mut crc, mut len) = (crc_a, len_b);
+    loop {
+        even = square(&odd);
+        if len & 1 != 0 {
+            crc = times(&even, crc);
+        }
+        len >>= 1;
+        if len == 0 {
+            break;
+        }
+        odd = square(&even);
+        if len & 1 != 0 {
+            crc = times(&odd, crc);
+        }
+        len >>= 1;
+        if len == 0 {
+            break;
+        }
+    }
+    crc ^ crc_b
+}
+
+/// The CRC-32 of any sealed image — a body followed by its own CRC-32,
+/// little-endian — whatever the body: the CRC's residue. A writer that
+/// has just sealed an image therefore knows the image's CRC without
+/// computing it, and a reader can tell an intact image by it.
+pub const CRC32_RESIDUE: u32 = 0x2144_DF1C;
 
 /// Bit-at-a-time CRC-32: the test oracle [`crc32`] must match on every
 /// input.
@@ -181,10 +278,6 @@ fn crc32_reference(data: &[u8]) -> u32 {
 /// Where a [`Writer`] sends the bytes it encodes: an in-memory image
 /// (`Vec<u8>`), a [`Measure`] that only counts them, or a file (the
 /// durability crate streams snapshots through a buffered file sink).
-///
-/// Sinks compose: a [`Writer`] is itself a sink that carries its running
-/// CRC-32, so an image written into another writer (the snapshot
-/// envelope) chains both checksums in one pass over the bytes.
 pub trait Sink {
     /// Appends `bytes`.
     fn put(&mut self, bytes: &[u8]);
@@ -273,16 +366,10 @@ impl Writer {
 impl<S: Sink> Writer<S> {
     /// Starts an image of the given kind byte, written into `sink`.
     pub fn framed(sink: S, kind: u8) -> Self {
-        let mut w = Writer::unframed(sink);
+        let mut w = Writer { sink, crc: 0 };
         w.bytes(MAGIC);
         w.bytes(&[kind, VERSION]);
         w
-    }
-
-    /// A writer without the codec header: only the running CRC and its
-    /// trailer (the snapshot envelope frames itself this way).
-    pub fn unframed(sink: S) -> Self {
-        Writer { sink, crc: 0 }
     }
 
     /// Reserves room for `bytes` more bytes, so an in-memory image whose
@@ -354,123 +441,304 @@ impl<S: Sink> Writer<S> {
     }
 }
 
-impl<S: Sink> Sink for Writer<S> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.bytes(bytes);
-    }
+/// A decoded value and the CRC-32 of every byte of its image, trailer
+/// included — what [`read_framed`] and the types' `read_from` return.
+/// The CRC lets an enclosing checksum (a nesting image, the snapshot
+/// envelope) take the image in with [`crc32_combine`] instead of a
+/// second pass. It covers all the image's bytes even when the value is
+/// an error, except an [`CodecError::Io`], after which it means nothing.
+pub type Framed<T> = (Result<T, CodecError>, u32);
 
-    fn measure(&mut self, len: u64) -> bool {
-        self.sink.measure(len)
-    }
-
-    fn reserve(&mut self, bytes: usize) {
-        self.sink.reserve(bytes);
-    }
-}
-
-/// Cursor over a framed image previously produced by [`Writer`].
+/// Cursor over a framed image previously produced by [`Writer`], read as
+/// it streams from any [`BufRead`] source: a slice (`&[u8]`) or a
+/// buffered file.
 ///
-/// [`Reader::open`] validates the envelope (magic, kind, version, CRC)
-/// before any field is read, and every accessor bounds-checks against
-/// the body — malformed input yields [`CodecError`], never a panic and
-/// never an unbounded allocation.
+/// The image's length is known up front (the slice's, or the file's), so
+/// every length field is bounded by the bytes that remain before anything
+/// is allocated for it. Bytes are read in 4 KiB pieces, each
+/// checksummed and parsed while it sits in L1, so each byte crosses
+/// memory once. Decoders run inside [`read_framed`], which owns the
+/// verdict order: magic, kind and version are checked first; after any
+/// other failure the rest of the body is still checksummed, so a damaged
+/// image reports [`CodecError::ChecksumMismatch`] ahead of whatever
+/// structural error the damage caused, and no value is returned before
+/// the trailer matches. Malformed input yields [`CodecError`], never a
+/// panic and never an unbounded allocation.
 pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    src: &'a mut dyn BufRead,
+    /// Body bytes (everything before the CRC trailer) not yet read.
+    body_left: u64,
+    /// CRC-32 of the body bytes read so far.
+    crc: u32,
+    /// The header's kind byte.
+    kind: u8,
 }
 
-impl<'a> Reader<'a> {
-    /// Validates magic/kind/version/CRC and positions after the header.
-    pub fn open(buf: &'a [u8], kind: u8) -> Result<Self, CodecError> {
-        if buf.len() < MAGIC.len() + 2 + 4 {
+/// Reads the `len`-byte framed image at the front of `src` with `body`
+/// (which reads the fields after the header) and returns the value with
+/// the CRC-32 of the image's bytes (see [`Framed`]). `kind` is the kind
+/// byte the header must carry (`None`: any).
+///
+/// On every outcome but an I/O error all `len` bytes are consumed, so a
+/// caller reading a longer stream stays aligned.
+fn frame<T>(
+    src: &mut dyn BufRead,
+    len: u64,
+    kind: Option<u8>,
+    body: impl FnOnce(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Framed<T> {
+    let trailer = len.min(4) as usize;
+    let mut r = Reader {
+        src,
+        body_left: len - trailer as u64,
+        crc: 0,
+        kind: 0,
+    };
+    let header = r.header(len, kind);
+    let early = header.is_err();
+    let result = header
+        .and_then(|()| body(&mut r))
+        .and_then(|value| match r.body_left {
+            0 => Ok(value),
+            _ => Err(CodecError::BadHeader("trailing bytes")),
+        });
+    r.seal(result, trailer, early)
+}
+
+/// Decodes the `len`-byte image of kind `kind` streamed from `src` with
+/// `body`, for types that read the fields after the header (see
+/// [`Reader`] for the checks and their order).
+pub fn read_framed<T>(
+    src: &mut dyn BufRead,
+    len: u64,
+    kind: u8,
+    body: impl FnOnce(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Framed<T> {
+    frame(src, len, Some(kind), body)
+}
+
+/// [`read_framed`] over an in-memory image.
+pub fn decode_framed<T>(
+    buf: &[u8],
+    kind: u8,
+    body: impl FnOnce(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Result<T, CodecError> {
+    let mut src = buf;
+    read_framed(&mut src, buf.len() as u64, kind, body).0
+}
+
+/// Checks the magic, version and CRC of a `len`-byte image of any kind
+/// streamed from `src`, without decoding it: `Ok` carries its kind byte.
+pub fn check_framed(src: &mut dyn BufRead, len: u64) -> Framed<u8> {
+    frame(src, len, None, |r| {
+        r.skip(r.body_left)?;
+        Ok(r.kind)
+    })
+}
+
+impl Reader<'_> {
+    /// Reads and checks magic, kind and version.
+    fn header(&mut self, len: u64, kind: Option<u8>) -> Result<(), CodecError> {
+        if len < (MAGIC.len() + 2 + 4) as u64 {
             return Err(CodecError::Truncated);
         }
-        if &buf[..4] != MAGIC {
+        let mut head = [0u8; 6];
+        self.fill(&mut head)?;
+        if &head[..4] != MAGIC {
             return Err(CodecError::BadMagic);
         }
-        if buf[4] != kind {
-            return Err(CodecError::UnknownKind(buf[4]));
+        if kind.is_some_and(|k| k != head[4]) {
+            return Err(CodecError::UnknownKind(head[4]));
         }
-        if buf[5] != VERSION {
-            return Err(CodecError::UnsupportedVersion(buf[5]));
+        if head[5] != VERSION {
+            return Err(CodecError::UnsupportedVersion(head[5]));
         }
-        let body = &buf[..buf.len() - 4];
-        let stored = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(CodecError::ChecksumMismatch { stored, computed });
+        self.kind = head[4];
+        Ok(())
+    }
+
+    /// Checksums whatever body is left, reads the `trailer`-byte CRC and
+    /// settles the verdict: a header error stands as it is, then a CRC
+    /// mismatch, then `result`.
+    fn seal<T>(mut self, result: Result<T, CodecError>, trailer: usize, early: bool) -> Framed<T> {
+        if let Err(CodecError::Io(_)) = result {
+            return (result, self.crc);
         }
-        Ok(Reader { buf: body, pos: 6 })
+        if let Err(e) = self.skip(self.body_left) {
+            return (Err(e), self.crc);
+        }
+        let mut stored = [0u8; 4];
+        if let Err(e) = self.src.read_exact(&mut stored[..trailer]) {
+            return (Err(CodecError::Io(e.kind())), self.crc);
+        }
+        let computed = self.crc;
+        let all = crc32_update(computed, &stored[..trailer]);
+        let stored = u32::from_le_bytes(stored);
+        let result = match result {
+            Err(e) if early => Err(e),
+            _ if trailer == 4 && stored != computed => {
+                Err(CodecError::ChecksumMismatch { stored, computed })
+            }
+            result => result,
+        };
+        (result, all)
+    }
+
+    /// Reads `out.len()` body bytes, checksummed.
+    fn fill(&mut self, out: &mut [u8]) -> Result<(), CodecError> {
+        if out.len() as u64 > self.body_left {
+            return Err(CodecError::Truncated);
+        }
+        self.src
+            .read_exact(out)
+            .map_err(|e| CodecError::Io(e.kind()))?;
+        self.crc = crc32_update(self.crc, out);
+        self.body_left -= out.len() as u64;
+        Ok(())
+    }
+
+    /// Checksums and drops `count` body bytes in place, without copying.
+    fn skip(&mut self, count: u64) -> Result<(), CodecError> {
+        if count > self.body_left {
+            return Err(CodecError::Truncated);
+        }
+        let mut left = count;
+        while left > 0 {
+            let buf = match self.src.fill_buf() {
+                Ok([]) => return Err(CodecError::Io(std::io::ErrorKind::UnexpectedEof)),
+                Ok(buf) => buf,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(CodecError::Io(e.kind())),
+            };
+            let take = buf.len().min(usize::try_from(left).unwrap_or(usize::MAX));
+            self.crc = crc32_update(self.crc, &buf[..take]);
+            self.src.consume(take);
+            left -= take as u64;
+            self.body_left -= take as u64;
+        }
+        Ok(())
     }
 
     /// Reads a little-endian u32 field.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        let end = self.pos + 4;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let v = u32::from_le_bytes(self.buf[self.pos..end].try_into().expect("4 bytes"));
-        self.pos = end;
-        Ok(v)
+        let mut b = [0u8; 4];
+        self.fill(&mut b)?;
+        Ok(u32::from_le_bytes(b))
     }
 
     /// Reads a little-endian u64 field.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let end = self.pos + 8;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let v = u64::from_le_bytes(self.buf[self.pos..end].try_into().expect("8 bytes"));
-        self.pos = end;
-        Ok(v)
+        let mut b = [0u8; 8];
+        self.fill(&mut b)?;
+        Ok(u64::from_le_bytes(b))
     }
 
-    /// Reads `count` raw bytes, bounds-checked against the body.
-    pub fn bytes(&mut self, count: usize) -> Result<&'a [u8], CodecError> {
-        let end = self
-            .pos
-            .checked_add(count)
-            .ok_or(CodecError::BadHeader("byte run overflows"))?;
-        if end > self.buf.len() {
+    /// Reads `count` raw bytes; a count the body cannot hold is
+    /// [`CodecError::Truncated`] before anything is allocated.
+    pub fn bytes(&mut self, count: u64) -> Result<Vec<u8>, CodecError> {
+        if count > self.body_left {
             return Err(CodecError::Truncated);
         }
-        let b = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(b)
+        let mut out = vec![0u8; count as usize];
+        self.fill(&mut out)?;
+        Ok(out)
     }
 
     /// Body bytes not yet consumed (excludes the CRC trailer).
-    pub fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
+    pub fn remaining(&self) -> u64 {
+        self.body_left
     }
 
-    /// Reads `count` little-endian u64 limbs in place, bounds-checked
-    /// once for the whole run: callers check and install each limb
-    /// straight into its destination, or collect them.
-    ///
-    /// The count is validated against the remaining body before anything
-    /// is read: a CRC-valid image with a crafted huge length field
-    /// produces [`CodecError::Truncated`], never an OOM abort.
-    pub fn limbs(
-        &mut self,
-        count: usize,
-    ) -> Result<impl ExactSizeIterator<Item = u64> + 'a, CodecError> {
-        let need = count
+    /// Bytes `count` limbs occupy, checked against the remaining body.
+    fn limb_bytes(&self, count: usize) -> Result<u64, CodecError> {
+        let need = (count as u64)
             .checked_mul(8)
             .ok_or(CodecError::BadHeader("limb count overflows"))?;
-        Ok(self
-            .bytes(need)?
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))))
+        if need > self.body_left {
+            return Err(CodecError::Truncated);
+        }
+        Ok(need)
     }
 
-    /// Fails unless every body byte has been consumed.
-    pub fn expect_end(&self) -> Result<(), CodecError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CodecError::BadHeader("trailing bytes"))
+    /// Reads `count` little-endian u64 limbs into a `Vec`.
+    pub fn limbs(&mut self, count: usize) -> Result<Vec<u64>, CodecError> {
+        self.limb_bytes(count)?;
+        let mut limbs = Vec::with_capacity(count);
+        let mut chunk = [0u8; CHUNK];
+        while limbs.len() < count {
+            let take = ((count - limbs.len()) * 8).min(CHUNK);
+            self.fill(&mut chunk[..take])?;
+            limbs.extend(
+                chunk[..take]
+                    .chunks_exact(8)
+                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
+            );
         }
+        Ok(limbs)
+    }
+
+    /// Reads `count` HCBF words straight into a new cache-line-aligned
+    /// array, checking each word's invariant for `b1` while its chunk is
+    /// in L1: the array is written once, never prefilled or copied. The
+    /// count is checked against the remaining body before the array is
+    /// allocated, which is advised toward huge pages before its first
+    /// write (it is the filter the caller serves). After the first
+    /// error the rest of the array is left empty and dropped.
+    pub fn hcbf_words(
+        &mut self,
+        count: usize,
+        b1: u32,
+    ) -> Result<AlignedVec<HcbfWord<u64>>, CodecError> {
+        let mut left = self.limb_bytes(count)? as usize;
+        let mut chunk = [0u8; CHUNK];
+        let (mut pos, mut end) = (0, 0);
+        let mut failed = None;
+        let words = AlignedVec::from_fn_huge(count, |_| {
+            if failed.is_some() {
+                return HcbfWord::new();
+            }
+            if pos == end {
+                end = left.min(CHUNK);
+                if let Err(e) = self.fill(&mut chunk[..end]) {
+                    failed = Some(e);
+                    return HcbfWord::new();
+                }
+                left -= end;
+                pos = 0;
+            }
+            let raw = u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("8 bytes"));
+            pos += 8;
+            let word = HcbfWord::from_raw(raw);
+            if word.check_invariants(b1).is_err() {
+                failed = Some(CodecError::BadHeader("word invariant"));
+                return HcbfWord::new();
+            }
+            word
+        });
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(words),
+        }
+    }
+
+    /// Reads a nested `len`-byte framed image with `read` (a type's
+    /// `read_from`). The nested image's CRC joins this one's through
+    /// [`crc32_combine`], so its bytes are checksummed once.
+    pub fn nested<T>(
+        &mut self,
+        len: u64,
+        read: impl FnOnce(&mut dyn BufRead, u64) -> Framed<T>,
+    ) -> Result<T, CodecError> {
+        if len > self.body_left {
+            return Err(CodecError::Truncated);
+        }
+        let (result, crc) = read(&mut *self.src, len);
+        if let Err(CodecError::Io(_)) = result {
+            return result;
+        }
+        self.crc = crc32_combine(self.crc, crc, len);
+        self.body_left -= len;
+        result
     }
 }
 
@@ -497,7 +765,15 @@ impl<H: Hasher128> Cbf<H> {
 
     /// Decodes a filter previously produced by [`Cbf::encode`].
     pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::open(buf, KIND_CBF)?;
+        decode_framed(buf, KIND_CBF, Self::read_body)
+    }
+
+    /// [`Cbf::decode`] of a `len`-byte image streamed from `src`.
+    pub fn read_from(src: &mut dyn BufRead, len: u64) -> Framed<Self> {
+        read_framed(src, len, KIND_CBF, Self::read_body)
+    }
+
+    fn read_body(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = r.u64()? as usize;
         let width = r.u32()?;
         let k = r.u32()?;
@@ -518,8 +794,7 @@ impl<H: Hasher128> Cbf<H> {
             .checked_mul(width as usize)
             .ok_or(CodecError::BadHeader("counter geometry"))?
             .div_ceil(64);
-        let limbs = r.limbs(limb_count)?.collect();
-        r.expect_end()?;
+        let limbs = r.limbs(limb_count)?;
         Ok(Self::from_raw_parts(
             limbs,
             len,
@@ -557,7 +832,17 @@ impl<H: Hasher128> Mpcbf<u64, H> {
 
     /// Decodes a filter previously produced by [`Mpcbf::encode`].
     pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::open(buf, KIND_MPCBF64)?;
+        decode_framed(buf, KIND_MPCBF64, Self::read_body)
+    }
+
+    /// [`Mpcbf::decode`] of a `len`-byte image streamed from `src`: the
+    /// words go straight into the filter's array, each checked as it
+    /// lands.
+    pub fn read_from(src: &mut dyn BufRead, len: u64) -> Framed<Self> {
+        read_framed(src, len, KIND_MPCBF64, Self::read_body)
+    }
+
+    fn read_body(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let l = r.u64()?;
         let k = r.u32()?;
         let g = r.u32()?;
@@ -577,19 +862,10 @@ impl<H: Hasher128> Mpcbf<u64, H> {
             .seed(seed)
             .build()
             .map_err(|_| CodecError::BadHeader("shape"))?;
-        let limbs: Vec<u64> = r.limbs(l as usize)?.collect();
-        r.expect_end()?;
         // Reject corrupted words: every word must satisfy the HCBF
         // capacity invariant for this b1.
-        let b1 = config.shape().b1;
-        for (i, &raw) in limbs.iter().enumerate() {
-            let word = crate::hcbf::HcbfWord::<u64>::from_raw(raw);
-            if word.check_invariants(b1).is_err() {
-                let _ = i;
-                return Err(CodecError::BadHeader("word invariant"));
-            }
-        }
-        Ok(Self::from_raw_parts(config, limbs, items, overflows))
+        let words = r.hcbf_words(l as usize, config.shape().b1)?;
+        Ok(Self::from_words(config, words, items, overflows))
     }
 }
 
@@ -627,22 +903,31 @@ impl<H: Hasher128> crate::resilient::ResilientMpcbf<H> {
     /// spill entry is bounds-checked — a malformed image errors, it
     /// never panics or fabricates spill state.
     pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::open(buf, KIND_RESILIENT)?;
-        let main_len = r.u64()? as usize;
-        let main = Mpcbf::<u64, H>::decode(r.bytes(main_len)?)?;
-        let gate_len = r.u64()? as usize;
-        let gate = Cbf::<H>::decode(r.bytes(gate_len)?)?;
+        decode_framed(buf, KIND_RESILIENT, Self::read_body)
+    }
+
+    /// [`ResilientMpcbf::decode`](crate::resilient::ResilientMpcbf::decode)
+    /// of a `len`-byte image streamed from `src`.
+    pub fn read_from(src: &mut dyn BufRead, len: u64) -> Framed<Self> {
+        read_framed(src, len, KIND_RESILIENT, Self::read_body)
+    }
+
+    fn read_body(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let main_len = r.u64()?;
+        let main = r.nested(main_len, Mpcbf::<u64, H>::read_from)?;
+        let gate_len = r.u64()?;
+        let gate = r.nested(gate_len, Cbf::<H>::read_from)?;
         let spilled_inserts = r.u64()?;
         let entry_count = r.u64()?;
         // Each entry is at least 8 bytes on the wire, so the remaining
         // body bounds the plausible count before anything is allocated.
-        if entry_count > (r.remaining() as u64) / 8 {
+        if entry_count > r.remaining() / 8 {
             return Err(CodecError::BadHeader("spill entry count"));
         }
         let mut exact = std::collections::HashMap::with_capacity(entry_count as usize);
         for _ in 0..entry_count {
-            let klen = r.u32()? as usize;
-            let key = r.bytes(klen)?.to_vec();
+            let klen = r.u32()?;
+            let key = r.bytes(u64::from(klen))?;
             let mult = r.u32()?;
             if mult == 0 {
                 return Err(CodecError::BadHeader("zero spill multiplicity"));
@@ -651,7 +936,6 @@ impl<H: Hasher128> crate::resilient::ResilientMpcbf<H> {
                 return Err(CodecError::BadHeader("duplicate spill key"));
             }
         }
-        r.expect_end()?;
         Ok(Self::from_spill_parts(main, gate, exact, spilled_inserts))
     }
 }
@@ -674,13 +958,13 @@ fn decode_roster(
     r: &mut Reader<'_>,
 ) -> Result<std::collections::HashMap<Vec<u8>, u32>, CodecError> {
     let entry_count = r.u64()?;
-    if entry_count > (r.remaining() as u64) / 8 {
+    if entry_count > r.remaining() / 8 {
         return Err(CodecError::BadHeader("roster entry count"));
     }
     let mut roster = std::collections::HashMap::with_capacity(entry_count as usize);
     for _ in 0..entry_count {
-        let klen = r.u32()? as usize;
-        let key = r.bytes(klen)?.to_vec();
+        let klen = r.u32()?;
+        let key = r.bytes(u64::from(klen))?;
         let mult = r.u32()?;
         if mult == 0 {
             return Err(CodecError::BadHeader("zero roster multiplicity"));
@@ -778,10 +1062,19 @@ impl<H: Hasher128> crate::elastic::ElasticMpcbf<H> {
     /// generations — a malformed image errors, never panics, and never
     /// fabricates a stack that the filter's own invariants would reject.
     pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
+        decode_framed(buf, KIND_ELASTIC, Self::read_body)
+    }
+
+    /// [`ElasticMpcbf::decode`](crate::elastic::ElasticMpcbf::decode) of
+    /// a `len`-byte image streamed from `src`.
+    pub fn read_from(src: &mut dyn BufRead, len: u64) -> Framed<Self> {
+        read_framed(src, len, KIND_ELASTIC, Self::read_body)
+    }
+
+    fn read_body(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         use crate::elastic::{BaseParams, Generation, ScaleSpec};
         use crate::policy::CapacityPolicy;
 
-        let mut r = Reader::open(buf, KIND_ELASTIC)?;
         let policy = CapacityPolicy {
             max_pressure: f64::from_bits(r.u64()?),
             release_pressure: f64::from_bits(r.u64()?),
@@ -822,7 +1115,7 @@ impl<H: Hasher128> crate::elastic::ElasticMpcbf<H> {
             None
         };
         let gen_count = r.u64()?;
-        if gen_count == 0 || gen_count > (r.remaining() as u64) / 32 {
+        if gen_count == 0 || gen_count > r.remaining() / 32 {
             return Err(CodecError::BadHeader("generation count"));
         }
         let mut generations: Vec<Generation<H>> = Vec::with_capacity(gen_count as usize);
@@ -835,9 +1128,9 @@ impl<H: Hasher128> crate::elastic::ElasticMpcbf<H> {
             last_id = Some(id);
             let memory_bits = r.u64()?;
             let expected_items = r.u64()?;
-            let image_len = r.u64()? as usize;
-            let filter = crate::resilient::ResilientMpcbf::<H>::decode(r.bytes(image_len)?)?;
-            let roster = decode_roster(&mut r)?;
+            let image_len = r.u64()?;
+            let filter = r.nested(image_len, crate::resilient::ResilientMpcbf::<H>::read_from)?;
+            let roster = decode_roster(r)?;
             let total: u64 = roster.values().map(|&c| u64::from(c)).sum();
             if total != filter.items() {
                 return Err(CodecError::BadHeader("roster does not cover the filter"));
@@ -852,7 +1145,7 @@ impl<H: Hasher128> crate::elastic::ElasticMpcbf<H> {
         }
         let migration_sources = if flags & 8 != 0 {
             let count = r.u64()?;
-            if count > (r.remaining() as u64) / 8 {
+            if count > r.remaining() / 8 {
                 return Err(CodecError::BadHeader("migration source count"));
             }
             let active_id = generations.last().expect("gen_count >= 1").id;
@@ -868,7 +1161,6 @@ impl<H: Hasher128> crate::elastic::ElasticMpcbf<H> {
         } else {
             None
         };
-        r.expect_end()?;
         Ok(Self::from_parts(
             generations,
             policy,
@@ -1078,6 +1370,20 @@ mod tests {
         }
 
         #[test]
+        fn crc32_combine_equals_the_crc_of_the_concatenation(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..=4096,
+            cut in 0usize..=4096,
+        ) {
+            let bytes = crc_bytes(seed, len);
+            let (a, b) = bytes[..len].split_at(cut.min(len));
+            proptest::prop_assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                crc32(&bytes[..len])
+            );
+        }
+
+        #[test]
         fn crc32_update_chains_over_any_split(
             seed in proptest::prelude::any::<u64>(),
             len in 0usize..=4096,
@@ -1095,6 +1401,134 @@ mod tests {
             }
             proptest::prop_assert_eq!(crc, crc32(data));
         }
+    }
+
+    #[test]
+    fn crc32_combine_joins_known_halves() {
+        let (a, b) = (&b"12345"[..], &b"6789"[..]);
+        assert_eq!(crc32_combine(crc32(a), crc32(b), 4), 0xCBF4_3926);
+        assert_eq!(crc32_combine(crc32(a), crc32(b""), 0), crc32(a));
+        assert_eq!(crc32_combine(0, crc32(b), 4), crc32(b));
+    }
+
+    #[test]
+    fn every_sealed_image_checksums_to_the_residue() {
+        for len in [0usize, 1, 7, 64, 4099] {
+            let mut image = crc_bytes(len as u64, len);
+            image.truncate(len);
+            let crc = crc32(&image);
+            image.extend_from_slice(&crc.to_le_bytes());
+            assert_eq!(crc32(&image), CRC32_RESIDUE, "{len} bytes");
+        }
+        assert_eq!(crc32(&loaded_mpcbf().encode()), CRC32_RESIDUE);
+    }
+
+    /// A source that hands out at most `step` bytes per read, so every
+    /// field and chunk straddles reads.
+    fn trickle(buf: &[u8], step: usize) -> std::io::BufReader<std::io::Cursor<&[u8]>> {
+        std::io::BufReader::with_capacity(step, std::io::Cursor::new(buf))
+    }
+
+    #[test]
+    fn streamed_decodes_equal_the_slice_decodes_at_any_read_size() {
+        let mp = loaded_mpcbf().encode();
+        let cbf = loaded_cbf().encode();
+        let res = {
+            let cfg = MpcbfConfig::builder()
+                .memory_bits(256)
+                .expected_items(1000)
+                .hashes(3)
+                .n_max(1)
+                .seed(5)
+                .build()
+                .unwrap();
+            let mut f: ResilientMpcbf<Murmur3> = ResilientMpcbf::new(cfg);
+            for i in 0..200u64 {
+                f.insert(&i).unwrap();
+            }
+            f.encode()
+        };
+        let elastic = loaded_elastic().encode();
+        for step in [1usize, 3, 8, 4095, 1 << 16] {
+            let (m, crc) =
+                Mpcbf::<u64, Murmur3>::read_from(&mut trickle(&mp, step), mp.len() as u64);
+            assert_eq!(m.unwrap().encode(), mp, "step {step}");
+            assert_eq!(crc, CRC32_RESIDUE);
+            let (c, _) = Cbf::<Murmur3>::read_from(&mut trickle(&cbf, step), cbf.len() as u64);
+            assert_eq!(c.unwrap().encode(), cbf, "step {step}");
+            let (r, _) =
+                ResilientMpcbf::<Murmur3>::read_from(&mut trickle(&res, step), res.len() as u64);
+            assert_eq!(r.unwrap().encode(), res, "step {step}");
+            let (e, crc) = ElasticMpcbf::<Murmur3>::read_from(
+                &mut trickle(&elastic, step),
+                elastic.len() as u64,
+            );
+            assert_eq!(e.unwrap().encode(), elastic, "step {step}");
+            assert_eq!(crc, CRC32_RESIDUE);
+        }
+    }
+
+    #[test]
+    fn a_stream_that_ends_early_is_a_read_error_not_a_verdict() {
+        // The source holds fewer bytes than the length it was opened
+        // with (a file that shrank): an I/O error, never Truncated or a
+        // checksum verdict that would count the snapshot as corrupt.
+        let image = loaded_mpcbf().encode();
+        for cut in [6usize, 60, image.len() - 1] {
+            let (result, _) =
+                Mpcbf::<u64, Murmur3>::read_from(&mut &image[..cut], image.len() as u64);
+            assert_eq!(
+                result.err(),
+                Some(CodecError::Io(std::io::ErrorKind::UnexpectedEof)),
+                "cut {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_damaged_word_reports_the_checksum_first_and_consumes_the_image() {
+        // Break a word's invariant: with the trailer left stale the CRC
+        // verdict wins; re-sealed, the structural error shows. Either way
+        // the reader consumes exactly the image, so a nesting reader stays
+        // aligned, and the returned CRC covers every byte.
+        let image = loaded_mpcbf().encode();
+        let words_at = image.len() - 4 - 8 * loaded_mpcbf().shape().l as usize;
+        let mut broken = image.clone();
+        broken[words_at..words_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let body = broken.len() - 4;
+        let mut resealed = broken.clone();
+        let crc = crc32(&resealed[..body]);
+        resealed[body..].copy_from_slice(&crc.to_le_bytes());
+        for (bytes, expect_crc_error) in [(&broken, true), (&resealed, false)] {
+            let mut stream = bytes.clone();
+            stream.extend_from_slice(b"NEXT");
+            let mut src = &stream[..];
+            let (result, all) = Mpcbf::<u64, Murmur3>::read_from(&mut src, bytes.len() as u64);
+            let err = result.unwrap_err();
+            assert_eq!(
+                matches!(err, CodecError::ChecksumMismatch { .. }),
+                expect_crc_error,
+                "{err}"
+            );
+            if !expect_crc_error {
+                assert_eq!(err, CodecError::BadHeader("word invariant"));
+            }
+            assert_eq!(src, b"NEXT");
+            assert_eq!(all, crc32(bytes));
+        }
+    }
+
+    #[test]
+    fn nested_lengths_past_the_body_are_truncation_before_allocation() {
+        // A resilient image whose main-image length claims more bytes
+        // than the body holds: refused before anything nested is read.
+        let mut w = Writer::new(KIND_RESILIENT);
+        w.u64(u64::MAX);
+        let image = w.finish();
+        assert_eq!(
+            ResilientMpcbf::<Murmur3>::decode(&image).err(),
+            Some(CodecError::Truncated)
+        );
     }
 
     #[test]
@@ -1326,28 +1760,6 @@ mod tests {
             measured.limbs(limbs.iter().copied().filter(|_| true));
             assert_eq!(measured.finish().bytes, expected.len() as u64);
         }
-    }
-
-    #[test]
-    fn a_writer_chains_the_checksum_of_an_image_written_through_it() {
-        // An outer unframed writer around an inner image: the outer CRC
-        // covers the prefix and the whole inner image, trailer included,
-        // exactly as if the image had been built first and copied in.
-        let image = loaded_mpcbf().encode();
-        let mut outer = Writer::unframed(Vec::new());
-        outer.bytes(b"HEAD");
-        loaded_mpcbf().encode_to(&mut outer);
-        let chained = outer.finish();
-        let mut expected = b"HEAD".to_vec();
-        expected.extend_from_slice(&image);
-        let crc = crc32(&expected);
-        expected.extend_from_slice(&crc.to_le_bytes());
-        assert_eq!(chained, expected);
-        // Measuring through the chain counts the same bytes.
-        let mut outer = Writer::unframed(Measure::default());
-        outer.bytes(b"HEAD");
-        loaded_mpcbf().encode_to(&mut outer);
-        assert_eq!(outer.finish().bytes, expected.len() as u64);
     }
 
     #[test]

@@ -139,7 +139,9 @@ impl MpcbfConfigBuilder {
                 ));
             }
             let k_per_word = self.hashes.div_ceil(self.accesses);
-            let hierarchy = k_per_word * n_max;
+            // Saturating: a decoded image's n_max is untrusted, and any
+            // product past the word width is refused just below.
+            let hierarchy = k_per_word.saturating_mul(n_max);
             let b1 = i64::from(self.word_bits) - i64::from(hierarchy);
             if b1 < i64::from(k_per_word.max(1)) {
                 return Err(ConfigError::Shape(

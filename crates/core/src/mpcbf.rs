@@ -697,10 +697,9 @@ impl<H: Hasher128> Mpcbf<u64, H> {
         self.words[word] = HcbfWord::from_raw(damaged);
     }
 
-    /// Assembles a filter around a bulk-built word array (the
-    /// `bulk::BulkBuilder` finish path — the builder stages into its own
-    /// array and installs it here).
-    pub(crate) fn from_bulk_parts(
+    /// Assembles a filter around a word array built elsewhere: the bulk
+    /// builder's, or the codec's, which streams an image's words into it.
+    pub(crate) fn from_words(
         config: crate::config::MpcbfConfig,
         words: AlignedVec<HcbfWord<u64>>,
         items: u64,
@@ -710,28 +709,6 @@ impl<H: Hasher128> Mpcbf<u64, H> {
         debug_assert_eq!(words.len(), shape.l as usize);
         Mpcbf {
             words,
-            shape,
-            seed: config.seed(),
-            items,
-            overflows,
-            _hasher: PhantomData,
-        }
-    }
-
-    /// Rebuilds a filter from decoded raw words (the codec's decode path).
-    pub(crate) fn from_raw_parts(
-        config: crate::config::MpcbfConfig,
-        raw: Vec<u64>,
-        items: u64,
-        overflows: u64,
-    ) -> Self {
-        let shape = config.shape();
-        debug_assert_eq!(raw.len(), shape.l as usize);
-        Mpcbf {
-            words: AlignedVec::from_iter_exact(
-                shape.l as usize,
-                raw.into_iter().map(HcbfWord::from_raw),
-            ),
             shape,
             seed: config.seed(),
             items,

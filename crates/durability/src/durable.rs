@@ -22,18 +22,21 @@ use crate::report::RecoveryReport;
 use crate::sharded::stored_mode;
 use crate::snapshot::SnapshotStore;
 use crate::wal::{FsyncPolicy, Wal};
+use mpcbf_core::codec::Framed;
 use mpcbf_core::{Cbf, CodecError, CountingFilter, FilterError, Mpcbf, ResilientMpcbf};
 use mpcbf_hash::Hasher128;
+use std::io::BufRead;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A filter the durability layer can snapshot and restore: codec image
 /// in, codec image out, plus a post-recovery integrity cross-check.
 pub trait DurableImage: Sized {
     /// Full-state image through the codec encode path.
     fn encode_image(&self) -> Vec<u8>;
-    /// Rebuilds the filter from an image, validating everything.
-    fn decode_image(buf: &[u8]) -> Result<Self, CodecError>;
+    /// Rebuilds the filter from a `len`-byte image streamed from `src`,
+    /// validating everything (the type's codec `read_from`).
+    fn read_image(src: &mut dyn BufRead, len: u64) -> Framed<Self>;
     /// Post-recovery cross-check: structural verify plus a seal/scrub
     /// pass, proving the scrub machinery accepts the recovered image.
     fn verify_integrity(&self) -> bool;
@@ -43,8 +46,8 @@ impl<H: Hasher128> DurableImage for Mpcbf<u64, H> {
     fn encode_image(&self) -> Vec<u8> {
         self.encode()
     }
-    fn decode_image(buf: &[u8]) -> Result<Self, CodecError> {
-        Self::decode(buf)
+    fn read_image(src: &mut dyn BufRead, len: u64) -> Framed<Self> {
+        Self::read_from(src, len)
     }
     fn verify_integrity(&self) -> bool {
         self.verify().is_ok() && self.scrub(&self.seal()).is_clean()
@@ -55,8 +58,8 @@ impl<H: Hasher128> DurableImage for Cbf<H> {
     fn encode_image(&self) -> Vec<u8> {
         self.encode()
     }
-    fn decode_image(buf: &[u8]) -> Result<Self, CodecError> {
-        Self::decode(buf)
+    fn read_image(src: &mut dyn BufRead, len: u64) -> Framed<Self> {
+        Self::read_from(src, len)
     }
     fn verify_integrity(&self) -> bool {
         self.verify().is_ok() && self.scrub(&self.seal()).is_clean()
@@ -67,8 +70,8 @@ impl<H: Hasher128> DurableImage for ResilientMpcbf<H> {
     fn encode_image(&self) -> Vec<u8> {
         self.encode()
     }
-    fn decode_image(buf: &[u8]) -> Result<Self, CodecError> {
-        Self::decode(buf)
+    fn read_image(src: &mut dyn BufRead, len: u64) -> Framed<Self> {
+        Self::read_from(src, len)
     }
     fn verify_integrity(&self) -> bool {
         self.verify().is_ok() && self.scrub(&self.seal()).is_clean()
@@ -190,27 +193,36 @@ impl<F: CountingFilter + DurableImage> DurableFilter<F> {
     ) -> Result<(Self, RecoveryReport), DurableError> {
         let snapshots = SnapshotStore::new(&opts.dir, SNAP_PREFIX, opts.kill.clone())?;
         let mut report = RecoveryReport::default();
-        let (base, corrupt) = snapshots.load_latest_with(|bytes| match F::decode_image(bytes) {
-            Ok(filter) => Some(Ok(filter)),
-            // Intact, but a sharded pool's envelope.
-            Err(CodecError::BadMagic) => stored_mode(bytes).map(Err),
-            Err(_) => None,
+        let started = Instant::now();
+        let (base, corrupt) = snapshots.stream_latest_with(|file, len| {
+            Ok(match F::read_image(file, len).0 {
+                Ok(filter) => Some(Ok(filter)),
+                Err(CodecError::Io(kind)) => return Err(kind.into()),
+                // Intact, but a sharded pool's envelope.
+                Err(CodecError::BadMagic) => stored_mode(file, len)?.map(Err),
+                Err(_) => None,
+            })
         })?;
+        report.snapshot_load = started.elapsed();
         report.snapshots_corrupt = corrupt;
         let (mut inner, snap_seq) = match base {
-            Some((snapshot_seq, Err(stored))) => {
-                return Err(DurableError::ModeMismatch {
-                    snapshot_seq,
-                    stored,
-                })
-            }
-            Some((seq, Ok(filter))) => {
-                report.snapshot_seq = Some(seq);
-                (filter, seq)
-            }
+            Some(loaded) => match loaded.value {
+                Err(stored) => {
+                    return Err(DurableError::ModeMismatch {
+                        snapshot_seq: loaded.seq,
+                        stored,
+                    })
+                }
+                Ok(filter) => {
+                    report.snapshot_seq = Some(loaded.seq);
+                    report.snapshot_bytes = loaded.bytes;
+                    (filter, loaded.seq)
+                }
+            },
             None => (fallback(), 0),
         };
 
+        let started = Instant::now();
         let (records, scan) = Wal::scan(&opts.dir, WAL_PREFIX)?;
         report.records_scanned = scan.records;
         report.torn_tails.extend(scan.torn);
@@ -227,7 +239,10 @@ impl<F: CountingFilter + DurableImage> DurableFilter<F> {
             last_seq = record.seq;
         }
         report.last_seq = last_seq;
+        report.replay = started.elapsed();
+        let started = Instant::now();
         report.scrub_clean = inner.verify_integrity();
+        report.verify = started.elapsed();
 
         let mut wal = Wal::new(
             &opts.dir,

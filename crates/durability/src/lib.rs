@@ -112,5 +112,5 @@ pub use sharded::{
     decode_envelope, encode_envelope, group_by_shard, publish_checkpoint, DurableSharded, ShardLog,
     ShardPool,
 };
-pub use snapshot::{write_file_atomic, SnapshotStore};
+pub use snapshot::{write_file_atomic, LoadedSnapshot, SnapshotStore};
 pub use wal::{FsyncPolicy, TornTail, Wal, WalScan};

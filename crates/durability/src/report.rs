@@ -2,6 +2,7 @@
 
 use crate::wal::TornTail;
 use mpcbf_telemetry::Telemetry;
+use std::time::Duration;
 
 /// Everything [`crate::DurableFilter::open_or_recover`] (and the sharded
 /// twin) did to reconstruct state, for operators and drills to inspect.
@@ -10,7 +11,10 @@ pub struct RecoveryReport {
     /// Sequence number of the snapshot used as the replay base
     /// (`None`: no valid snapshot, recovery started from a fresh filter).
     pub snapshot_seq: Option<u64>,
-    /// Snapshot files skipped because they failed to read or decode.
+    /// Bytes of the snapshot file recovery loaded (0 without one).
+    pub snapshot_bytes: u64,
+    /// Snapshot files skipped because they failed a check. A file that
+    /// could not be read fails the recovery instead.
     pub snapshots_corrupt: u64,
     /// Valid WAL records scanned across all segments.
     pub records_scanned: u64,
@@ -29,11 +33,19 @@ pub struct RecoveryReport {
     pub scrub_clean: bool,
     /// Highest sequence number in the recovered state.
     pub last_seq: u64,
+    /// Wall time spent finding and loading the snapshot (skipped corrupt
+    /// files included).
+    pub snapshot_load: Duration,
+    /// Wall time spent scanning, repairing and replaying the WAL.
+    pub replay: Duration,
+    /// Wall time of the post-replay integrity check.
+    pub verify: Duration,
 }
 
 impl RecoveryReport {
     /// Folds a per-shard report into a whole-filter one (sharded
-    /// recovery runs one scan+replay per shard, in parallel).
+    /// recovery runs one scan+replay per shard, in parallel). Durations
+    /// are the caller's to time: the shards overlap.
     pub fn absorb_shard(&mut self, other: &RecoveryReport) {
         self.snapshots_corrupt += other.snapshots_corrupt;
         self.records_scanned += other.records_scanned;
@@ -70,6 +82,13 @@ impl RecoveryReport {
             self.snapshot_seq.unwrap_or(0) as f64,
         );
         telemetry.set_gauge("recovery_last_seq", self.last_seq as f64);
+        telemetry.set_gauge("recovery_snapshot_bytes", self.snapshot_bytes as f64);
+        telemetry.set_gauge(
+            "recovery_snapshot_load_seconds",
+            self.snapshot_load.as_secs_f64(),
+        );
+        telemetry.set_gauge("recovery_replay_seconds", self.replay.as_secs_f64());
+        telemetry.set_gauge("recovery_verify_seconds", self.verify.as_secs_f64());
         telemetry.set_gauge(
             "recovery_scrub_clean",
             f64::from(u8::from(self.scrub_clean)),
@@ -80,7 +99,7 @@ impl RecoveryReport {
 impl std::fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.snapshot_seq {
-            Some(seq) => writeln!(f, "snapshot: seq {seq}")?,
+            Some(seq) => writeln!(f, "snapshot: seq {seq} ({} bytes)", self.snapshot_bytes)?,
             None => writeln!(f, "snapshot: none (fresh filter)")?,
         }
         if self.snapshots_corrupt > 0 {
@@ -108,6 +127,13 @@ impl std::fmt::Display for RecoveryReport {
         if self.bytes_truncated > 0 {
             writeln!(f, "wal bytes truncated: {}", self.bytes_truncated)?;
         }
+        writeln!(
+            f,
+            "cold start: snapshot load {:.1} ms, replay {:.1} ms, verify {:.1} ms",
+            self.snapshot_load.as_secs_f64() * 1e3,
+            self.replay.as_secs_f64() * 1e3,
+            self.verify.as_secs_f64() * 1e3
+        )?;
         write!(
             f,
             "scrub cross-check: {}",
@@ -125,6 +151,10 @@ mod tests {
         let t = Telemetry::new();
         let report = RecoveryReport {
             snapshot_seq: Some(42),
+            snapshot_bytes: 4096,
+            snapshot_load: Duration::from_millis(150),
+            replay: Duration::from_millis(2),
+            verify: Duration::from_millis(30),
             records_scanned: 10,
             records_replayed: 7,
             ops_replayed: 12,
@@ -141,6 +171,19 @@ mod tests {
         );
         assert_eq!(snap.gauges.get("recovery_snapshot_seq"), Some(&42.0));
         assert_eq!(snap.gauges.get("recovery_scrub_clean"), Some(&1.0));
+        assert_eq!(snap.gauges.get("recovery_snapshot_bytes"), Some(&4096.0));
+        assert_eq!(
+            snap.gauges.get("recovery_snapshot_load_seconds"),
+            Some(&0.15)
+        );
+        assert_eq!(snap.gauges.get("recovery_replay_seconds"), Some(&0.002));
+        assert_eq!(snap.gauges.get("recovery_verify_seconds"), Some(&0.03));
+        let shown = report.to_string();
+        assert!(shown.contains("seq 42 (4096 bytes)"), "{shown}");
+        assert!(
+            shown.contains("snapshot load 150.0 ms, replay 2.0 ms, verify 30.0 ms"),
+            "{shown}"
+        );
         assert!(report.was_clean());
     }
 }

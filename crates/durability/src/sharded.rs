@@ -46,10 +46,14 @@ use crate::report::RecoveryReport;
 use crate::snapshot::SnapshotStore;
 use crate::wal::Wal;
 use mpcbf_concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
-use mpcbf_core::codec::{self, crc32, CodecError, Measure, Sink, Writer};
+use mpcbf_core::codec::{
+    self, crc32, crc32_combine, CodecError, Framed, Measure, Sink, CRC32_RESIDUE,
+};
 use mpcbf_core::{FilterError, ScaleSpec};
 use mpcbf_hash::Hasher128;
+use std::io::{BufRead, Seek, SeekFrom};
 use std::path::Path;
+use std::time::Instant;
 
 const SNAP_PREFIX: &str = "snap";
 const ENVELOPE_MAGIC: &[u8; 4] = b"MPSS";
@@ -58,31 +62,43 @@ fn wal_prefix(shard: usize) -> String {
     format!("wal-s{shard:04}")
 }
 
-/// Bytes of the envelope around an `image_len`-byte image for `shards`
-/// shards: magic, shard count, seqs, image length, image, CRC.
-fn envelope_len(shards: usize, image_len: u64) -> u64 {
-    4 + 4 + 8 * shards as u64 + 8 + image_len + 4
+/// Bytes of the envelope header for `shards` shards: magic, shard
+/// count, seqs, image length.
+fn envelope_header_len(shards: usize) -> u64 {
+    4 + 4 + 8 * shards as u64 + 8
 }
 
-/// Streams the snapshot envelope into `sink`: magic, per-shard seqs, the
-/// `image_len`-byte image that `image` writes, and a CRC-32 over all of
-/// it, chained as the bytes pass through (the image's own codec CRC runs
-/// alongside in the same pass).
+/// Bytes of the envelope around an `image_len`-byte image for `shards`
+/// shards: header, image, CRC.
+fn envelope_len(shards: usize, image_len: u64) -> u64 {
+    envelope_header_len(shards) + image_len + 4
+}
+
+/// Streams the snapshot envelope into `sink`: the header (magic,
+/// per-shard seqs, `image_len`), the `image_len`-byte image that `image`
+/// writes straight into the sink, and a CRC-32 over all of it. That CRC
+/// is not computed over the image: [`crc32_combine`] derives it from the
+/// header's CRC and `image_crc`, the CRC-32 of the image's bytes, so the
+/// image is checksummed once (by its own writer) and not twice.
 fn write_envelope<S: Sink>(
-    sink: S,
+    mut sink: S,
     seqs: &[u64],
     image_len: u64,
-    image: impl FnOnce(&mut Writer<S>),
+    image_crc: u32,
+    image: impl FnOnce(&mut S),
 ) -> S {
-    let mut env = Writer::unframed(sink);
-    env.bytes(ENVELOPE_MAGIC);
-    env.u32(seqs.len() as u32);
+    let mut header = Vec::with_capacity(envelope_header_len(seqs.len()) as usize);
+    header.extend_from_slice(ENVELOPE_MAGIC);
+    header.extend_from_slice(&(seqs.len() as u32).to_le_bytes());
     for &s in seqs {
-        env.u64(s);
+        header.extend_from_slice(&s.to_le_bytes());
     }
-    env.u64(image_len);
-    image(&mut env);
-    env.finish()
+    header.extend_from_slice(&image_len.to_le_bytes());
+    sink.put(&header);
+    image(&mut sink);
+    let crc = crc32_combine(crc32(&header), image_crc, image_len);
+    sink.put(&crc.to_le_bytes());
+    sink
 }
 
 /// Builds the snapshot envelope: magic, per-shard seqs, inner image, CRC.
@@ -93,60 +109,177 @@ pub fn encode_envelope(seqs: &[u64], image: &[u8]) -> Vec<u8> {
         Vec::with_capacity(len as usize),
         seqs,
         image.len() as u64,
-        |env| env.bytes(image),
+        crc32(image),
+        |out| out.extend_from_slice(image),
     )
 }
 
-/// Total parse of the envelope; `None` on any inconsistency.
-pub fn decode_envelope(buf: &[u8]) -> Option<(Vec<u64>, &[u8])> {
-    if buf.len() < 4 + 4 + 8 + 4 || &buf[..4] != ENVELOPE_MAGIC {
-        return None;
-    }
-    let body = &buf[..buf.len() - 4];
-    let stored = u32::from_le_bytes(buf[buf.len() - 4..].try_into().ok()?);
-    if crc32(body) != stored {
-        return None;
-    }
-    let shard_count = u32::from_le_bytes(body[4..8].try_into().ok()?) as usize;
-    // Every seq costs 8 bytes; the body bounds the plausible count.
-    if shard_count > body.len() / 8 {
-        return None;
-    }
-    let mut pos = 8;
-    let mut seqs = Vec::with_capacity(shard_count);
-    for _ in 0..shard_count {
-        seqs.push(u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?));
-        pos += 8;
-    }
-    let image_len = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?) as usize;
-    pos += 8;
-    let image = body.get(pos..pos.checked_add(image_len)?)?;
-    if pos + image_len != body.len() {
-        return None;
-    }
-    Some((seqs, image))
+/// What the front of a snapshot file holds.
+enum Head {
+    /// No envelope magic: perhaps a bare filter image.
+    NotEnvelope,
+    /// The envelope magic, then a header the file's length contradicts.
+    Damaged,
+    /// A header consistent with the file's length.
+    Envelope(EnvelopeHeader),
 }
 
-/// The mode that wrote an intact snapshot file: `"fixed"` or
-/// `"elastic"` for an envelope over a sharded pool image (the names
-/// `mpcbf serve` reports), `"single-filter"` for a bare filter image
-/// ([`crate::DurableFilter`]). `None` when the file is damaged or holds
-/// anything else.
-pub(crate) fn stored_mode(bytes: &[u8]) -> Option<&'static str> {
-    let (image, mode) = match decode_envelope(bytes) {
-        Some((_, image)) => {
-            let mode = match *image.get(4)? {
-                codec::KIND_SHARDED64 => "fixed",
-                codec::KIND_ELASTIC_SHARDED => "elastic",
-                _ => return None,
-            };
-            (image, mode)
-        }
-        None => (bytes, "single-filter"),
+/// An envelope header as read: the per-shard seqs, the image length,
+/// and the CRC-32 of the header bytes.
+struct EnvelopeHeader {
+    seqs: Vec<u64>,
+    image_len: u64,
+    crc: u32,
+}
+
+/// Reads the header of the `len`-byte envelope at the front of `src`,
+/// leaving `src` at the image. The shard count is bounded by `len`
+/// before the seqs are allocated, and the image must end exactly 4
+/// bytes before the file does. `Err` only on a failed read.
+fn read_envelope_header(src: &mut dyn BufRead, len: u64) -> std::io::Result<Head> {
+    if len < 4 {
+        return Ok(Head::NotEnvelope);
+    }
+    let mut header = vec![0u8; 4];
+    src.read_exact(&mut header)?;
+    if header != ENVELOPE_MAGIC {
+        return Ok(Head::NotEnvelope);
+    }
+    if len < envelope_len(0, 0) {
+        return Ok(Head::Damaged);
+    }
+    let mut count = [0u8; 4];
+    src.read_exact(&mut count)?;
+    header.extend_from_slice(&count);
+    let count = u32::from_le_bytes(count) as usize;
+    // Every seq costs 8 bytes; the file bounds the plausible count.
+    if count as u64 > (len - envelope_len(0, 0)) / 8 {
+        return Ok(Head::Damaged);
+    }
+    header.resize(envelope_header_len(count) as usize, 0);
+    src.read_exact(&mut header[8..])?;
+    let field = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    let seqs = (0..count).map(|i| field(8 + 8 * i)).collect();
+    let image_len = field(8 + 8 * count);
+    if envelope_len(count, image_len) != len {
+        return Ok(Head::Damaged);
+    }
+    Ok(Head::Envelope(EnvelopeHeader {
+        seqs,
+        image_len,
+        crc: crc32(&header),
+    }))
+}
+
+impl EnvelopeHeader {
+    /// Reads the envelope's CRC trailer after the image and checks it
+    /// against the CRC derived from the header's and the image's
+    /// (`image_crc`, the CRC-32 of the image's bytes).
+    fn seal(&self, src: &mut dyn BufRead, image_crc: u32) -> std::io::Result<bool> {
+        let mut stored = [0u8; 4];
+        src.read_exact(&mut stored)?;
+        Ok(u32::from_le_bytes(stored) == crc32_combine(self.crc, image_crc, self.image_len))
+    }
+}
+
+/// Total parse of an in-memory envelope; `None` on any inconsistency.
+/// The slice form of the streamed load: the same header and trailer
+/// checks, with the image checksummed in place.
+pub fn decode_envelope(buf: &[u8]) -> Option<(Vec<u64>, &[u8])> {
+    let mut src = buf;
+    let Ok(Head::Envelope(header)) = read_envelope_header(&mut src, buf.len() as u64) else {
+        return None;
     };
-    codec::Reader::open(image, *image.get(4)?)
-        .is_ok()
-        .then_some(mode)
+    let (image, mut trailer) = src.split_at(header.image_len as usize);
+    header
+        .seal(&mut trailer, crc32(image))
+        .ok()?
+        .then_some((header.seqs, image))
+}
+
+/// The error of a streamed read as an I/O error; `None` for a failed
+/// check.
+fn read_error(e: &CodecError) -> Option<std::io::Error> {
+    match e {
+        CodecError::Io(kind) => Some((*kind).into()),
+        _ => None,
+    }
+}
+
+/// The mode name of a pool image's kind byte: the names `mpcbf serve`
+/// reports.
+fn pool_mode(kind: u8) -> Option<&'static str> {
+    match kind {
+        codec::KIND_SHARDED64 => Some("fixed"),
+        codec::KIND_ELASTIC_SHARDED => Some("elastic"),
+        _ => None,
+    }
+}
+
+/// The mode that wrote the intact `len`-byte snapshot file `src`
+/// (rewound first): `"fixed"` or `"elastic"` for an envelope over a
+/// sharded pool image, `"single-filter"` for a bare filter image
+/// ([`crate::DurableFilter`]). `None` when the file is damaged or holds
+/// anything else; `Err` only on a failed read. Runs only when a load
+/// has already refused the file, so it may read it again.
+pub(crate) fn stored_mode<R: BufRead + Seek>(
+    src: &mut R,
+    len: u64,
+) -> std::io::Result<Option<&'static str>> {
+    src.seek(SeekFrom::Start(0))?;
+    let header = match read_envelope_header(src, len)? {
+        Head::Envelope(header) => header,
+        Head::Damaged => return Ok(None),
+        Head::NotEnvelope => {
+            src.seek(SeekFrom::Start(0))?;
+            return match codec::check_framed(src, len).0 {
+                Ok(_) => Ok(Some("single-filter")),
+                Err(e) => read_error(&e).map_or(Ok(None), Err),
+            };
+        }
+    };
+    let (kind, image_crc) = codec::check_framed(src, header.image_len);
+    let kind = match kind {
+        Ok(kind) => kind,
+        Err(e) => return read_error(&e).map_or(Ok(None), Err),
+    };
+    Ok(header
+        .seal(src, image_crc)?
+        .then(|| pool_mode(kind))
+        .flatten())
+}
+
+/// Loads a pool from the `len`-byte envelope `src`, in one pass over its
+/// bytes: the header, then `P`'s image streamed into the pool's words,
+/// then the envelope trailer, checked against the CRC derived from the
+/// header's and the image's. `Some(Ok)` only once both CRCs match;
+/// `Some(Err(mode))` for an intact snapshot of another mode; `None` for
+/// a damaged one. `Err` only on a failed read.
+#[allow(clippy::type_complexity)]
+fn load_pool<P: ShardPool, R: BufRead + Seek>(
+    src: &mut R,
+    len: u64,
+) -> std::io::Result<Option<Result<(Vec<u64>, P), &'static str>>> {
+    let header = match read_envelope_header(src, len)? {
+        Head::Envelope(header) => header,
+        Head::Damaged => return Ok(None),
+        Head::NotEnvelope => return Ok(stored_mode(src, len)?.map(Err)),
+    };
+    let (image, image_crc) = P::read_from(src, header.image_len);
+    if let Some(e) = image.as_ref().err().and_then(read_error) {
+        return Err(e);
+    }
+    if !header.seal(src, image_crc)? {
+        return Ok(None);
+    }
+    Ok(match image {
+        Ok(pool) => (header.seqs.len() == pool.shard_count()).then_some(Ok((header.seqs, pool))),
+        // Intact (its bytes carry the residue), but the other pool's kind.
+        Err(CodecError::UnknownKind(kind)) if image_crc == CRC32_RESIDUE => {
+            pool_mode(kind).map(Err)
+        }
+        Err(_) => None,
+    })
 }
 
 /// A sharded pool the durability layer can log, checkpoint and recover:
@@ -172,9 +305,9 @@ pub trait ShardPool: Send + Sync {
     /// Streams the pool's codec image, as checkpoints store it, into
     /// `sink` (a measuring sink gets its length).
     fn encode_to(&self, sink: &mut dyn Sink);
-    /// Rebuilds a pool from [`ShardPool::encode_to`]'s image, validating
-    /// everything.
-    fn decode(image: &[u8]) -> Result<Self, CodecError>
+    /// Rebuilds a pool from the `len`-byte image [`ShardPool::encode_to`]
+    /// wrote, streamed from `src` and validated as it goes.
+    fn read_from(src: &mut dyn BufRead, len: u64) -> Framed<Self>
     where
         Self: Sized;
     /// Structural self-check, run once after recovery.
@@ -219,8 +352,8 @@ impl<H: Hasher128> ShardPool for ShardedMpcbf<u64, H> {
     fn encode_to(&self, sink: &mut dyn Sink) {
         ShardedMpcbf::encode_to(self, sink);
     }
-    fn decode(image: &[u8]) -> Result<Self, CodecError> {
-        ShardedMpcbf::decode(image)
+    fn read_from(src: &mut dyn BufRead, len: u64) -> Framed<Self> {
+        ShardedMpcbf::read_from(src, len)
     }
     fn verify(&self) -> Result<(), FilterError> {
         ShardedMpcbf::verify(self)
@@ -261,8 +394,8 @@ impl<H: Hasher128> ShardPool for ElasticShardedMpcbf<H> {
     fn encode_to(&self, sink: &mut dyn Sink) {
         ElasticShardedMpcbf::encode_to(self, sink);
     }
-    fn decode(image: &[u8]) -> Result<Self, CodecError> {
-        ElasticShardedMpcbf::decode(image)
+    fn read_from(src: &mut dyn BufRead, len: u64) -> Framed<Self> {
+        ElasticShardedMpcbf::read_from(src, len)
     }
     fn verify(&self) -> Result<(), FilterError> {
         ElasticShardedMpcbf::verify(self)
@@ -412,7 +545,9 @@ impl ShardLog {
 /// The envelope is streamed to disk, never held whole: a measuring pass
 /// finds the image length the header carries, then the header, the
 /// pool's image (one shard at a time) and the CRC trailer go through the
-/// snapshot file's buffer. The file is byte-identical to
+/// snapshot file's buffer. The image is checksummed once, by its own
+/// codec writer: a sealed image's CRC is [`CRC32_RESIDUE`], and the
+/// envelope CRC is derived from it. The file is byte-identical to
 /// [`encode_envelope`] of the pool's image; if the image length changed
 /// between the two passes, the snapshot is abandoned before publication.
 pub fn publish_checkpoint<P: ShardPool + ?Sized>(
@@ -425,7 +560,9 @@ pub fn publish_checkpoint<P: ShardPool + ?Sized>(
     pool.encode_to(&mut measured);
     let image_len = measured.bytes;
     snapshots.write_with(snap_seq, envelope_len(seqs.len(), image_len), |file| {
-        write_envelope(file, seqs, image_len, |env| pool.encode_to(env));
+        write_envelope(file, seqs, image_len, CRC32_RESIDUE, |file| {
+            pool.encode_to(file)
+        });
     })?;
     snapshots.purge_below(snap_seq)
 }
@@ -513,29 +650,24 @@ impl<P: ShardPool> DurableSharded<P> {
     ) -> Result<(Self, RecoveryReport), DurableError> {
         let snapshots = SnapshotStore::new(&opts.dir, SNAP_PREFIX, opts.kill.clone())?;
         let mut report = RecoveryReport::default();
-        let (base, corrupt) = snapshots.load_latest_with(|bytes| {
-            let Some((seqs, image)) = decode_envelope(bytes) else {
-                return stored_mode(bytes).map(Err);
-            };
-            match P::decode(image) {
-                Ok(pool) => (seqs.len() == pool.shard_count()).then_some(Ok((seqs, pool))),
-                // Intact, but the other pool's codec kind.
-                Err(CodecError::UnknownKind(_)) => stored_mode(bytes).map(Err),
-                Err(_) => None,
-            }
-        })?;
+        let started = Instant::now();
+        let (base, corrupt) = snapshots.stream_latest_with(load_pool::<P, _>)?;
+        report.snapshot_load = started.elapsed();
         report.snapshots_corrupt = corrupt;
         let (pool, snap_seqs) = match base {
-            Some((snapshot_seq, Err(stored))) => {
-                return Err(DurableError::ModeMismatch {
-                    snapshot_seq,
-                    stored,
-                })
-            }
-            Some((snap_seq, Ok((seqs, pool)))) => {
-                report.snapshot_seq = Some(snap_seq);
-                (pool, seqs)
-            }
+            Some(loaded) => match loaded.value {
+                Err(stored) => {
+                    return Err(DurableError::ModeMismatch {
+                        snapshot_seq: loaded.seq,
+                        stored,
+                    })
+                }
+                Ok((seqs, pool)) => {
+                    report.snapshot_seq = Some(loaded.seq);
+                    report.snapshot_bytes = loaded.bytes;
+                    (pool, seqs)
+                }
+            },
             None => {
                 let pool = fallback();
                 let count = pool.shard_count();
@@ -544,6 +676,7 @@ impl<P: ShardPool> DurableSharded<P> {
         };
 
         // Scan + repair + replay each shard's log on its own thread.
+        let started = Instant::now();
         let shard_reports: Vec<Result<RecoveryReport, DurableError>> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = snap_seqs
@@ -559,6 +692,7 @@ impl<P: ShardPool> DurableSharded<P> {
                     .map(|h| h.join().expect("shard recovery panicked"))
                     .collect()
             });
+        report.replay = started.elapsed();
         let mut seqs = Vec::with_capacity(shard_reports.len());
         for shard_report in shard_reports {
             let shard_report = shard_report?;
@@ -572,7 +706,9 @@ impl<P: ShardPool> DurableSharded<P> {
         // taken now and scrubbed at once would add nothing: its CRC half
         // compares the words with themselves and its invariant half is
         // this same check.
+        let started = Instant::now();
         report.scrub_clean = pool.verify().is_ok();
+        report.verify = started.elapsed();
 
         let logs = seqs
             .iter()
@@ -835,17 +971,43 @@ mod tests {
         }
     }
 
+    fn mode_of(bytes: &[u8]) -> Option<&'static str> {
+        stored_mode(&mut std::io::Cursor::new(bytes), bytes.len() as u64).unwrap()
+    }
+
     #[test]
     fn stored_mode_names_every_intact_image_and_nothing_else() {
         let fixed = encode_envelope(&[0; 8], &filter().encode());
         let elastic = encode_envelope(&[0; 2], &fresh_pool(1).encode());
-        assert_eq!(stored_mode(&fixed), Some("fixed"));
-        assert_eq!(stored_mode(&elastic), Some("elastic"));
-        assert_eq!(stored_mode(&filter().encode()), Some("single-filter"));
-        assert_eq!(stored_mode(&encode_envelope(&[0], &[7; 40])), None);
+        assert_eq!(mode_of(&fixed), Some("fixed"));
+        assert_eq!(mode_of(&elastic), Some("elastic"));
+        assert_eq!(mode_of(&filter().encode()), Some("single-filter"));
+        assert_eq!(mode_of(&encode_envelope(&[0], &[7; 40])), None);
         let mut damaged = fixed.clone();
         damaged[fixed.len() / 2] ^= 1;
-        assert_eq!(stored_mode(&damaged), None);
+        assert_eq!(mode_of(&damaged), None);
+    }
+
+    #[test]
+    fn a_sealed_image_carries_the_residue_the_checkpoint_derives_from() {
+        // publish_checkpoint derives the envelope CRC from CRC32_RESIDUE
+        // instead of checksumming the image: that only holds if every
+        // pool image's CRC, trailer included, is the residue.
+        for image in [filter().encode(), fresh_pool(3).encode()] {
+            assert_eq!(crc32(&image), CRC32_RESIDUE);
+            let seqs = [4, 0, 9];
+            let envelope = encode_envelope(&seqs, &image);
+            let derived = write_envelope(
+                Vec::new(),
+                &seqs,
+                image.len() as u64,
+                CRC32_RESIDUE,
+                |out| out.extend_from_slice(&image),
+            );
+            assert_eq!(derived, envelope);
+            let body = &envelope[..envelope.len() - 4];
+            assert_eq!(envelope[body.len()..], crc32(body).to_le_bytes());
+        }
     }
 
     #[test]

@@ -12,18 +12,20 @@
 //!
 //! The image is never materialised: the caller streams it through a
 //! buffered file [`Sink`] ([`SnapshotStore::write_with`]), so writing a
-//! snapshot costs a write buffer, not a second copy of the filter.
+//! snapshot costs a write buffer, not a second copy of the filter. Loads
+//! stream the same way: [`SnapshotStore::stream_latest_with`] hands the
+//! decoder the open file, never a buffer holding it.
 
 use crate::error::DurableError;
 use crate::kill::{KillSite, KillSwitch};
 use crate::wal::sync_dir;
 use mpcbf_core::codec::Sink;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Write buffer of a streamed file: four `write` calls per megabyte of
-/// image, and small next to the filter it is written beside.
+/// Buffer of a streamed snapshot file, written or read: four system
+/// calls per megabyte of image, and small next to the filter beside it.
 const FILE_BUFFER: usize = 256 << 10;
 
 /// The buffered file [`Sink`] behind [`write_file_atomic`]: counts every
@@ -142,6 +144,17 @@ fn stream_file(
         .map_err(|e| DurableError::io("sync temp file", e))
 }
 
+/// The snapshot [`SnapshotStore::stream_latest_with`] loaded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoadedSnapshot<T> {
+    /// Its sequence number.
+    pub seq: u64,
+    /// The file's length.
+    pub bytes: u64,
+    /// What the decoder made of it.
+    pub value: T,
+}
+
 /// Snapshot reader/writer bound to one directory and prefix.
 pub struct SnapshotStore {
     dir: PathBuf,
@@ -209,24 +222,46 @@ impl SnapshotStore {
     }
 
     /// Loads the newest snapshot that decodes cleanly, skipping (and
-    /// counting) unreadable or corrupt ones. Returns the winning
-    /// `(seq, value)` and the number of snapshots skipped as corrupt.
-    pub fn load_latest_with<T>(
+    /// counting) corrupt ones. `decode` gets each snapshot as its open
+    /// file (buffered, at its start) and its length, streams it, and
+    /// returns `None` when the file fails a check. A failed read is not a
+    /// failed check: it ends the load with [`DurableError::Io`], because
+    /// skipping a snapshot that could not be read would rebuild the
+    /// filter from a fresh one and a log that only covers what came
+    /// after it.
+    pub fn stream_latest_with<T>(
         &self,
-        decode: impl Fn(&[u8]) -> Option<T>,
-    ) -> Result<(Option<(u64, T)>, u64), DurableError> {
+        decode: impl Fn(&mut BufReader<File>, u64) -> std::io::Result<Option<T>>,
+    ) -> Result<(Option<LoadedSnapshot<T>>, u64), DurableError> {
         let mut corrupt = 0;
         for (seq, path) in self.list()? {
-            let Ok(bytes) = fs::read(&path) else {
-                corrupt += 1;
-                continue;
-            };
-            match decode(&bytes) {
-                Some(value) => return Ok((Some((seq, value)), corrupt)),
+            let file = File::open(&path).map_err(|e| DurableError::io("open snapshot", e))?;
+            let bytes = file
+                .metadata()
+                .map_err(|e| DurableError::io("stat snapshot", e))?
+                .len();
+            let mut reader = BufReader::with_capacity(FILE_BUFFER, file);
+            match decode(&mut reader, bytes).map_err(|e| DurableError::io("read snapshot", e))? {
+                Some(value) => return Ok((Some(LoadedSnapshot { seq, bytes, value }), corrupt)),
                 None => corrupt += 1,
             }
         }
         Ok((None, corrupt))
+    }
+
+    /// [`SnapshotStore::stream_latest_with`] for a decoder of whole
+    /// in-memory files: each file is read into a buffer first. Returns
+    /// the winning `(seq, value)` and the number skipped as corrupt.
+    pub fn load_latest_with<T>(
+        &self,
+        decode: impl Fn(&[u8]) -> Option<T>,
+    ) -> Result<(Option<(u64, T)>, u64), DurableError> {
+        let (found, corrupt) = self.stream_latest_with(|file, len| {
+            let mut bytes = Vec::with_capacity(len as usize);
+            file.read_to_end(&mut bytes)?;
+            Ok(decode(&bytes))
+        })?;
+        Ok((found.map(|l| (l.seq, l.value)), corrupt))
     }
 
     /// Deletes every published snapshot older than `keep_seq` and any
@@ -295,6 +330,25 @@ mod tests {
         let (found, corrupt) = store.load_latest_with(decode_ok).unwrap();
         assert_eq!(found, Some((5, vec![1, 0xAA])));
         assert_eq!(corrupt, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_unreadable_snapshot_is_an_io_error_not_a_corrupt_one() {
+        // A directory where the newest snapshot should be: it opens, and
+        // every read fails. The load must stop there, not fall back to
+        // the older snapshot (or to none) as if the file were corrupt.
+        let dir = scratch_dir("unreadable");
+        let store = SnapshotStore::new(&dir, "snap", KillSwitch::new()).unwrap();
+        store.write(5, &[1, 0xAA]).unwrap();
+        fs::create_dir(dir.join(format!("snap-{:020}.snap", 9))).unwrap();
+        let err = store.load_latest_with(decode_ok).unwrap_err();
+        assert!(matches!(err, DurableError::Io { .. }), "{err}");
+        let streamed = store.stream_latest_with(|file, _| {
+            let mut byte = [0u8; 1];
+            file.read_exact(&mut byte).map(|()| Some(byte[0]))
+        });
+        assert!(matches!(streamed, Err(DurableError::Io { .. })));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1170,6 +1170,15 @@ mod tests {
                     .expect("metrics page");
             assert!(page.contains("mpcbf_server_frames_total"), "{page}");
             assert!(page.contains("mpcbf_server_shards"), "{page}");
+            // The cold start's stages, timed, for the operator.
+            for gauge in [
+                "recovery_snapshot_bytes",
+                "recovery_snapshot_load_seconds",
+                "recovery_replay_seconds",
+                "recovery_verify_seconds",
+            ] {
+                assert!(page.contains(gauge), "{gauge} missing: {page}");
+            }
 
             client.shutdown_server().expect("shutdown frame");
             server.wait().expect("teardown");
@@ -1178,6 +1187,10 @@ mod tests {
         // Everything acknowledged must survive the restart.
         let server = Server::start(test_config(&dir)).expect("restart");
         assert!(server.recovery_report().scrub_clean);
+        assert!(
+            server.recovery_report().snapshot_bytes > 0,
+            "loaded the checkpoint"
+        );
         let mut client = Client::connect(server.local_addr()).expect("reconnect");
         assert!(client.query(b"alice").expect("query"));
         assert!(client.query(b"bob").expect("query"));

@@ -219,3 +219,24 @@ fn images_written_by_the_bitwise_crc_still_decode() {
         (record, frame.len())
     );
 }
+
+/// Checkpoints no longer checksum the image twice: the envelope CRC is
+/// derived from the header's CRC and the image's (a sealed image's CRC
+/// is the CRC-32 residue) with `crc32_combine`. The derivation must give
+/// exactly the CRC of the golden envelope's body, the bytes the
+/// bitwise CRC sealed.
+#[test]
+fn the_golden_envelope_crc_is_derived_not_recomputed() {
+    use mpcbf::core::codec::{crc32, crc32_combine, CRC32_RESIDUE};
+    use mpcbf::durability::encode_envelope;
+
+    let golden = unhex(GOLDEN_SHARDED_IMAGE);
+    assert_eq!(crc32(&golden), CRC32_RESIDUE);
+    let envelope = encode_envelope(&[3, 5], &golden);
+    let (body, trailer) = envelope.split_at(envelope.len() - 4);
+    let header = &body[..body.len() - golden.len()];
+    let derived = crc32_combine(crc32(header), CRC32_RESIDUE, golden.len() as u64);
+    assert_eq!(derived, crc32(body));
+    assert_eq!(trailer, derived.to_le_bytes());
+    assert_eq!(trailer, unhex(GOLDEN_ENVELOPE_CRC));
+}

@@ -6,6 +6,7 @@
 //! tails at every byte offset must yield structured errors (or a clean
 //! truncated-prefix recovery), never a panic or fabricated state.
 
+use mpcbf::concurrent::ShardedMpcbf;
 use mpcbf::core::{Cbf, Filter, Mpcbf, MpcbfConfig};
 use mpcbf::durability::{decode_frame, encode_frame, Wal, WalOp, WalRecord};
 use mpcbf::hash::Murmur3;
@@ -247,4 +248,48 @@ fn decoded_errors_are_the_documented_variants() {
         Mpcbf::<u64, Murmur3>::decode(&flipped),
         Err(CodecError::ChecksumMismatch { .. })
     ));
+
+    // A sharded image whose flip also breaks a word: the streamed
+    // decoder meets the broken word before the trailer, and must still
+    // report the checksum, not the word.
+    let sharded = sharded_image();
+    let words_from = sharded.len() - 4 - 8 * 32;
+    let (at, flipped) = (words_from * 8..(sharded.len() - 4) * 8)
+        .map(|bit| {
+            let mut flipped = sharded.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            (bit, flipped)
+        })
+        .find(|(_, flipped)| {
+            let mut resealed = flipped.clone();
+            let body = resealed.len() - 4;
+            let crc = mpcbf::core::codec::crc32(&resealed[..body]);
+            resealed[body..].copy_from_slice(&crc.to_le_bytes());
+            ShardedMpcbf::<u64>::decode(&resealed).err()
+                == Some(CodecError::BadHeader("word invariant"))
+        })
+        .expect("some flip breaks a word");
+    assert!(
+        matches!(
+            ShardedMpcbf::<u64>::decode(&flipped),
+            Err(CodecError::ChecksumMismatch { .. })
+        ),
+        "flip of bit {at}"
+    );
+}
+
+/// A 2-shard, 32-word sharded image.
+fn sharded_image() -> Vec<u8> {
+    let cfg = MpcbfConfig::builder()
+        .memory_bits(2_048)
+        .expected_items(40)
+        .hashes(3)
+        .seed(0xDEC0DE)
+        .build()
+        .unwrap();
+    let filter: ShardedMpcbf<u64> = ShardedMpcbf::new(cfg, 2);
+    for i in 0..40u64 {
+        let _ = filter.insert(&i);
+    }
+    filter.encode()
 }

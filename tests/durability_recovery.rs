@@ -19,8 +19,8 @@
 use mpcbf::concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
 use mpcbf::core::{CapacityPolicy, CountingFilter, Filter, Mpcbf, MpcbfConfig};
 use mpcbf::durability::{
-    encode_envelope, encode_frame, DurabilityOptions, DurableFilter, DurableSharded, FsyncPolicy,
-    KillSite, KillSwitch, SnapshotStore, Wal, WalOp, WalRecord,
+    encode_envelope, encode_frame, DurabilityOptions, DurableError, DurableFilter, DurableSharded,
+    FsyncPolicy, KillSite, KillSwitch, SnapshotStore, Wal, WalOp, WalRecord,
 };
 use mpcbf::hash::Murmur3;
 use proptest::prelude::*;
@@ -533,5 +533,210 @@ fn a_torn_streamed_checkpoint_recovers_the_previous_snapshot() {
         }
         drop(recovered);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Every file in `dir`, by name, with its bytes (directories as `None`).
+fn listing(dir: &std::path::Path) -> Vec<(String, Option<Vec<u8>>)> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).ok())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Replaces `dir`'s only published snapshot with a directory of the same
+/// name, so opening it works and every read fails; returns the path.
+fn make_snapshot_unreadable(dir: &std::path::Path) -> PathBuf {
+    let snaps: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .collect();
+    assert_eq!(snaps.len(), 1, "one published snapshot");
+    let stash = dir.with_extension("stash");
+    std::fs::rename(&snaps[0], &stash).unwrap();
+    std::fs::create_dir(&snaps[0]).unwrap();
+    std::fs::write(snaps[0].join("inside"), b"not a snapshot").unwrap();
+    snaps[0].clone()
+}
+
+/// Undoes [`make_snapshot_unreadable`].
+fn restore_snapshot(dir: &std::path::Path, snap: &std::path::Path) {
+    std::fs::remove_dir_all(snap).unwrap();
+    std::fs::rename(dir.with_extension("stash"), snap).unwrap();
+}
+
+/// A snapshot that cannot be read is not a corrupt one: counting it as
+/// corrupt started a fresh filter and replayed a log that only covers
+/// what came after the snapshot, silently losing every key the snapshot
+/// held. Recovery must fail with an I/O error and touch nothing, in the
+/// sharded and the single-filter wrapper alike; once the file reads
+/// again, every acknowledged key is back.
+#[test]
+fn an_unreadable_snapshot_fails_recovery_and_loses_no_acked_key() {
+    let keys = streamed_keys("unreadable", 2_000);
+
+    let dir = scratch_dir();
+    let opts = DurabilityOptions::new(&dir);
+    let pool: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(raw_config(), 4);
+    let mut durable = DurableSharded::create(pool, opts.clone()).unwrap();
+    for key in &keys {
+        durable.insert_bytes(key).unwrap();
+    }
+    durable.snapshot().unwrap();
+    drop(durable);
+    let snap = make_snapshot_unreadable(&dir);
+    let before = listing(&dir);
+    let fresh = || ShardedMpcbf::<u64, Murmur3>::new(raw_config(), 4);
+    match DurableSharded::open_or_recover(opts.clone(), fresh) {
+        Err(DurableError::Io { .. }) => {}
+        Err(e) => panic!("sharded: wrong error {e}"),
+        Ok((_, report)) => panic!("sharded: recovered past an unreadable snapshot: {report}"),
+    }
+    assert!(listing(&dir) == before, "sharded: the directory changed");
+    restore_snapshot(&dir, &snap);
+    let (recovered, report) = DurableSharded::open_or_recover(opts, fresh).unwrap();
+    assert_eq!(report.snapshots_corrupt, 0);
+    assert!(keys.iter().all(|k| recovered.contains_bytes(k)), "sharded");
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dir = scratch_dir();
+    let opts = DurabilityOptions::new(&dir);
+    let fresh = || Mpcbf::<u64, Murmur3>::new(raw_config());
+    let mut durable = DurableFilter::create(fresh(), opts.clone()).unwrap();
+    for key in &keys {
+        durable.insert_bytes(key).unwrap();
+    }
+    durable.snapshot().unwrap();
+    drop(durable);
+    let snap = make_snapshot_unreadable(&dir);
+    let before = listing(&dir);
+    match DurableFilter::open_or_recover(opts.clone(), fresh) {
+        Err(DurableError::Io { .. }) => {}
+        Err(e) => panic!("single filter: wrong error {e}"),
+        Ok((_, report)) => panic!("single filter: recovered past an unreadable snapshot: {report}"),
+    }
+    assert!(
+        listing(&dir) == before,
+        "single filter: the directory changed"
+    );
+    restore_snapshot(&dir, &snap);
+    let (recovered, report) = DurableFilter::open_or_recover(opts, fresh).unwrap();
+    assert_eq!(report.snapshots_corrupt, 0);
+    assert!(
+        keys.iter().all(|k| recovered.contains_bytes(k)),
+        "single filter"
+    );
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Opens a directory holding only `snapshot` in both pool modes. A
+/// damaged file must yield no pool in either: counted as corrupt, never
+/// refused as another mode's, never a panic.
+fn open_damaged(snapshot: &[u8], what: &str) {
+    let config = damage_config();
+    let dir = scratch_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("snap-{:020}.snap", 0));
+    std::fs::write(&path, snapshot).unwrap();
+    let opts = DurabilityOptions::new(&dir);
+    let (fixed, report) = DurableSharded::open_or_recover(opts.clone(), || {
+        ShardedMpcbf::<u64, Murmur3>::new(config, 4)
+    })
+    .unwrap_or_else(|e| panic!("{what}: fixed mode: {e}"));
+    assert_eq!(report.snapshots_corrupt, 1, "{what}: fixed mode");
+    assert_eq!(report.snapshot_seq, None, "{what}: fixed mode");
+    assert_eq!(fixed.inner().total_load(), 0, "{what}: fixed mode");
+    drop(fixed);
+    // The fixed pool's logs are empty; the elastic open starts from the
+    // same file alone.
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(&path, snapshot).unwrap();
+    let (elastic, report) = DurableSharded::open_or_recover(opts, || {
+        ElasticShardedMpcbf::<Murmur3>::manual(config, 4, CapacityPolicy::default()).unwrap()
+    })
+    .unwrap_or_else(|e| panic!("{what}: elastic mode: {e}"));
+    assert_eq!(report.snapshots_corrupt, 1, "{what}: elastic mode");
+    assert_eq!(elastic.inner().items(), 0, "{what}: elastic mode");
+    drop(elastic);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn damage_config() -> MpcbfConfig {
+    MpcbfConfig::builder()
+        .memory_bits(2_048)
+        .expected_items(40)
+        .hashes(3)
+        .seed(0xDA3A)
+        .build()
+        .unwrap()
+}
+
+/// The streamed loader against every single-bit flip and every
+/// truncation of a small published 4-shard snapshot: the damage covers
+/// the envelope header, the seq vector, the image header, the shard
+/// words and both CRC trailers. The intact file still loads in its own
+/// mode and is refused as the other mode's.
+#[test]
+fn every_damaged_published_snapshot_is_skipped_never_loaded_or_misread() {
+    let dir = scratch_dir();
+    let pool: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(damage_config(), 4);
+    let mut durable = DurableSharded::create(pool, DurabilityOptions::new(&dir)).unwrap();
+    for i in 0..40u32 {
+        durable.insert_bytes(&i.to_le_bytes()).unwrap();
+    }
+    durable.snapshot().unwrap();
+    let words: Vec<Vec<u64>> = (0..4).map(|s| durable.inner().shard_raw_words(s)).collect();
+    drop(durable);
+    let snapshot = snapshot_file(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // The intact file: a pool in its own mode, refused in the other.
+    let dir = scratch_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(format!("snap-{:020}.snap", 40)), &snapshot).unwrap();
+    let before = listing(&dir);
+    match DurableSharded::open_or_recover(DurabilityOptions::new(&dir), || {
+        ElasticShardedMpcbf::<Murmur3>::manual(damage_config(), 4, CapacityPolicy::default())
+            .unwrap()
+    }) {
+        Err(DurableError::ModeMismatch { stored, .. }) => assert_eq!(stored, "fixed"),
+        Err(e) => panic!("intact file in the other mode: wrong error {e}"),
+        Ok(_) => panic!("intact fixed file opened as an elastic pool"),
+    }
+    assert!(
+        listing(&dir) == before,
+        "a refused open changed the directory"
+    );
+    let (loaded, report) = DurableSharded::<ShardedMpcbf<u64, Murmur3>>::open_or_recover(
+        DurabilityOptions::new(&dir),
+        || unreachable!("the intact snapshot loads"),
+    )
+    .unwrap();
+    assert_eq!(report.snapshot_bytes, snapshot.len() as u64);
+    for (s, w) in words.iter().enumerate() {
+        assert_eq!(&loaded.inner().shard_raw_words(s), w, "shard {s}");
+    }
+    drop(loaded);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    for byte in 0..snapshot.len() {
+        for bit in 0..8 {
+            let mut damaged = snapshot.clone();
+            damaged[byte] ^= 1 << bit;
+            open_damaged(&damaged, &format!("flip of byte {byte} bit {bit}"));
+        }
+    }
+    for cut in 0..snapshot.len() {
+        open_damaged(&snapshot[..cut], &format!("cut at {cut}"));
     }
 }
