@@ -1,5 +1,6 @@
 //! Bulk-build benchmark: naive per-key insert vs the cache-bucketed
-//! streaming builder vs the parallel region finish.
+//! streaming builder vs the parallel region finish, plus the sharded
+//! builder `mpcbf build --bulk --dir` runs.
 //!
 //! ```text
 //! cargo run --release -p mpcbf-bench --bin bench_bulk
@@ -13,8 +14,12 @@
 //! emits `BENCH_bulk.json` with per-contender wall time, keys/s, speedup
 //! over the naive scalar loop, and the peak-RSS delta attributed to each
 //! build (the high-water mark is reset before each contender). Every
-//! contender's filter is checked identical to the naive build before the
-//! row is trusted. `--trials N` runs each contender `N` times and
+//! plain contender's filter is checked identical to the naive build
+//! before the row is trusted. The `sharded` contender (an 8-shard
+//! [`ShardedBulkBuilder`] finished on the same threads, at the rungs up
+//! to 10^7 keys) builds a different layout, so it is checked to hold
+//! every key it admitted instead; its speedup is still over the plain
+//! naive loop. `--trials N` runs each contender `N` times and
 //! reports the median time and the least peak RSS; each row records its
 //! sample count. `--max-n N` stops
 //! the ladder at `N` keys and carries the committed rows above it over,
@@ -28,10 +33,12 @@
 //!   recorded value — cache-resident speedups are far below the
 //!   DRAM-resident headline, so the gate compares like with like, with a
 //!   generous tolerance (staging costs are noisy near cache capacity);
-//! * a buffered or parallel row's peak RSS exceeds its recorded value by
-//!   more than 10% — the staging buffers must stay sized to the keys.
+//! * a buffered, parallel or sharded row's peak RSS exceeds its recorded
+//!   value by more than 10% — the staging buffers must stay sized to the
+//!   keys, and set-up must stay near the larger of filter and staging.
 
 use mpcbf_bench::{rss, Args};
+use mpcbf_concurrent::{ShardedBulkBuilder, ShardedMpcbf};
 use mpcbf_core::{BulkBuilder, Filter, Mpcbf, MpcbfConfig};
 use mpcbf_hash::Murmur3;
 use mpcbf_workloads::BulkKeys;
@@ -59,6 +66,13 @@ const RSS_GATE_NS: [u64; 2] = [1_000_000, 10_000_000];
 /// Gate ceiling: measured peak RSS must stay below `recorded * this`.
 const RSS_GATE_TOLERANCE: f64 = 1.10;
 
+/// Shards of the sharded contender: the `mpcbf build --bulk --dir`
+/// default.
+const SHARDS: usize = 8;
+
+/// The largest rung the sharded contender runs at.
+const SHARDED_MAX_N: u64 = 10_000_000;
+
 struct Row {
     n: u64,
     contender: &'static str,
@@ -70,7 +84,7 @@ struct Row {
 }
 
 /// The contenders, in run order.
-const CONTENDERS: [&str; 3] = ["naive", "buffered", "parallel"];
+const CONTENDERS: [&str; 4] = ["naive", "buffered", "parallel", "sharded"];
 
 fn config(n: u64) -> MpcbfConfig {
     MpcbfConfig::builder()
@@ -83,7 +97,7 @@ fn config(n: u64) -> MpcbfConfig {
 }
 
 /// Times one build, attributing peak RSS to it.
-fn timed(build: impl FnOnce() -> Mpcbf<u64, Murmur3>) -> (Mpcbf<u64, Murmur3>, f64, Option<f64>) {
+fn timed<F>(build: impl FnOnce() -> F) -> (F, f64, Option<f64>) {
     rss::reset_peak_rss();
     let start = Instant::now();
     let filter = build();
@@ -110,20 +124,48 @@ fn buffered_builder(n: u64) -> BulkBuilder<Murmur3> {
     builder
 }
 
+fn sharded_build(n: u64, threads: usize) -> ShardedMpcbf<u64, Murmur3> {
+    let mut builder = ShardedBulkBuilder::new(config(n), SHARDS);
+    BulkKeys::new(SEED, n).for_each_chunk(CHUNK, |chunk| {
+        for key in chunk {
+            builder.push(key);
+        }
+    });
+    builder.finish_parallel(threads)
+}
+
+/// Checks a sharded build holds every key it admitted: at most its
+/// refusals may be missing.
+fn check_sharded(filter: &ShardedMpcbf<u64, Murmur3>, n: u64) {
+    let mut missing = 0u64;
+    BulkKeys::new(SEED, n).for_each_chunk(CHUNK, |chunk| {
+        missing += chunk
+            .iter()
+            .filter(|key| !filter.contains_bytes(*key))
+            .count() as u64;
+    });
+    assert!(
+        missing <= filter.overflows(),
+        "sharded build lost keys at n={n}: {missing} missing, {} refused",
+        filter.overflows()
+    );
+}
+
 /// Median of a non-empty sample.
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
 }
 
-/// One ladder rung: runs all three contenders `samples` times, checks
-/// every build identical to the naive one, and returns their rows:
+/// One ladder rung: runs every contender `samples` times (the sharded
+/// one only up to [`SHARDED_MAX_N`]), checks every build, and returns
+/// their rows:
 /// median time, and the *least* peak RSS — memory the allocator kept
 /// from an earlier sample only ever adds to a reading, and how much it
 /// keeps varies from run to run.
 fn rung(n: u64, threads: usize, samples: usize, quiet: bool) -> Vec<Row> {
-    let mut secs = [const { Vec::new() }; 3];
-    let mut peaks = [const { Vec::new() }; 3];
+    let mut secs = [const { Vec::new() }; CONTENDERS.len()];
+    let mut peaks = [const { Vec::new() }; CONTENDERS.len()];
     for _ in 0..samples {
         let (naive, naive_secs, naive_peak) = timed(|| naive_build(n));
         let (buffered, buffered_secs, buffered_peak) = timed(|| buffered_builder(n).finish());
@@ -141,14 +183,20 @@ fn rung(n: u64, threads: usize, samples: usize, quiet: bool) -> Vec<Row> {
         );
         assert_eq!(naive.items(), buffered.items());
         assert_eq!(naive.overflows(), buffered.overflows());
-        for (i, (t, peak)) in [
+        // The sharded build is checked on its own, so free the plain
+        // ones first: its peak then holds no other filter.
+        drop((naive, buffered, parallel));
+        let mut runs = vec![
             (naive_secs, naive_peak),
             (buffered_secs, buffered_peak),
             (parallel_secs, parallel_peak),
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        ];
+        if n <= SHARDED_MAX_N {
+            let (sharded, sharded_secs, sharded_peak) = timed(|| sharded_build(n, threads));
+            check_sharded(&sharded, n);
+            runs.push((sharded_secs, sharded_peak));
+        }
+        for (i, (t, peak)) in runs.into_iter().enumerate() {
             secs[i].push(t);
             peaks[i].extend(peak);
         }
@@ -156,6 +204,9 @@ fn rung(n: u64, threads: usize, samples: usize, quiet: bool) -> Vec<Row> {
     let naive_secs = median(secs[0].clone());
     let mut rows = Vec::new();
     for (i, contender) in CONTENDERS.into_iter().enumerate() {
+        if secs[i].is_empty() {
+            continue; // the sharded contender above its largest rung
+        }
         let t = median(secs[i].clone());
         let row = Row {
             n,

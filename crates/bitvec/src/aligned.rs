@@ -15,17 +15,28 @@
 //! shape of a filter's word array — sized once from the validated
 //! configuration, then indexed forever.
 //!
+//! Two page-level tools ride along for the bulk builder, which builds a
+//! gigabyte-scale word array region by region next to staging buffers of
+//! comparable size: [`LazyVec`], a word array whose chunks are written
+//! (and so faulted in) only when first accessed, and [`release_pages`],
+//! which hands a drained buffer's pages back to the kernel before it is
+//! freed. Both keep the resident set near the larger of the two buffers
+//! rather than their sum.
+//!
 //! # Safety
 //!
 //! This module owns the only `unsafe` in the crate. The invariants,
 //! upheld by every constructor and relied on by every method:
 //!
 //! 1. `ptr` came from `alloc::alloc` with `Self::layout(len)` (or is
-//!    `NonNull::dangling()` when `len == 0`, which no method dereferences
-//!    because the slice it produces is empty);
+//!    `NonNull::dangling()` when that layout is zero-sized — `len == 0`
+//!    or a zero-sized `T` — where every access is a no-op and nothing is
+//!    freed);
 //! 2. all `len` elements are initialised before the constructor returns
 //!    (on a panic mid-construction the guard drops the initialised prefix
-//!    and frees the buffer);
+//!    and frees the buffer) — trivially so for the `MaybeUninit<T>`
+//!    buffer behind a [`LazyVec`], which tracks per chunk which of its
+//!    `T`s are written and hands out `&mut [T]` only over those;
 //! 3. the buffer is freed with the same layout it was allocated with, and
 //!    elements are dropped exactly once, in `Drop`.
 
@@ -33,6 +44,7 @@
 
 use core::fmt;
 use core::marker::PhantomData;
+use core::mem::{ManuallyDrop, MaybeUninit};
 use core::ops::{Deref, DerefMut};
 use core::ptr::NonNull;
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
@@ -53,26 +65,32 @@ unsafe impl<T: Send> Send for AlignedVec<T> {}
 // SAFETY: see above — &AlignedVec<T> only hands out &T.
 unsafe impl<T: Sync> Sync for AlignedVec<T> {}
 
-/// Advises the kernel to back `[start, end)` with transparent huge
-/// pages (`madvise(MADV_HUGEPAGE)`) — the engine behind
-/// [`AlignedVec::advise_huge`] and [`AlignedVec::filled_huge`]. Issued
+/// `madvise(MADV_HUGEPAGE)`: back a range with transparent huge pages.
+const MADV_HUGEPAGE: usize = 14;
+/// `madvise(MADV_DONTNEED)`: drop a range's pages; private anonymous
+/// memory reads back as zeros, faulted in again on the next touch.
+const MADV_DONTNEED: usize = 4;
+
+/// Issues `madvise(advice)` over the whole pages inside `[start, end)` —
+/// the engine behind the huge-page advice and [`release_pages`]. Issued
 /// as a raw syscall because the workspace links no libc bindings; on
 /// non-Linux/x86-64 targets, or when the kernel declines (THP disabled,
-/// unaligned remainder), this is a no-op — correctness never depends on
-/// it.
+/// locked pages), this is a no-op — correctness never depends on it.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn advise_huge_raw(start: usize, end: usize) {
+fn madvise_raw(start: usize, end: usize, advice: usize) {
     const SYS_MADVISE: usize = 28;
-    const MADV_HUGEPAGE: usize = 14;
     const PAGE: usize = 4096;
     let lo = (start + PAGE - 1) & !(PAGE - 1);
     let hi = end & !(PAGE - 1);
     if hi <= lo {
         return;
     }
-    // SAFETY: madvise(MADV_HUGEPAGE) over a page-aligned subrange of
-    // our own live allocation; it never unmaps or alters contents,
-    // and the return value (advice taken or not) is ignorable.
+    // SAFETY: madvise over a page-aligned subrange of one live
+    // allocation the caller holds exclusively (or, for MADV_HUGEPAGE,
+    // content-preserving advice). It never unmaps anything; the one
+    // content-changing advice, MADV_DONTNEED, is only issued on integer
+    // buffers whose every bit pattern is valid (see `release_pages`).
+    // The return value (advice taken or not) is ignorable.
     unsafe {
         let ret: isize;
         core::arch::asm!(
@@ -80,7 +98,7 @@ fn advise_huge_raw(start: usize, end: usize) {
             inlateout("rax") SYS_MADVISE as isize => ret,
             in("rdi") lo,
             in("rsi") hi - lo,
-            in("rdx") MADV_HUGEPAGE,
+            in("rdx") advice,
             lateout("rcx") _,
             lateout("r11") _,
             options(nostack),
@@ -91,7 +109,7 @@ fn advise_huge_raw(start: usize, end: usize) {
 
 /// No-op fallback for targets without the Linux/x86-64 syscall path.
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn advise_huge_raw(_start: usize, _end: usize) {}
+fn madvise_raw(_start: usize, _end: usize, _advice: usize) {}
 
 /// Drops the initialised prefix and frees the buffer if a constructor
 /// panics before handing ownership to `AlignedVec`.
@@ -104,11 +122,14 @@ struct BuildGuard<T> {
 impl<T> Drop for BuildGuard<T> {
     fn drop(&mut self) {
         // SAFETY: exactly `initialised` leading elements have been written
-        // (invariant 2); the buffer came from `alloc` with `layout`.
+        // (invariant 2); a non-zero-sized buffer came from `alloc` with
+        // `layout` (a zero-sized one is dangling and never allocated).
         unsafe {
             core::ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), self.initialised)
                 .drop_in_place();
-            dealloc(self.ptr.as_ptr().cast(), self.layout);
+            if self.layout.size() != 0 {
+                dealloc(self.ptr.as_ptr().cast(), self.layout);
+            }
         }
     }
 }
@@ -126,8 +147,12 @@ impl<T> AlignedVec<T> {
     }
 
     /// [`AlignedVec::from_fn`], but the fresh buffer is advised toward
-    /// transparent huge pages *before* `f`'s values first touch it (see
-    /// [`AlignedVec::filled_huge`]).
+    /// transparent huge pages *before* `f`'s values first touch it. At
+    /// hundreds of megabytes an eager fill is otherwise dominated by one
+    /// minor page fault per 4 KB page; hugepage faults cut the fault
+    /// count 512-fold, leaving a bandwidth-bound fill — and the buffer
+    /// keeps its TLB advantage for whatever scattered access follows.
+    /// Purely advisory, like [`AlignedVec::advise_huge`].
     pub fn from_fn_huge(len: usize, f: impl FnMut(usize) -> T) -> Self {
         Self::build(len, true, f)
     }
@@ -140,44 +165,42 @@ impl<T> AlignedVec<T> {
         Self::from_fn(len, |_| value.clone())
     }
 
-    /// [`AlignedVec::filled`], but the fresh buffer is advised toward
-    /// transparent huge pages *before* the fill first touches it. At
-    /// hundreds of megabytes the eager fill is otherwise dominated by
-    /// one minor page fault per 4 KB page; hugepage faults cut the
-    /// fault count 512-fold, leaving a bandwidth-bound fill — and the
-    /// buffer keeps its TLB advantage for whatever scattered access
-    /// follows (the bulk builder's word array). Purely advisory, like
-    /// [`AlignedVec::advise_huge`].
-    pub fn filled_huge(len: usize, value: T) -> Self
-    where
-        T: Clone,
-    {
-        Self::from_fn_huge(len, |_| value.clone())
-    }
-
-    /// The one constructor: allocates, optionally advises huge pages
-    /// before the first write, then initialises element `i` to `f(i)`.
-    fn build(len: usize, huge: bool, mut f: impl FnMut(usize) -> T) -> Self {
-        if len == 0 {
-            return AlignedVec {
-                ptr: NonNull::dangling(),
-                len: 0,
-                _owns: PhantomData,
-            };
-        }
+    /// Allocates room for `len` elements without writing any (so no
+    /// page of a large buffer is touched yet), advised toward huge pages
+    /// when `huge` is set. Dangling when that is zero bytes (`len == 0`
+    /// or a zero-sized `T`), which `Drop` then never frees.
+    fn allocate(len: usize, huge: bool) -> NonNull<T> {
         let layout = Self::layout(len);
-        // SAFETY: `len > 0` and `T` is sized, so `layout` is non-zero-sized.
+        if layout.size() == 0 {
+            return NonNull::dangling();
+        }
+        // SAFETY: `layout` is non-zero-sized (checked just above).
         let raw = unsafe { alloc(layout) };
         let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
             handle_alloc_error(layout);
         };
         if huge {
-            advise_huge_raw(raw as usize, raw as usize + layout.size());
+            madvise_raw(raw as usize, raw as usize + layout.size(), MADV_HUGEPAGE);
+        }
+        ptr
+    }
+
+    /// The one initialising constructor: allocates, optionally advises
+    /// huge pages before the first write, then initialises element `i`
+    /// to `f(i)`.
+    fn build(len: usize, huge: bool, mut f: impl FnMut(usize) -> T) -> Self {
+        let ptr = Self::allocate(len, huge);
+        if len == 0 {
+            return AlignedVec {
+                ptr,
+                len: 0,
+                _owns: PhantomData,
+            };
         }
         let mut guard = BuildGuard {
             ptr,
             initialised: 0,
-            layout,
+            layout: Self::layout(len),
         };
         for i in 0..len {
             // SAFETY: `i < len`, so `ptr.add(i)` is in the allocation; the
@@ -205,7 +228,11 @@ impl<T> AlignedVec<T> {
     /// faulted 4 KB pages are only collapsed lazily, if ever.
     pub fn advise_huge(&mut self) {
         let start = self.ptr.as_ptr() as usize;
-        advise_huge_raw(start, start + self.len * core::mem::size_of::<T>());
+        madvise_raw(
+            start,
+            start + self.len * core::mem::size_of::<T>(),
+            MADV_HUGEPAGE,
+        );
     }
 
     /// The fixed element count.
@@ -248,19 +275,187 @@ impl<T> AlignedVec<T> {
 /// a no-op off Linux/x86-64 or when the kernel declines.
 pub fn advise_huge_slice<T>(slice: &mut [T]) {
     let start = slice.as_mut_ptr() as usize;
-    advise_huge_raw(start, start + core::mem::size_of_val(slice));
+    madvise_raw(start, start + core::mem::size_of_val(slice), MADV_HUGEPAGE);
+}
+
+/// Hands the whole pages inside `slice` back to the kernel
+/// (`madvise(MADV_DONTNEED)`), so a drained buffer stops counting toward
+/// the resident set long before it is freed — the bulk builder releases
+/// each region's staging bucket as soon as the region is swept. The
+/// slice stays valid and writable; its elements hold unspecified values
+/// afterwards (zeros on the private anonymous memory heap allocations
+/// live in, the old contents where the kernel declines), which is sound
+/// because every bit pattern is a valid `u32`. A page written again
+/// faults back in. Partial pages at either end are left alone, and this
+/// is a no-op off Linux/x86-64.
+pub fn release_pages(slice: &mut [u32]) {
+    let start = slice.as_mut_ptr() as usize;
+    madvise_raw(start, start + core::mem::size_of_val(slice), MADV_DONTNEED);
+}
+
+/// A fixed-length, cache-line-aligned array written chunk by chunk, each
+/// chunk on first access.
+///
+/// The bulk builder's word array runs to gigabytes and is built one
+/// region at a time by the sweep that owns the region. Filling it up
+/// front (as [`AlignedVec::filled`] does) faults every page in before
+/// the first key is staged, so the words and the staging buffers are
+/// resident together. A `LazyVec` allocates without writing: a chunk's
+/// pages are first touched when a [`LazyChunk`] handle initialises it —
+/// with the fill value ([`LazyChunk::get_or_fill`]) or element by element
+/// ([`LazyChunk::get_or_init_with`], which lets a builder write each
+/// element exactly once) — and [`LazyVec::into_filled`] fills only the
+/// chunks nobody touched. Whether a chunk is initialised is itself
+/// useful: [`LazyChunk::is_init`] tells a builder that a region it never
+/// swept still holds nothing.
+///
+/// `T: Copy` keeps the bookkeeping trivial: a chunk abandoned half
+/// written (its initialiser panicked) leaks nothing and drops nothing.
+pub struct LazyVec<T: Copy> {
+    /// `MaybeUninit` slots; the chunks flagged in `init` hold `T`s.
+    buf: AlignedVec<MaybeUninit<T>>,
+    chunk: usize,
+    /// Per chunk: every slot written.
+    init: Vec<bool>,
+    fill: T,
+}
+
+impl<T: Copy> LazyVec<T> {
+    /// `len` elements in chunks of `chunk` (the last may be shorter),
+    /// each chunk to be initialised on first access — to `fill` unless
+    /// its first access supplies the elements. The buffer is advised
+    /// toward transparent huge pages (see [`AlignedVec::from_fn_huge`]);
+    /// no page is touched yet.
+    ///
+    /// # Panics
+    /// Panics if `chunk == 0`.
+    pub fn new(len: usize, chunk: usize, fill: T) -> Self {
+        assert!(chunk > 0, "zero-length chunks");
+        LazyVec {
+            buf: AlignedVec {
+                ptr: AlignedVec::<MaybeUninit<T>>::allocate(len, true),
+                len,
+                _owns: PhantomData,
+            },
+            chunk,
+            init: vec![false; len.div_ceil(chunk)],
+            fill,
+        }
+    }
+
+    /// The fixed element count.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// True when the array holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// A handle to chunk `i`.
+    ///
+    /// # Panics
+    /// Panics if chunk `i` does not exist.
+    pub fn chunk_mut(&mut self, i: usize) -> LazyChunk<'_, T> {
+        let start = i * self.chunk;
+        let end = (start + self.chunk).min(self.buf.len());
+        LazyChunk {
+            slots: &mut self.buf[start..end],
+            init: &mut self.init[i],
+            fill: self.fill,
+        }
+    }
+
+    /// Handles to every chunk, in order — disjoint, so they may be
+    /// initialised on different threads.
+    pub fn chunks_mut(&mut self) -> impl Iterator<Item = LazyChunk<'_, T>> {
+        let fill = self.fill;
+        self.buf
+            .chunks_mut(self.chunk)
+            .zip(self.init.iter_mut())
+            .map(move |(slots, init)| LazyChunk { slots, init, fill })
+    }
+
+    /// Fills every chunk not yet initialised and returns the finished
+    /// array (the same buffer — nothing is copied).
+    pub fn into_filled(mut self) -> AlignedVec<T> {
+        for mut chunk in self.chunks_mut() {
+            chunk.get_or_fill();
+        }
+        let buf = ManuallyDrop::new(self.buf);
+        // Every slot now holds a `T` (the loop above), and
+        // `MaybeUninit<T>` has `T`'s size and alignment, so the buffer
+        // meets `AlignedVec<T>`'s invariants — including freeing with
+        // the same layout it was allocated with.
+        AlignedVec {
+            ptr: buf.ptr.cast(),
+            len: buf.len,
+            _owns: PhantomData,
+        }
+    }
+}
+
+/// One chunk of a [`LazyVec`]: initialised on first access, then an
+/// ordinary mutable slice.
+pub struct LazyChunk<'a, T: Copy> {
+    slots: &'a mut [MaybeUninit<T>],
+    init: &'a mut bool,
+    fill: T,
+}
+
+impl<T: Copy> LazyChunk<'_, T> {
+    /// Elements in this chunk.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when the chunk holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// True once the chunk has been initialised.
+    pub fn is_init(&self) -> bool {
+        *self.init
+    }
+
+    /// The chunk's elements, first filling them with the array's fill
+    /// value if the chunk is not yet initialised.
+    pub fn get_or_fill(&mut self) -> &mut [T] {
+        let fill = self.fill;
+        self.get_or_init_with(|_| fill)
+    }
+
+    /// The chunk's elements, first writing element `i` as `f(i)` — once
+    /// each, in order — if the chunk is not yet initialised. An
+    /// initialised chunk is returned as it is and `f` is not called.
+    pub fn get_or_init_with(&mut self, mut f: impl FnMut(usize) -> T) -> &mut [T] {
+        if !*self.init {
+            for (i, slot) in self.slots.iter_mut().enumerate() {
+                slot.write(f(i));
+            }
+            *self.init = true;
+        }
+        let slots: *mut [MaybeUninit<T>] = &mut *self.slots;
+        // SAFETY: `init` is set only after every slot was written (a
+        // panicking `f` leaves it clear), and `MaybeUninit<T>` has `T`'s
+        // layout; the borrow of `self` keeps the slice unique.
+        unsafe { &mut *(slots as *mut [T]) }
+    }
 }
 
 impl<T> Drop for AlignedVec<T> {
     fn drop(&mut self) {
-        if self.len == 0 {
-            return;
-        }
+        let layout = Self::layout(self.len);
         // SAFETY: invariant 3 — elements are initialised and dropped here
-        // exactly once; the buffer came from `alloc` with `layout(len)`.
+        // exactly once; a non-zero-sized buffer came from `alloc` with
+        // `layout(len)` (a zero-sized one is dangling, never allocated).
         unsafe {
             core::ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), self.len).drop_in_place();
-            dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len));
+            if layout.size() != 0 {
+                dealloc(self.ptr.as_ptr().cast(), layout);
+            }
         }
     }
 }
@@ -382,16 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn filled_huge_matches_filled() {
-        let a = AlignedVec::<u64>::filled(70_000, 0xdead_beef);
-        let b = AlignedVec::<u64>::filled_huge(70_000, 0xdead_beef);
-        assert_eq!(a.as_slice(), b.as_slice());
-        assert_eq!(b.as_slice().as_ptr() as usize % CACHE_LINE_BYTES, 0);
-        let empty = AlignedVec::<u32>::filled_huge(0, 7);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn huge_advice_preserves_contents() {
         // Advisory only: contents must be untouched, for both the
         // AlignedVec method and the free-slice helper.
@@ -415,10 +600,86 @@ mod tests {
     }
 
     #[test]
+    fn zero_sized_elements_allocate_nothing() {
+        let v = AlignedVec::from_fn(1_000, |_| ());
+        assert_eq!(v.len(), 1_000);
+        drop(v.clone());
+        assert_eq!(LazyVec::new(64, 8, ()).into_filled().len(), 64);
+    }
+
+    #[test]
     fn works_with_non_clone_elements() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let v: AlignedVec<AtomicU64> = AlignedVec::from_fn(16, |i| AtomicU64::new(i as u64));
         assert_eq!(v[5].load(Ordering::Relaxed), 5);
         assert_eq!(v.as_slice().as_ptr() as usize % CACHE_LINE_BYTES, 0);
+    }
+
+    #[test]
+    fn lazy_chunks_initialise_on_first_access_only() {
+        let mut v = LazyVec::new(10, 4, 7u64);
+        assert_eq!(v.len(), 10);
+        {
+            let mut c = v.chunk_mut(1);
+            assert!(!c.is_init());
+            assert_eq!(c.get_or_init_with(|i| i as u64 * 10), &[0, 10, 20, 30]);
+            assert!(c.is_init());
+            // Initialised: the initialiser is not called again.
+            c.get_or_init_with(|_| unreachable!())[3] = 99;
+        }
+        let mut last = v.chunk_mut(2);
+        assert_eq!(last.len(), 2, "the last chunk is the remainder");
+        assert_eq!(last.get_or_fill(), &[7, 7]);
+        let done = v.into_filled();
+        assert_eq!(done.as_slice(), &[7, 7, 7, 7, 0, 10, 20, 99, 7, 7]);
+        assert_eq!(done.as_ptr() as usize % CACHE_LINE_BYTES, 0);
+    }
+
+    #[test]
+    fn lazy_chunks_split_across_threads() {
+        let mut v = LazyVec::new(1_000, 64, 0u32);
+        std::thread::scope(|scope| {
+            for (i, mut chunk) in v.chunks_mut().enumerate() {
+                if i % 2 == 0 {
+                    scope.spawn(move || {
+                        chunk.get_or_init_with(|j| (i * 64 + j) as u32);
+                    });
+                }
+            }
+        });
+        let done = v.into_filled();
+        for (i, &x) in done.iter().enumerate() {
+            let expected = if (i / 64) % 2 == 0 { i as u32 } else { 0 };
+            assert_eq!(x, expected, "element {i}");
+        }
+        assert!(LazyVec::new(0, 8, 1u8).into_filled().is_empty());
+    }
+
+    #[test]
+    fn a_panicking_initialiser_leaves_the_chunk_uninitialised() {
+        let mut v = LazyVec::new(8, 8, 5u16);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            v.chunk_mut(0)
+                .get_or_init_with(|i| if i == 3 { panic!("boom") } else { 1 });
+        }));
+        assert!(caught.is_err());
+        assert!(!v.chunk_mut(0).is_init());
+        assert_eq!(v.into_filled().as_slice(), &[5; 8]);
+    }
+
+    #[test]
+    fn released_pages_stay_usable() {
+        let mut buf = vec![0u32; 1 << 18];
+        buf.iter_mut()
+            .enumerate()
+            .for_each(|(i, x)| *x = i as u32 | 1);
+        release_pages(&mut buf[1_000..200_000]);
+        // Whatever the kernel did inside, the edges are untouched and
+        // the whole slice can be written and read again.
+        assert_eq!(buf[999], 999 | 1);
+        assert_eq!(buf[200_000], 200_000 | 1);
+        buf[5_000] = 42;
+        assert_eq!(buf[5_000], 42);
+        release_pages(&mut buf[..0]);
     }
 }

@@ -20,7 +20,8 @@
 //! cache-line words).
 //!
 //! The crate is safe Rust except for one tightly-scoped module,
-//! [`aligned`] (cache-line-aligned allocation), whose blocks carry
+//! [`aligned`] (cache-line-aligned allocation and the page handling of
+//! bulk builds: [`LazyVec`], [`release_pages`]), whose blocks carry
 //! per-block safety comments; everything else compiles to the obvious
 //! mask-and-shift instruction sequences.
 
@@ -33,7 +34,9 @@ pub mod counters;
 pub mod wide;
 pub mod word;
 
-pub use crate::aligned::{advise_huge_slice, AlignedVec, CACHE_LINE_BYTES};
+pub use crate::aligned::{
+    advise_huge_slice, release_pages, AlignedVec, LazyChunk, LazyVec, CACHE_LINE_BYTES,
+};
 pub use crate::bitvec::BitVec;
 pub use crate::counters::CounterVec;
 pub use crate::wide::WideWord;

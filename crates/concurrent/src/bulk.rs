@@ -14,14 +14,16 @@
 //!   array (no shard locks touched until install), finishing shards in
 //!   parallel.
 //!
+//! Every executor gives each thread one [`SweepScratch`], reused across
+//! the regions that thread sweeps.
+//!
 //! With `threads <= 1` (or one region) the executors run inline, so the
 //! parallel entry points are safe defaults on any core count.
 
-use mpcbf_bitvec::AlignedVec;
 use mpcbf_core::bulk::{
     BulkBuilder, BulkStage, BulkStats, RegionJob, ResilientBulkBuilder, SweepScratch,
 };
-use mpcbf_core::{HcbfWord, Mpcbf, MpcbfConfig, ResilientMpcbf};
+use mpcbf_core::{Mpcbf, MpcbfConfig, ResilientMpcbf};
 use mpcbf_hash::{Hasher128, Murmur3};
 
 use crate::sharded::{split_digest, ShardedMpcbf};
@@ -74,15 +76,16 @@ pub fn build_resilient_parallel<H: Hasher128>(
 }
 
 /// Streaming bulk builder for [`ShardedMpcbf`]: each shard gets its own
-/// staging hierarchy and word array, keys route by the same top-16
-/// digest bits as the live insert path, and finish builds shards on
-/// scoped threads, then hands the arrays to the filter as its shards —
-/// the builder's words are the only copy ever allocated.
+/// staging hierarchy and word array (one [`BulkStage`]), keys route by
+/// the same top-16 digest bits as the live insert path, and finish
+/// builds shards on scoped threads, then hands the stages' arrays to
+/// the filter as its shards — the builder's words are the only copy
+/// ever allocated, and each shard's are first touched by its own
+/// sweeps.
 pub struct ShardedBulkBuilder<H: Hasher128 = Murmur3> {
     config: MpcbfConfig,
     shard_mask: u64,
     stages: Vec<BulkStage>,
-    words: Vec<AlignedVec<HcbfWord<u64>>>,
     _hasher: PhantomData<H>,
 }
 
@@ -103,9 +106,6 @@ impl<H: Hasher128> ShardedBulkBuilder<H> {
                     BulkStage::with_expected(per, shape.k, shape.g, shape.b1, expected_per_shard)
                 })
                 .collect(),
-            words: (0..count)
-                .map(|_| AlignedVec::filled_huge(per as usize, HcbfWord::new()))
-                .collect(),
             shard_mask: count as u64 - 1,
             config,
             _hasher: PhantomData,
@@ -116,7 +116,7 @@ impl<H: Hasher128> ShardedBulkBuilder<H> {
     pub fn push(&mut self, key: &[u8]) {
         let digest = H::hash128(self.config.seed(), key);
         let (shard, probe_digest) = split_digest(digest, self.shard_mask);
-        self.stages[shard].push_digest(self.words[shard].as_mut_slice(), probe_digest);
+        self.stages[shard].push_digest(probe_digest);
     }
 
     /// Summed staging counters across shards.
@@ -140,26 +140,26 @@ impl<H: Hasher128> ShardedBulkBuilder<H> {
     /// Completes the build with shards drained on up to `threads`
     /// scoped threads; the word arrays become the filter's shards.
     pub fn finish_parallel(mut self, threads: usize) -> ShardedMpcbf<u64, H> {
-        let mut shards: Vec<(&mut BulkStage, &mut AlignedVec<HcbfWord<u64>>)> =
-            self.stages.iter_mut().zip(self.words.iter_mut()).collect();
-        if threads <= 1 || shards.len() <= 1 {
-            for (stage, words) in shards {
-                stage.finish_into(words.as_mut_slice());
+        // One sweep scratch per thread, shared by its shards' regions.
+        let finish = |stages: &mut [BulkStage]| {
+            let mut scratch = SweepScratch::new();
+            for stage in stages {
+                stage.finish_with(|jobs| jobs.iter_mut().for_each(|j| j.run_with(&mut scratch)));
             }
+        };
+        if threads <= 1 || self.stages.len() <= 1 {
+            finish(&mut self.stages);
         } else {
-            let per = shards.len().div_ceil(threads);
+            let per = self.stages.len().div_ceil(threads);
             std::thread::scope(|scope| {
-                for chunk in shards.chunks_mut(per) {
-                    scope.spawn(move || {
-                        for (stage, words) in chunk {
-                            stage.finish_into(words.as_mut_slice());
-                        }
-                    });
+                for chunk in self.stages.chunks_mut(per) {
+                    scope.spawn(move || finish(chunk));
                 }
             });
         }
         let refused = self.stages.iter().map(BulkStage::refused).sum();
-        ShardedMpcbf::from_shard_words(self.config, self.words, refused)
+        let words = self.stages.into_iter().map(BulkStage::into_words);
+        ShardedMpcbf::from_shard_words(self.config, words.collect(), refused)
     }
 }
 

@@ -8,20 +8,42 @@
 //! random writes into near-linear memory traffic:
 //!
 //! ```text
-//! key ─hash─▶ packed entry ─▶ L1 bucket ─▶ L2 bucket ─▶ L3 region ─▶ sweep
-//!             (one u64)        (hot, 32KB)   (2MB)        (word range)
+//! key ─hash─▶ entry ─▶ L1 bucket ─▶ L2 bucket ─▶ L3 region ─▶ sweep
+//!             (u64)     (hot, 32KB)   (2MB)        (u32 entries)
 //! ```
 //!
 //! * **L1**: up to 64 buckets of 64 entries, indexed by the high bits of
 //!   the target word — appends land in a cache-resident array.
 //! * **L2**: up to 64 coarser buckets of 4096 entries. A full L1 bucket
 //!   is spilled into its enclosing L2 bucket with one contiguous copy.
-//! * **L3**: one bucket per *region* (a `2^s3 ≤ 32768`-word aligned
-//!   range, so the region's words occupy at most 256 KB and stay
-//!   cache-resident during a sweep), all striped through one flat
-//!   lazily-faulted slab. A full L2 bucket is split-appended by region;
-//!   a full region bucket is **flushed** as one sweep over the region's
-//!   words.
+//! * **L3**: one bucket per *region* (an aligned range of `2^s3` words,
+//!   `2^14` for the MPCBF-1 shape and at most `2^15`, so the region's
+//!   words occupy at most 256 KB and stay cache-resident during a
+//!   sweep), all striped through one flat lazily-faulted slab. A full L2
+//!   bucket is split-appended by region; a full region bucket is
+//!   **flushed** as one sweep over the region's words.
+//!
+//! # Packed entries
+//!
+//! L1 and L2 entries carry the absolute target word: one `u64`
+//! `word ‖ slots`, or a `(word, slots)` pair of them when the slots fill
+//! most of a `u64`. An L3 bucket's region is implicit in the bucket, so
+//! its entries carry only the word's offset in the region,
+//! `(word − base) ‖ slots`, in 32-bit slab words. The region width is
+//! chosen per shape so that an entry fits:
+//!
+//! | staging | slots | region | slab per entry |
+//! |---|---|---|---|
+//! | deferred, `k ≤ 2` | `6k` bits | `2^15` words | 4 B (one key) |
+//! | deferred, `k = 3` (MPCBF-1) | 18 bits | `2^14` words | 4 B (one key) |
+//! | deferred, `4 ≤ k ≤ 8` | `6k` bits | `2^15` words | 8 B (one key) |
+//! | admitted | 6 bits | `2^15` words | 4 B (one probe) |
+//!
+//! A region is never wider than the array, so a small array may pack
+//! tighter (one slab word whenever `6k + ⌈log₂ l⌉ ≤ 32`). A deferred shape
+//! whose slots leave fewer than 12 offset bits even in two slab words
+//! (`k ≥ 9`, unless the whole array is that narrow) stages admitted
+//! instead.
 //!
 //! # Memory budget
 //!
@@ -32,16 +54,28 @@
 //! Poisson with variance `cμ`, so the bucket sits eight standard
 //! deviations above the mean: every region buckets *all* of its entries
 //! and sweeps once, onto still-empty words. The slab is then the staged
-//! entries plus a few percent — 8 B per key when deferred, 8 B per
-//! probe (`k` per key) when admitted — on top of the filter's own words.
-//! A bucket that overflows anyway (pushes past the hint) only flushes
-//! early: speed is lost, never exactness.
+//! entries plus a few percent — 4 B per key for the MPCBF-1 shape (see
+//! the table above). A bucket that overflows anyway (pushes past the
+//! hint) only flushes early: speed is lost, never exactness.
+//!
+//! The slab and the word array are never fully resident together. The
+//! slab is zero-allocated, so a bucket's pages fault in as its entries
+//! arrive, and each region's job hands its bucket's pages back to the
+//! kernel ([`release_pages`]) as soon as the region is swept. The word
+//! array is a [`LazyVec`] chunked by region: a region's words are first
+//! touched by the sweep (or mid-stream flush) that builds them, and only
+//! the regions no key reached are filled at the end. So while the finish
+//! runs, slab pages leave as word pages arrive, and a build peaks at
+//! about `max(filter, staged entries)` — `max(l × 8 B, 4 B × keys)` for
+//! MPCBF-1 — plus the L1/L2 buckets (about 2 MB per stage, freed as soon
+//! as the finish has drained them) and one sweep scratch per thread,
+//! rather than the sum of the two.
 //!
 //! The sweep itself has two tiers. A region's *first* sweep lands on
-//! all-empty words, so it skips incremental increments entirely:
-//! `construct_entries` histograms each word's slot counts (arrival
-//! order, exact admission bookkeeping) and then serialises each word's
-//! canonical encoding in one pass — the words are written once,
+//! words nothing has written, so it skips incremental increments
+//! entirely: `construct_entries` histograms each word's slot counts
+//! (arrival order, exact admission bookkeeping) and then writes each
+//! word's canonical encoding in one pass — the words are written once,
 //! sequentially, never read. A region swept *again* (its bucket
 //! overflowed mid-stream — only when pushes exceed the sizing hint) is
 //! dirty, and `apply_entries` replays its entries in arrival order
@@ -66,7 +100,7 @@
 //! increments themselves may then be applied in any order. Two staging
 //! modes cover all shapes:
 //!
-//! * **Deferred** (`g == 1` and the entry fits a `u64`): a key stages one
+//! * **Deferred** (`g == 1`, see the table above): a key stages one
 //!   packed entry `word ‖ k×slot` and admission is decided *at flush
 //!   time* from the word's running total. This is exact because every
 //!   bucket level preserves per-word arrival order (each word travels one
@@ -84,9 +118,9 @@
 //!
 //! # Parallel finish
 //!
-//! [`BulkBuilder::finish_with`] drains L1/L2 into L3 and hands the caller
-//! disjoint [`RegionJob`]s — each owns a region's staged entries *and*
-//! the mutable word slice it sweeps — so an executor (see
+//! [`BulkStage::finish_with`] drains L1/L2 into L3 and hands the caller
+//! disjoint [`RegionJob`]s — each owns a region's slab bucket *and* the
+//! region's chunk of the word array — so an executor (see
 //! `mpcbf-concurrent`) can run regions on scoped threads with no locks
 //! and no false sharing. Regions are independent even in deferred mode
 //! because admission is word-local there.
@@ -97,18 +131,17 @@ use crate::mpcbf::Mpcbf;
 use crate::plan::PlanBuffer;
 use crate::resilient::ResilientMpcbf;
 use crate::{split_hashes, GROUP_SALT, WORD_SALT};
-use mpcbf_bitvec::{advise_huge_slice, AlignedVec};
+use mpcbf_bitvec::{advise_huge_slice, release_pages, AlignedVec, LazyChunk, LazyVec};
 use mpcbf_hash::{DoubleHasher, Hasher128, Murmur3};
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 /// L1 geometry: up to `2^L1_REGION_BITS` hot buckets of `L1_CAP`
-/// entries — 64 × 64 × 8 B = 32 KB flat, sized to stay resident in L1d
+/// `u64`s — 64 × 64 × 8 B = 32 KB flat, sized to stay resident in L1d
 /// so the per-key append never leaves the first cache level.
 const L1_REGION_BITS: u32 = 6;
 const L1_CAP: usize = 64;
 
-/// L2 geometry: up to `2^L2_REGION_BITS` buckets of `L2_CAP` entries.
+/// L2 geometry: up to `2^L2_REGION_BITS` buckets of `L2_CAP` `u64`s.
 const L2_REGION_BITS: u32 = 6;
 const L2_CAP: usize = 4096;
 
@@ -117,6 +150,12 @@ const L2_CAP: usize = 4096;
 /// in L2 — and each L2-bucket spill fans out over few region tails,
 /// keeping the append streams long and TLB-friendly on huge builds.
 const L3_REGION_BITS: u32 = 15;
+
+/// The narrowest region a deferred entry may use (unless the whole
+/// array is narrower): below it the per-region bucket slack and the
+/// spill fan-out outweigh the halved entry, and the stage packs two
+/// slab words per entry instead.
+const L3_MIN_REGION_BITS: u32 = 12;
 
 /// Fallback region-bucket density (staged entries per region word) when
 /// the caller gives no expected-key hint. [`BulkStage::with_expected`]
@@ -158,13 +197,59 @@ pub struct BulkStats {
     pub flushes: u64,
 }
 
-/// How admission is decided (see the module docs).
-enum Mode {
-    /// `g == 1`: entries carry the whole key, refusal decided at flush.
-    Deferred,
-    /// Per-word occupancy decides refusal at push time; only admitted
-    /// probes are staged.
-    Admitted { admit: Vec<u8> },
+/// How a stage packs and applies its entries (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Packing {
+    /// `Some(k)` in deferred mode, where an entry carries a whole key's
+    /// `k` slots; `None` in admitted mode (one admitted probe per entry).
+    deferred: Option<u32>,
+    /// Slot bits below an entry's word field: `6k` deferred, 6 admitted.
+    slot_bits: u32,
+    /// Slab `u32`s per L3 entry and `u64`s per L1/L2 entry: 1, or 2
+    /// when a deferred key's slots crowd out the word field.
+    stride: usize,
+    /// `log₂` of the region width (`s3`).
+    region_bits: u32,
+    b1: u32,
+    /// Increment capacity of one word: `64 − b1`.
+    cap: u32,
+}
+
+impl Packing {
+    /// Deferred packing when `defer` is asked for, `g == 1` and a key's
+    /// entry fits one or two slab words over a region of at least
+    /// `2^L3_MIN_REGION_BITS` words (or the whole array); admitted
+    /// packing otherwise.
+    fn new(l: u64, k: u32, g: u32, b1: u32, defer: bool) -> Self {
+        let wb = index_bits(l);
+        let admitted = Packing {
+            deferred: None,
+            slot_bits: SLOT_BITS,
+            stride: 1,
+            region_bits: wb.min(L3_REGION_BITS),
+            b1,
+            cap: 64 - b1,
+        };
+        if !defer || g != 1 {
+            return admitted;
+        }
+        for stride in [1, 2] {
+            let Some(free) = (32 * stride as u32).checked_sub(SLOT_BITS * k) else {
+                continue;
+            };
+            let region_bits = free.min(L3_REGION_BITS).min(wb);
+            if region_bits >= wb.min(L3_MIN_REGION_BITS) {
+                return Packing {
+                    deferred: Some(k),
+                    slot_bits: SLOT_BITS * k,
+                    stride,
+                    region_bits,
+                    ..admitted
+                };
+            }
+        }
+        admitted
+    }
 }
 
 /// The staging hierarchy over one word array: routes packed probe
@@ -173,47 +258,47 @@ enum Mode {
 ///
 /// This is the building block shared by [`BulkBuilder`] (one `Mpcbf`
 /// word array) and the sharded builder in `mpcbf-concurrent` (one stage
-/// per shard sub-filter). The caller owns the words and passes them to
-/// every call that may flush.
+/// per shard sub-filter). The stage owns its word array, a [`LazyVec`]
+/// chunked by region: push keys, finish once ([`BulkStage::finish`] or
+/// [`BulkStage::finish_with`]), then take the words with
+/// [`BulkStage::into_words`].
 pub struct BulkStage {
     l: u64,
     k: u32,
     g: u32,
-    b1: u32,
-    /// Increment capacity of one word: `W::BITS − b1`.
-    cap: u32,
-    mode: Mode,
-    /// Word-field shift of a packed entry (`6k` deferred, `6` admitted).
-    word_shift: u32,
-    /// Region shifts: `word >> sN` = bucket index at level N.
+    pack: Packing,
+    /// Admitted mode: per-word increments admitted so far (empty when
+    /// deferred).
+    admit: Vec<u8>,
+    /// Region shifts: `word >> sN` = bucket index at level N (`s3` is
+    /// `pack.region_bits`).
     s1: u32,
     s2: u32,
-    s3: u32,
     l1: Vec<u64>,
     l1_len: Vec<u8>,
     l2: Vec<u64>,
     l2_len: Vec<u16>,
     /// One flat hugepage-advised slab holding every region bucket at a
-    /// fixed `l3_cap`-entry stride (bucket `r3` = slab
-    /// `[r3·l3_cap, r3·l3_cap + l3_len[r3])`). Flat beats a
-    /// vec-of-vecs twice over: the zeroed allocation is faulted in
-    /// lazily, and one `madvise(MADV_HUGEPAGE)` covers all the tails —
-    /// the random 8-byte appends of the L2 split are exactly the access
+    /// fixed stride of `l3_cap` entries (bucket `r3` = entries
+    /// `[r3·l3_cap, r3·l3_cap + l3_len[r3])`, each `pack.stride` `u32`s).
+    /// Flat beats a vec-of-vecs twice over: the zeroed allocation is
+    /// faulted in lazily, and one `madvise(MADV_HUGEPAGE)` covers all the
+    /// tails — the random appends of the L2 split are exactly the access
     /// pattern 4 KB pages punish with a TLB miss each. A plain `Vec`,
-    /// deliberately: `vec![0u64; n]` rides `calloc`'s untouched zero
+    /// deliberately: `vec![0u32; n]` rides `calloc`'s untouched zero
     /// pages, where a cache-aligned allocation would eagerly `memset`
     /// the worst-case gigabytes (see [`advise_huge_slice`]).
-    l3: Vec<u64>,
+    l3: Vec<u32>,
     l3_len: Vec<u32>,
     /// Bucket stride: the capacity of every full-width region.
     l3_cap: usize,
     /// Capacity of the last region, which may be narrower than `2^s3`.
     l3_last_cap: usize,
-    /// Regions already swept at least once. A fresh region's words are
-    /// still all-empty (the stage's contract: it owns every write to the
-    /// word array), so its first sweep may *construct* words from slot
-    /// histograms; a dirty region must take the incremental walk.
-    dirty: Vec<bool>,
+    /// The word array, one chunk per region. A chunk not yet initialised
+    /// is a region never swept: its words are still all-empty, so its
+    /// first sweep may *construct* them from slot histograms; a swept
+    /// region must take the incremental walk.
+    words: LazyVec<HcbfWord<u64>>,
     /// Histogram scratch reused across this stage's own sweeps.
     scratch: SweepScratch,
     items: u64,
@@ -231,11 +316,10 @@ impl BulkStage {
     /// picking deferred staging when the shape allows it.
     ///
     /// # Panics
-    /// Panics if `l == 0`, `k` or `g` are out of the planner's range, or
-    /// `b1` is not in `1..64`.
+    /// Panics if `l` is not in `1..=2^32`, `k` or `g` are out of the
+    /// planner's range, or `b1` is not in `1..64`.
     pub fn new(l: u64, k: u32, g: u32, b1: u32) -> Self {
-        let deferred = g == 1 && SLOT_BITS * k + index_bits(l) <= 64;
-        Self::with_mode(l, k, g, b1, deferred, None)
+        Self::with_packing(l, k, g, b1, true, None)
     }
 
     /// [`BulkStage::new`] with region buckets sized for `expected` keys:
@@ -245,46 +329,48 @@ impl BulkStage {
     /// final sweep lands on still-empty words, unlocking direct word
     /// construction (see `construct_entries`).
     pub fn with_expected(l: u64, k: u32, g: u32, b1: u32, expected: u64) -> Self {
-        let deferred = g == 1 && SLOT_BITS * k + index_bits(l) <= 64;
-        // A deferred entry carries a whole key; an admitted one a probe.
-        let entries = if deferred {
-            expected
-        } else {
-            expected.saturating_mul(u64::from(k))
-        };
-        Self::with_mode(l, k, g, b1, deferred, Some(entries))
+        Self::with_packing(l, k, g, b1, true, Some(expected))
     }
 
     /// A stage that always decides admission at push time, for callers
     /// that must observe refusals per key (the resilient spill path).
     pub fn admitted(l: u64, k: u32, g: u32, b1: u32) -> Self {
-        Self::with_mode(l, k, g, b1, false, None)
+        Self::with_packing(l, k, g, b1, false, None)
     }
 
     /// [`BulkStage::admitted`] with expectation-sized region buckets
     /// (`k` staged probes per key — admitted entries carry one probe
     /// each, unlike the one-entry-per-key deferred packing).
     pub fn admitted_with_expected(l: u64, k: u32, g: u32, b1: u32, expected: u64) -> Self {
-        let entries = expected.saturating_mul(u64::from(k));
-        Self::with_mode(l, k, g, b1, false, Some(entries))
+        Self::with_packing(l, k, g, b1, false, Some(expected))
     }
 
-    /// `entries`: the staged entries expected over the whole array, or
-    /// `None` for the unhinted [`L3_MIN_DENSITY`] buckets.
-    fn with_mode(l: u64, k: u32, g: u32, b1: u32, deferred: bool, entries: Option<u64>) -> Self {
-        assert!(l >= 1, "empty word array");
+    /// `expected`: the keys expected over the whole array, or `None` for
+    /// the unhinted [`L3_MIN_DENSITY`] buckets.
+    fn with_packing(l: u64, k: u32, g: u32, b1: u32, defer: bool, expected: Option<u64>) -> Self {
+        assert!((1..=1 << 32).contains(&l), "word count {l} out of 1..=2^32");
         assert!((1..=64).contains(&k) && g >= 1 && g <= k, "probe shape");
         assert!((1..64).contains(&b1), "b1 = {b1} out of 1..64");
+        let pack = Packing::new(l, k, g, b1, defer);
         let wb = index_bits(l);
         let s1 = wb.saturating_sub(L1_REGION_BITS);
         let s2 = wb.saturating_sub(L2_REGION_BITS);
-        let s3 = wb.min(L3_REGION_BITS);
+        let s3 = pack.region_bits;
         let r1 = l.div_ceil(1 << s1) as usize;
         let r2 = l.div_ceil(1 << s2) as usize;
         let r3 = l.div_ceil(1 << s3) as usize;
+        // A deferred entry carries a whole key; an admitted one a probe.
+        let entries = expected.map(|keys| match pack.deferred {
+            Some(_) => keys,
+            None => keys.saturating_mul(u64::from(k)),
+        });
         // Entries one key drops into one word: the cluster size of the
         // compound-Poisson region count.
-        let cluster = if deferred { 1 } else { k.div_ceil(g) };
+        let cluster = if pack.deferred.is_some() {
+            1
+        } else {
+            k.div_ceil(g)
+        };
         let bucket = |words: u64| -> usize {
             let Some(entries) = entries else {
                 return (L3_MIN_DENSITY * words) as usize;
@@ -296,40 +382,30 @@ impl BulkStage {
         };
         let l3_cap = bucket(1 << s3);
         let l3_last_cap = bucket(l - ((r3 as u64 - 1) << s3));
-        let (mode, word_shift) = if deferred {
-            (Mode::Deferred, SLOT_BITS * k)
-        } else {
-            (
-                Mode::Admitted {
-                    admit: vec![0u8; l as usize],
-                },
-                SLOT_BITS,
-            )
-        };
         BulkStage {
             l,
             k,
             g,
-            b1,
-            cap: 64 - b1,
-            mode,
-            word_shift,
+            admit: match pack.deferred {
+                Some(_) => Vec::new(),
+                None => vec![0u8; l as usize],
+            },
+            pack,
             s1,
             s2,
-            s3,
             l1: vec![0; r1 * L1_CAP],
             l1_len: vec![0; r1],
             l2: vec![0; r2 * L2_CAP],
             l2_len: vec![0; r2],
             l3: {
-                let mut slab = vec![0u64; (r3 - 1) * l3_cap + l3_last_cap];
+                let mut slab = vec![0u32; ((r3 - 1) * l3_cap + l3_last_cap) * pack.stride];
                 advise_huge_slice(&mut slab);
                 slab
             },
             l3_len: vec![0; r3],
             l3_cap,
             l3_last_cap,
-            dirty: vec![false; r3],
+            words: LazyVec::new(l as usize, 1 << s3, HcbfWord::new()),
             scratch: SweepScratch::new(),
             items: 0,
             refused: 0,
@@ -339,7 +415,13 @@ impl BulkStage {
 
     /// True when admission is decided at flush time.
     pub fn is_deferred(&self) -> bool {
-        matches!(self.mode, Mode::Deferred)
+        self.pack.deferred.is_some()
+    }
+
+    /// Words per staging region (the last region may be narrower): the
+    /// span one sweep covers.
+    pub fn region_words(&self) -> u64 {
+        1 << self.pack.region_bits
     }
 
     /// Keys admitted so far. Exact only after the stage is drained
@@ -364,17 +446,17 @@ impl BulkStage {
     /// admitted mode; deferred mode always returns `true` and tallies
     /// refusals during flushes.
     #[inline]
-    pub fn push_digest(&mut self, words: &mut [HcbfWord<u64>], digest: u128) -> bool {
+    pub fn push_digest(&mut self, digest: u128) -> bool {
         self.stats.keys += 1;
         let mut picker = DoubleHasher::with_salt(digest, WORD_SALT, self.l);
-        if matches!(self.mode, Mode::Deferred) {
+        if self.is_deferred() {
             let word = picker.next_index() as u64;
-            let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, self.b1 as u64);
-            let mut entry = word << self.word_shift;
+            let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, u64::from(self.pack.b1));
+            let mut slots = 0u64;
             for j in 0..self.k {
-                entry |= (inner.next_index() as u64) << (SLOT_BITS * j);
+                slots |= (inner.next_index() as u64) << (SLOT_BITS * j);
             }
-            self.route(words, entry);
+            self.route(word, slots);
             true
         } else {
             let mut probe_words = [0u32; 64];
@@ -383,15 +465,18 @@ impl BulkStage {
             for t in 0..self.g {
                 let word = picker.next_index() as u32;
                 let k_t = split_hashes(self.k, self.g, t);
-                let mut inner =
-                    DoubleHasher::with_salt(digest, GROUP_SALT ^ u64::from(t), self.b1 as u64);
+                let mut inner = DoubleHasher::with_salt(
+                    digest,
+                    GROUP_SALT ^ u64::from(t),
+                    u64::from(self.pack.b1),
+                );
                 for _ in 0..k_t {
                     probe_words[cursor] = word;
                     slots[cursor] = inner.next_index() as u32;
                     cursor += 1;
                 }
             }
-            self.stage_admitted(words, &probe_words[..cursor], &slots[..cursor])
+            self.stage_admitted(&probe_words[..cursor], &slots[..cursor])
         }
     }
 
@@ -401,41 +486,40 @@ impl BulkStage {
     /// singly, but keeps the deferred hot loop inside one call — the
     /// per-key entry point costs a cross-crate call per key, which at
     /// streaming rates is a measurable fraction of the budget.
-    pub fn push_digests(&mut self, words: &mut [HcbfWord<u64>], digests: &[u128]) -> u64 {
-        if matches!(self.mode, Mode::Deferred) {
-            self.stats.keys += digests.len() as u64;
-            if self.k == 3 {
-                // Unrolled MPCBF-1 shape: three probe draws, no slot loop.
-                for &digest in digests {
-                    let mut picker = DoubleHasher::with_salt(digest, WORD_SALT, self.l);
-                    let word = picker.next_index() as u64;
-                    let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, self.b1 as u64);
-                    let entry = (word << self.word_shift)
-                        | (inner.next_index() as u64)
-                        | ((inner.next_index() as u64) << SLOT_BITS)
-                        | ((inner.next_index() as u64) << (2 * SLOT_BITS));
-                    self.route(words, entry);
-                }
-            } else {
-                for &digest in digests {
-                    let mut picker = DoubleHasher::with_salt(digest, WORD_SALT, self.l);
-                    let word = picker.next_index() as u64;
-                    let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, self.b1 as u64);
-                    let mut entry = word << self.word_shift;
-                    for j in 0..self.k {
-                        entry |= (inner.next_index() as u64) << (SLOT_BITS * j);
-                    }
-                    self.route(words, entry);
-                }
-            }
-            digests.len() as u64
-        } else {
+    pub fn push_digests(&mut self, digests: &[u128]) -> u64 {
+        if !self.is_deferred() {
             let mut admitted = 0u64;
             for &digest in digests {
-                admitted += u64::from(self.push_digest(words, digest));
+                admitted += u64::from(self.push_digest(digest));
             }
-            admitted
+            return admitted;
         }
+        self.stats.keys += digests.len() as u64;
+        let b1 = u64::from(self.pack.b1);
+        if self.k == 3 {
+            // Unrolled MPCBF-1 shape: three probe draws, no slot loop.
+            for &digest in digests {
+                let mut picker = DoubleHasher::with_salt(digest, WORD_SALT, self.l);
+                let word = picker.next_index() as u64;
+                let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, b1);
+                let slots = (inner.next_index() as u64)
+                    | ((inner.next_index() as u64) << SLOT_BITS)
+                    | ((inner.next_index() as u64) << (2 * SLOT_BITS));
+                self.route(word, slots);
+            }
+        } else {
+            for &digest in digests {
+                let mut picker = DoubleHasher::with_salt(digest, WORD_SALT, self.l);
+                let word = picker.next_index() as u64;
+                let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, b1);
+                let mut slots = 0u64;
+                for j in 0..self.k {
+                    slots |= (inner.next_index() as u64) << (SLOT_BITS * j);
+                }
+                self.route(word, slots);
+            }
+        }
+        digests.len() as u64
     }
 
     /// Stages one pre-planned key: `plan_words` are its `g` target words
@@ -444,21 +528,16 @@ impl BulkStage {
     /// `split_hashes(k, g, t)` slots). Same contract as
     /// [`BulkStage::push_digest`].
     #[inline]
-    pub fn push_planned(
-        &mut self,
-        words: &mut [HcbfWord<u64>],
-        plan_words: &[u32],
-        slots: &[u32],
-    ) -> bool {
+    pub fn push_planned(&mut self, plan_words: &[u32], slots: &[u32]) -> bool {
         debug_assert_eq!(plan_words.len(), self.g as usize);
         debug_assert_eq!(slots.len(), self.k as usize);
         self.stats.keys += 1;
-        if matches!(self.mode, Mode::Deferred) {
-            let mut entry = u64::from(plan_words[0]) << self.word_shift;
+        if self.is_deferred() {
+            let mut packed = 0u64;
             for (j, &slot) in slots.iter().enumerate() {
-                entry |= u64::from(slot) << (SLOT_BITS * j as u32);
+                packed |= u64::from(slot) << (SLOT_BITS * j as u32);
             }
-            self.route(words, entry);
+            self.route(u64::from(plan_words[0]), packed);
             true
         } else {
             let mut probe_words = [0u32; 64];
@@ -470,7 +549,7 @@ impl BulkStage {
                     cursor += 1;
                 }
             }
-            self.stage_admitted(words, &probe_words[..cursor], slots)
+            self.stage_admitted(&probe_words[..cursor], slots)
         }
     }
 
@@ -479,15 +558,7 @@ impl BulkStage {
     /// distinct word still has room for its whole share — exactly the
     /// sequential criterion (rollback makes partial application
     /// unobservable, and each increment costs one bit).
-    fn stage_admitted(
-        &mut self,
-        words: &mut [HcbfWord<u64>],
-        probe_words: &[u32],
-        slots: &[u32],
-    ) -> bool {
-        let Mode::Admitted { admit } = &mut self.mode else {
-            unreachable!("stage_admitted called in deferred mode");
-        };
+    fn stage_admitted(&mut self, probe_words: &[u32], slots: &[u32]) -> bool {
         // Per-distinct-word need (k ≤ 64, g typically ≤ 4 — a scan wins).
         let mut distinct = [0u32; 64];
         let mut need = [0u8; 64];
@@ -503,31 +574,39 @@ impl BulkStage {
             }
         }
         for i in 0..n {
-            if u32::from(admit[distinct[i] as usize]) + u32::from(need[i]) > self.cap {
+            if u32::from(self.admit[distinct[i] as usize]) + u32::from(need[i]) > self.pack.cap {
                 self.refused += 1;
                 return false;
             }
         }
         for i in 0..n {
-            admit[distinct[i] as usize] += need[i];
+            self.admit[distinct[i] as usize] += need[i];
         }
         self.items += 1;
         for (&w, &slot) in probe_words.iter().zip(slots) {
-            let entry = (u64::from(w) << SLOT_BITS) | u64::from(slot);
-            self.route(words, entry);
+            self.route(u64::from(w), u64::from(slot));
         }
         true
     }
 
-    /// Appends one packed entry to its L1 bucket, spilling on overflow.
+    /// Appends one entry — target `word`, packed `slots` — to its L1
+    /// bucket, spilling on overflow.
     #[inline]
-    fn route(&mut self, words: &mut [HcbfWord<u64>], entry: u64) {
-        let r1 = ((entry >> self.word_shift) >> self.s1) as usize;
+    fn route(&mut self, word: u64, slots: u64) {
+        let r1 = (word >> self.s1) as usize;
         let len = self.l1_len[r1] as usize;
-        self.l1[r1 * L1_CAP + len] = entry;
-        self.l1_len[r1] = (len + 1) as u8;
-        if len + 1 == L1_CAP {
-            self.spill_l1(words, r1);
+        let at = r1 * L1_CAP + len;
+        let len = if self.pack.stride == 1 {
+            self.l1[at] = (word << self.pack.slot_bits) | slots;
+            len + 1
+        } else {
+            self.l1[at] = word;
+            self.l1[at + 1] = slots;
+            len + 2
+        };
+        self.l1_len[r1] = len as u8;
+        if len == L1_CAP {
+            self.spill_l1(r1);
         }
     }
 
@@ -536,7 +615,7 @@ impl BulkStage {
     /// Out-of-line: runs once per `L1_CAP` pushes — keeping it out of
     /// the inlined hot path lets the append loop stay tight.
     #[inline(never)]
-    fn spill_l1(&mut self, words: &mut [HcbfWord<u64>], r1: usize) {
+    fn spill_l1(&mut self, r1: usize) {
         let n = self.l1_len[r1] as usize;
         if n == 0 {
             return;
@@ -544,7 +623,7 @@ impl BulkStage {
         self.stats.l1_spills += 1;
         let r2 = r1 >> (self.s2 - self.s1);
         if self.l2_len[r2] as usize + n > L2_CAP {
-            self.spill_l2(words, r2);
+            self.spill_l2(r2);
         }
         let dst = r2 * L2_CAP + self.l2_len[r2] as usize;
         let src = r1 * L1_CAP;
@@ -555,159 +634,162 @@ impl BulkStage {
 
     /// Splits L2 bucket `r2` into its regions' L3 buckets, flushing any
     /// region bucket that fills.
-    fn spill_l2(&mut self, words: &mut [HcbfWord<u64>], r2: usize) {
+    fn spill_l2(&mut self, r2: usize) {
         let n = self.l2_len[r2] as usize;
         if n == 0 {
             return;
         }
         self.stats.l2_spills += 1;
-        for i in 0..n {
-            let entry = self.l2[r2 * L2_CAP + i];
-            let r3 = ((entry >> self.word_shift) >> self.s3) as usize;
+        match self.pack.stride {
+            1 => self.split_l2::<1>(r2 * L2_CAP, n),
+            _ => self.split_l2::<2>(r2 * L2_CAP, n),
+        }
+        self.l2_len[r2] = 0;
+    }
+
+    /// [`BulkStage::spill_l2`] for `N`-`u64` L2 entries: re-packs each
+    /// as a region-relative `N`-`u32` L3 entry.
+    fn split_l2<const N: usize>(&mut self, start: usize, n: usize) {
+        let Packing {
+            slot_bits,
+            region_bits,
+            ..
+        } = self.pack;
+        let last = self.l3_len.len() - 1;
+        for i in (start..start + n).step_by(N) {
+            let (r3, entry) = if N == 1 {
+                // `word ‖ slots`: the region is the top of the word, and
+                // the region-relative entry is what lies below it.
+                let e = self.l2[i];
+                let low = slot_bits + region_bits;
+                ((e >> low) as usize, e & ((1 << low) - 1))
+            } else {
+                let (word, slots) = (self.l2[i], self.l2[i + 1]);
+                let offset = word & ((1 << region_bits) - 1);
+                (
+                    (word >> region_bits) as usize,
+                    (offset << slot_bits) | slots,
+                )
+            };
             let len = self.l3_len[r3] as usize;
-            self.l3[r3 * self.l3_cap + len] = entry;
+            let at = (r3 * self.l3_cap + len) * N;
+            self.l3[at] = entry as u32;
+            if N == 2 {
+                self.l3[at + 1] = (entry >> 32) as u32;
+            }
             self.l3_len[r3] = (len + 1) as u32;
-            let cap = if r3 + 1 == self.l3_len.len() {
+            let cap = if r3 == last {
                 self.l3_last_cap
             } else {
                 self.l3_cap
             };
             if len + 1 == cap {
-                self.flush_region(words, r3);
+                self.flush_region(r3);
             }
         }
-        self.l2_len[r2] = 0;
     }
 
-    /// Applies region `r3`'s staged entries as one cache-resident sweep:
-    /// direct word construction on the region's first sweep (its words
-    /// are still empty), the incremental walk afterwards.
-    fn flush_region(&mut self, words: &mut [HcbfWord<u64>], r3: usize) {
+    /// Applies region `r3`'s staged entries mid-stream as one
+    /// cache-resident sweep (its bucket filled before the finish).
+    fn flush_region(&mut self, r3: usize) {
         let len = self.l3_len[r3] as usize;
-        if len == 0 {
-            return;
-        }
         self.stats.flushes += 1;
-        let base = (r3 as u64) << self.s3;
-        let rw = ((1u64 << self.s3).min(self.l - base)) as usize;
-        let region = &mut words[base as usize..base as usize + rw];
-        let deferred = self.is_deferred().then_some(self.k);
-        let start = r3 * self.l3_cap;
-        let entries = &self.l3[start..start + len];
-        let fresh = !std::mem::replace(&mut self.dirty[r3], true);
-        let (items, refused) = if fresh {
-            construct_entries(
-                entries,
-                region,
-                base,
-                self.word_shift,
-                deferred,
-                self.b1,
-                self.cap,
-                &mut self.scratch,
-            )
-        } else {
-            apply_entries(
-                entries,
-                region,
-                base,
-                self.word_shift,
-                deferred,
-                self.b1,
-                self.cap,
-            )
-        };
+        let start = r3 * self.l3_cap * self.pack.stride;
+        let entries = &self.l3[start..start + len * self.pack.stride];
+        let (items, refused) = sweep(
+            entries,
+            &mut self.words.chunk_mut(r3),
+            self.pack,
+            &mut self.scratch,
+        );
         self.items += items;
         self.refused += refused;
         self.l3_len[r3] = 0;
     }
 
-    /// Drains every bucket level and sweeps every region, completing the
-    /// build against `words` on the calling thread.
-    pub fn finish_into(&mut self, words: &mut [HcbfWord<u64>]) {
-        let mut jobs = self.finish_jobs(words);
-        let mut scratch = SweepScratch::new();
-        for job in &mut jobs {
-            job.run_with(&mut scratch);
-        }
-        self.absorb_jobs(&jobs);
+    /// Drains every bucket level and sweeps every region on the calling
+    /// thread, completing the build. See [`BulkStage::finish_with`].
+    pub fn finish(&mut self) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.finish_with(|jobs| {
+            for job in jobs {
+                job.run_with(&mut scratch);
+            }
+        });
     }
 
-    /// Drains L1 and L2 into the region buckets, then hands out one
-    /// [`RegionJob`] per non-empty region. Jobs own disjoint word slices
-    /// and may run on different threads; afterwards pass them to
-    /// [`BulkStage::absorb_jobs`] to fold their admission tallies back.
-    pub fn finish_jobs<'w>(&mut self, words: &'w mut [HcbfWord<u64>]) -> Vec<RegionJob<'w>> {
+    /// Drains L1 and L2 into the region buckets and frees them, then
+    /// hands `exec` one [`RegionJob`] per non-empty region and folds the
+    /// jobs' admission tallies back. Jobs own disjoint slab buckets and
+    /// word chunks and may run on different threads; `exec` must run each
+    /// exactly once. The slab is freed afterwards (each job has already
+    /// handed its bucket's pages back), so the stage holds nothing but
+    /// its words: take them with [`BulkStage::into_words`]. A second
+    /// finish does nothing; pushing after a finish panics.
+    pub fn finish_with(&mut self, exec: impl FnOnce(&mut [RegionJob<'_>])) {
+        if self.l1.is_empty() {
+            return; // already finished (a live stage has an L1 bucket)
+        }
         for r1 in 0..self.l1_len.len() {
-            self.spill_l1(words, r1);
+            self.spill_l1(r1);
         }
         for r2 in 0..self.l2_len.len() {
-            self.spill_l2(words, r2);
+            self.spill_l2(r2);
         }
-        let deferred = self.is_deferred().then_some(self.k);
-        // Freeze the slab behind an `Arc` so every job can read its own
-        // bucket range while the jobs run on different threads; the
-        // stage keeps going afterwards with an empty slab (it is fully
-        // drained — nothing routes to L3 after the spills above).
-        let slab = Arc::new(std::mem::take(&mut self.l3));
+        // Nothing routes through L1/L2 again: hand their buffers (about
+        // 2 MB) back before the sweeps start touching words.
+        self.l1 = Vec::new();
+        self.l1_len = Vec::new();
+        self.l2 = Vec::new();
+        self.l2_len = Vec::new();
+        self.admit = Vec::new();
+        self.scratch = SweepScratch::new();
+        let (pack, l3_cap, l3_last_cap) = (self.pack, self.l3_cap, self.l3_last_cap);
+        let last = self.l3_len.len() - 1;
         let mut jobs = Vec::new();
-        let mut rest = words;
-        for r3 in 0..self.l3_len.len() {
-            let base = (r3 as u64) << self.s3;
-            let rw = ((1u64 << self.s3).min(self.l - base)) as usize;
-            let (region, tail) = rest.split_at_mut(rw);
-            rest = tail;
-            let len = self.l3_len[r3] as usize;
+        let mut slab = self.l3.as_mut_slice();
+        for (r3, region) in self.words.chunks_mut().enumerate() {
+            let cap = if r3 == last { l3_last_cap } else { l3_cap };
+            let (bucket, rest) = std::mem::take(&mut slab).split_at_mut(cap * pack.stride);
+            slab = rest;
+            let len = std::mem::take(&mut self.l3_len[r3]) as usize;
             if len == 0 {
                 continue;
             }
-            self.l3_len[r3] = 0;
             self.stats.flushes += 1;
             jobs.push(RegionJob {
-                slab: slab.clone(),
-                start: r3 * self.l3_cap,
+                bucket,
                 len,
                 region,
-                base,
-                word_shift: self.word_shift,
-                deferred,
-                fresh: !std::mem::replace(&mut self.dirty[r3], true),
-                b1: self.b1,
-                cap: self.cap,
+                pack,
                 items: 0,
                 refused: 0,
             });
         }
-        jobs
-    }
-
-    /// Folds executed jobs' admission tallies into the stage totals.
-    pub fn absorb_jobs(&mut self, jobs: &[RegionJob<'_>]) {
-        for job in jobs {
+        exec(&mut jobs);
+        for job in &jobs {
             self.items += job.items;
             self.refused += job.refused;
         }
+        drop(jobs);
+        self.l3 = Vec::new();
+    }
+
+    /// The built word array: regions no key reached are filled empty now.
+    pub fn into_words(self) -> AlignedVec<HcbfWord<u64>> {
+        self.words.into_filled()
     }
 }
 
 /// One region's final sweep, detached from the stage so an executor can
-/// run disjoint regions on scoped threads: owns the staged entries and
-/// the mutable word slice they target.
+/// run disjoint regions on scoped threads: owns the region's slab bucket
+/// and its chunk of the word array.
 pub struct RegionJob<'w> {
-    /// The stage's frozen staging slab, shared read-only between jobs;
-    /// this job's entries are `slab[start..start + len]`.
-    slab: Arc<Vec<u64>>,
-    start: usize,
+    /// The region's whole bucket; its first `len` entries are staged.
+    bucket: &'w mut [u32],
     len: usize,
-    region: &'w mut [HcbfWord<u64>],
-    base: u64,
-    word_shift: u32,
-    deferred: Option<u32>,
-    /// True when this region has never been swept: its words are still
-    /// empty, so the sweep may construct them from slot histograms.
-    fresh: bool,
-    b1: u32,
-    cap: u32,
+    region: LazyChunk<'w, HcbfWord<u64>>,
+    pack: Packing,
     /// Keys admitted by this sweep (deferred mode only).
     pub items: u64,
     /// Keys refused by this sweep (deferred mode only).
@@ -732,35 +814,45 @@ impl RegionJob<'_> {
     }
 
     /// [`RegionJob::run`] with caller-owned histogram scratch, so an
-    /// executor draining many jobs on one thread allocates it once.
+    /// executor draining many jobs on one thread allocates it once. The
+    /// bucket's pages go back to the kernel as soon as the sweep is done.
     pub fn run_with(&mut self, scratch: &mut SweepScratch) {
-        let entries = &self.slab[self.start..self.start + self.len];
-        let (items, refused) = if self.fresh {
-            construct_entries(
-                entries,
-                &mut *self.region,
-                self.base,
-                self.word_shift,
-                self.deferred,
-                self.b1,
-                self.cap,
-                scratch,
-            )
-        } else {
-            apply_entries(
-                entries,
-                &mut *self.region,
-                self.base,
-                self.word_shift,
-                self.deferred,
-                self.b1,
-                self.cap,
-            )
-        };
+        let entries = &self.bucket[..self.len * self.pack.stride];
+        let (items, refused) = sweep(entries, &mut self.region, self.pack, scratch);
         self.items += items;
         self.refused += refused;
         self.len = 0;
+        release_pages(self.bucket);
     }
+}
+
+/// One region's sweep: direct word construction when the region was
+/// never swept (its words are not even written yet), the incremental
+/// walk otherwise. Returns the (items, refused) admission tally.
+fn sweep(
+    entries: &[u32],
+    region: &mut LazyChunk<'_, HcbfWord<u64>>,
+    pack: Packing,
+    scratch: &mut SweepScratch,
+) -> (u64, u64) {
+    match (region.is_init(), pack.stride) {
+        (false, 1) => construct_entries::<1>(entries, region, pack, scratch),
+        (false, _) => construct_entries::<2>(entries, region, pack, scratch),
+        (true, 1) => apply_entries::<1>(entries, region.get_or_fill(), pack),
+        (true, _) => apply_entries::<2>(entries, region.get_or_fill(), pack),
+    }
+}
+
+/// The region's entries, `N` slab words each, as `offset ‖ slots`.
+#[inline(always)]
+fn decoded<const N: usize>(entries: &[u32]) -> impl Iterator<Item = u64> + '_ {
+    entries.chunks_exact(N).map(|c| {
+        if N == 1 {
+            u64::from(c[0])
+        } else {
+            u64::from(c[0]) | (u64::from(c[1]) << 32)
+        }
+    })
 }
 
 /// Applies `entries` to their region in staged (arrival) order as one
@@ -775,15 +867,14 @@ impl RegionJob<'_> {
 /// overlap (sorting by word was measured slower — it puts same-word
 /// entries back to back, serialising their dependent hierarchy walks,
 /// and pays three extra passes over the entries to boot).
-fn apply_entries(
-    entries: &[u64],
+fn apply_entries<const N: usize>(
+    entries: &[u32],
     region: &mut [HcbfWord<u64>],
-    base: u64,
-    word_shift: u32,
-    deferred: Option<u32>,
-    b1: u32,
-    cap: u32,
+    pack: Packing,
 ) -> (u64, u64) {
+    let Packing {
+        slot_bits, b1, cap, ..
+    } = pack;
     let mut items = 0u64;
     let mut refused = 0u64;
     // Warm the region's cachelines with one linear pass before the
@@ -791,20 +882,20 @@ fn apply_entries(
     // previous flush, and a bandwidth-bound stream beats ~one
     // latency-bound DRAM miss per line scattered through the sweep.
     // (One load per 64-byte line; `black_box` keeps the pass alive.)
-    if entries.len() >= region.len() / 4 {
+    if entries.len() / N >= region.len() / 4 {
         let mut warm = 0u64;
         for word in region.iter().step_by(8) {
             warm ^= u64::from(word.total_count());
         }
         std::hint::black_box(warm);
     }
-    match deferred {
+    match pack.deferred {
         // `k == 3` is the classic MPCBF-1 shape (and the bench config);
         // unrolling it drops the per-slot loop counter and lets the
         // three dependent walks schedule as straight-line code.
         Some(3) => {
-            for &e in entries {
-                let w = ((e >> word_shift) - base) as usize;
+            for e in decoded::<N>(entries) {
+                let w = (e >> slot_bits) as usize;
                 // Work on a register-held copy: the `k` dependent walks
                 // then never round-trip through the store buffer.
                 let mut word = region[w];
@@ -823,8 +914,8 @@ fn apply_entries(
             }
         }
         Some(k) => {
-            for &e in entries {
-                let w = ((e >> word_shift) - base) as usize;
+            for e in decoded::<N>(entries) {
+                let w = (e >> slot_bits) as usize;
                 let mut word = region[w];
                 if word.total_count() + k > cap {
                     refused += 1;
@@ -840,8 +931,8 @@ fn apply_entries(
             }
         }
         None => {
-            for &e in entries {
-                let w = ((e >> word_shift) - base) as usize;
+            for e in decoded::<N>(entries) {
+                let w = (e >> slot_bits) as usize;
                 let slot = (e & 0x3f) as u32;
                 region[w]
                     .increment(slot, b1)
@@ -852,11 +943,13 @@ fn apply_entries(
     (items, refused)
 }
 
-/// Reusable per-thread scratch for `construct_entries`: slot
-/// histograms for every word of one region (≤ `2^L3_REGION_BITS` words,
-/// so ≤ 2 MB of counts — cache-resident through a sweep). Kept all-zero
-/// between sweeps: the serialisation pass re-zeroes exactly the rows it
-/// consumed, so reuse costs nothing.
+/// Reusable per-thread scratch for `construct_entries`: slot histograms
+/// for every word of one region — 64 B of counts per word, so 1 MiB at
+/// the `2^14`-word region of the MPCBF-1 shape and 2 MiB at the widest,
+/// `2^15` words; cache-resident through a sweep. Kept all-zero between
+/// sweeps: the serialisation pass re-zeroes exactly the rows it
+/// consumed, so reuse costs nothing. Executors allocate one per thread.
+#[derive(Default)]
 pub struct SweepScratch {
     /// Per word: running increment total (admission bookkeeping).
     totals: Vec<u8>,
@@ -871,11 +964,7 @@ pub struct SweepScratch {
 impl SweepScratch {
     /// Empty scratch; grows on first use.
     pub fn new() -> Self {
-        SweepScratch {
-            totals: Vec::new(),
-            mask: Vec::new(),
-            counts: Vec::new(),
-        }
+        Self::default()
     }
 
     fn ensure(&mut self, words: usize) {
@@ -887,16 +976,11 @@ impl SweepScratch {
     }
 }
 
-impl Default for SweepScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// `apply_entries` for a region whose words are **all still empty**
-/// (its first sweep): instead of walking `k` dependent carried-rank
-/// increments per key, histogram the slot counts per word and emit each
-/// word's canonical encoding in one serialisation pass.
+/// `apply_entries` for a region **never swept** (its words not yet
+/// written): instead of walking `k` dependent carried-rank increments
+/// per key, histogram the slot counts per word and write each word's
+/// canonical encoding in one serialisation pass — the pass that first
+/// initialises the region's chunk of the word array.
 ///
 /// Exactness rests on the same two invariants as the walk (see the
 /// module docs): admission depends only on per-word running totals —
@@ -911,18 +995,16 @@ impl Default for SweepScratch {
 /// The payoff over the walk is structural: the entry pass touches three
 /// resident scratch lines per key instead of executing ~`k` serial
 /// 20-to-40-cycle rank walks, and the region's words are *written once,
-/// sequentially* — never read, never warmed.
-#[allow(clippy::too_many_arguments)]
-fn construct_entries(
-    entries: &[u64],
-    region: &mut [HcbfWord<u64>],
-    base: u64,
-    word_shift: u32,
-    deferred: Option<u32>,
-    b1: u32,
-    cap: u32,
+/// sequentially* — never read, never warmed, never filled beforehand.
+fn construct_entries<const N: usize>(
+    entries: &[u32],
+    region: &mut LazyChunk<'_, HcbfWord<u64>>,
+    pack: Packing,
     scratch: &mut SweepScratch,
 ) -> (u64, u64) {
+    let Packing {
+        slot_bits, b1, cap, ..
+    } = pack;
     scratch.ensure(region.len());
     let SweepScratch {
         totals,
@@ -931,11 +1013,11 @@ fn construct_entries(
     } = scratch;
     let mut items = 0u64;
     let mut refused = 0u64;
-    match deferred {
+    match pack.deferred {
         // The unrolled MPCBF-1 shape, mirroring `apply_entries`.
         Some(3) => {
-            for &e in entries {
-                let w = ((e >> word_shift) - base) as usize;
+            for e in decoded::<N>(entries) {
+                let w = (e >> slot_bits) as usize;
                 let t = u32::from(totals[w]);
                 if t + 3 > cap {
                     refused += 1;
@@ -956,8 +1038,8 @@ fn construct_entries(
             }
         }
         Some(k) => {
-            for &e in entries {
-                let w = ((e >> word_shift) - base) as usize;
+            for e in decoded::<N>(entries) {
+                let w = (e >> slot_bits) as usize;
                 let t = u32::from(totals[w]);
                 if t + k > cap {
                     refused += 1;
@@ -975,20 +1057,20 @@ fn construct_entries(
         }
         // Admitted mode: one pre-admitted probe per entry, no tally.
         None => {
-            for &e in entries {
-                let w = ((e >> word_shift) - base) as usize;
+            for e in decoded::<N>(entries) {
+                let w = (e >> slot_bits) as usize;
                 let s = (e & 0x3f) as usize;
                 counts[w * 64 + s] += 1;
                 mask[w] |= 1 << s;
             }
         }
     }
-    // Serialise: one sequential pass over the region, writing only
-    // populated words and re-zeroing their scratch rows behind itself.
-    for (w, word) in region.iter_mut().enumerate() {
+    // Serialise: one sequential pass writing every word of the region,
+    // re-zeroing the populated words' scratch rows behind itself.
+    region.get_or_init_with(|w| {
         let m = mask[w];
         if m == 0 {
-            continue;
+            return HcbfWord::new();
         }
         mask[w] = 0;
         totals[w] = 0;
@@ -1023,9 +1105,8 @@ fn construct_entries(
             n = kept;
             j += 1;
         }
-        debug_assert!(word.is_empty(), "construct sweep over a non-empty word");
-        *word = HcbfWord::from_raw(bits);
-    }
+        HcbfWord::from_raw(bits)
+    });
     (items, refused)
 }
 
@@ -1054,7 +1135,6 @@ fn construct_entries(
 pub struct BulkBuilder<H: Hasher128 = Murmur3> {
     config: MpcbfConfig,
     seed: u64,
-    words: AlignedVec<HcbfWord<u64>>,
     stage: BulkStage,
     plans: PlanBuffer,
     _hasher: PhantomData<H>,
@@ -1089,11 +1169,6 @@ impl<H: Hasher128> BulkBuilder<H> {
         assert_eq!(shape.w, 64, "bulk build requires 64-bit words");
         BulkBuilder {
             seed: config.seed(),
-            // Hugepage-advised before the eager fill: at bulk scale the
-            // word array runs to gigabytes, where 4 KB-fault churn costs
-            // more than the fill itself — and the final sweeps write it
-            // at scattered offsets.
-            words: AlignedVec::filled_huge(shape.l as usize, HcbfWord::new()),
             stage: make((shape.l, shape.k, shape.g, shape.b1)),
             plans: PlanBuffer::new(),
             config,
@@ -1106,7 +1181,7 @@ impl<H: Hasher128> BulkBuilder<H> {
     /// refusals at flush time and always return `true` here).
     pub fn push(&mut self, key: &[u8]) -> bool {
         let digest = H::hash128(self.seed, key);
-        self.stage.push_digest(self.words.as_mut_slice(), digest)
+        self.stage.push_digest(digest)
     }
 
     /// Stages a chunk of keys through the tight digest loop
@@ -1121,8 +1196,7 @@ impl<H: Hasher128> BulkBuilder<H> {
             for (slot, key) in digests.iter_mut().zip(block) {
                 *slot = H::hash128(self.seed, key.as_ref());
             }
-            self.stage
-                .push_digests(self.words.as_mut_slice(), &digests[..block.len()]);
+            self.stage.push_digests(&digests[..block.len()]);
         }
     }
 
@@ -1138,11 +1212,8 @@ impl<H: Hasher128> BulkBuilder<H> {
             u64::from(shape.b1),
         );
         for i in 0..self.plans.keys() {
-            self.stage.push_planned(
-                self.words.as_mut_slice(),
-                self.plans.words_of(i),
-                self.plans.slots_of(i),
-            );
+            self.stage
+                .push_planned(self.plans.words_of(i), self.plans.slots_of(i));
         }
     }
 
@@ -1158,13 +1229,9 @@ impl<H: Hasher128> BulkBuilder<H> {
     }
 
     /// Completes the build on the calling thread.
-    pub fn finish(self) -> Mpcbf<u64, H> {
-        self.finish_with(|jobs| {
-            let mut scratch = SweepScratch::new();
-            for job in jobs {
-                job.run_with(&mut scratch);
-            }
-        })
+    pub fn finish(mut self) -> Mpcbf<u64, H> {
+        self.stage.finish();
+        self.into_filter()
     }
 
     /// Completes the build through a caller-supplied executor: the
@@ -1172,16 +1239,14 @@ impl<H: Hasher128> BulkBuilder<H> {
     /// word slices — safe to run on scoped threads) and must run each
     /// exactly once. `mpcbf-concurrent` provides the threaded executor.
     pub fn finish_with(mut self, exec: impl for<'w> FnOnce(&mut [RegionJob<'w>])) -> Mpcbf<u64, H> {
-        let mut jobs = self.stage.finish_jobs(self.words.as_mut_slice());
-        exec(&mut jobs);
-        self.stage.absorb_jobs(&jobs);
-        drop(jobs);
-        Mpcbf::from_words(
-            self.config,
-            self.words,
-            self.stage.items(),
-            self.stage.refused(),
-        )
+        self.stage.finish_with(exec);
+        self.into_filter()
+    }
+
+    /// The filter around the finished stage's words.
+    fn into_filter(self) -> Mpcbf<u64, H> {
+        let (items, refused) = (self.stage.items(), self.stage.refused());
+        Mpcbf::from_words(self.config, self.stage.into_words(), items, refused)
     }
 }
 
@@ -1376,61 +1441,88 @@ mod tests {
         x ^ (x >> 31)
     }
 
+    /// One region's entries for `pack`, slab words as staged:
+    /// `offset ‖ slots`, split into `pack.stride` `u32`s.
+    fn encode(entries: &[(u64, u64)], pack: Packing) -> Vec<u32> {
+        let mut slab = Vec::new();
+        for &(offset, slots) in entries {
+            let e = (offset << pack.slot_bits) | slots;
+            assert!(
+                pack.stride == 2 || e >> 32 == 0,
+                "entry overflows its slab word"
+            );
+            slab.push(e as u32);
+            if pack.stride == 2 {
+                slab.push((e >> 32) as u32);
+            }
+        }
+        slab
+    }
+
+    /// Sweeps `slab` over a fresh `rw`-word region — constructed — and
+    /// over an already-filled one — walked; returns both results.
+    #[allow(clippy::type_complexity)]
+    fn construct_and_walk(
+        slab: &[u32],
+        rw: usize,
+        pack: Packing,
+        scratch: &mut SweepScratch,
+    ) -> (
+        (u64, u64, Vec<HcbfWord<u64>>),
+        (u64, u64, Vec<HcbfWord<u64>>),
+    ) {
+        let mut fresh = LazyVec::new(rw, rw, HcbfWord::new());
+        let (ci, cr) = sweep(slab, &mut fresh.chunk_mut(0), pack, scratch);
+        let mut filled = LazyVec::new(rw, rw, HcbfWord::new());
+        let mut chunk = filled.chunk_mut(0);
+        chunk.get_or_fill();
+        let (wi, wr) = sweep(slab, &mut chunk, pack, scratch);
+        (
+            (ci, cr, fresh.into_filled().to_vec()),
+            (wi, wr, filled.into_filled().to_vec()),
+        )
+    }
+
     #[test]
     fn construct_matches_walk_on_fresh_regions() {
-        // Differential: on an all-empty region, the histogram
+        // Differential: on a never-swept region, the histogram
         // construction must emit bit-identical words and tallies to the
-        // incremental walk, including under overflow pressure.
+        // incremental walk, including under overflow pressure — in one
+        // slab word per entry and in two.
         for (k, b1, rw, n) in [
             (3u32, 55u32, 64usize, 2_000usize),
             (4, 40, 16, 1_500),
             (1, 60, 8, 400),
         ] {
-            let word_shift = SLOT_BITS * k;
-            let entries: Vec<u64> = (0..n)
+            let keys: Vec<(u64, u64)> = (0..n)
                 .map(|i| {
                     let r = mix(i as u64 ^ u64::from(k) << 32);
-                    let mut e = (r % rw as u64) << word_shift;
+                    let mut slots = 0;
                     for j in 0..k {
-                        e |= ((r >> (8 + 6 * j)) % u64::from(b1)) << (SLOT_BITS * j);
+                        slots |= ((r >> (8 + 6 * j)) % u64::from(b1)) << (SLOT_BITS * j);
                     }
-                    e
+                    (r % rw as u64, slots)
                 })
                 .collect();
-            let cap = 64 - b1;
-            let mut walked = vec![HcbfWord::<u64>::new(); rw];
-            let walk_tally = apply_entries(&entries, &mut walked, 0, word_shift, Some(k), b1, cap);
-            let mut constructed = vec![HcbfWord::<u64>::new(); rw];
-            let mut scratch = SweepScratch::new();
-            let built_tally = construct_entries(
-                &entries,
-                &mut constructed,
-                0,
-                word_shift,
-                Some(k),
-                b1,
-                cap,
-                &mut scratch,
-            );
-            assert_eq!(walk_tally, built_tally, "tallies diverged (k={k}, b1={b1})");
-            assert_eq!(walked, constructed, "words diverged (k={k}, b1={b1})");
-            // Scratch self-cleans: a second, different sweep through the
-            // same scratch must stay exact.
-            let mut again = vec![HcbfWord::<u64>::new(); rw];
-            let mut reference = vec![HcbfWord::<u64>::new(); rw];
-            let half = &entries[..n / 2];
-            apply_entries(half, &mut reference, 0, word_shift, Some(k), b1, cap);
-            construct_entries(
-                half,
-                &mut again,
-                0,
-                word_shift,
-                Some(k),
-                b1,
-                cap,
-                &mut scratch,
-            );
-            assert_eq!(reference, again, "reused scratch diverged (k={k}, b1={b1})");
+            for stride in [1, 2] {
+                let pack = Packing {
+                    deferred: Some(k),
+                    slot_bits: SLOT_BITS * k,
+                    stride,
+                    region_bits: index_bits(rw as u64),
+                    b1,
+                    cap: 64 - b1,
+                };
+                let slab = encode(&keys, pack);
+                let mut scratch = SweepScratch::new();
+                let (built, walked) = construct_and_walk(&slab, rw, pack, &mut scratch);
+                assert_eq!(built, walked, "diverged (k={k}, b1={b1}, stride={stride})");
+                // Scratch self-cleans: a second, different sweep through
+                // the same scratch must stay exact.
+                let half = encode(&keys[..n / 2], pack);
+                let (built, walked) = construct_and_walk(&half, rw, pack, &mut scratch);
+                assert_eq!(built, walked, "reused scratch diverged (k={k}, b1={b1})");
+            }
         }
     }
 
@@ -1441,7 +1533,7 @@ mod tests {
         // Admitted-mode entries: one probe each, pre-admitted — cap the
         // per-word load below capacity while generating.
         let mut load = vec![0u32; rw];
-        let mut entries = Vec::new();
+        let mut probes = Vec::new();
         for i in 0..4_000u64 {
             let r = mix(i);
             let w = (r % rw as u64) as usize;
@@ -1449,23 +1541,13 @@ mod tests {
                 continue;
             }
             load[w] += 1;
-            entries.push(((w as u64) << SLOT_BITS) | ((r >> 8) % u64::from(b1)));
+            probes.push((w as u64, (r >> 8) % u64::from(b1)));
         }
-        let mut walked = vec![HcbfWord::<u64>::new(); rw];
-        apply_entries(&entries, &mut walked, 0, SLOT_BITS, None, b1, 64 - b1);
-        let mut constructed = vec![HcbfWord::<u64>::new(); rw];
-        let mut scratch = SweepScratch::new();
-        construct_entries(
-            &entries,
-            &mut constructed,
-            0,
-            SLOT_BITS,
-            None,
-            b1,
-            64 - b1,
-            &mut scratch,
-        );
-        assert_eq!(walked, constructed);
+        let pack = Packing::new(rw as u64, 3, 2, b1, true);
+        assert!(pack.deferred.is_none());
+        let slab = encode(&probes, pack);
+        let (built, walked) = construct_and_walk(&slab, rw, pack, &mut SweepScratch::new());
+        assert_eq!(built, walked);
     }
 
     #[test]
@@ -1497,20 +1579,21 @@ mod tests {
 
     /// Regions of `words` holding any admitted key: the sweeps a build
     /// needs when no region flushes early.
-    fn nonempty_regions(words: &[HcbfWord<u64>]) -> u64 {
-        let width = 1usize << index_bits(words.len() as u64).min(L3_REGION_BITS);
+    fn nonempty_regions(words: &[HcbfWord<u64>], width: u64) -> u64 {
         words
-            .chunks(width)
+            .chunks(width as usize)
             .filter(|region| region.iter().any(|w| !w.is_empty()))
             .count() as u64
     }
 
     #[test]
     fn hinted_slab_holds_the_expected_entries_plus_a_tenth() {
-        // Deferred (one entry per key) on whole regions, and admitted
+        // Deferred (one entry per key) on whole regions, two-word
+        // deferred (one entry of two slab words per key), and admitted
         // (k entries per key, clusters of two) with a narrow last region.
         for (l, k, g, expected) in [
             (1u64 << 18, 3u32, 1u32, 209_715u64),
+            (1 << 18, 5, 1, 150_000),
             ((1 << 18) + 12_345, 4, 2, 70_000),
         ] {
             let stage = BulkStage::with_expected(l, k, g, 50, expected);
@@ -1519,15 +1602,49 @@ mod tests {
             } else {
                 expected * u64::from(k)
             };
+            let staged = (stage.l3.len() / stage.pack.stride) as f64;
             let regions = stage.l3_len.len() as f64;
             let bound = 1.1 * entries as f64 + 64.0 * regions;
             assert!(
-                stage.l3.len() as f64 <= bound,
-                "slab {} entries over {bound:.0} (l={l}, k={k}, g={g})",
-                stage.l3.len()
+                staged <= bound,
+                "slab {staged} entries over {bound:.0} (l={l}, k={k}, g={g})"
             );
-            assert!(stage.l3.len() as u64 >= entries, "slab below the hint");
+            assert!(staged as u64 >= entries, "slab below the hint");
         }
+    }
+
+    #[test]
+    fn no_shape_stages_more_bytes_than_a_u64_per_entry() {
+        // The packing never stages more than the one-`u64`-per-entry
+        // layout it replaced (deferred iff `6k + ⌈log₂ l⌉ ≤ 64`, else one
+        // entry per probe), and every entry fits its slab words.
+        for l in [2u64, 100, 256, 257, 1_024, 1_025, 1 << 14, 1 << 20, 1 << 32] {
+            let wb = index_bits(l);
+            for k in 1..=12u32 {
+                for g in 1..=k.min(8) {
+                    let pack = Packing::new(l, k, g, 50, true);
+                    let was_deferred = g == 1 && SLOT_BITS * k + wb <= 64;
+                    let bytes = match pack.deferred {
+                        Some(_) => 4 * pack.stride as u32,
+                        None => 4 * k,
+                    };
+                    let before = if was_deferred { 8 } else { 8 * k };
+                    assert!(bytes <= before, "l={l} k={k} g={g}: {bytes} B > {before} B");
+                    assert!(pack.slot_bits + pack.region_bits <= 32 * pack.stride as u32);
+                    assert!(pack.region_bits <= L3_REGION_BITS.min(wb));
+                    if was_deferred {
+                        assert!(pack.deferred.is_some(), "l={l} k={k} lost deferred mode");
+                    }
+                }
+            }
+        }
+        let wide = 1 << 20;
+        assert_eq!(Packing::new(wide, 3, 1, 50, true).region_bits, 14);
+        assert_eq!(Packing::new(wide, 3, 1, 50, true).stride, 1);
+        assert_eq!(Packing::new(wide, 2, 1, 50, true).region_bits, 15);
+        assert_eq!(Packing::new(wide, 6, 1, 50, true).stride, 2);
+        assert_eq!(Packing::new(wide, 3, 1, 50, false).region_bits, 15);
+        assert_eq!(Packing::new(wide, 6, 2, 50, true).stride, 1);
     }
 
     #[test]
@@ -1540,23 +1657,103 @@ mod tests {
 
     #[test]
     fn at_the_hint_every_region_sweeps_exactly_once() {
-        // Deferred and admitted stages over sixteen regions, each fed
-        // exactly the expected keys. Every flush — mid-stream, while the
-        // finish drains L1/L2, or the final sweep — is counted: with the
-        // head-room honest there is one per non-empty region.
+        // Deferred and admitted stages over 2^19 words — thirty-two
+        // 2^14-word regions deferred, sixteen 2^15-word ones admitted —
+        // each fed exactly the expected keys. Every flush — mid-stream,
+        // while the finish drains L1/L2, or the final sweep — is counted:
+        // with the head-room honest there is one per non-empty region.
         for (k, g, n) in [(3u32, 1u32, 420_000u64), (4, 2, 200_000)] {
             let l = 1u64 << 19;
             let mut stage = BulkStage::with_expected(l, k, g, 50, n);
             assert_eq!(stage.is_deferred(), g == 1);
-            let mut words = vec![HcbfWord::<u64>::new(); l as usize];
             let digests: Vec<u128> = (0..n)
                 .map(|i| u128::from(mix(i)) << 64 | u128::from(mix(!i)))
                 .collect();
-            stage.push_digests(&mut words, &digests);
-            stage.finish_into(&mut words);
-            let regions = nonempty_regions(&words);
-            assert_eq!(regions, 16, "test premise (g={g})");
-            assert_eq!(stage.stats().flushes, regions, "g={g}");
+            stage.push_digests(&digests);
+            stage.finish();
+            let (width, flushes) = (stage.region_words(), stage.stats().flushes);
+            let regions = nonempty_regions(&stage.into_words(), width);
+            assert_eq!(regions, l / width, "test premise (g={g})");
+            assert_eq!(flushes, regions, "g={g}");
+        }
+    }
+
+    #[test]
+    fn slot_62_in_the_last_word_of_a_narrow_last_region() {
+        // b1 = 63 packs slot 62, the largest a six-bit field carries;
+        // the probed word is the last of a last region narrower than the
+        // rest, and the first word of the full region before it. Each
+        // shape gets far more keys than its words hold, so refusals
+        // decide as much as admissions. Reference: the scalar criterion,
+        // word by word.
+        for (k, g, b1, l) in [
+            (1u32, 1u32, 63u32, (1u64 << 15) + 37),
+            (2, 2, 63, (1 << 15) + 5),
+            (3, 1, 60, (1 << 14) + 3),
+            (5, 1, 34, (1 << 15) + 9),
+        ] {
+            let mut stage = BulkStage::with_expected(l, k, g, b1, 64);
+            let cap = 64 - b1;
+            let mut reference = vec![HcbfWord::<u64>::new(); l as usize];
+            let (mut items, mut refused) = (0u64, 0u64);
+            let last = l as u32 - 1;
+            let boundary = last / stage.region_words() as u32 * stage.region_words() as u32;
+            for i in 0..200u64 {
+                let r = mix(i ^ u64::from(k) << 40);
+                let hot = [last, boundary - 1, boundary][i as usize % 3];
+                let words: Vec<u32> = (0..g)
+                    .map(|t| {
+                        if t == 0 {
+                            hot
+                        } else {
+                            (r >> (8 * t)) as u32 % last
+                        }
+                    })
+                    .collect();
+                let slots: Vec<u32> = (0..k)
+                    .map(|j| {
+                        if j == 0 {
+                            b1 - 1
+                        } else {
+                            (r >> (5 * j)) as u32 % b1
+                        }
+                    })
+                    .collect();
+                stage.push_planned(&words, &slots);
+                // The scalar loop: admit iff every distinct word fits its
+                // whole share, then apply every probe.
+                let mut probes = Vec::new();
+                for t in 0..g {
+                    let group = split_hashes(k, g, t) as usize;
+                    let at = probes.len();
+                    probes.extend(
+                        slots[at..at + group]
+                            .iter()
+                            .map(|&s| (words[t as usize], s)),
+                    );
+                }
+                let fits = probes.iter().all(|&(w, _)| {
+                    let need = probes.iter().filter(|p| p.0 == w).count() as u32;
+                    reference[w as usize].total_count() + need <= cap
+                });
+                if !fits {
+                    refused += 1;
+                    continue;
+                }
+                items += 1;
+                for (w, s) in probes {
+                    reference[w as usize].increment(s, b1).unwrap();
+                }
+            }
+            stage.finish();
+            assert_eq!(
+                (stage.items(), stage.refused()),
+                (items, refused),
+                "k={k} g={g}"
+            );
+            assert!(items > 0 && refused > 0, "test premise (k={k}, g={g})");
+            assert!(!reference[last as usize].is_empty());
+            assert_eq!(stage.into_words().as_slice(), &reference[..], "k={k} g={g}");
         }
     }
 

@@ -14,9 +14,7 @@
 
 use mpcbf::concurrent::{build_parallel, ShardedBulkBuilder, ShardedMpcbf};
 use mpcbf::core::bulk::BulkStage;
-use mpcbf::core::{
-    BulkBuilder, Filter, HcbfWord, Mpcbf, MpcbfConfig, ResilientBulkBuilder, ResilientMpcbf,
-};
+use mpcbf::core::{BulkBuilder, Filter, Mpcbf, MpcbfConfig, ResilientBulkBuilder, ResilientMpcbf};
 use mpcbf::durability::{DurabilityOptions, DurableSharded};
 use mpcbf::hash::{Hasher128, Murmur3};
 use mpcbf::workloads::BulkKeys;
@@ -197,6 +195,57 @@ proptest! {
     }
 }
 
+/// A configuration with an explicit `n_max`, so every `1 ≤ g ≤ k ≤ 8`
+/// shape builds: `b1 = 64 − ⌈k/g⌉·n_max` (63 for `k = g`, `n_max = 1`,
+/// which packs slot 62).
+fn shaped(memory_bits: u64, items: u64, k: u32, g: u32, n_max: u32, seed: u64) -> MpcbfConfig {
+    MpcbfConfig::builder()
+        .memory_bits(memory_bits)
+        .expected_items(items)
+        .hashes(k)
+        .accesses(g)
+        .n_max(n_max)
+        .seed(seed)
+        .build()
+        .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every packing the stage can choose, bit for bit against the
+    /// scalar loop: one-word deferred (`k ≤ 3`), two-word deferred
+    /// (`4 ≤ k ≤ 8`), and admitted (`g ≥ 2`). The narrow array (700
+    /// words) is overfull, so refusals decide as much as admissions; the
+    /// wide one (2^14 + 5003 words) spans two or more regions with a
+    /// narrower last one.
+    #[test]
+    fn every_small_shape_bulk_equals_sequential(
+        seed in 1u64..1000,
+        n_max in 1u32..5,
+        wide in any::<bool>(),
+    ) {
+        let (words, n) = if wide { ((1u64 << 14) + 5_003, 3_000) } else { (700, 1_500) };
+        let stream = keys(seed, n, 3, 11);
+        for k in 1..=8u32 {
+            for g in 1..=k {
+                let cfg = shaped(64 * words, n, k, g, n_max, seed);
+                let mut naive: Mpcbf<u64, Murmur3> = Mpcbf::new(cfg);
+                for key in &stream {
+                    let _ = naive.insert_bytes(key);
+                }
+                let mut builder: BulkBuilder<Murmur3> = BulkBuilder::new(cfg);
+                prop_assert_eq!(builder.is_deferred(), g == 1, "k={} g={}", k, g);
+                builder.push_chunk(&stream);
+                let bulk = builder.finish();
+                prop_assert_eq!(naive.raw_words(), bulk.raw_words(), "k={} g={}", k, g);
+                prop_assert_eq!(naive.items(), bulk.items(), "k={} g={}", k, g);
+                prop_assert_eq!(naive.overflows(), bulk.overflows(), "k={} g={}", k, g);
+            }
+        }
+    }
+}
+
 /// The durability fast path: a bulk-built sharded filter materialised
 /// via [`DurableSharded::bootstrap`] cold-starts from the snapshot
 /// alone — zero WAL records replayed — and serves the exact state the
@@ -261,9 +310,10 @@ fn bulk_keys_deterministic_across_chunkings() {
 #[test]
 fn under_hinted_builds_flush_mid_stream_and_stay_exact() {
     for (k, g) in [(3u32, 1u32), (4, 2)] {
-        // 2^18 words, eight staging regions. The L1/L2 buckets hold about
-        // 266k entries before any reaches a region bucket, so the stream
-        // must run well past that.
+        // 2^18 words: sixteen 2^14-word staging regions deferred, eight
+        // 2^15-word ones admitted. The L1/L2 buckets hold about 266k
+        // entries before any reaches a region bucket, so the stream must
+        // run well past that.
         let n = 400_000u64;
         let cfg = config(1 << 24, n / 4, k, g, 31);
         let stream = keys(31, n, 0, 0);
@@ -293,27 +343,29 @@ fn under_hinted_builds_flush_mid_stream_and_stay_exact() {
 /// either staging mode.
 #[test]
 fn at_the_hint_every_region_sweeps_once() {
-    // 2^19 words, sixteen regions, 0.8 keys per word.
+    // 2^19 words, 0.8 keys per word: thirty-two 2^14-word regions for
+    // the deferred k = 3 shape, sixteen 2^15-word ones admitted.
     let n = 420_000u64;
     for (k, g) in [(3u32, 1u32), (4, 2)] {
         let cfg = config(1 << 25, n, k, g, 33);
         let shape = cfg.shape();
         let mut stage = BulkStage::with_expected(shape.l, shape.k, shape.g, shape.b1, n);
         assert_eq!(stage.is_deferred(), g == 1);
-        let mut words = vec![HcbfWord::<u64>::new(); shape.l as usize];
         BulkKeys::new(33, n).for_each_chunk(8_192, |chunk| {
             let digests: Vec<u128> = chunk
                 .iter()
                 .map(|key| Murmur3::hash128(cfg.seed(), key))
                 .collect();
-            stage.push_digests(&mut words, &digests);
+            stage.push_digests(&digests);
         });
-        stage.finish_into(&mut words);
+        stage.finish();
+        let (width, flushes) = (stage.region_words(), stage.stats().flushes);
+        let words = stage.into_words();
         let regions = words
-            .chunks(1 << 15)
+            .chunks(width as usize)
             .filter(|region| region.iter().any(|w| !w.is_empty()))
             .count() as u64;
-        assert_eq!(regions, 16, "test premise, g={g}");
-        assert_eq!(stage.stats().flushes, regions, "g={g}");
+        assert_eq!(regions, shape.l.div_ceil(width), "test premise, g={g}");
+        assert_eq!(flushes, regions, "g={g}");
     }
 }
