@@ -15,7 +15,7 @@
 //!   shape, so the cost of the ack⟹durable guarantee is visible;
 //! * `recovery` — wall-clock `open_or_recover` time versus the number of
 //!   WAL records replayed (no snapshot taken, so every record replays),
-//!   plus the scrub verdict;
+//!   plus the verify verdict;
 //! * `cold_start` — `bootstrap` plus `open_or_recover` of a bulk-built
 //!   8-shard filter (the `batch-mix-dram` shape at `--scale 1`: 6.4 M
 //!   keys in 512 Mb, k = 3), and the streamed stages inside them —
@@ -25,6 +25,9 @@
 //!   peak-RSS growth of the load, so a regression of any one stage, or a
 //!   load that buffers the file again, shows in the artifact.
 //!
+//! Every section runs the served path: a `DurableSharded<ShardedMpcbf>`
+//! of [`COLD_SHARDS`] shards, one WAL per shard.
+//!
 //! `--gate` runs only the cold start and exits non-zero when the load's
 //! peak-RSS growth passes [`LOAD_RSS_GATE`] times the snapshot's bytes:
 //! a streamed load holds the pool and a read buffer, while one that
@@ -32,10 +35,9 @@
 
 use mpcbf_bench::{rss, Args};
 use mpcbf_concurrent::{ShardedBulkBuilder, ShardedMpcbf};
-use mpcbf_core::{Mpcbf, MpcbfConfig};
+use mpcbf_core::MpcbfConfig;
 use mpcbf_durability::{
-    publish_checkpoint, DurabilityOptions, DurableFilter, DurableSharded, FsyncPolicy, KillSwitch,
-    SnapshotStore,
+    publish_checkpoint, DurabilityOptions, DurableSharded, FsyncPolicy, KillSwitch, SnapshotStore,
 };
 use mpcbf_hash::Murmur3;
 use mpcbf_workloads::BulkKeys;
@@ -75,12 +77,15 @@ struct RecoveryRow {
     scrub_clean: bool,
 }
 
+/// The served pool of the throughput and recovery rows.
+fn pool(items: u64) -> ShardedMpcbf<u64, Murmur3> {
+    ShardedMpcbf::new(config(items), COLD_SHARDS)
+}
+
 fn throughput(policy: FsyncPolicy, ops: u64) -> ThroughputRow {
     let dir = scratch_dir(&policy.name());
-    let cfg = config(ops);
     let opts = DurabilityOptions::new(&dir).fsync(policy);
-    let mut durable: DurableFilter<Mpcbf<u64, Murmur3>> =
-        DurableFilter::create(Mpcbf::new(cfg), opts).expect("create");
+    let mut durable = DurableSharded::create(pool(ops), opts).expect("create");
     let start = Instant::now();
     for i in 0..ops {
         let _ = durable.insert_bytes(&i.to_le_bytes());
@@ -98,11 +103,9 @@ fn throughput(policy: FsyncPolicy, ops: u64) -> ThroughputRow {
 
 fn recovery(wal_records: u64) -> RecoveryRow {
     let dir = scratch_dir(&format!("recover-{wal_records}"));
-    let cfg = config(wal_records);
     // Relaxed fsync keeps setup fast; the final sync makes it all durable.
     let opts = DurabilityOptions::new(&dir).fsync(FsyncPolicy::EveryN(1024));
-    let mut durable: DurableFilter<Mpcbf<u64, Murmur3>> =
-        DurableFilter::create(Mpcbf::new(cfg), opts).expect("create");
+    let mut durable = DurableSharded::create(pool(wal_records), opts).expect("create");
     for i in 0..wal_records {
         let _ = durable.insert_bytes(&i.to_le_bytes());
     }
@@ -111,10 +114,8 @@ fn recovery(wal_records: u64) -> RecoveryRow {
 
     let start = Instant::now();
     let (_, report) =
-        DurableFilter::open_or_recover(DurabilityOptions::new(&dir), || -> Mpcbf<u64, Murmur3> {
-            Mpcbf::new(cfg)
-        })
-        .expect("recovery");
+        DurableSharded::open_or_recover(DurabilityOptions::new(&dir), || pool(wal_records))
+            .expect("recovery");
     let millis = start.elapsed().as_secs_f64() * 1e3;
     std::fs::remove_dir_all(&dir).expect("scratch cleanup");
     RecoveryRow {
@@ -125,7 +126,7 @@ fn recovery(wal_records: u64) -> RecoveryRow {
     }
 }
 
-/// Shards of the cold-start filter (the served default).
+/// Shards of every durable pool here (the served default).
 const COLD_SHARDS: usize = 8;
 /// Repetitions per cold-start stage; the row reports their median.
 const COLD_REPS: usize = 3;
@@ -400,7 +401,7 @@ fn main() {
             r.records_replayed,
             if r.scrub_clean { "clean" } else { "DIRTY" }
         );
-        assert!(r.scrub_clean, "recovered image must scrub clean");
+        assert!(r.scrub_clean, "recovered pool must verify clean");
         assert_eq!(
             r.records_replayed, r.wal_records,
             "without a snapshot every WAL record must replay"

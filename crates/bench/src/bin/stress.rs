@@ -47,8 +47,7 @@ use mpcbf_concurrent::ShardedMpcbf;
 use mpcbf_core::scrub::SEGMENT_WORDS;
 use mpcbf_core::{Cbf, CountingFilter, Filter, Mpcbf, MpcbfConfig, ResilientMpcbf};
 use mpcbf_durability::{
-    encode_frame, DurabilityOptions, DurableFilter, DurableSharded, KillSite, KillSwitch, WalOp,
-    WalRecord,
+    encode_frame, DurabilityOptions, DurableSharded, KillSite, KillSwitch, WalOp, WalRecord,
 };
 use mpcbf_hash::Murmur3;
 use mpcbf_variants::{DlCbf, Rcbf, ViCbf};
@@ -472,19 +471,20 @@ fn drill_config(seed: u64) -> MpcbfConfig {
         .expect("shape")
 }
 
-/// Runs one kill-point scenario against `DurableFilter<Mpcbf>` and
-/// proves bit-exact recovery. Every op acknowledged before the crash
-/// must survive it; the recovered image must equal a reference filter
-/// that applied exactly the durable prefix; torn tails must be reported
-/// and the recovered image must scrub clean.
-fn drill_one_kill(seed: u64, site: KillSite, op_hint: u64, byte_hint: u64) {
+/// Runs one kill-point scenario against a `shards`-shard
+/// `DurableSharded<ShardedMpcbf>` and proves bit-exact recovery. Every
+/// op acknowledged before the crash must survive it; every recovered
+/// shard must equal the same shard of a reference pool that applied
+/// exactly the durable prefix; torn tails must be reported and the
+/// recovered pool must verify clean.
+fn drill_kill(seed: u64, shards: usize, site: KillSite, op_hint: u64, byte_hint: u64) {
     let cfg = drill_config(seed);
     let dir = drill_dir("kill");
     let kill = KillSwitch::new();
     let opts = DurabilityOptions::new(&dir).kill(kill.clone());
-    let mut durable: DurableFilter<Mpcbf<u64, Murmur3>> =
-        DurableFilter::create(Mpcbf::new(cfg), opts).expect("create");
-    let mut reference: Mpcbf<u64, Murmur3> = Mpcbf::new(cfg);
+    let pool = || -> ShardedMpcbf<u64, Murmur3> { ShardedMpcbf::new(cfg, shards) };
+    let mut durable = DurableSharded::create(pool(), opts).expect("create");
+    let reference = pool();
 
     let ops = drill_ops(seed, 200);
     let kill_at = (op_hint % ops.len() as u64) as usize;
@@ -497,18 +497,19 @@ fn drill_one_kill(seed: u64, site: KillSite, op_hint: u64, byte_hint: u64) {
     .len() as u64;
     let budget = 1 + byte_hint % (frame_len - 1);
 
-    let apply_ref = |reference: &mut Mpcbf<u64, Murmur3>, op: DrillOp| match op {
+    let apply_ref = |op: DrillOp| match op {
         DrillOp::Insert(k) => {
-            let _ = reference.insert_bytes_cost(&k.to_le_bytes());
+            let _ = reference.insert_bytes(&k.to_le_bytes());
         }
         DrillOp::Remove(k) => {
-            let _ = reference.remove_bytes_cost(&k.to_le_bytes());
+            let _ = reference.remove_bytes(&k.to_le_bytes());
         }
     };
-    let apply_durable = |durable: &mut DurableFilter<Mpcbf<u64, Murmur3>>, op: DrillOp| match op {
-        DrillOp::Insert(k) => durable.insert_bytes(&k.to_le_bytes()).map(|_| ()),
-        DrillOp::Remove(k) => durable.remove_bytes(&k.to_le_bytes()).map(|_| ()),
-    };
+    let apply_durable =
+        |durable: &mut DurableSharded<ShardedMpcbf<u64, Murmur3>>, op: DrillOp| match op {
+            DrillOp::Insert(k) => durable.insert_bytes(&k.to_le_bytes()),
+            DrillOp::Remove(k) => durable.remove_bytes(&k.to_le_bytes()),
+        };
 
     // Acknowledged prefix, with a mid-stream snapshot to force recovery
     // through the snapshot + WAL-replay path, not WAL-only.
@@ -527,7 +528,7 @@ fn drill_one_kill(seed: u64, site: KillSite, op_hint: u64, byte_hint: u64) {
             Err(e) if e.is_kill() => panic!("unarmed op killed: {e}"),
             Err(_) => {} // deterministic filter refusal: still acked
         }
-        apply_ref(&mut reference, op);
+        apply_ref(op);
     }
 
     // Arm and crash. What is durable past the ack point depends on the
@@ -546,7 +547,7 @@ fn drill_one_kill(seed: u64, site: KillSite, op_hint: u64, byte_hint: u64) {
                 // Frame complete ⇒ durable, but never acknowledged:
                 // the client may not assume either outcome for this
                 // key, so it is exempt from the acked-presence check.
-                apply_ref(&mut reference, op);
+                apply_ref(op);
                 let (DrillOp::Insert(k) | DrillOp::Remove(k)) = op;
                 acked.remove(&k);
             } else {
@@ -569,131 +570,66 @@ fn drill_one_kill(seed: u64, site: KillSite, op_hint: u64, byte_hint: u64) {
     }
     drop(durable); // the "crash": writer state abandoned
 
-    let (recovered, report) =
-        DurableFilter::open_or_recover(DurabilityOptions::new(&dir), || -> Mpcbf<u64, Murmur3> {
-            Mpcbf::new(cfg)
-        })
+    let (recovered, report) = DurableSharded::open_or_recover(DurabilityOptions::new(&dir), pool)
         .expect("recovery must always succeed");
-    assert_eq!(
-        recovered.inner().raw_words(),
-        reference.raw_words(),
-        "{site}: recovered image must be bit-identical to the durable prefix"
-    );
+    for s in 0..reference.shard_count() {
+        assert_eq!(
+            recovered.inner().shard_raw_words(s),
+            reference.shard_raw_words(s),
+            "{site}, {shards} shards: shard {s} must recover bit-identical to the durable prefix"
+        );
+    }
     for (&key, &net) in &acked {
         if net > 0 {
             assert!(
                 recovered.contains_bytes(&key.to_le_bytes()),
-                "{site}: false negative for acknowledged key {key}"
+                "{site}, {shards} shards: false negative for acknowledged key {key}"
             );
         }
     }
     if expect_torn {
         assert!(
             !report.torn_tails.is_empty(),
-            "{site}: a torn append must be reported"
+            "{site}, {shards} shards: a torn append must be reported"
         );
         assert!(report.bytes_truncated > 0, "{site}: torn bytes truncated");
     }
     assert!(
         report.scrub_clean,
-        "{site}: recovered image must scrub clean"
+        "{site}, {shards} shards: recovered pool must verify clean"
     );
     std::fs::remove_dir_all(&dir).expect("scratch cleanup");
 }
 
-/// Kill-point scenario against the per-shard WAL layout: crash one
-/// shard's append mid-frame, recover all shards in parallel, and prove
-/// the acknowledged prefix survived bit-exactly.
-fn drill_sharded_kill(seed: u64, op_hint: u64, byte_hint: u64) {
-    let cfg = MpcbfConfig::builder()
-        .memory_bits(400_000)
-        .expected_items(4_000)
-        .hashes(3)
-        .seed(seed ^ 0x5D5D)
-        .build()
-        .expect("shape");
-    let dir = drill_dir("sharded");
-    let kill = KillSwitch::new();
-    let opts = DurabilityOptions::new(&dir).kill(kill.clone());
-    let mut durable: DurableSharded<ShardedMpcbf<u64, Murmur3>> =
-        DurableSharded::create(ShardedMpcbf::new(cfg, 8), opts).expect("create");
-    let reference: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(cfg, 8);
-
-    let ops = drill_ops(seed ^ 0x77, 200);
-    let kill_at = (op_hint % ops.len() as u64) as usize;
-    for &op in &ops[..kill_at] {
-        match op {
-            DrillOp::Insert(k) => {
-                let _ = durable.insert_bytes(&k.to_le_bytes());
-                let _ = reference.insert_bytes(&k.to_le_bytes());
-            }
-            DrillOp::Remove(k) => {
-                let _ = durable.remove_bytes(&k.to_le_bytes());
-                let _ = reference.remove_bytes(&k.to_le_bytes());
-            }
-        }
-    }
-    let frame_len = encode_frame(&WalRecord {
-        seq: 1,
-        op: WalOp::Insert(vec![0; 8]),
-    })
-    .len() as u64;
-    kill.arm(KillSite::WalAppend, 1 + byte_hint % (frame_len - 1));
-    let victim = match ops[kill_at] {
-        DrillOp::Insert(k) | DrillOp::Remove(k) => k,
-    };
-    let err = match ops[kill_at] {
-        DrillOp::Insert(k) => durable.insert_bytes(&k.to_le_bytes()),
-        DrillOp::Remove(k) => durable.remove_bytes(&k.to_le_bytes()),
-    }
-    .expect_err("armed shard append must crash");
-    assert!(err.is_kill(), "expected a kill, got: {err}");
-    drop(durable);
-
-    let (recovered, report) = DurableSharded::open_or_recover(
-        DurabilityOptions::new(&dir),
-        || -> ShardedMpcbf<u64, Murmur3> { ShardedMpcbf::new(cfg, 8) },
-    )
-    .expect("sharded recovery must succeed");
-    for s in 0..reference.shard_count() {
-        assert_eq!(
-            recovered.inner().shard_raw_words(s),
-            reference.shard_raw_words(s),
-            "shard {s} must recover bit-identical (victim key {victim})"
-        );
-    }
-    assert!(
-        !report.torn_tails.is_empty(),
-        "the torn shard append must be reported"
-    );
-    assert!(
-        report.scrub_clean,
-        "recovered sharded image must scrub clean"
-    );
-    std::fs::remove_dir_all(&dir).expect("scratch cleanup");
-}
+/// Shards of the pool the drill's second round of kill sites runs on
+/// (the served default).
+const DRILL_SHARDS: usize = 8;
 
 /// Drill 6: seeded kill-point injection. Every kill site is exercised
-/// at a plan-derived op index and torn-write byte budget, plus every
-/// explicit `Fault::CrashPoint` the plan drew, plus one per-shard WAL
-/// crash — each proving bit-exact recovery with zero false negatives.
+/// on a one-shard pool at a plan-derived op index and torn-write byte
+/// budget, plus every explicit `Fault::CrashPoint` the plan drew, then
+/// every site again on a [`DRILL_SHARDS`]-shard pool — each proving
+/// bit-exact recovery with zero false negatives.
 fn drill_durability(plan: &FaultPlan) {
     let mut rng = StdRng::seed_from_u64(plan.seed ^ 0xDEAD);
     let mut scenarios = 0usize;
     for &site in &KillSite::ALL {
-        drill_one_kill(plan.seed, site, rng.gen(), rng.gen());
+        drill_kill(plan.seed, 1, site, rng.gen(), rng.gen());
         scenarios += 1;
     }
     for (site_hint, op_hint, byte_hint) in plan.crash_points() {
         let site = KillSite::ALL[(site_hint % KillSite::ALL.len() as u64) as usize];
-        drill_one_kill(plan.seed, site, op_hint, byte_hint);
+        drill_kill(plan.seed, 1, site, op_hint, byte_hint);
         scenarios += 1;
     }
-    drill_sharded_kill(plan.seed, rng.gen(), rng.gen());
-    scenarios += 1;
+    for &site in &KillSite::ALL {
+        drill_kill(plan.seed, DRILL_SHARDS, site, rng.gen(), rng.gen());
+        scenarios += 1;
+    }
     println!(
         "  durability drill: {scenarios} kill-point scenarios \
-         (all {} sites + {} plan crash points + sharded) recovered bit-exact — OK",
+         (all {} sites + {} plan crash points on 1 shard, all sites on {DRILL_SHARDS}) \
+         recovered bit-exact — OK",
         KillSite::ALL.len(),
         plan.crash_points().count()
     );

@@ -318,42 +318,79 @@ pub fn stats(opts: &Opts, out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `mpcbf recover`: open-or-recover a durable MPCBF directory and print
-/// the recovery report (snapshot used, records replayed, torn tails
-/// repaired, scrub verdict). A fresh directory is initialised from the
-/// shape flags. With `--input`, the keys are then inserted through the
-/// write-ahead log and a snapshot is taken, so the directory is the
-/// filter's durable home rather than a one-shot image file.
-pub fn recover(
-    opts: &Opts,
-    keys: Option<&mut Keys<'_>>,
-    out: &mut impl Write,
-) -> Result<(), CliError> {
-    use mpcbf_durability::{DurabilityOptions, DurableFilter};
-
-    let dir = opts.require_dir()?;
+/// The filter shape of a durable directory's fresh pool: `--items`
+/// (100 000 by default) and the shape flags.
+fn durable_config(opts: &Opts) -> Result<MpcbfConfig, CliError> {
     let items = opts.items.unwrap_or(100_000);
-    let config = MpcbfConfig::builder()
+    MpcbfConfig::builder()
         .memory_bits(opts.memory_or_default(items))
         .expected_items(items)
         .hashes(opts.hashes)
         .accesses(opts.accesses)
         .seed(opts.seed)
         .build()
-        .map_err(|e| CliError::Runtime(format!("infeasible configuration: {e}")))?;
-    let (mut filter, report) =
-        DurableFilter::open_or_recover(DurabilityOptions::new(dir), || -> Mpcbf<u64, Murmur3> {
-            Mpcbf::new(config)
-        })
+        .map_err(|e| CliError::Runtime(format!("infeasible configuration: {e}")))
+}
+
+/// `mpcbf recover`: open-or-recover a durable directory, the way `mpcbf
+/// serve` opens it (`--shards`, `--elastic`), and print the recovery
+/// report (snapshot used, records replayed, torn tails repaired, verify
+/// verdict) and the pool's shard count, summed WAL seq and overflows. A
+/// fresh directory is initialised from the shape flags. With `--input`,
+/// the keys are then inserted through the write-ahead log and a snapshot
+/// is taken, so the directory is the filter's durable home rather than a
+/// one-shot image file.
+pub fn recover(
+    opts: &Opts,
+    keys: Option<&mut Keys<'_>>,
+    out: &mut impl Write,
+) -> Result<(), CliError> {
+    use mpcbf_concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
+    use mpcbf_core::CapacityPolicy;
+    use mpcbf_durability::DurabilityOptions;
+
+    let durability = DurabilityOptions::new(opts.require_dir()?);
+    let config = durable_config(opts)?;
+    let shards = opts.shards.unwrap_or(8);
+    if opts.elastic {
+        recover_pool(
+            durability,
+            || {
+                ElasticShardedMpcbf::<Murmur3>::manual(config, shards, CapacityPolicy::default())
+                    .expect("default capacity policy is valid")
+            },
+            keys,
+            out,
+        )
+    } else {
+        recover_pool(
+            durability,
+            || ShardedMpcbf::<u64, Murmur3>::new(config, shards),
+            keys,
+            out,
+        )
+    }
+}
+
+/// [`recover`] for either pool.
+fn recover_pool<P: mpcbf_durability::ShardPool>(
+    durability: mpcbf_durability::DurabilityOptions,
+    fallback: impl FnOnce() -> P,
+    keys: Option<&mut Keys<'_>>,
+    out: &mut impl Write,
+) -> Result<(), CliError> {
+    use mpcbf_durability::{DurableError, DurableSharded};
+
+    let (mut durable, report) = DurableSharded::open_or_recover(durability, fallback)
         .map_err(|e| CliError::Runtime(format!("recovery failed: {e}")))?;
 
     writeln!(out, "{report}").map_err(|e| CliError::Runtime(format!("write error: {e}")))?;
     writeln!(
         out,
-        "items {}  overflows {}  seq {}",
-        filter.inner().items(),
-        filter.inner().overflows(),
-        filter.seq()
+        "shards {}  seq {}  overflows {}",
+        durable.inner().shard_count(),
+        durable.shard_seqs().iter().sum::<u64>(),
+        durable.inner().overflows()
     )
     .map_err(|e| CliError::Runtime(format!("write error: {e}")))?;
 
@@ -365,13 +402,13 @@ pub fn recover(
             if key.is_empty() {
                 continue;
             }
-            match filter.insert_bytes(key.as_bytes()) {
+            match durable.insert_bytes(key.as_bytes()) {
                 Ok(()) => inserted += 1,
-                Err(mpcbf_durability::DurableError::Filter(_)) => refused += 1,
+                Err(DurableError::Filter(_)) => refused += 1,
                 Err(e) => return Err(CliError::Runtime(format!("durable insert failed: {e}"))),
             }
         }
-        filter
+        durable
             .snapshot()
             .map_err(|e| CliError::Runtime(format!("snapshot failed: {e}")))?;
         eprintln!("inserted {inserted} keys durably ({refused} refused), snapshot taken");
@@ -379,7 +416,7 @@ pub fn recover(
 
     if !report.scrub_clean {
         return Err(CliError::Runtime(
-            "recovered image failed the scrub cross-check".into(),
+            "recovered pool failed the structural verify".into(),
         ));
     }
     Ok(())
@@ -431,15 +468,7 @@ pub fn serve(opts: &Opts, out: &mut impl Write) -> Result<(), CliError> {
     use mpcbf_server::{Server, ServerConfig};
 
     let dir = opts.require_dir()?;
-    let items = opts.items.unwrap_or(100_000);
-    let config = MpcbfConfig::builder()
-        .memory_bits(opts.memory_or_default(items))
-        .expected_items(items)
-        .hashes(opts.hashes)
-        .accesses(opts.accesses)
-        .seed(opts.seed)
-        .build()
-        .map_err(|e| CliError::Runtime(format!("infeasible configuration: {e}")))?;
+    let config = durable_config(opts)?;
     let fsync = parse_fsync(opts.fsync.as_deref().unwrap_or("always"))?;
     let mut durability = DurabilityOptions::new(dir).fsync(fsync);
     durability.snapshot_every = opts.snapshot_every;
@@ -982,6 +1011,90 @@ mod tests {
         assert_eq!(report.records_replayed, 0, "bootstrap dir replayed WAL");
         assert_eq!(report.snapshot_seq, Some(0));
         assert!(recovered.inner().total_load() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recover_opens_a_bulk_built_directory_without_replay() {
+        let dir = tmp("bulk-recover");
+        let _ = std::fs::remove_dir_all(&dir);
+        let o = opts(&[
+            "--bulk",
+            "--synthetic",
+            "2000",
+            "--items",
+            "2000",
+            "--dir",
+            &dir,
+        ]);
+        build(&o, &mut keys(&[])).unwrap();
+
+        let mut out = Vec::new();
+        recover(&opts(&["--dir", &dir]), None, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("snapshot: seq 0"), "{text}");
+        assert!(text.contains(" 0 replayed"), "{text}");
+        assert!(text.contains("shards 8  seq 0"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recover_elastic_reopens_an_elastic_directory() {
+        let dir = tmp("elastic-recover");
+        let _ = std::fs::remove_dir_all(&dir);
+        let elastic = opts(&["--dir", &dir, "--elastic", "--items", "1000"]);
+        let written: Vec<String> = (0..300).map(|i| format!("key-{i}")).collect();
+        let views: Vec<&str> = written.iter().map(String::as_str).collect();
+        recover(&elastic, Some(&mut keys(&views)), &mut Vec::new()).unwrap();
+
+        let mut out = Vec::new();
+        recover(&elastic, None, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains(" 0 replayed"), "{text}");
+        assert!(text.contains("shards 8  seq 300"), "{text}");
+
+        // The fixed mode refuses the directory and names its mode.
+        match recover(&opts(&["--dir", &dir]), None, &mut Vec::new()) {
+            Err(CliError::Runtime(msg)) => assert!(msg.contains("elastic mode"), "{msg}"),
+            other => panic!("fixed open of an elastic directory: {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recover_refuses_a_single_filter_directory_and_leaves_it_alone() {
+        use mpcbf_durability::{KillSwitch, SnapshotStore};
+
+        let dir = tmp("single-filter-recover");
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = durable_config(&opts(&["--items", "1000"])).unwrap();
+        let image = Mpcbf::<u64, Murmur3>::new(config).encode();
+        SnapshotStore::new(dir.as_ref(), "snap", KillSwitch::new())
+            .unwrap()
+            .write(0, &image)
+            .unwrap();
+        let listing = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = listing();
+        for flags in [&["--dir", &dir][..], &["--dir", &dir, "--elastic"]] {
+            match recover(&opts(flags), None, &mut Vec::new()) {
+                Err(CliError::Runtime(msg)) => {
+                    assert!(msg.contains("removed single-filter wrapper"), "{msg}")
+                }
+                other => panic!("{flags:?}: {other:?}"),
+            }
+        }
+        assert_eq!(listing(), before, "a refused recover changed the directory");
+        assert_eq!(
+            std::fs::read(format!("{dir}/snap-{:020}.snap", 0)).unwrap(),
+            image
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,7 +9,7 @@
 //! mpcbf remove --filter f.mpcbf [--input keys.txt]
 //! mpcbf stats  --filter f.mpcbf
 //! mpcbf size   --items 1000000 --fpr 0.001 [--hashes 3] [--accesses 1]
-//! mpcbf recover --dir d/ [--items N] [--input keys.txt]  # durable home
+//! mpcbf recover --dir d/ [--shards P] [--elastic] [--input keys.txt]  # durable home
 //! ```
 
 use std::io::{BufRead, Write};

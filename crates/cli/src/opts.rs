@@ -32,12 +32,15 @@ commands:
             u32) through an MPCBF flow monitor and report FPR + rates;
             with --telemetry, meter every operation and print a
             Prometheus metrics page after the report
-  recover --dir DIR [--items N] [--memory-bits M] [--hashes K]
-          [--accesses G] [--seed S] [--input FILE]
-            open-or-recover a durable MPCBF (snapshot + WAL replay,
-            torn tails repaired) and print the recovery report; a fresh
-            DIR is initialised from the shape flags; with --input, the
-            keys are then inserted durably and a snapshot is taken
+  recover --dir DIR [--shards P] [--elastic] [--items N]
+          [--memory-bits M] [--hashes K] [--accesses G] [--seed S]
+          [--input FILE]
+            open-or-recover a durable directory as `serve` does
+            (snapshot + per-shard WAL replay, torn tails repaired) and
+            print the recovery report, shard count, summed seq and
+            overflows; a fresh DIR is initialised from the shape flags;
+            with --input, the keys are then inserted durably and a
+            snapshot is taken
   serve   --dir DIR [--addr HOST:PORT] [--metrics-addr HOST:PORT]
           [--shards P] [--fsync always|every-N|interval-Nms|interval-Nus]
           [--snapshot-every N] [--elastic] [--items N] [--memory-bits M]

@@ -1,7 +1,7 @@
 //! Error type shared by the WAL, snapshot, and recovery paths.
 
 use crate::kill::KillSite;
-use mpcbf_core::{CodecError, FilterError};
+use mpcbf_core::FilterError;
 
 /// Anything that can go wrong while logging, snapshotting, or
 /// recovering a durable filter.
@@ -17,13 +17,12 @@ pub enum DurableError {
     /// An injected crash fired at this site (drills only; a production
     /// switch is never armed).
     Killed(KillSite),
-    /// A snapshot image failed to decode.
-    Image(CodecError),
     /// The wrapped filter refused the operation (e.g. word overflow).
     /// The op is already logged; replay re-refuses it deterministically.
     Filter(FilterError),
     /// The newest usable snapshot is an intact image written in another
-    /// mode (`"fixed"`, `"elastic"` or `"single-filter"`). Recovery
+    /// mode (`"fixed"`, `"elastic"`, or `"single-filter"` for the bare
+    /// filter image of the removed single-filter wrapper). Recovery
     /// refuses and touches nothing: skipping the snapshot would rebuild
     /// from the WAL tail alone, and the next checkpoint would purge it.
     ModeMismatch {
@@ -31,6 +30,15 @@ pub enum DurableError {
         snapshot_seq: u64,
         /// The mode that wrote it.
         stored: &'static str,
+    },
+    /// A directory without a usable snapshot holds WALs of more shards
+    /// than the pool recovering it has. Recovery refuses and touches
+    /// nothing: the logs past the pool's last shard would never replay.
+    ShardCountMismatch {
+        /// Shard logs in the directory.
+        logs: usize,
+        /// Shards of the recovering pool.
+        shards: usize,
     },
     /// An earlier append to this shard's WAL failed, so the log refuses
     /// every later one: a record appended behind the failed frame would
@@ -57,14 +65,26 @@ impl std::fmt::Display for DurableError {
         match self {
             DurableError::Io { context, source } => write!(f, "{context}: {source}"),
             DurableError::Killed(site) => write!(f, "injected crash at {site}"),
-            DurableError::Image(e) => write!(f, "snapshot image: {e}"),
             DurableError::Filter(e) => write!(f, "filter refused: {e:?}"),
+            DurableError::ModeMismatch {
+                snapshot_seq,
+                stored: "single-filter",
+            } => write!(
+                f,
+                "snapshot {snapshot_seq} was written by the removed single-filter wrapper; \
+                 no mode of this version opens the directory"
+            ),
             DurableError::ModeMismatch {
                 snapshot_seq,
                 stored,
             } => write!(
                 f,
                 "snapshot {snapshot_seq} was written in {stored} mode; reopen the directory in {stored} mode"
+            ),
+            DurableError::ShardCountMismatch { logs, shards } => write!(
+                f,
+                "the directory holds WALs of {logs} shards and no snapshot; \
+                 reopen it with {logs} shards, not {shards}"
             ),
             DurableError::LogBroken { shard } => write!(
                 f,
@@ -78,15 +98,8 @@ impl std::error::Error for DurableError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DurableError::Io { source, .. } => Some(source),
-            DurableError::Image(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<CodecError> for DurableError {
-    fn from(e: CodecError) -> Self {
-        DurableError::Image(e)
     }
 }
 

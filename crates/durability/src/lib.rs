@@ -12,25 +12,24 @@
 //!   tails at the first bad CRC.
 //! * [`snapshot`] — full filter images through the codec encode path,
 //!   published atomically via rename.
-//! * [`DurableFilter`] — log→apply→ack wrapper over any
-//!   [`DurableImage`]-capable counting filter ([`mpcbf_core::Mpcbf`],
-//!   [`mpcbf_core::Cbf`], [`mpcbf_core::ResilientMpcbf`]).
-//! * [`DurableSharded`] — the one wrapper for both sharded pools, the
-//!   fixed-size [`mpcbf_concurrent::ShardedMpcbf`] and the elastic
-//!   [`mpcbf_concurrent::ElasticShardedMpcbf`], which plug in through
+//! * [`DurableSharded`] — the one durable wrapper, for both sharded
+//!   pools: the fixed-size [`mpcbf_concurrent::ShardedMpcbf`] and the
+//!   elastic [`mpcbf_concurrent::ElasticShardedMpcbf`], which plug in through
 //!   [`ShardPool`]: one WAL per shard (`wal-s{NNNN}`), one log-then-apply
 //!   step per shard ([`ShardLog`], also run by the server's shard
 //!   workers; after a failed append it refuses every later one with
 //!   [`DurableError::LogBroken`]), one checkpoint publisher ([`publish_checkpoint`]) and one
 //!   parallel recovery loop. A directory keeps its mode for life:
 //!   recovery refuses another mode's intact snapshot with
-//!   [`DurableError::ModeMismatch`].
+//!   [`DurableError::ModeMismatch`]. A one-shard pool is the durable
+//!   single filter.
 //! * [`kill`] — seeded in-process crash injection for the drill matrix
 //!   (crash mid-append, mid-fsync, mid-snapshot-rename, …).
 //!
 //! ```
-//! use mpcbf_core::{Mpcbf, MpcbfConfig};
-//! use mpcbf_durability::{DurabilityOptions, DurableFilter};
+//! use mpcbf_concurrent::ShardedMpcbf;
+//! use mpcbf_core::MpcbfConfig;
+//! use mpcbf_durability::{DurabilityOptions, DurableSharded};
 //!
 //! let dir = std::env::temp_dir().join(format!("mpcbf-doc-{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
@@ -41,28 +40,25 @@
 //!     .seed(7)
 //!     .build()
 //!     .unwrap();
-//! let filter: Mpcbf = Mpcbf::new(config.clone());
+//! let pool = || -> ShardedMpcbf { ShardedMpcbf::new(config.clone(), 1) };
 //!
 //! // Log-then-apply: every acknowledged op is on disk first.
-//! let mut durable = DurableFilter::create(filter, DurabilityOptions::new(&dir)).unwrap();
+//! let mut durable = DurableSharded::create(pool(), DurabilityOptions::new(&dir)).unwrap();
 //! durable.insert_bytes(b"alice").unwrap();
 //! durable.snapshot().unwrap();
 //! durable.insert_bytes(b"bob").unwrap();
 //! drop(durable); // simulated crash
 //!
-//! // Recovery: snapshot + WAL replay, scrub-verified.
-//! let (recovered, report) = DurableFilter::open_or_recover(
-//!     DurabilityOptions::new(&dir),
-//!     || -> Mpcbf { Mpcbf::new(config.clone()) },
-//! )
-//! .unwrap();
+//! // Recovery: snapshot + WAL replay, then a structural verify.
+//! let (recovered, report) = DurableSharded::open_or_recover(DurabilityOptions::new(&dir), pool).unwrap();
 //! assert!(recovered.contains_bytes(b"alice"));
 //! assert!(recovered.contains_bytes(b"bob"));
 //! assert!(report.scrub_clean);
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 //!
-//! The sharded pools recover the same way, one log per shard:
+//! The elastic pool recovers the same way, its scale-ups replayed from
+//! the log:
 //!
 //! ```
 //! use mpcbf_concurrent::ElasticShardedMpcbf;
@@ -95,7 +91,6 @@
 
 mod error;
 
-pub mod durable;
 pub mod kill;
 pub mod record;
 pub mod report;
@@ -103,14 +98,13 @@ pub mod sharded;
 pub mod snapshot;
 pub mod wal;
 
-pub use durable::{DurabilityOptions, DurableFilter, DurableImage};
 pub use error::DurableError;
 pub use kill::{KillSite, KillSwitch};
 pub use record::{decode_frame, encode_frame, FrameError, WalOp, WalRecord};
 pub use report::RecoveryReport;
 pub use sharded::{
-    decode_envelope, encode_envelope, group_by_shard, publish_checkpoint, DurableSharded, ShardLog,
-    ShardPool,
+    decode_envelope, encode_envelope, group_by_shard, publish_checkpoint, DurabilityOptions,
+    DurableSharded, ShardLog, ShardPool,
 };
 pub use snapshot::{write_file_atomic, LoadedSnapshot, SnapshotStore};
 pub use wal::{FsyncPolicy, TornTail, Wal, WalScan};

@@ -4,8 +4,8 @@ use crate::wal::TornTail;
 use mpcbf_telemetry::Telemetry;
 use std::time::Duration;
 
-/// Everything [`crate::DurableFilter::open_or_recover`] (and the sharded
-/// twin) did to reconstruct state, for operators and drills to inspect.
+/// Everything [`crate::DurableSharded::open_or_recover`] did to
+/// reconstruct state, for operators and drills to inspect.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Sequence number of the snapshot used as the replay base
@@ -28,8 +28,8 @@ pub struct RecoveryReport {
     pub segments_dropped: u64,
     /// Total WAL bytes removed by repairs.
     pub bytes_truncated: u64,
-    /// Whether the post-replay integrity check came back clean: the
-    /// structural `verify()` (plus a seal/scrub pass for single filters).
+    /// Whether the post-replay integrity check, the pool's structural
+    /// `verify()`, came back clean.
     pub scrub_clean: bool,
     /// Highest sequence number in the recovered state.
     pub last_seq: u64,

@@ -39,12 +39,12 @@
 //! only the WAL tail onto a fresh pool, and the next checkpoint would
 //! purge the stored image.
 
-use crate::durable::DurabilityOptions;
 use crate::error::DurableError;
+use crate::kill::KillSwitch;
 use crate::record::{WalOp, WalRecord};
 use crate::report::RecoveryReport;
 use crate::snapshot::SnapshotStore;
-use crate::wal::Wal;
+use crate::wal::{FsyncPolicy, Wal};
 use mpcbf_concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
 use mpcbf_core::codec::{
     self, crc32, crc32_combine, CodecError, Framed, Measure, Sink, CRC32_RESIDUE,
@@ -52,14 +52,79 @@ use mpcbf_core::codec::{
 use mpcbf_core::{FilterError, ScaleSpec};
 use mpcbf_hash::Hasher128;
 use std::io::{BufRead, Seek, SeekFrom};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const SNAP_PREFIX: &str = "snap";
 const ENVELOPE_MAGIC: &[u8; 4] = b"MPSS";
+/// Rotation threshold of every shard's WAL segments, in bytes.
+const SEGMENT_BYTES: u64 = 8 << 20;
 
 fn wal_prefix(shard: usize) -> String {
     format!("wal-s{shard:04}")
+}
+
+/// Shard logs `dir` holds: one more than the highest `NNNN` of a
+/// `wal-sNNNN-*.wal` segment, 0 when there is none.
+fn shard_logs(dir: &Path) -> Result<usize, DurableError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(DurableError::io("list wal dir", e)),
+    };
+    let mut logs = 0;
+    for entry in entries {
+        let entry = entry.map_err(|e| DurableError::io("list wal dir", e))?;
+        let name = entry.file_name();
+        let shard = name
+            .to_str()
+            .filter(|name| name.ends_with(".wal"))
+            .and_then(|name| name.strip_prefix("wal-s"))
+            .and_then(|rest| rest.split_once('-'))
+            .and_then(|(shard, _)| shard.parse::<usize>().ok());
+        if let Some(shard) = shard {
+            logs = logs.max(shard + 1);
+        }
+    }
+    Ok(logs)
+}
+
+/// Where and how a durable pool persists.
+#[derive(Debug, Clone)]
+pub struct DurabilityOptions {
+    /// Directory holding the WAL segments and snapshots.
+    pub dir: PathBuf,
+    /// When the WALs fsync (see [`FsyncPolicy`]).
+    pub fsync: FsyncPolicy,
+    /// Automatic checkpoint after this many logged records
+    /// (`None`: only explicit [`DurableSharded::snapshot`] calls).
+    pub snapshot_every: Option<u64>,
+    /// Crash-injection switch (drills only; defaults unarmed).
+    pub kill: KillSwitch,
+}
+
+impl DurabilityOptions {
+    /// Defaults: always-fsync, no automatic checkpoints.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        DurabilityOptions {
+            dir: dir.into(),
+            fsync: FsyncPolicy::Always,
+            snapshot_every: None,
+            kill: KillSwitch::new(),
+        }
+    }
+
+    /// Sets the fsync policy.
+    pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
+        self.fsync = policy;
+        self
+    }
+
+    /// Installs a crash-injection switch (drills only).
+    pub fn kill(mut self, kill: KillSwitch) -> Self {
+        self.kill = kill;
+        self
+    }
 }
 
 /// Bytes of the envelope header for `shards` shards: magic, shard
@@ -218,10 +283,11 @@ fn pool_mode(kind: u8) -> Option<&'static str> {
 
 /// The mode that wrote the intact `len`-byte snapshot file `src`
 /// (rewound first): `"fixed"` or `"elastic"` for an envelope over a
-/// sharded pool image, `"single-filter"` for a bare filter image
-/// ([`crate::DurableFilter`]). `None` when the file is damaged or holds
-/// anything else; `Err` only on a failed read. Runs only when a load
-/// has already refused the file, so it may read it again.
+/// sharded pool image, `"single-filter"` for a bare filter image (what
+/// the removed single-filter wrapper left behind). `None` when the file
+/// is damaged or holds anything else; `Err` only on a failed read. Runs
+/// only when a load has already refused the file, so it may read it
+/// again.
 pub(crate) fn stored_mode<R: BufRead + Seek>(
     src: &mut R,
     len: u64,
@@ -454,7 +520,7 @@ impl ShardLog {
             &opts.dir,
             &wal_prefix(shard),
             opts.fsync,
-            opts.segment_bytes,
+            SEGMENT_BYTES,
             opts.kill.clone(),
         )?;
         wal.rotate(seq + 1)?;
@@ -641,9 +707,11 @@ impl<P: ShardPool> DurableSharded<P> {
     /// fresh (or fully corrupt) directory; its shard count defines the
     /// log layout.
     ///
-    /// Fails with [`DurableError::ModeMismatch`], leaving the directory
-    /// untouched, when the snapshot holds an intact image of another
-    /// mode.
+    /// Fails, leaving the directory untouched, with
+    /// [`DurableError::ModeMismatch`] when the snapshot holds an intact
+    /// image of another mode, and with [`DurableError::ShardCountMismatch`]
+    /// when there is no snapshot and the directory holds a log of a shard
+    /// `fallback`'s pool lacks (recovery would never replay it).
     pub fn open_or_recover(
         opts: DurabilityOptions,
         fallback: impl FnOnce() -> P,
@@ -670,8 +738,12 @@ impl<P: ShardPool> DurableSharded<P> {
             },
             None => {
                 let pool = fallback();
-                let count = pool.shard_count();
-                (pool, vec![0; count])
+                let shards = pool.shard_count();
+                let logs = shard_logs(&opts.dir)?;
+                if logs > shards {
+                    return Err(DurableError::ShardCountMismatch { logs, shards });
+                }
+                (pool, vec![0; shards])
             }
         };
 
@@ -832,13 +904,6 @@ impl<P: ShardPool> DurableSharded<P> {
     /// Forces every shard's WAL to disk.
     pub fn sync(&mut self) -> Result<(), DurableError> {
         self.logs.iter_mut().try_for_each(ShardLog::sync)
-    }
-
-    /// Shutdown flush — every acknowledged op durable before a clean
-    /// stop. Alias of [`DurableSharded::sync`], named for symmetry with
-    /// [`crate::DurableFilter::flush`].
-    pub fn flush(&mut self) -> Result<(), DurableError> {
-        self.sync()
     }
 
     /// Decomposes the single-writer wrapper so a server can run each
@@ -1040,6 +1105,45 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Under the relaxed fsync policies a graceful stop must lose nothing
+    /// that was acknowledged: `sync()` (and the WAL's `Drop` sync behind
+    /// it) closes the gap between "acked" and "on disk" before the
+    /// process exits.
+    #[test]
+    fn graceful_stop_under_relaxed_fsync_loses_nothing() {
+        for (tag, policy) in [
+            ("everyn", FsyncPolicy::EveryN(10_000)),
+            (
+                "interval",
+                FsyncPolicy::Interval(std::time::Duration::from_secs(3600)),
+            ),
+        ] {
+            let dir = scratch_dir(tag);
+            let opts = DurabilityOptions::new(&dir).fsync(policy);
+            let mut durable = DurableSharded::create(filter(), opts.clone()).unwrap();
+            // 123 is deliberately not a multiple of any sync cadence.
+            for i in 0..123u64 {
+                durable.insert_bytes(&i.to_le_bytes()).unwrap();
+            }
+            durable.sync().expect("shutdown sync");
+            drop(durable); // clean stop
+
+            let (recovered, report) = DurableSharded::open_or_recover(opts, filter).unwrap();
+            assert_eq!(report.records_replayed, 123, "{tag}: acked frame lost");
+            assert!(
+                report.torn_tails.is_empty(),
+                "{tag}: clean stop tore a frame"
+            );
+            for i in 0..123u64 {
+                assert!(
+                    recovered.contains_bytes(&i.to_le_bytes()),
+                    "{tag}: acknowledged key {i} lost across a graceful stop"
+                );
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`variants`] — related-work comparators (d-left CBF, VI-CBF).
 //! * [`concurrent`] — thread-safe MPCBF variants.
 //! * [`durability`] — write-ahead log, snapshots, and crash recovery
-//!   (`DurableFilter`, `DurableSharded`, kill-point drills).
+//!   (`DurableSharded` over either sharded pool, kill-point drills).
 //! * [`telemetry`] — latency histograms, counters/gauges, Prometheus-text
 //!   and JSON exporters fed by the metered batch operations.
 //! * [`workloads`] — synthetic-string, flow-trace and patent workloads.

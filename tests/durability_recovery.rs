@@ -1,6 +1,7 @@
 //! Crash-recovery property test: for a random operation stream crashed
-//! at a random kill point, the recovered filter must be bit-identical
-//! to a reference filter that applied exactly the durable prefix, with
+//! at a random kill point, the recovered one-shard pool must be
+//! bit-identical to a reference pool that applied exactly the durable
+//! prefix (with one shard, a batch is one frame), with
 //! zero false negatives on acknowledged keys — and recovery itself must
 //! never panic or report a dirty scrub.
 //!
@@ -17,10 +18,10 @@
 //!   flight; the prefix is every acknowledged op.
 
 use mpcbf::concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
-use mpcbf::core::{CapacityPolicy, CountingFilter, Filter, Mpcbf, MpcbfConfig};
+use mpcbf::core::{CapacityPolicy, Filter, Mpcbf, MpcbfConfig};
 use mpcbf::durability::{
-    encode_envelope, encode_frame, DurabilityOptions, DurableError, DurableFilter, DurableSharded,
-    FsyncPolicy, KillSite, KillSwitch, SnapshotStore, Wal, WalOp, WalRecord,
+    encode_envelope, encode_frame, DurabilityOptions, DurableError, DurableSharded, FsyncPolicy,
+    KillSite, KillSwitch, SnapshotStore, Wal, WalOp, WalRecord,
 };
 use mpcbf::hash::Murmur3;
 use proptest::prelude::*;
@@ -64,19 +65,24 @@ fn config() -> MpcbfConfig {
         .unwrap()
 }
 
-/// Applies one op to the reference filter (refusals discarded, exactly
+/// The one-shard pool the crash-point property runs on.
+fn one_shard() -> ShardedMpcbf<u64, Murmur3> {
+    ShardedMpcbf::new(config(), 1)
+}
+
+/// Applies one op to the reference pool (refusals discarded, exactly
 /// as WAL replay does).
-fn apply_ref(reference: &mut Mpcbf<u64, Murmur3>, op: &Op) {
+fn apply_ref(reference: &ShardedMpcbf<u64, Murmur3>, op: &Op) {
     match op {
         Op::Insert(k) => {
-            let _ = reference.insert_bytes_cost(&[*k]);
+            let _ = reference.insert_bytes(&[*k]);
         }
         Op::Remove(k) => {
-            let _ = reference.remove_bytes_cost(&[*k]);
+            let _ = reference.remove_bytes(&[*k]);
         }
         Op::InsertBatch(keys) => {
             let views: Vec<&[u8]> = keys.iter().map(std::slice::from_ref).collect();
-            let _ = reference.insert_batch_cost(&views);
+            let _ = reference.insert_batch_bytes(&views);
         }
     }
 }
@@ -84,7 +90,7 @@ fn apply_ref(reference: &mut Mpcbf<u64, Murmur3>, op: &Op) {
 /// Applies one op through the durable wrapper, recording acknowledged
 /// key-count deltas into the oracle. Returns `Err` only on a kill.
 fn apply_durable(
-    durable: &mut DurableFilter<Mpcbf<u64, Murmur3>>,
+    durable: &mut DurableSharded<ShardedMpcbf<u64, Murmur3>>,
     op: &Op,
     oracle: &mut HashMap<u8, i64>,
 ) -> Result<(), ()> {
@@ -137,15 +143,14 @@ proptest! {
     ) {
         let site = KillSite::ALL[site_idx];
         let kill_at = (kill_at_hint % ops.len() as u64) as usize;
-        let cfg = config();
         let dir = scratch_dir();
         let kill = KillSwitch::new();
-        let mut durable: DurableFilter<Mpcbf<u64, Murmur3>> = DurableFilter::create(
-            Mpcbf::new(cfg),
+        let mut durable = DurableSharded::create(
+            one_shard(),
             DurabilityOptions::new(&dir).kill(kill.clone()),
         )
         .unwrap();
-        let mut reference: Mpcbf<u64, Murmur3> = Mpcbf::new(cfg);
+        let reference = one_shard();
         let mut oracle: HashMap<u8, i64> = HashMap::new();
 
         for (i, op) in ops[..kill_at].iter().enumerate() {
@@ -156,7 +161,7 @@ proptest! {
                 apply_durable(&mut durable, op, &mut oracle).is_ok(),
                 "unarmed op must not crash"
             );
-            apply_ref(&mut reference, op);
+            apply_ref(&reference, op);
         }
 
         // A budget below the frame size guarantees the armed append tears.
@@ -181,7 +186,7 @@ proptest! {
                     // Its keys are in limbo — the client may not assume
                     // either outcome — so exempt them from the
                     // acked-presence check.
-                    apply_ref(&mut reference, op);
+                    apply_ref(&reference, op);
                     match op {
                         Op::Insert(k) | Op::Remove(k) => {
                             oracle.remove(k);
@@ -210,14 +215,11 @@ proptest! {
         }
         drop(durable); // the crash
 
-        let (recovered, report) = DurableFilter::open_or_recover(
-            DurabilityOptions::new(&dir),
-            || -> Mpcbf<u64, Murmur3> { Mpcbf::new(cfg) },
-        )
-        .unwrap();
+        let (recovered, report) =
+            DurableSharded::open_or_recover(DurabilityOptions::new(&dir), one_shard).unwrap();
         prop_assert_eq!(
-            recovered.inner().raw_words(),
-            reference.raw_words(),
+            recovered.inner().shard_raw_words(0),
+            reference.shard_raw_words(0),
             "recovered image must equal the durable prefix ({})", site
         );
         for (&key, &net) in &oracle {
@@ -228,7 +230,7 @@ proptest! {
                 );
             }
         }
-        prop_assert!(report.scrub_clean, "recovered image must scrub clean");
+        prop_assert!(report.scrub_clean, "recovered pool must verify clean");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -575,66 +577,126 @@ fn restore_snapshot(dir: &std::path::Path, snap: &std::path::Path) {
 /// A snapshot that cannot be read is not a corrupt one: counting it as
 /// corrupt started a fresh filter and replayed a log that only covers
 /// what came after the snapshot, silently losing every key the snapshot
-/// held. Recovery must fail with an I/O error and touch nothing, in the
-/// sharded and the single-filter wrapper alike; once the file reads
-/// again, every acknowledged key is back.
+/// held. Recovery must fail with an I/O error and touch nothing, for a
+/// sharded pool and a one-shard one alike; once the file reads again,
+/// every acknowledged key is back.
 #[test]
 fn an_unreadable_snapshot_fails_recovery_and_loses_no_acked_key() {
     let keys = streamed_keys("unreadable", 2_000);
+    for shards in [4, 1] {
+        let dir = scratch_dir();
+        let opts = DurabilityOptions::new(&dir);
+        let fresh = || ShardedMpcbf::<u64, Murmur3>::new(raw_config(), shards);
+        let mut durable = DurableSharded::create(fresh(), opts.clone()).unwrap();
+        for key in &keys {
+            durable.insert_bytes(key).unwrap();
+        }
+        durable.snapshot().unwrap();
+        drop(durable);
+        let snap = make_snapshot_unreadable(&dir);
+        let before = listing(&dir);
+        match DurableSharded::open_or_recover(opts.clone(), fresh) {
+            Err(DurableError::Io { .. }) => {}
+            Err(e) => panic!("{shards} shards: wrong error {e}"),
+            Ok((_, report)) => {
+                panic!("{shards} shards: recovered past an unreadable snapshot: {report}")
+            }
+        }
+        assert!(
+            listing(&dir) == before,
+            "{shards} shards: the directory changed"
+        );
+        restore_snapshot(&dir, &snap);
+        let (recovered, report) = DurableSharded::open_or_recover(opts, fresh).unwrap();
+        assert_eq!(report.snapshots_corrupt, 0);
+        assert!(
+            keys.iter().all(|k| recovered.contains_bytes(k)),
+            "{shards} shards"
+        );
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
 
+/// A never-checkpointed directory takes its shard count from the pool
+/// that opens it. Opened with 4 shards, one written with 8 would replay
+/// only `wal-s0000..s0003` and lose every acked key logged to shards 4
+/// to 7 behind a clean report. The open must refuse with a typed error
+/// and touch nothing; the right count recovers every key.
+#[test]
+fn a_fresh_directory_reopened_with_fewer_shards_is_refused() {
     let dir = scratch_dir();
     let opts = DurabilityOptions::new(&dir);
-    let pool: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(raw_config(), 4);
-    let mut durable = DurableSharded::create(pool, opts.clone()).unwrap();
+    let pool = |shards| move || ShardedMpcbf::<u64, Murmur3>::new(raw_config(), shards);
+    let (mut durable, _) = DurableSharded::open_or_recover(opts.clone(), pool(8)).unwrap();
+    let keys = streamed_keys("fewer", 1_000);
     for key in &keys {
         durable.insert_bytes(key).unwrap();
     }
-    durable.snapshot().unwrap();
     drop(durable);
-    let snap = make_snapshot_unreadable(&dir);
     let before = listing(&dir);
-    let fresh = || ShardedMpcbf::<u64, Murmur3>::new(raw_config(), 4);
-    match DurableSharded::open_or_recover(opts.clone(), fresh) {
-        Err(DurableError::Io { .. }) => {}
-        Err(e) => panic!("sharded: wrong error {e}"),
-        Ok((_, report)) => panic!("sharded: recovered past an unreadable snapshot: {report}"),
-    }
-    assert!(listing(&dir) == before, "sharded: the directory changed");
-    restore_snapshot(&dir, &snap);
-    let (recovered, report) = DurableSharded::open_or_recover(opts, fresh).unwrap();
-    assert_eq!(report.snapshots_corrupt, 0);
-    assert!(keys.iter().all(|k| recovered.contains_bytes(k)), "sharded");
-    drop(recovered);
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    let dir = scratch_dir();
-    let opts = DurabilityOptions::new(&dir);
-    let fresh = || Mpcbf::<u64, Murmur3>::new(raw_config());
-    let mut durable = DurableFilter::create(fresh(), opts.clone()).unwrap();
-    for key in &keys {
-        durable.insert_bytes(key).unwrap();
-    }
-    durable.snapshot().unwrap();
-    drop(durable);
-    let snap = make_snapshot_unreadable(&dir);
-    let before = listing(&dir);
-    match DurableFilter::open_or_recover(opts.clone(), fresh) {
-        Err(DurableError::Io { .. }) => {}
-        Err(e) => panic!("single filter: wrong error {e}"),
-        Ok((_, report)) => panic!("single filter: recovered past an unreadable snapshot: {report}"),
+    match DurableSharded::open_or_recover(opts.clone(), pool(4)) {
+        Err(DurableError::ShardCountMismatch { logs, shards }) => {
+            assert_eq!((logs, shards), (8, 4))
+        }
+        Err(e) => panic!("wrong error {e}"),
+        Ok((recovered, report)) => {
+            let lost = keys.iter().filter(|k| !recovered.contains_bytes(k)).count();
+            panic!("opened with 4 shards, {lost} acked keys lost: {report}")
+        }
     }
     assert!(
         listing(&dir) == before,
-        "single filter: the directory changed"
+        "a refused open changed the directory"
     );
-    restore_snapshot(&dir, &snap);
-    let (recovered, report) = DurableFilter::open_or_recover(opts, fresh).unwrap();
-    assert_eq!(report.snapshots_corrupt, 0);
-    assert!(
-        keys.iter().all(|k| recovered.contains_bytes(k)),
-        "single filter"
-    );
+    let (recovered, report) = DurableSharded::open_or_recover(opts, pool(8)).unwrap();
+    assert_eq!(report.records_replayed, keys.len() as u64);
+    assert!(keys.iter().all(|k| recovered.contains_bytes(k)));
     drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A directory whose only snapshot is a bare `Mpcbf` image — what the
+/// removed single-filter wrapper left behind — opens in no mode: fixed
+/// and elastic opens both refuse it with the typed `ModeMismatch`
+/// naming `single-filter`, and leave every file as it was (`mpcbf
+/// recover`, which runs the same opens, is checked in the CLI's tests).
+#[test]
+fn a_single_filter_directory_is_refused_in_every_mode() {
+    let dir = scratch_dir();
+    let mut filter: Mpcbf<u64, Murmur3> = Mpcbf::new(raw_config());
+    for key in streamed_keys("single", 100) {
+        filter.insert(&key).unwrap();
+    }
+    SnapshotStore::new(&dir, "snap", KillSwitch::new())
+        .unwrap()
+        .write(0, &filter.encode())
+        .unwrap();
+    let before = listing(&dir);
+    let refused = |result: Result<(), DurableError>, mode: &str| match result {
+        Err(DurableError::ModeMismatch { stored, .. }) => assert_eq!(stored, "single-filter"),
+        Err(e) => panic!("{mode} open: wrong error {e}"),
+        Ok(()) => panic!("{mode} open accepted a single-filter directory"),
+    };
+    refused(
+        DurableSharded::open_or_recover(DurabilityOptions::new(&dir), || {
+            ShardedMpcbf::<u64, Murmur3>::new(raw_config(), 4)
+        })
+        .map(drop),
+        "fixed",
+    );
+    refused(
+        DurableSharded::open_or_recover(DurabilityOptions::new(&dir), || {
+            ElasticShardedMpcbf::<Murmur3>::manual(raw_config(), 4, CapacityPolicy::default())
+                .unwrap()
+        })
+        .map(drop),
+        "elastic",
+    );
+    assert!(
+        listing(&dir) == before,
+        "a refused open changed the directory"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

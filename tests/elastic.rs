@@ -9,10 +9,8 @@
 //! and a durability directory must refuse to open in the other mode.
 
 use mpcbf::concurrent::ElasticShardedMpcbf;
-use mpcbf::core::{CapacityPolicy, ElasticMpcbf, Filter, Mpcbf, MpcbfConfig, SlidingWindowMpcbf};
-use mpcbf::durability::{
-    DurabilityOptions, DurableError, DurableFilter, DurableSharded, FsyncPolicy,
-};
+use mpcbf::core::{CapacityPolicy, ElasticMpcbf, Filter, MpcbfConfig, SlidingWindowMpcbf};
+use mpcbf::durability::{DurabilityOptions, DurableError, DurableSharded, FsyncPolicy};
 use mpcbf::hash::Murmur3;
 use mpcbf::server::{Client, Server, ServerConfig, ServerError};
 use mpcbf::workloads::RampSpec;
@@ -265,9 +263,8 @@ fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 }
 
 /// A durability directory keeps its mode for life. Opening it in the
-/// other mode — `mpcbf serve` on an elastic directory, `mpcbf serve
-/// --elastic` on a fixed one, or the single-filter `mpcbf recover` on
-/// either — must fail with a typed error naming the stored mode and
+/// other mode — `mpcbf serve` on an elastic directory, or `mpcbf serve
+/// --elastic` on a fixed one — must fail with a typed error naming the stored mode and
 /// leave every file as it was, instead of counting the intact snapshot
 /// as corrupt, rebuilding from the WAL tail alone, and purging the image
 /// at the next checkpoint. The right mode then still serves every acked
@@ -318,13 +315,6 @@ fn a_directory_opened_in_the_other_mode_is_refused_and_left_untouched() {
                 server.shutdown().expect("shutdown");
                 panic!("{stored} directory opened in the other mode: {report}");
             }
-        }
-        match DurableFilter::open_or_recover(DurabilityOptions::new(&dir), || {
-            Mpcbf::<u64, Murmur3>::new(filter)
-        }) {
-            Err(DurableError::ModeMismatch { stored: found, .. }) => assert_eq!(found, stored),
-            Err(e) => panic!("{stored} directory: wrong single-filter error {e}"),
-            Ok(_) => panic!("{stored} directory opened as a single filter"),
         }
         assert!(
             dir_contents(&dir) == before,
