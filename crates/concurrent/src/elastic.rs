@@ -254,6 +254,15 @@ impl<H: Hasher128> ElasticShardedMpcbf<H> {
     /// shard's image is encoded under its lock into one reused buffer and
     /// written after the lock is released, so the stream holds at most
     /// one shard's image.
+    ///
+    /// That buffer is the one shard-sized copy left in the snapshot path
+    /// ([`ShardedMpcbf::encode_to`](crate::ShardedMpcbf::encode_to)
+    /// streams 64 KiB chunks). It stays because each nested image is
+    /// preceded by its length: streaming the image instead would mean
+    /// measuring it and then writing it with the lock held across both
+    /// passes and every sink write in between, or letting a writer change
+    /// the length between the two. Writers must be quiesced for a
+    /// consistent image, as for the fixed pool.
     pub fn encode_to<S: Sink>(&self, sink: S) -> S {
         let mut w = codec::Writer::framed(sink, codec::KIND_ELASTIC_SHARDED);
         w.u64(self.seed);

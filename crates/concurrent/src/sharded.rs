@@ -93,6 +93,11 @@ impl ShardBatch {
 /// two fields share no entropy. Caps the shard count at `2^SHARD_BITS`.
 pub const SHARD_BITS: u32 = 16;
 
+/// Words [`ShardedMpcbf::encode_to`] copies out of a shard per lock hold:
+/// 64 KiB, the most of a snapshot's image held in memory at once and the
+/// longest a reader waits behind a checkpoint.
+pub const ENCODE_CHUNK_WORDS: usize = 8192;
+
 /// Splits a digest into (shard index under `shard_mask`, probe digest)
 /// along the documented bit boundary; the live filter and the bulk
 /// builder route through this one function.
@@ -653,18 +658,26 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
     /// (kind [`codec::KIND_SHARDED64`]): shape header, shard geometry,
     /// then each shard's word array in shard order.
     ///
-    /// Takes each shard lock once, in order; concurrent updates to
-    /// not-yet-visited shards can land in the image, so snapshot callers
-    /// should quiesce writers first (the durability layer does).
+    /// The image is a consistent point in time only if no writer runs
+    /// during the encode: each shard is read in [`ENCODE_CHUNK_WORDS`]-word
+    /// pieces, one lock hold per piece (see [`ShardedMpcbf::encode_to`]),
+    /// so a concurrent update can land between two pieces of one shard
+    /// and tear it. Callers quiesce writers first: the durability layer's
+    /// checkpoints run with every shard's writer parked, and a bulk-built
+    /// filter is encoded before anyone else holds it.
     pub fn encode(&self) -> Vec<u8> {
         self.encode_to(Vec::with_capacity(64))
     }
 
-    /// [`ShardedMpcbf::encode`] streamed into any [`Sink`]. Each shard is
-    /// copied out under its lock into one reused shard-sized buffer, then
-    /// checksummed and written after the lock is released, so a slow sink
-    /// (a disk) never stalls the shard and the stream holds at most one
-    /// shard's image. A measuring sink takes no lock and copies nothing.
+    /// [`ShardedMpcbf::encode`] streamed into any [`Sink`]. Each shard's
+    /// words are copied out [`ENCODE_CHUNK_WORDS`] at a time (64 KiB),
+    /// taking the shard's lock once per chunk, into one reused chunk
+    /// buffer that is checksummed and written after the lock is released.
+    /// A slow sink (a disk) therefore never stalls a shard, a reader that
+    /// meets the encode waits for at most one chunk's copy, and the
+    /// stream holds 64 KiB of the image whatever the shard size. A
+    /// measuring sink takes no lock and copies nothing. Writers must be
+    /// quiesced for a consistent image (see [`ShardedMpcbf::encode`]).
     pub fn encode_to<S: Sink>(&self, sink: S) -> S {
         let shape = self.shape;
         let mut w = codec::Writer::framed(sink, codec::KIND_SHARDED64);
@@ -678,17 +691,23 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
         w.u64(self.overflows());
         // Every limb plus the CRC trailer.
         w.reserve(self.shards.len() * self.words_per_shard as usize * 8 + 4);
-        let shard_bytes = self.words_per_shard as usize * 8;
-        let mut copy: Vec<u8> = Vec::new();
+        let words = self.words_per_shard as usize;
+        let mut chunk = vec![0u8; words.min(ENCODE_CHUNK_WORDS) * 8];
         for shard in &self.shards {
-            if w.measure(shard_bytes as u64) {
+            if w.measure(words as u64 * 8) {
                 continue;
             }
-            copy.resize(shard_bytes, 0);
-            for (out, word) in copy.chunks_exact_mut(8).zip(shard.lock().iter()) {
-                out.copy_from_slice(&word.raw().to_le_bytes());
+            for start in (0..words).step_by(ENCODE_CHUNK_WORDS) {
+                let end = words.min(start + ENCODE_CHUNK_WORDS);
+                let out = &mut chunk[..(end - start) * 8];
+                {
+                    let guard = shard.lock();
+                    for (slot, word) in out.chunks_exact_mut(8).zip(&guard[start..end]) {
+                        slot.copy_from_slice(&word.raw().to_le_bytes());
+                    }
+                }
+                w.bytes(out);
             }
-            w.bytes(&copy);
         }
         w.finish()
     }
@@ -1241,6 +1260,95 @@ mod tests {
         // The decoded filter keeps routing identically.
         assert_eq!(d.home_shard(b"some key"), f.home_shard(b"some key"));
         d.remove_bytes(&keys[0]).unwrap();
+    }
+
+    /// A two-shard filter of exactly `words_per_shard` words per shard,
+    /// with 2000 keys in it.
+    fn filter_of(words_per_shard: u64) -> ShardedMpcbf<u64> {
+        let c = MpcbfConfig::builder()
+            .memory_bits(2 * 64 * words_per_shard)
+            .expected_items(2 * 4 * words_per_shard)
+            .hashes(3)
+            .seed(0xC4)
+            .build()
+            .unwrap();
+        let f = ShardedMpcbf::new(c, 2);
+        assert_eq!(f.words_per_shard(), words_per_shard);
+        for i in 0..2_000u64 {
+            f.insert(&i).unwrap();
+        }
+        f
+    }
+
+    #[test]
+    fn chunked_encode_equals_the_unchunked_image_at_every_boundary() {
+        let chunk = ENCODE_CHUNK_WORDS as u64;
+        for words in [chunk - 1, chunk, chunk + 1, 3 * chunk + 100] {
+            let f = filter_of(words);
+            let shape = f.shape;
+            let mut expected = codec::Writer::new(codec::KIND_SHARDED64);
+            expected.u64(shape.l);
+            expected.u32(shape.k);
+            expected.u32(shape.g);
+            expected.u32(shape.n_max);
+            expected.u64(f.seed);
+            expected.u32(2);
+            expected.u64(words);
+            expected.u64(f.overflows());
+            for s in 0..2 {
+                for word in f.shard_raw_words(s) {
+                    expected.bytes(&word.to_le_bytes());
+                }
+            }
+            let expected = expected.finish();
+            let image = f.encode_to(Vec::new());
+            assert!(image == expected, "{words} words per shard");
+            let d = ShardedMpcbf::<u64>::decode(&image).unwrap();
+            for s in 0..2 {
+                assert_eq!(
+                    d.shard_raw_words(s),
+                    f.shard_raw_words(s),
+                    "{words}: shard {s}"
+                );
+            }
+        }
+    }
+
+    /// A sink that reads every shard of the filter it is encoding inside
+    /// `put`: it deadlocks if the encoder holds a shard lock while the
+    /// sink writes.
+    struct ReadingSink {
+        filter: std::sync::Arc<ShardedMpcbf<u64>>,
+        image: Vec<u8>,
+    }
+
+    impl Sink for ReadingSink {
+        fn put(&mut self, bytes: &[u8]) {
+            for s in 0..self.filter.shard_count() {
+                std::hint::black_box(self.filter.shard_raw_words(s));
+            }
+            self.image.extend_from_slice(bytes);
+        }
+    }
+
+    #[test]
+    fn no_shard_lock_is_held_while_the_sink_writes() {
+        let filter = std::sync::Arc::new(filter_of(ENCODE_CHUNK_WORDS as u64 + 1));
+        let expected = filter.encode();
+        let (done, finished) = std::sync::mpsc::channel();
+        let encoding = filter.clone();
+        std::thread::spawn(move || {
+            let sink = ReadingSink {
+                filter: encoding.clone(),
+                image: Vec::new(),
+            };
+            let _ = done.send(encoding.encode_to(sink).image);
+        });
+        // A deadlocked encoder never sends; the watchdog fails the test.
+        let image = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("encode_to deadlocked: a shard lock was held across a sink write");
+        assert!(image == expected);
     }
 
     #[test]

@@ -31,11 +31,15 @@ pub enum DurableError {
         /// The mode that wrote it.
         stored: &'static str,
     },
-    /// A directory without a usable snapshot holds WALs of more shards
-    /// than the pool recovering it has. Recovery refuses and touches
-    /// nothing: the logs past the pool's last shard would never replay.
+    /// A directory without a usable snapshot holds WALs written by a pool
+    /// of another shard count than the one recovering it. Recovery
+    /// refuses and touches nothing: with fewer shards the logs past the
+    /// pool's last shard would never replay, and with more the replayed
+    /// keys would route to other shards than the ones that acknowledged
+    /// them (and an elastic log's scale-ups would not follow its keys).
     ShardCountMismatch {
-        /// Shard logs in the directory.
+        /// Shard logs in the directory: the shard count it was written
+        /// with.
         logs: usize,
         /// Shards of the recovering pool.
         shards: usize,
@@ -83,8 +87,8 @@ impl std::fmt::Display for DurableError {
             ),
             DurableError::ShardCountMismatch { logs, shards } => write!(
                 f,
-                "the directory holds WALs of {logs} shards and no snapshot; \
-                 reopen it with {logs} shards, not {shards}"
+                "the directory was written with {logs} shards (it holds their WALs and no \
+                 snapshot); reopen it with {logs} shards, not {shards}"
             ),
             DurableError::LogBroken { shard } => write!(
                 f,

@@ -369,7 +369,11 @@ pub trait ShardPool: Send + Sync {
         0
     }
     /// Streams the pool's codec image, as checkpoints store it, into
-    /// `sink` (a measuring sink gets its length).
+    /// `sink` (a measuring sink gets its length). No shard lock is held
+    /// while `sink` writes, and a shard may be read in several lock holds
+    /// (the fixed pool copies 64 KiB at a time), so the image is a
+    /// consistent point in time only while no writer runs: callers
+    /// quiesce writers first.
     fn encode_to(&self, sink: &mut dyn Sink);
     /// Rebuilds a pool from the `len`-byte image [`ShardPool::encode_to`]
     /// wrote, streamed from `src` and validated as it goes.
@@ -606,11 +610,15 @@ impl ShardLog {
 /// Publishes a whole-pool checkpoint: the envelope of `seqs` (each
 /// shard's sequence number at capture time) and `pool`'s image, written
 /// atomically, then every older snapshot purged. Writers must be
-/// quiesced; afterwards each shard may [`ShardLog::truncate`].
+/// quiesced: the pool's image is read in short lock holds (64 KiB of a
+/// fixed pool's shard at a time), so a writer running meanwhile could
+/// tear a shard and leave an image that matches no point in `seqs`.
+/// Afterwards each shard may [`ShardLog::truncate`].
 ///
 /// The envelope is streamed to disk, never held whole: a measuring pass
 /// finds the image length the header carries, then the header, the
-/// pool's image (one shard at a time) and the CRC trailer go through the
+/// pool's image (a fixed pool's in 64 KiB chunks, an elastic pool's one
+/// nested shard image at a time) and the CRC trailer go through the
 /// snapshot file's buffer. The image is checksummed once, by its own
 /// codec writer: a sealed image's CRC is [`CRC32_RESIDUE`], and the
 /// envelope CRC is derived from it. The file is byte-identical to
@@ -683,7 +691,8 @@ impl<P: ShardPool> DurableSharded<P> {
     /// logging a single per-key WAL frame: initial snapshot of `pool` as
     /// it stands, plus one empty WAL segment per shard. A subsequent
     /// [`DurableSharded::open_or_recover`] (or `mpcbf serve`) cold-starts
-    /// from the snapshot with zero records replayed.
+    /// from the snapshot with zero records replayed. Nothing may write to
+    /// `pool` while this runs (see [`publish_checkpoint`]).
     pub fn bootstrap(pool: &P, opts: DurabilityOptions) -> Result<(), DurableError> {
         Self::initialise(pool, &opts).map(|_| ())
     }
@@ -710,8 +719,11 @@ impl<P: ShardPool> DurableSharded<P> {
     /// Fails, leaving the directory untouched, with
     /// [`DurableError::ModeMismatch`] when the snapshot holds an intact
     /// image of another mode, and with [`DurableError::ShardCountMismatch`]
-    /// when there is no snapshot and the directory holds a log of a shard
-    /// `fallback`'s pool lacks (recovery would never replay it).
+    /// when there is no snapshot and the directory's logs were written by
+    /// a pool of another shard count: with fewer shards, recovery would
+    /// never replay the extra logs; with more, keys would re-route across
+    /// the larger pool while an elastic log's structural records still
+    /// land on that log's shard index.
     pub fn open_or_recover(
         opts: DurabilityOptions,
         fallback: impl FnOnce() -> P,
@@ -740,7 +752,7 @@ impl<P: ShardPool> DurableSharded<P> {
                 let pool = fallback();
                 let shards = pool.shard_count();
                 let logs = shard_logs(&opts.dir)?;
-                if logs > shards {
+                if logs > 0 && logs != shards {
                     return Err(DurableError::ShardCountMismatch { logs, shards });
                 }
                 (pool, vec![0; shards])

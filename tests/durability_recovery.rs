@@ -21,7 +21,7 @@ use mpcbf::concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
 use mpcbf::core::{CapacityPolicy, Filter, Mpcbf, MpcbfConfig};
 use mpcbf::durability::{
     encode_envelope, encode_frame, DurabilityOptions, DurableError, DurableSharded, FsyncPolicy,
-    KillSite, KillSwitch, SnapshotStore, Wal, WalOp, WalRecord,
+    KillSite, KillSwitch, ShardPool, SnapshotStore, Wal, WalOp, WalRecord,
 };
 use mpcbf::hash::Murmur3;
 use proptest::prelude::*;
@@ -619,39 +619,70 @@ fn an_unreadable_snapshot_fails_recovery_and_loses_no_acked_key() {
 }
 
 /// A never-checkpointed directory takes its shard count from the pool
-/// that opens it. Opened with 4 shards, one written with 8 would replay
-/// only `wal-s0000..s0003` and lose every acked key logged to shards 4
-/// to 7 behind a clean report. The open must refuse with a typed error
-/// and touch nothing; the right count recovers every key.
+/// that opens it, so an open with any other count must refuse with a
+/// typed error naming the count the directory was written with, and
+/// touch nothing. With fewer shards, a directory written with 8 would
+/// replay only `wal-s0000..s0003` and lose every acked key logged to
+/// shards 4 to 7 behind a clean report. With more, replay re-routes the
+/// keys across the larger pool while an elastic log's scale-ups and
+/// compactions still land on that log's shard index, so the recovered
+/// pool is not the one that acknowledged the writes. Both modes are
+/// checked; the count the directory was written with recovers every key.
 #[test]
 fn a_fresh_directory_reopened_with_fewer_shards_is_refused() {
+    let fixed = |shards| move || ShardedMpcbf::<u64, Murmur3>::new(raw_config(), shards);
+    let elastic = |shards| {
+        move || {
+            ElasticShardedMpcbf::<Murmur3>::manual(raw_config(), shards, CapacityPolicy::default())
+                .unwrap()
+        }
+    };
+    refuses_other_shard_counts("fixed", fixed, 8, &[4, 16]);
+    refuses_other_shard_counts("elastic", elastic, 4, &[2, 8]);
+}
+
+/// Writes 1000 keys through a fresh `written`-shard directory (no
+/// checkpoint), then checks that each count in `reopened` is refused
+/// with the directory unchanged, and that `written` recovers every key.
+fn refuses_other_shard_counts<P: ShardPool, F: FnOnce() -> P>(
+    mode: &str,
+    pool: impl Fn(usize) -> F,
+    written: usize,
+    reopened: &[usize],
+) {
     let dir = scratch_dir();
     let opts = DurabilityOptions::new(&dir);
-    let pool = |shards| move || ShardedMpcbf::<u64, Murmur3>::new(raw_config(), shards);
-    let (mut durable, _) = DurableSharded::open_or_recover(opts.clone(), pool(8)).unwrap();
-    let keys = streamed_keys("fewer", 1_000);
+    let (mut durable, _) = DurableSharded::open_or_recover(opts.clone(), pool(written)).unwrap();
+    let keys = streamed_keys("reshard", 1_000);
     for key in &keys {
         durable.insert_bytes(key).unwrap();
     }
+    // Every logged record: the keys, plus an elastic pool's scale-ups.
+    let records: u64 = durable.shard_seqs().iter().sum();
     drop(durable);
     let before = listing(&dir);
-    match DurableSharded::open_or_recover(opts.clone(), pool(4)) {
-        Err(DurableError::ShardCountMismatch { logs, shards }) => {
-            assert_eq!((logs, shards), (8, 4))
+    for &shards in reopened {
+        match DurableSharded::open_or_recover(opts.clone(), pool(shards)) {
+            Err(DurableError::ShardCountMismatch { logs, shards: got }) => {
+                assert_eq!((logs, got), (written, shards), "{mode}")
+            }
+            Err(e) => panic!("{mode}, {shards} shards: wrong error {e}"),
+            Ok((recovered, report)) => {
+                let lost = keys.iter().filter(|k| !recovered.contains_bytes(k)).count();
+                panic!(
+                    "{mode}: a {written}-shard directory opened with {shards} shards \
+                     ({lost} acked keys lost): {report}"
+                )
+            }
         }
-        Err(e) => panic!("wrong error {e}"),
-        Ok((recovered, report)) => {
-            let lost = keys.iter().filter(|k| !recovered.contains_bytes(k)).count();
-            panic!("opened with 4 shards, {lost} acked keys lost: {report}")
-        }
+        assert!(
+            listing(&dir) == before,
+            "{mode}, {shards} shards: a refused open changed the directory"
+        );
     }
-    assert!(
-        listing(&dir) == before,
-        "a refused open changed the directory"
-    );
-    let (recovered, report) = DurableSharded::open_or_recover(opts, pool(8)).unwrap();
-    assert_eq!(report.records_replayed, keys.len() as u64);
-    assert!(keys.iter().all(|k| recovered.contains_bytes(k)));
+    let (recovered, report) = DurableSharded::open_or_recover(opts, pool(written)).unwrap();
+    assert_eq!(report.records_replayed, records, "{mode}");
+    assert!(keys.iter().all(|k| recovered.contains_bytes(k)), "{mode}");
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();
 }
