@@ -1,6 +1,12 @@
 //! Bulk-build benchmark: naive per-key insert vs the cache-bucketed
-//! streaming builder vs the parallel region finish, plus the sharded
-//! builder `mpcbf build --bulk --dir` runs.
+//! streaming builder vs the pipelined ingest and parallel region finish,
+//! plus the sharded builder `mpcbf build --bulk --dir` runs. Every
+//! contender but `naive` ingests through the path the CLI ships,
+//! [`mpcbf_concurrent::ingest`]: `buffered` at one thread (hashing and
+//! staging inline, one-thread finish), `parallel` and `sharded` at the
+//! machine's thread count (hashing beside staging from 512 Ki keys up,
+//! parallel finish) — `mpcbf build --bulk --threads 1` and
+//! `--threads N`.
 //!
 //! ```text
 //! cargo run --release -p mpcbf-bench --bin bench_bulk
@@ -38,7 +44,7 @@
 //!   keys, and set-up must stay near the larger of filter and staging.
 
 use mpcbf_bench::{rss, Args};
-use mpcbf_concurrent::{ShardedBulkBuilder, ShardedMpcbf};
+use mpcbf_concurrent::{ingest, DigestBuilder, ShardedBulkBuilder, ShardedMpcbf};
 use mpcbf_core::{BulkBuilder, Filter, Mpcbf, MpcbfConfig};
 use mpcbf_hash::Murmur3;
 use mpcbf_workloads::BulkKeys;
@@ -116,21 +122,28 @@ fn naive_build(n: u64) -> Mpcbf<u64, Murmur3> {
     filter
 }
 
-fn buffered_builder(n: u64) -> BulkBuilder<Murmur3> {
-    let mut builder = BulkBuilder::new(config(n));
-    BulkKeys::new(SEED, n).for_each_chunk(CHUNK, |chunk| {
-        builder.push_chunk(chunk);
+/// Streams the key stream into `builder` through the ingest
+/// `mpcbf build --bulk` runs: hashed on this thread, staged inline
+/// (`threads` 1) or on one helper thread.
+fn ingest_keys<B: DigestBuilder>(builder: &mut B, n: u64, threads: usize) {
+    ingest(builder, threads, |feed| {
+        BulkKeys::new(SEED, n).for_each_chunk(CHUNK, |chunk| {
+            for key in chunk {
+                feed.push(key);
+            }
+        })
     });
+}
+
+fn buffered_builder(n: u64, threads: usize) -> BulkBuilder<Murmur3> {
+    let mut builder = BulkBuilder::new(config(n));
+    ingest_keys(&mut builder, n, threads);
     builder
 }
 
 fn sharded_build(n: u64, threads: usize) -> ShardedMpcbf<u64, Murmur3> {
     let mut builder = ShardedBulkBuilder::new(config(n), SHARDS);
-    BulkKeys::new(SEED, n).for_each_chunk(CHUNK, |chunk| {
-        for key in chunk {
-            builder.push(key);
-        }
-    });
+    ingest_keys(&mut builder, n, threads);
     builder.finish_parallel(threads)
 }
 
@@ -168,9 +181,9 @@ fn rung(n: u64, threads: usize, samples: usize, quiet: bool) -> Vec<Row> {
     let mut peaks = [const { Vec::new() }; CONTENDERS.len()];
     for _ in 0..samples {
         let (naive, naive_secs, naive_peak) = timed(|| naive_build(n));
-        let (buffered, buffered_secs, buffered_peak) = timed(|| buffered_builder(n).finish());
+        let (buffered, buffered_secs, buffered_peak) = timed(|| buffered_builder(n, 1).finish());
         let (parallel, parallel_secs, parallel_peak) =
-            timed(|| mpcbf_concurrent::build_parallel(buffered_builder(n), threads));
+            timed(|| mpcbf_concurrent::build_parallel(buffered_builder(n, threads), threads));
         assert_eq!(
             naive.raw_words(),
             buffered.raw_words(),

@@ -2,6 +2,7 @@
 
 use crate::opts::{CliError, Kind, Opts};
 use mpcbf_analysis::tradeoff;
+use mpcbf_concurrent::{KeyFeed, INGEST_CHUNK};
 use mpcbf_core::codec::{Measure, Sink};
 use mpcbf_core::{Cbf, CodecError, CountingFilter, Filter, Mpcbf, MpcbfConfig};
 use mpcbf_hash::Murmur3;
@@ -90,19 +91,20 @@ impl AnyFilter {
     }
 }
 
-/// Streams the build's key source into `push`: `--synthetic N` walks the
-/// deterministic [`mpcbf_workloads::BulkKeys`] stream in chunks (never
-/// materialised), otherwise every non-empty line of `keys`.
+/// Streams the build's key source into `feed`, which hashes it into
+/// digest chunks: `--synthetic N` walks the deterministic
+/// [`mpcbf_workloads::BulkKeys`] stream in chunks (never materialised),
+/// otherwise every non-empty line of `keys`.
 fn feed_keys(
     opts: &Opts,
     keys: &mut Keys<'_>,
-    push: &mut dyn FnMut(&[u8]),
+    feed: &mut KeyFeed<'_, Murmur3>,
 ) -> Result<u64, CliError> {
     let mut total = 0u64;
     if let Some(n) = opts.synthetic {
-        mpcbf_workloads::BulkKeys::new(opts.seed, n).for_each_chunk(8_192, |chunk| {
+        mpcbf_workloads::BulkKeys::new(opts.seed, n).for_each_chunk(INGEST_CHUNK, |chunk| {
             for key in chunk {
-                push(key);
+                feed.push(key);
             }
         });
         total = n;
@@ -112,7 +114,7 @@ fn feed_keys(
             if key.is_empty() {
                 continue;
             }
-            push(key.as_bytes());
+            feed.push(key.as_bytes());
             total += 1;
         }
     }
@@ -125,7 +127,7 @@ fn feed_keys(
 /// snapshot directory directly — no per-key WAL frames — that `serve`
 /// and `recover` cold-start from with zero records replayed.
 fn bulk_build(opts: &Opts, keys: &mut Keys<'_>) -> Result<(), CliError> {
-    use mpcbf_concurrent::{build_parallel, ShardedBulkBuilder};
+    use mpcbf_concurrent::{build_parallel, ingest, ShardedBulkBuilder};
     use mpcbf_core::BulkBuilder;
 
     if opts.kind != Kind::Mpcbf {
@@ -156,7 +158,7 @@ fn bulk_build(opts: &Opts, keys: &mut Keys<'_>) -> Result<(), CliError> {
         use mpcbf_durability::{DurabilityOptions, DurableSharded};
         let mut builder: ShardedBulkBuilder<Murmur3> =
             ShardedBulkBuilder::new(config, opts.shards.unwrap_or(8));
-        let total = feed_keys(opts, keys, &mut |key| builder.push(key))?;
+        let total = ingest(&mut builder, threads, |feed| feed_keys(opts, keys, feed))?;
         let filter = builder.finish_parallel(threads);
         let fsync = parse_fsync(opts.fsync.as_deref().unwrap_or("always"))?;
         DurableSharded::bootstrap(&filter, DurabilityOptions::new(dir).fsync(fsync))
@@ -175,9 +177,7 @@ fn bulk_build(opts: &Opts, keys: &mut Keys<'_>) -> Result<(), CliError> {
         .as_deref()
         .ok_or_else(|| CliError::Usage("--out FILE (or --dir DIR) is required".into()))?;
     let mut builder: BulkBuilder<Murmur3> = BulkBuilder::new(config);
-    let total = feed_keys(opts, keys, &mut |key| {
-        builder.push(key);
-    })?;
+    let total = ingest(&mut builder, threads, |feed| feed_keys(opts, keys, feed))?;
     let filter = build_parallel(builder, threads);
     let inserted = filter.items();
     let refused = filter.overflows();
@@ -973,6 +973,38 @@ mod tests {
         query(&o, &mut keys(&["alpha", "zeta"]), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("alpha\ttrue"), "{text}");
+    }
+
+    #[test]
+    fn bulk_build_from_lines_is_the_same_image_at_any_thread_count() {
+        // Several ingest chunks of lines, blank ones skipped, into a build
+        // large enough to pipeline at two threads: the image must be
+        // byte-identical to the inline one.
+        let lines: Vec<String> = (0..3 * INGEST_CHUNK + 5)
+            .map(|i| match i % 1000 {
+                0 => String::new(),
+                _ => format!("line-{i}"),
+            })
+            .collect();
+        let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let images: Vec<Vec<u8>> = ["1", "2"]
+            .iter()
+            .map(|threads| {
+                let out = tmp(&format!("bulk-lines-t{threads}.mpcbf"));
+                let args = ["--bulk", "--out", &out, "--items", "600000"];
+                build(
+                    &opts(&[&args[..], &["--threads", threads]].concat()),
+                    &mut keys(&lines),
+                )
+                .unwrap();
+                std::fs::read(&out).unwrap()
+            })
+            .collect();
+        assert!(images[0] == images[1], "--threads 1 and 2 images differ");
+        let Ok(AnyFilter::Mpcbf(f)) = AnyFilter::load(&tmp("bulk-lines-t1.mpcbf")) else {
+            panic!("the image does not load as an MPCBF");
+        };
+        assert_eq!(f.items() + f.overflows(), lines.len() as u64 - 25);
     }
 
     #[test]

@@ -235,10 +235,15 @@ impl<H: Hasher128> ElasticShardedMpcbf<H> {
 
     /// Structural self-check across every shard's generation stack.
     pub fn verify(&self) -> Result<(), FilterError> {
-        for shard in &self.shards {
-            shard.lock().verify()?;
-        }
-        Ok(())
+        (0..self.shards.len()).try_for_each(|s| self.verify_shard(s))
+    }
+
+    /// [`ElasticShardedMpcbf::verify`] of shard `s`'s stack alone.
+    ///
+    /// # Panics
+    /// Panics if `s` is not a shard index.
+    pub fn verify_shard(&self, s: usize) -> Result<(), FilterError> {
+        self.shards[s].lock().verify()
     }
 
     /// Encodes the whole pool — router header plus every shard's elastic

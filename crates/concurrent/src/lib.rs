@@ -58,6 +58,9 @@ mod planned;
 pub mod sharded;
 
 pub use atomic::AtomicMpcbf;
-pub use bulk::{build_parallel, build_resilient_parallel, default_threads, ShardedBulkBuilder};
+pub use bulk::{
+    build_parallel, build_resilient_parallel, default_threads, ingest, DigestBuilder, KeyFeed,
+    ShardedBulkBuilder, INGEST_CHUNK,
+};
 pub use elastic::{ElasticShardedMpcbf, ElasticStats};
 pub use sharded::{ShardBatch, ShardedMpcbf};

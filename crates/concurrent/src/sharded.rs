@@ -258,16 +258,23 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
     /// Damage is reported as a global segment index: shard `s`, local
     /// word `i` lands in segment `s · segments_per_shard + i / SEGMENT_WORDS`.
     pub fn verify(&self) -> Result<(), FilterError> {
+        (0..self.shards.len()).try_for_each(|s| self.verify_shard(s))
+    }
+
+    /// [`ShardedMpcbf::verify`] of shard `s` alone, under one hold of its
+    /// lock, so shards can be checked on threads of their own.
+    ///
+    /// # Panics
+    /// Panics if `s` is not a shard index.
+    pub fn verify_shard(&self, s: usize) -> Result<(), FilterError> {
         let b1 = self.shape.b1;
         let per = self.segments_per_shard();
-        for (s, shard) in self.shards.iter().enumerate() {
-            let guard = shard.lock();
-            for (i, w) in guard.iter().enumerate() {
-                if w.check_invariants(b1).is_err() {
-                    return Err(FilterError::CorruptionDetected {
-                        segment: s * per + i / SEGMENT_WORDS,
-                    });
-                }
+        let guard = self.shards[s].lock();
+        for (i, w) in guard.iter().enumerate() {
+            if w.check_invariants(b1).is_err() {
+                return Err(FilterError::CorruptionDetected {
+                    segment: s * per + i / SEGMENT_WORDS,
+                });
             }
         }
         Ok(())

@@ -124,6 +124,26 @@
 //! `mpcbf-concurrent`) can run regions on scoped threads with no locks
 //! and no false sharing. Regions are independent even in deferred mode
 //! because admission is word-local there.
+//!
+//! # Pipelined ingest
+//!
+//! A key's digest depends on the key and the seed alone, so only the
+//! staging push needs the builder. `mpcbf-concurrent`'s `ingest` (what
+//! `mpcbf build --bulk` runs) splits the streaming phase in two: the
+//! calling thread generates or reads keys and hashes them into chunks of
+//! 8 Ki digests, and one helper thread stages the chunks in stream order
+//! through [`BulkBuilder::push_digests`], the two joined by a bounded
+//! channel of four recycled chunk buffers (512 KiB). Every stage still
+//! receives its digests in arrival order, so the build is bit-identical
+//! at any thread count; with one thread, or for a build that expects
+//! fewer than 512 Ki keys (where the helper thread's fixed 0.2 MiB would
+//! outweigh the milliseconds it saves), the same chunk loop stages
+//! inline. On the `batch-mix-dram` preload (6.4 M keys into 8 shards,
+//! 2-vCPU x86-64 VM) the serial phase measured, each part timed alone:
+//! key generation about 70 ms, hashing about 75 ms, routing and staging
+//! about 175 ms. Overlapped, the phase costs about what staging does.
+//! Staging itself is memory-bound and stays on one thread: split across
+//! two by shard, it ran no faster (193–206 ms against 177–240 ms alone).
 
 use crate::config::MpcbfConfig;
 use crate::hcbf::HcbfWord;
@@ -1184,20 +1204,17 @@ impl<H: Hasher128> BulkBuilder<H> {
         self.stage.push_digest(digest)
     }
 
-    /// Stages a chunk of keys through the tight digest loop
-    /// ([`BulkStage::push_digests`]); the streaming entry point for
-    /// ingest at rate. Digests are buffered in `plans`' scratch-free
-    /// sibling: a plain reusable vector owned by the stage caller would
-    /// do, but hashing into a local buffer per chunk keeps the API
-    /// allocation-free for the common 8 Ki-key chunk size.
-    pub fn push_chunk<K: AsRef<[u8]>>(&mut self, keys: &[K]) {
-        let mut digests = [0u128; 256];
-        for block in keys.chunks(digests.len()) {
-            for (slot, key) in digests.iter_mut().zip(block) {
-                *slot = H::hash128(self.seed, key.as_ref());
-            }
-            self.stage.push_digests(&digests[..block.len()]);
-        }
+    /// Stages a chunk of pre-hashed keys (each digest is
+    /// `H::hash128(seed, key)`, see [`BulkBuilder::config`]) through the
+    /// tight digest loop; the entry point of the pipelined ingest in
+    /// `mpcbf-concurrent`, which hashes on another thread.
+    pub fn push_digests(&mut self, digests: &[u128]) {
+        self.stage.push_digests(digests);
+    }
+
+    /// The configuration being built: its seed digests the keys.
+    pub fn config(&self) -> MpcbfConfig {
+        self.config
     }
 
     /// Stages a batch, hashing through the shared [`PlanBuffer`]

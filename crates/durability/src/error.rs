@@ -31,8 +31,9 @@ pub enum DurableError {
         /// The mode that wrote it.
         stored: &'static str,
     },
-    /// A directory without a usable snapshot holds WALs written by a pool
-    /// of another shard count than the one recovering it. Recovery
+    /// A directory without a usable snapshot holds WALs, at least one
+    /// with a record in it, written by a pool of another shard count than
+    /// the one recovering it. Recovery
     /// refuses and touches nothing: with fewer shards the logs past the
     /// pool's last shard would never replay, and with more the replayed
     /// keys would route to other shards than the ones that acknowledged

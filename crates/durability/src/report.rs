@@ -28,25 +28,31 @@ pub struct RecoveryReport {
     pub segments_dropped: u64,
     /// Total WAL bytes removed by repairs.
     pub bytes_truncated: u64,
-    /// Whether the post-replay integrity check, the pool's structural
-    /// `verify()`, came back clean.
+    /// Whether the post-replay integrity check, the structural check of
+    /// every shard, came back clean.
     pub scrub_clean: bool,
     /// Highest sequence number in the recovered state.
     pub last_seq: u64,
     /// Wall time spent finding and loading the snapshot (skipped corrupt
     /// files included).
     pub snapshot_load: Duration,
-    /// Wall time spent scanning, repairing and replaying the WAL.
+    /// Wall time spent scanning, repairing and replaying the WAL: the
+    /// slowest shard's, as shards recover in parallel.
     pub replay: Duration,
-    /// Wall time of the post-replay integrity check.
+    /// Wall time of the post-replay integrity check: the slowest
+    /// shard's, each run on its shard's replay thread after its replay.
     pub verify: Duration,
 }
 
 impl RecoveryReport {
     /// Folds a per-shard report into a whole-filter one (sharded
-    /// recovery runs one scan+replay per shard, in parallel). Durations
-    /// are the caller's to time: the shards overlap.
+    /// recovery runs one scan+replay+verify per shard, in parallel): the
+    /// counts add up, the check is clean only while every shard's is,
+    /// and the replay and verify times are the slowest shard's.
     pub fn absorb_shard(&mut self, other: &RecoveryReport) {
+        self.scrub_clean &= other.scrub_clean;
+        self.replay = self.replay.max(other.replay);
+        self.verify = self.verify.max(other.verify);
         self.snapshots_corrupt += other.snapshots_corrupt;
         self.records_scanned += other.records_scanned;
         self.records_replayed += other.records_replayed;

@@ -44,7 +44,7 @@ use crate::kill::KillSwitch;
 use crate::record::{WalOp, WalRecord};
 use crate::report::RecoveryReport;
 use crate::snapshot::SnapshotStore;
-use crate::wal::{FsyncPolicy, Wal};
+use crate::wal::{sync_dir, FsyncPolicy, Wal, SEGMENT_HEADER};
 use mpcbf_concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
 use mpcbf_core::codec::{
     self, crc32, crc32_combine, CodecError, Framed, Measure, Sink, CRC32_RESIDUE,
@@ -64,15 +64,26 @@ fn wal_prefix(shard: usize) -> String {
     format!("wal-s{shard:04}")
 }
 
-/// Shard logs `dir` holds: one more than the highest `NNNN` of a
-/// `wal-sNNNN-*.wal` segment, 0 when there is none.
-fn shard_logs(dir: &Path) -> Result<usize, DurableError> {
+/// The shard logs a directory holds.
+struct LogLayout {
+    /// One more than the highest `NNNN` of a `wal-sNNNN-*.wal` segment,
+    /// 0 when there is none.
+    count: usize,
+    /// Whether any segment holds more than its header: a record, whole
+    /// or torn.
+    holds_records: bool,
+}
+
+fn shard_logs(dir: &Path) -> Result<LogLayout, DurableError> {
+    let mut layout = LogLayout {
+        count: 0,
+        holds_records: false,
+    };
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(layout),
         Err(e) => return Err(DurableError::io("list wal dir", e)),
     };
-    let mut logs = 0;
     for entry in entries {
         let entry = entry.map_err(|e| DurableError::io("list wal dir", e))?;
         let name = entry.file_name();
@@ -83,10 +94,26 @@ fn shard_logs(dir: &Path) -> Result<usize, DurableError> {
             .and_then(|rest| rest.split_once('-'))
             .and_then(|(shard, _)| shard.parse::<usize>().ok());
         if let Some(shard) = shard {
-            logs = logs.max(shard + 1);
+            layout.count = layout.count.max(shard + 1);
+            let len = entry
+                .metadata()
+                .map_err(|e| DurableError::io("stat wal segment", e))?
+                .len();
+            layout.holds_records |= len > SEGMENT_HEADER.len() as u64;
         }
     }
-    Ok(logs)
+    Ok(layout)
+}
+
+/// Deletes every segment of the logs `from..to`: the empty logs past
+/// the shard count a fresh directory is opened with.
+fn remove_logs(dir: &Path, from: usize, to: usize) -> Result<(), DurableError> {
+    for shard in from..to {
+        for (_, path) in Wal::segment_paths(dir, &wal_prefix(shard))? {
+            std::fs::remove_file(&path).map_err(|e| DurableError::io("remove empty wal", e))?;
+        }
+    }
+    sync_dir(dir)
 }
 
 /// Where and how a durable pool persists.
@@ -380,8 +407,9 @@ pub trait ShardPool: Send + Sync {
     fn read_from(src: &mut dyn BufRead, len: u64) -> Framed<Self>
     where
         Self: Sized;
-    /// Structural self-check, run once after recovery.
-    fn verify(&self) -> Result<(), FilterError>;
+    /// Structural self-check of one shard, run after recovery on the
+    /// thread that replayed it.
+    fn verify_shard(&self, shard: usize) -> Result<(), FilterError>;
     /// Applies one logged key op; per-key results in the op's key
     /// order. Structural ops apply no key and return nothing.
     fn apply(&self, op: &WalOp) -> Vec<Result<(), FilterError>>;
@@ -425,8 +453,8 @@ impl<H: Hasher128> ShardPool for ShardedMpcbf<u64, H> {
     fn read_from(src: &mut dyn BufRead, len: u64) -> Framed<Self> {
         ShardedMpcbf::read_from(src, len)
     }
-    fn verify(&self) -> Result<(), FilterError> {
-        ShardedMpcbf::verify(self)
+    fn verify_shard(&self, shard: usize) -> Result<(), FilterError> {
+        ShardedMpcbf::verify_shard(self, shard)
     }
     /// Batches go through the fused pipeline in one call.
     fn apply(&self, op: &WalOp) -> Vec<Result<(), FilterError>> {
@@ -467,8 +495,8 @@ impl<H: Hasher128> ShardPool for ElasticShardedMpcbf<H> {
     fn read_from(src: &mut dyn BufRead, len: u64) -> Framed<Self> {
         ElasticShardedMpcbf::read_from(src, len)
     }
-    fn verify(&self) -> Result<(), FilterError> {
-        ElasticShardedMpcbf::verify(self)
+    fn verify_shard(&self, shard: usize) -> Result<(), FilterError> {
+        ElasticShardedMpcbf::verify_shard(self, shard)
     }
     /// Keys apply one at a time: a generation stack takes its shard
     /// lock per key.
@@ -719,11 +747,15 @@ impl<P: ShardPool> DurableSharded<P> {
     /// Fails, leaving the directory untouched, with
     /// [`DurableError::ModeMismatch`] when the snapshot holds an intact
     /// image of another mode, and with [`DurableError::ShardCountMismatch`]
-    /// when there is no snapshot and the directory's logs were written by
-    /// a pool of another shard count: with fewer shards, recovery would
-    /// never replay the extra logs; with more, keys would re-route across
-    /// the larger pool while an elastic log's structural records still
-    /// land on that log's shard index.
+    /// when there is no snapshot and the directory's logs, at least one
+    /// of which holds a record, were written by a pool of another shard
+    /// count: with fewer shards, recovery would never replay the extra
+    /// logs; with more, keys would re-route across the larger pool while
+    /// an elastic log's structural records still land on that log's shard
+    /// index. A directory whose logs hold no record is fresh whatever
+    /// their number (a first open that died creating them leaves fewer):
+    /// it opens with the pool's shard count, the missing logs created and
+    /// the extra empty ones removed.
     pub fn open_or_recover(
         opts: DurabilityOptions,
         fallback: impl FnOnce() -> P,
@@ -752,15 +784,23 @@ impl<P: ShardPool> DurableSharded<P> {
                 let pool = fallback();
                 let shards = pool.shard_count();
                 let logs = shard_logs(&opts.dir)?;
-                if logs > 0 && logs != shards {
-                    return Err(DurableError::ShardCountMismatch { logs, shards });
+                if logs.count > 0 && logs.count != shards {
+                    if logs.holds_records {
+                        return Err(DurableError::ShardCountMismatch {
+                            logs: logs.count,
+                            shards,
+                        });
+                    }
+                    // Nothing was ever logged: the directory is fresh
+                    // (its first open may have died creating the logs).
+                    // The missing logs are created below.
+                    remove_logs(&opts.dir, shards, logs.count)?;
                 }
                 (pool, vec![0; shards])
             }
         };
 
-        // Scan + repair + replay each shard's log on its own thread.
-        let started = Instant::now();
+        // Scan + repair + replay + verify each shard on its own thread.
         let shard_reports: Vec<Result<RecoveryReport, DurableError>> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = snap_seqs
@@ -768,7 +808,7 @@ impl<P: ShardPool> DurableSharded<P> {
                     .enumerate()
                     .map(|(shard, &base_seq)| {
                         let (dir, pool) = (&opts.dir, &pool);
-                        scope.spawn(move || replay_shard(dir, shard, base_seq, pool))
+                        scope.spawn(move || recover_shard(dir, shard, base_seq, pool))
                     })
                     .collect();
                 handles
@@ -776,23 +816,13 @@ impl<P: ShardPool> DurableSharded<P> {
                     .map(|h| h.join().expect("shard recovery panicked"))
                     .collect()
             });
-        report.replay = started.elapsed();
+        report.scrub_clean = true;
         let mut seqs = Vec::with_capacity(shard_reports.len());
         for shard_report in shard_reports {
             let shard_report = shard_report?;
             report.absorb_shard(&shard_report);
             seqs.push(shard_report.last_seq);
         }
-
-        // One structural pass over the recovered pool. The snapshot
-        // already passed the envelope CRC, the codec CRC and the decode
-        // checks; verify adds a check of what replay changed. A seal
-        // taken now and scrubbed at once would add nothing: its CRC half
-        // compares the words with themselves and its invariant half is
-        // this same check.
-        let started = Instant::now();
-        report.scrub_clean = pool.verify().is_ok();
-        report.verify = started.elapsed();
 
         let logs = seqs
             .iter()
@@ -936,6 +966,27 @@ impl<P: ShardPool> DurableSharded<P> {
         self.records_since_snapshot = 0;
         Ok(())
     }
+}
+
+/// Recovers one shard: [`replay_shard`], then the shard's structural
+/// check, each timed. The snapshot already passed the envelope CRC, the
+/// codec CRC and the decode checks; the check adds one of what replay
+/// changed. A seal taken now and scrubbed at once would add nothing: its
+/// CRC half compares the words with themselves and its invariant half
+/// is this same check.
+fn recover_shard<P: ShardPool>(
+    dir: &Path,
+    shard: usize,
+    base_seq: u64,
+    pool: &P,
+) -> Result<RecoveryReport, DurableError> {
+    let started = Instant::now();
+    let mut report = replay_shard(dir, shard, base_seq, pool)?;
+    report.replay = started.elapsed();
+    let started = Instant::now();
+    report.scrub_clean = pool.verify_shard(shard).is_ok();
+    report.verify = started.elapsed();
+    Ok(report)
 }
 
 /// Scans, repairs and replays one shard's WAL past `base_seq`. Key ops

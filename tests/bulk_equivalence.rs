@@ -12,7 +12,7 @@
 //! deferred admission, which must reproduce the sequential decisions
 //! from per-word running totals alone.
 
-use mpcbf::concurrent::{build_parallel, ShardedBulkBuilder, ShardedMpcbf};
+use mpcbf::concurrent::{build_parallel, ingest, ShardedBulkBuilder, ShardedMpcbf};
 use mpcbf::core::bulk::BulkStage;
 use mpcbf::core::{BulkBuilder, Filter, Mpcbf, MpcbfConfig, ResilientBulkBuilder, ResilientMpcbf};
 use mpcbf::durability::{DurabilityOptions, DurableSharded};
@@ -236,7 +236,7 @@ proptest! {
                 }
                 let mut builder: BulkBuilder<Murmur3> = BulkBuilder::new(cfg);
                 prop_assert_eq!(builder.is_deferred(), g == 1, "k={} g={}", k, g);
-                builder.push_chunk(&stream);
+                ingest(&mut builder, 1, |feed| stream.iter().for_each(|k| feed.push(k)));
                 let bulk = builder.finish();
                 prop_assert_eq!(naive.raw_words(), bulk.raw_words(), "k={} g={}", k, g);
                 prop_assert_eq!(naive.items(), bulk.items(), "k={} g={}", k, g);
@@ -325,7 +325,9 @@ fn under_hinted_builds_flush_mid_stream_and_stay_exact() {
 
         let mut builder: BulkBuilder<Murmur3> = BulkBuilder::new(cfg);
         assert_eq!(builder.is_deferred(), g == 1);
-        builder.push_chunk(&stream);
+        ingest(&mut builder, 2, |feed| {
+            stream.iter().for_each(|k| feed.push(k))
+        });
         assert!(
             builder.stats().flushes > 0,
             "test premise: a quarter hint must flush mid-stream (g={g})"

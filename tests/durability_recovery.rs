@@ -619,9 +619,9 @@ fn an_unreadable_snapshot_fails_recovery_and_loses_no_acked_key() {
 }
 
 /// A never-checkpointed directory takes its shard count from the pool
-/// that opens it, so an open with any other count must refuse with a
-/// typed error naming the count the directory was written with, and
-/// touch nothing. With fewer shards, a directory written with 8 would
+/// that opens it, so once a log holds a record an open with any other
+/// count must refuse with a typed error naming the count the directory
+/// was written with, and touch nothing. With fewer shards, a directory written with 8 would
 /// replay only `wal-s0000..s0003` and lose every acked key logged to
 /// shards 4 to 7 behind a clean report. With more, replay re-routes the
 /// keys across the larger pool while an elastic log's scale-ups and
@@ -683,6 +683,68 @@ fn refuses_other_shard_counts<P: ShardPool, F: FnOnce() -> P>(
     let (recovered, report) = DurableSharded::open_or_recover(opts, pool(written)).unwrap();
     assert_eq!(report.records_replayed, records, "{mode}");
     assert!(keys.iter().all(|k| recovered.contains_bytes(k)), "{mode}");
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The first open of a fresh directory creates its logs one shard at a
+/// time, so a crash inside that loop leaves fewer `wal-sNNNN` logs than
+/// shards. No log holds a record, so the directory is still fresh: the
+/// next open with the intended count must create the missing logs (not
+/// refuse, naming the count the crash left), and an open with fewer
+/// shards removes the extra empty logs. Once a key is logged, the
+/// count is fixed again.
+#[test]
+fn a_fresh_directory_whose_first_open_died_opens_with_its_count() {
+    let dir = scratch_dir();
+    let opts = DurabilityOptions::new(&dir);
+    let pool = |shards| move || ShardedMpcbf::<u64, Murmur3>::new(raw_config(), shards);
+    let logs = || {
+        let mut names: Vec<String> = listing(&dir)
+            .into_iter()
+            .map(|(name, _)| name)
+            .filter(|name| name.starts_with("wal-s"))
+            .collect();
+        names.dedup_by_key(|name| name[..9].to_string());
+        names.len()
+    };
+    drop(DurableSharded::open_or_recover(opts.clone(), pool(8)).unwrap());
+    assert_eq!(logs(), 8);
+    for shard in 4..8 {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with(&format!("wal-s{shard:04}-")) {
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
+    }
+    assert_eq!(logs(), 4);
+    let (mut durable, report) = DurableSharded::open_or_recover(opts.clone(), pool(8)).unwrap();
+    assert_eq!(report.records_replayed, 0);
+    assert_eq!(logs(), 8, "the missing logs were not created");
+    drop(durable);
+
+    let (_, report) = DurableSharded::open_or_recover(opts.clone(), pool(2)).unwrap();
+    assert_eq!(report.records_replayed, 0);
+    assert_eq!(logs(), 2, "the extra empty logs were not removed");
+
+    let keys = streamed_keys("first-open", 200);
+    (durable, _) = DurableSharded::open_or_recover(opts.clone(), pool(8)).unwrap();
+    for key in &keys {
+        durable.insert_bytes(key).unwrap();
+    }
+    drop(durable);
+    match DurableSharded::open_or_recover(opts.clone(), pool(4)) {
+        Err(DurableError::ShardCountMismatch { logs, shards }) => {
+            assert_eq!((logs, shards), (8, 4))
+        }
+        Err(e) => panic!("wrong error {e}"),
+        Ok(_) => panic!("a directory holding records reopened with another count"),
+    }
+    let (recovered, report) = DurableSharded::open_or_recover(opts, pool(8)).unwrap();
+    assert_eq!(report.records_replayed, keys.len() as u64);
+    assert!(keys.iter().all(|k| recovered.contains_bytes(k)));
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();
 }
