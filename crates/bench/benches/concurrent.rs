@@ -1,8 +1,8 @@
-//! Criterion benchmarks of the concurrent MPCBF variants under
-//! single-thread and contended multi-thread mixes.
+//! Criterion benchmarks of the concurrent MPCBF under single-thread and
+//! contended multi-thread mixes, at 256 shards and at one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mpcbf_concurrent::{AtomicMpcbf, ShardedMpcbf};
+use mpcbf_concurrent::ShardedMpcbf;
 use mpcbf_core::MpcbfConfig;
 use mpcbf_hash::Murmur3;
 use std::hint::black_box;
@@ -24,10 +24,10 @@ fn bench_single_thread(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(500));
 
     let sharded: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(config(), 256);
-    let atomic: AtomicMpcbf<Murmur3> = AtomicMpcbf::new(config());
+    let one_shard: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(config(), 1);
     for i in 0..10_000u64 {
         sharded.insert(&i).unwrap();
-        atomic.insert(&i).unwrap();
+        one_shard.insert(&i).unwrap();
     }
 
     g.bench_function("sharded_query", |b| {
@@ -37,11 +37,11 @@ fn bench_single_thread(c: &mut Criterion) {
             black_box(sharded.contains(&i))
         })
     });
-    g.bench_function("atomic_query", |b| {
+    g.bench_function("one_shard_query", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 1) % 20_000;
-            black_box(atomic.contains(&i))
+            black_box(one_shard.contains(&i))
         })
     });
     g.bench_function("sharded_insert_remove", |b| {
@@ -52,12 +52,12 @@ fn bench_single_thread(c: &mut Criterion) {
             sharded.remove(&i).unwrap();
         })
     });
-    g.bench_function("atomic_insert_remove", |b| {
+    g.bench_function("one_shard_insert_remove", |b| {
         let mut i = 2_000_000u64;
         b.iter(|| {
             i += 1;
-            atomic.insert(&i).unwrap();
-            atomic.remove(&i).unwrap();
+            one_shard.insert(&i).unwrap();
+            one_shard.remove(&i).unwrap();
         })
     });
     g.finish();
@@ -97,11 +97,11 @@ fn bench_contended(c: &mut Criterion) {
     );
 
     g.bench_with_input(
-        BenchmarkId::new("atomic_mixed", threads),
+        BenchmarkId::new("one_shard_mixed", threads),
         &threads,
         |b, &t| {
             b.iter(|| {
-                let f: AtomicMpcbf<Murmur3> = AtomicMpcbf::new(config());
+                let f: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(config(), 1);
                 crossbeam::scope(|s| {
                     for tid in 0..t as u64 {
                         let f = &f;

@@ -39,6 +39,10 @@
 //!    `T`s are written and hands out `&mut [T]` only over those;
 //! 3. the buffer is freed with the same layout it was allocated with, and
 //!    elements are dropped exactly once, in `Drop`.
+//!
+//! [`AlignedVec::map_in_place`] keeps all three across a change of element
+//! type: it only accepts a type of the same size and alignment (a
+//! compile-time check), so the layout, and with it the buffer, carry over.
 
 #![allow(unsafe_code)]
 
@@ -261,6 +265,36 @@ impl<T> AlignedVec<T> {
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         // SAFETY: as `as_slice`, plus `&mut self` guarantees uniqueness.
         unsafe { core::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+
+    /// Replaces element `i` by `f(element i)`, in order, in the same
+    /// buffer: a hand-over of a built array to another element type
+    /// (plain filter words to the atomic words a concurrent filter
+    /// serves) that never holds two arrays. `U` must have `T`'s size and
+    /// alignment, checked at compile time. A panicking `f` leaks the
+    /// buffer.
+    pub fn map_in_place<U>(self, mut f: impl FnMut(T) -> U) -> AlignedVec<U> {
+        const {
+            assert!(core::mem::size_of::<T>() == core::mem::size_of::<U>());
+            assert!(core::mem::align_of::<T>() == core::mem::align_of::<U>());
+        }
+        let this = ManuallyDrop::new(self);
+        let ptr = this.ptr.as_ptr();
+        for i in 0..this.len {
+            // SAFETY: `i < len`, and with equal sizes slot `i` of `T`s and
+            // of `U`s is the same, aligned for both (equal alignments).
+            // Slot `i` holds an initialised `T`, read (moved out) once and
+            // overwritten with a `U` before the next slot is touched.
+            unsafe { ptr.add(i).cast::<U>().write(f(ptr.add(i).read())) };
+        }
+        // Every slot now holds a `U`, and with `T`'s size and alignment
+        // `Self::layout(len)` equals `AlignedVec::<U>::layout(len)`, so
+        // the buffer is freed with the layout it was allocated with.
+        AlignedVec {
+            ptr: this.ptr.cast(),
+            len: this.len,
+            _owns: PhantomData,
+        }
     }
 }
 
@@ -613,6 +647,24 @@ mod tests {
         let v: AlignedVec<AtomicU64> = AlignedVec::from_fn(16, |i| AtomicU64::new(i as u64));
         assert_eq!(v[5].load(Ordering::Relaxed), 5);
         assert_eq!(v.as_slice().as_ptr() as usize % CACHE_LINE_BYTES, 0);
+    }
+
+    #[test]
+    fn map_in_place_keeps_the_allocation_and_its_contents() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let words = AlignedVec::from_fn(10_000, |i| i as u64 * 0x9e37_79b9);
+        let addr = words.as_ptr() as usize;
+        let atomic = words.map_in_place(AtomicU64::new);
+        assert_eq!(atomic.as_ptr() as usize, addr, "the same buffer");
+        assert_eq!(atomic.len(), 10_000);
+        for (i, w) in atomic.iter().enumerate() {
+            assert_eq!(w.load(Ordering::Relaxed), i as u64 * 0x9e37_79b9);
+        }
+        let back = atomic.map_in_place(AtomicU64::into_inner);
+        assert_eq!(back.as_ptr() as usize, addr);
+        assert!(AlignedVec::<u64>::from_fn(0, |_| unreachable!())
+            .map_in_place(AtomicU64::new)
+            .is_empty());
     }
 
     #[test]

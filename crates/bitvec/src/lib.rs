@@ -20,8 +20,9 @@
 //! cache-line words).
 //!
 //! The crate is safe Rust except for one tightly-scoped module,
-//! [`aligned`] (cache-line-aligned allocation and the page handling of
-//! bulk builds: [`LazyVec`], [`release_pages`]), whose blocks carry
+//! [`aligned`] (cache-line-aligned allocation, the in-place hand-over
+//! [`AlignedVec::map_in_place`], and the page handling of bulk builds:
+//! [`LazyVec`], [`release_pages`]), whose blocks carry
 //! per-block safety comments; everything else compiles to the obvious
 //! mask-and-shift instruction sequences.
 

@@ -11,8 +11,8 @@
 //!   jobs over scoped threads;
 //! * [`ShardedBulkBuilder`] — a builder for [`ShardedMpcbf`] that stages
 //!   each shard's keys into that shard's own staging hierarchy and word
-//!   array (no shard locks touched until install), finishing shards in
-//!   parallel.
+//!   array, finishing shards in parallel; the arrays become the filter's
+//!   atomic shards in place.
 //!
 //! Every executor gives each thread one [`SweepScratch`], reused across
 //! the regions that thread sweeps.

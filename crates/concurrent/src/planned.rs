@@ -1,15 +1,12 @@
-//! The planned operation bodies both concurrent filters share.
+//! The planned operation bodies of [`ShardedMpcbf`](crate::ShardedMpcbf).
 //!
 //! A key is planned once — alone into a [`ProbePlan`] (scalar entry
 //! points) or as one row of a batch's [`PlanBuffer`] — and each body below
 //! runs over that plan group by group and returns the operation's
 //! [`OpCost`]. The plain entry points discard the cost; the `*_metered`
-//! batch entry points sum it and report it to an [`OpSink`]. The two
-//! filters differ only in how one group reaches its word: under the shard
-//! lock ([`ShardedMpcbf`](crate::ShardedMpcbf)) or inside a CAS loop
-//! ([`AtomicMpcbf`](crate::AtomicMpcbf)).
+//! batch entry points sum it and report it to an [`OpSink`]. How one
+//! group reaches its word (a load, or a CAS loop) is the caller's closure.
 
-use mpcbf_bitvec::Word;
 use mpcbf_core::hcbf::{HcbfWord, WordError};
 use mpcbf_core::metrics::{OpCost, OpKind, OpSink};
 use mpcbf_core::plan::distinct_words;
@@ -103,9 +100,9 @@ impl Update {
     /// Runs this update on every probe of one word group, all-or-nothing;
     /// returns the summed traversal bits.
     #[inline]
-    pub(crate) fn walk<W: Word>(
+    pub(crate) fn walk(
         self,
-        word: &mut HcbfWord<W>,
+        word: &mut HcbfWord<u64>,
         probes: &[u32],
         b1: u32,
     ) -> Result<u32, WordError> {
@@ -145,7 +142,7 @@ pub(crate) fn query(
 /// and the refusal returned: `WordOverflow` at the refusing word for an
 /// insert, `NotPresent` for a remove. A refused operation costs nothing.
 /// An undo that itself fails means a word no longer holds what this call
-/// wrote — damage, or on the lock-free filter a racing writer — and is
+/// wrote — damage, or a writer racing the same key — and is
 /// reported as `CorruptionDetected` at that word's segment (local to the
 /// word array `apply` indexes) instead of a panic.
 #[inline]

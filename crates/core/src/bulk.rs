@@ -148,7 +148,6 @@
 use crate::config::MpcbfConfig;
 use crate::hcbf::HcbfWord;
 use crate::mpcbf::Mpcbf;
-use crate::plan::PlanBuffer;
 use crate::resilient::ResilientMpcbf;
 use crate::{split_hashes, GROUP_SALT, WORD_SALT};
 use mpcbf_bitvec::{advise_huge_slice, release_pages, AlignedVec, LazyChunk, LazyVec};
@@ -544,7 +543,7 @@ impl BulkStage {
 
     /// Stages one pre-planned key: `plan_words` are its `g` target words
     /// and `slots` its `k` in-word positions, both in
-    /// [`PlanBuffer`] layout (group `t` owns the next
+    /// [`PlanBuffer`](crate::plan::PlanBuffer) layout (group `t` owns the next
     /// `split_hashes(k, g, t)` slots). Same contract as
     /// [`BulkStage::push_digest`].
     #[inline]
@@ -1156,7 +1155,6 @@ pub struct BulkBuilder<H: Hasher128 = Murmur3> {
     config: MpcbfConfig,
     seed: u64,
     stage: BulkStage,
-    plans: PlanBuffer,
     _hasher: PhantomData<H>,
 }
 
@@ -1190,7 +1188,6 @@ impl<H: Hasher128> BulkBuilder<H> {
         BulkBuilder {
             seed: config.seed(),
             stage: make((shape.l, shape.k, shape.g, shape.b1)),
-            plans: PlanBuffer::new(),
             config,
             _hasher: PhantomData,
         }
@@ -1215,23 +1212,6 @@ impl<H: Hasher128> BulkBuilder<H> {
     /// The configuration being built: its seed digests the keys.
     pub fn config(&self) -> MpcbfConfig {
         self.config
-    }
-
-    /// Stages a batch, hashing through the shared [`PlanBuffer`]
-    /// pipeline (one planning pass, then staged appends).
-    pub fn push_batch(&mut self, keys: &[&[u8]]) {
-        let shape = self.config.shape();
-        self.plans.plan_partitioned(
-            keys.iter().map(|key| H::hash128(self.seed, key)),
-            shape.l,
-            shape.k,
-            shape.g,
-            u64::from(shape.b1),
-        );
-        for i in 0..self.plans.keys() {
-            self.stage
-                .push_planned(self.plans.words_of(i), self.plans.slots_of(i));
-        }
     }
 
     /// Staging counters so far.
@@ -1387,22 +1367,6 @@ mod tests {
         assert_eq!(built.raw_words(), seq.raw_words());
         assert_eq!(built.items(), seq.items());
         assert_eq!(built.overflows(), seq.overflows());
-    }
-
-    #[test]
-    fn batch_push_matches_scalar_push() {
-        let c = config(1 << 18, 10_000, 3, 1, 5);
-        let keys = keys(10_000, 3);
-        let mut scalar: BulkBuilder = BulkBuilder::new(c);
-        for k in &keys {
-            scalar.push(k);
-        }
-        let mut batched: BulkBuilder = BulkBuilder::new(c);
-        let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        for chunk in views.chunks(777) {
-            batched.push_batch(chunk);
-        }
-        assert_eq!(scalar.finish().raw_words(), batched.finish().raw_words());
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub const SMALL_BATCH: usize = 4;
 ///
 /// A plan is a flat fixed-size value (no heap). Batch paths do **not**
 /// build one per key any more — they fill a [`PlanBuffer`] — but the
-/// single-key planned paths (sharded scalar operations, the lock-free
-/// filter's scalar CAS loops) still use it.
+/// single-key planned paths (the concurrent filter's scalar loads and
+/// CAS loops) still use it.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbePlan {
     /// Target word per group (partitioned plans); unused for flat plans.

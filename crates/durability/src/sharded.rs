@@ -8,7 +8,7 @@
 //! * **Layout.** Each shard owns an independent WAL
 //!   (`wal-s{NNNN}-*.wal`) with its own sequence numbering — appends on
 //!   different shards never contend on a shared log file, mirroring the
-//!   pools' one-lock-per-shard design. Keys are routed to their log with
+//!   pools' independent shards. Keys are routed to their log with
 //!   [`ShardPool::home_shard`], the same digest bits that route the probe,
 //!   so a shard's WAL replays entirely into that shard.
 //! * **Write path.** A [`ShardLog`] holds one shard's WAL and sequence
@@ -379,8 +379,10 @@ fn load_pool<P: ShardPool, R: BufRead + Seek>(
 /// routing, the image codec, per-key application of logged ops, and the
 /// structural hooks an elastic pool needs (no-ops by default).
 ///
-/// Every method takes `&self`: a pool locks per shard, so one writer per
-/// shard can mutate it while readers query it in place.
+/// Every method takes `&self`: a pool synchronises inside — the fixed
+/// pool with one compare-and-swap per word group and no lock, the elastic
+/// pool with one lock per shard — so one writer per shard can mutate it
+/// while readers query it in place.
 pub trait ShardPool: Send + Sync {
     /// Number of shards, and so of WALs.
     fn shard_count(&self) -> usize;
@@ -397,10 +399,10 @@ pub trait ShardPool: Send + Sync {
     }
     /// Streams the pool's codec image, as checkpoints store it, into
     /// `sink` (a measuring sink gets its length). No shard lock is held
-    /// while `sink` writes, and a shard may be read in several lock holds
-    /// (the fixed pool copies 64 KiB at a time), so the image is a
-    /// consistent point in time only while no writer runs: callers
-    /// quiesce writers first.
+    /// while `sink` writes, and a shard may be read in several pieces
+    /// (the fixed pool loads 64 KiB at a time, with no lock), so the
+    /// image is a consistent point in time only while no writer runs:
+    /// callers quiesce writers first.
     fn encode_to(&self, sink: &mut dyn Sink);
     /// Rebuilds a pool from the `len`-byte image [`ShardPool::encode_to`]
     /// wrote, streamed from `src` and validated as it goes.

@@ -2,13 +2,13 @@
 //! against one shared MPCBF while a control thread churns the tracked-flow
 //! set — the parallel line-card setting the paper's introduction motivates
 //! (and the reason the per-word layout matters: updates synchronise on
-//! single words, not on the filter).
+//! single words with a compare-and-swap, not on the filter).
 //!
 //! ```text
 //! cargo run --release --example concurrent_pipeline
 //! ```
 
-use mpcbf::concurrent::AtomicMpcbf;
+use mpcbf::concurrent::ShardedMpcbf;
 use mpcbf::core::MpcbfConfig;
 use mpcbf::hash::Murmur3;
 use mpcbf::workloads::flowtrace::{FlowTrace, FlowTraceSpec};
@@ -30,7 +30,7 @@ fn main() {
         .seed(4242)
         .build()
         .expect("shape");
-    let filter: AtomicMpcbf<Murmur3> = AtomicMpcbf::new(config);
+    let filter: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(config, 8);
     for flow in &trace.test_set {
         let _ = filter.insert(flow);
     }
@@ -60,7 +60,7 @@ fn main() {
 }
 
 fn crossbeam_scope(
-    filter: &AtomicMpcbf<Murmur3>,
+    filter: &ShardedMpcbf<u64, Murmur3>,
     shards: &[&[(u32, u32)]],
     hits: &AtomicU64,
     churn_done: &AtomicBool,

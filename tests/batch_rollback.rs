@@ -5,7 +5,7 @@
 //! every key fails leaves the filter bit-identical to its pre-batch
 //! state. Verified for each variant that can refuse an operation.
 
-use mpcbf::concurrent::{AtomicMpcbf, ShardedMpcbf};
+use mpcbf::concurrent::ShardedMpcbf;
 use mpcbf::core::{CountingFilter, Filter, Mpcbf, MpcbfConfig, ResilientMpcbf};
 use mpcbf::hash::Murmur3;
 use mpcbf::variants::DlCbf;
@@ -209,21 +209,6 @@ fn sharded_mpcbf_batch_rollback_is_bit_identical() {
     assert!(results.iter().all(Result::is_err));
     let after: Vec<Vec<u64>> = (0..f.shard_count()).map(|s| f.shard_raw_words(s)).collect();
     assert_eq!(after, before, "sharded failed batch left residue");
-}
-
-#[test]
-fn atomic_mpcbf_batch_rollback_is_bit_identical() {
-    let f: AtomicMpcbf<Murmur3> = AtomicMpcbf::new(tight_config(64, 7));
-    let hot = b"hot-key".as_slice();
-    let mut stored = 0u32;
-    while f.insert_bytes(hot).is_ok() {
-        stored += 1;
-        assert!(stored < 10_000);
-    }
-    let before = f.raw_snapshot();
-    let results = f.insert_batch_bytes(&[hot; 12]);
-    assert!(results.iter().all(Result::is_err));
-    assert_eq!(f.raw_snapshot(), before, "atomic failed batch left residue");
 }
 
 #[test]

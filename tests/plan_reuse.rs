@@ -13,7 +13,7 @@
 //! size-transition direction, and a deliberately tiny MPCBF forces
 //! mid-batch `WordOverflow` rollbacks through a reused buffer.
 
-use mpcbf::concurrent::{AtomicMpcbf, ShardBatch, ShardedMpcbf};
+use mpcbf::concurrent::{ShardBatch, ShardedMpcbf};
 use mpcbf::core::{Cbf, CountingFilter, Filter, Mpcbf, MpcbfConfig, OpCost, PlanBuffer};
 use mpcbf::hash::Murmur3;
 use mpcbf::variants::Rcbf;
@@ -104,31 +104,6 @@ fn check_sharded(proto: impl Fn() -> ShardedMpcbf<u64, Murmur3>, keys: &[Vec<u8>
     assert_eq!(rq, fq, "sharded: final membership diverged under reuse");
 }
 
-/// Same schedule against the lock-free filter, reusing one [`PlanBuffer`].
-fn check_atomic(proto: impl Fn() -> AtomicMpcbf<Murmur3>, keys: &[Vec<u8>]) {
-    let key_views = views(keys);
-    let reused_f = proto();
-    let fresh_f = proto();
-    let mut reused = PlanBuffer::new();
-
-    for (b, chunk) in batches(&key_views).into_iter().enumerate() {
-        let ri = reused_f.insert_batch_bytes_with(chunk, &mut reused);
-        let fi = fresh_f.insert_batch_bytes_with(chunk, &mut PlanBuffer::new());
-        assert_eq!(ri, fi, "atomic: insert batch {b} diverged under reuse");
-
-        let rq = reused_f.contains_batch_bytes_with(chunk, &mut reused);
-        let fq = fresh_f.contains_batch_bytes_with(chunk, &mut PlanBuffer::new());
-        assert_eq!(rq, fq, "atomic: query batch {b} diverged under reuse");
-
-        let rr = reused_f.remove_batch_bytes_with(chunk, &mut reused);
-        let fr = fresh_f.remove_batch_bytes_with(chunk, &mut PlanBuffer::new());
-        assert_eq!(rr, fr, "atomic: remove batch {b} diverged under reuse");
-    }
-    let rq = reused_f.contains_batch_bytes_with(&key_views, &mut reused);
-    let fq = fresh_f.contains_batch_bytes(&key_views);
-    assert_eq!(rq, fq, "atomic: final membership diverged under reuse");
-}
-
 fn mpcbf(g: u32) -> Mpcbf<u64, Murmur3> {
     Mpcbf::new(config(50_000, 500, g))
 }
@@ -189,7 +164,6 @@ proptest! {
     fn concurrent_filters_reuse_equals_fresh(keys in key_list()) {
         let k = to_bytes(&keys);
         check_sharded(|| ShardedMpcbf::new(config(50_000, 500, 1), 4), &k);
-        check_atomic(|| AtomicMpcbf::new(config(50_000, 500, 1)), &k);
     }
 }
 
