@@ -18,14 +18,18 @@
 //! Builds MPCBF-1 at 16 bits/key over a ladder of key counts up to 10^9
 //! (DRAM-resident at the top) from the shared [`BulkKeys`] stream, and
 //! emits `BENCH_bulk.json` with per-contender wall time, keys/s, speedup
-//! over the naive scalar loop, and the peak-RSS delta attributed to each
-//! build (the high-water mark is reset before each contender). Every
-//! plain contender's filter is checked identical to the naive build
-//! before the row is trusted. The `sharded` contender (an 8-shard
+//! over the naive scalar loop, and peak RSS. Every build runs in a child
+//! process of its own (`bench_bulk` re-executed with `--child CONTENDER
+//! N THREADS`), so a peak is the high-water mark of a process that ran
+//! that one build and nothing else: memory an earlier build left in the
+//! allocator cannot inflate it. The child reports its wall time, its
+//! peak, and the CRC-32 of the built filter's image, and every plain
+//! contender's CRC is checked equal to the naive build's before the row
+//! is trusted. The `sharded` contender (an 8-shard
 //! [`ShardedBulkBuilder`] finished on the same threads, at the rungs up
-//! to 10^7 keys) builds a different layout, so it is checked to hold
-//! every key it admitted instead; its speedup is still over the plain
-//! naive loop. `--trials N` runs each contender `N` times and
+//! to 10^7 keys) builds a different layout, so its child checks that it
+//! holds every key it admitted instead; its speedup is still over the
+//! plain naive loop. `--trials N` runs each contender `N` times and
 //! reports the median time and the least peak RSS; each row records its
 //! sample count. `--max-n N` stops
 //! the ladder at `N` keys and carries the committed rows above it over,
@@ -45,11 +49,16 @@
 
 use mpcbf_bench::{rss, Args};
 use mpcbf_concurrent::{ingest, DigestBuilder, ShardedBulkBuilder, ShardedMpcbf};
+use mpcbf_core::codec::Sink;
 use mpcbf_core::{BulkBuilder, Filter, Mpcbf, MpcbfConfig};
 use mpcbf_hash::Murmur3;
 use mpcbf_workloads::BulkKeys;
 use std::fmt::Write as _;
+use std::process::Command;
 use std::time::Instant;
+
+/// The first argument of a child process that runs one build.
+const CHILD: &str = "--child";
 
 /// Keys buffered per generator chunk (a few hundred KB resident).
 const CHUNK: usize = 8_192;
@@ -102,14 +111,92 @@ fn config(n: u64) -> MpcbfConfig {
         .expect("bulk bench shape")
 }
 
-/// Times one build, attributing peak RSS to it.
-fn timed<F>(build: impl FnOnce() -> F) -> (F, f64, Option<f64>) {
-    rss::reset_peak_rss();
-    let start = Instant::now();
-    let filter = build();
+/// A [`Sink`] that keeps only the last four bytes of an image, its
+/// CRC-32 trailer, so a child checksums its filter without a copy of it.
+#[derive(Default)]
+struct Trailer([u8; 4]);
+
+impl Sink for Trailer {
+    fn put(&mut self, bytes: &[u8]) {
+        let take = bytes.len().min(4);
+        self.0.rotate_left(take);
+        self.0[4 - take..].copy_from_slice(&bytes[bytes.len() - take..]);
+    }
+}
+
+impl Trailer {
+    fn crc(&self) -> u32 {
+        u32::from_le_bytes(self.0)
+    }
+}
+
+/// One build as its child process reported it.
+struct Sample {
+    secs: f64,
+    peak_rss_mib: Option<f64>,
+    /// CRC-32 of the built filter's image.
+    crc: u32,
+}
+
+/// The child's line: the build's wall time from `start`, this process's
+/// peak RSS (read before the image is checksummed), and the image CRC.
+fn report<F>(start: Instant, filter: F, crc: impl FnOnce(&F) -> u32) -> String {
     let secs = start.elapsed().as_secs_f64().max(1e-9);
-    let peak = rss::peak_rss_bytes().map(rss::bytes_to_mib);
-    (filter, secs, peak)
+    let peak = rss::peak_rss_bytes().map_or(-1.0, rss::bytes_to_mib);
+    format!("{secs} {peak} {}", crc(&filter))
+}
+
+/// `bench_bulk --child CONTENDER N THREADS`: runs one build in this
+/// otherwise idle process and prints [`report`]'s line.
+fn child(args: &[String]) {
+    let [contender, n, threads] = args else {
+        eprintln!("usage: bench_bulk {CHILD} CONTENDER N THREADS");
+        std::process::exit(2);
+    };
+    let n: u64 = n.parse().expect("N");
+    let threads: usize = threads.parse().expect("THREADS");
+    let plain = |f: &Mpcbf<u64, Murmur3>| f.encode_to(Trailer::default()).crc();
+    let start = Instant::now();
+    let line = match contender.as_str() {
+        "naive" => report(start, naive_build(n), plain),
+        "buffered" => report(start, buffered_builder(n, 1).finish(), plain),
+        "parallel" => report(
+            start,
+            mpcbf_concurrent::build_parallel(buffered_builder(n, threads), threads),
+            plain,
+        ),
+        "sharded" => report(start, sharded_build(n, threads), |f| {
+            check_sharded(f, n);
+            f.encode_to(Trailer::default()).crc()
+        }),
+        other => panic!("unknown contender {other}"),
+    };
+    println!("{line}");
+}
+
+/// Runs one build of `contender` in a child process of its own.
+fn sample(contender: &str, n: u64, threads: usize) -> Sample {
+    let exe = std::env::current_exe().expect("own executable");
+    let out = Command::new(exe)
+        .args([CHILD, contender, &n.to_string(), &threads.to_string()])
+        .output()
+        .expect("spawn a bench_bulk child");
+    assert!(
+        out.status.success(),
+        "{contender} build at n={n} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line = String::from_utf8(out.stdout).expect("utf-8 report");
+    let fields: Vec<&str> = line.split_whitespace().collect();
+    let [secs, peak, crc] = fields[..] else {
+        panic!("malformed child report {line:?}");
+    };
+    let peak: f64 = peak.parse().expect("peak");
+    Sample {
+        secs: secs.parse().expect("secs"),
+        peak_rss_mib: (peak >= 0.0).then_some(peak),
+        crc: crc.parse().expect("crc"),
+    }
 }
 
 fn naive_build(n: u64) -> Mpcbf<u64, Murmur3> {
@@ -171,47 +258,30 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 /// One ladder rung: runs every contender `samples` times (the sharded
-/// one only up to [`SHARDED_MAX_N`]), checks every build, and returns
-/// their rows:
-/// median time, and the *least* peak RSS — memory the allocator kept
-/// from an earlier sample only ever adds to a reading, and how much it
-/// keeps varies from run to run.
+/// one only up to [`SHARDED_MAX_N`]), each build in a child process of
+/// its own, checks every build, and returns their rows: median time, and
+/// the least peak RSS.
 fn rung(n: u64, threads: usize, samples: usize, quiet: bool) -> Vec<Row> {
     let mut secs = [const { Vec::new() }; CONTENDERS.len()];
     let mut peaks = [const { Vec::new() }; CONTENDERS.len()];
     for _ in 0..samples {
-        let (naive, naive_secs, naive_peak) = timed(|| naive_build(n));
-        let (buffered, buffered_secs, buffered_peak) = timed(|| buffered_builder(n, 1).finish());
-        let (parallel, parallel_secs, parallel_peak) =
-            timed(|| mpcbf_concurrent::build_parallel(buffered_builder(n, threads), threads));
-        assert_eq!(
-            naive.raw_words(),
-            buffered.raw_words(),
-            "buffered build diverged from naive at n={n}"
-        );
-        assert_eq!(
-            naive.raw_words(),
-            parallel.raw_words(),
-            "parallel build diverged from naive at n={n}"
-        );
-        assert_eq!(naive.items(), buffered.items());
-        assert_eq!(naive.overflows(), buffered.overflows());
-        // The sharded build is checked on its own, so free the plain
-        // ones first: its peak then holds no other filter.
-        drop((naive, buffered, parallel));
-        let mut runs = vec![
-            (naive_secs, naive_peak),
-            (buffered_secs, buffered_peak),
-            (parallel_secs, parallel_peak),
-        ];
-        if n <= SHARDED_MAX_N {
-            let (sharded, sharded_secs, sharded_peak) = timed(|| sharded_build(n, threads));
-            check_sharded(&sharded, n);
-            runs.push((sharded_secs, sharded_peak));
-        }
-        for (i, (t, peak)) in runs.into_iter().enumerate() {
-            secs[i].push(t);
-            peaks[i].extend(peak);
+        let mut naive_crc = None;
+        for (i, contender) in CONTENDERS.into_iter().enumerate() {
+            if contender == "sharded" && n > SHARDED_MAX_N {
+                continue;
+            }
+            let run = sample(contender, n, threads);
+            match contender {
+                "naive" => naive_crc = Some(run.crc),
+                "sharded" => {} // another layout, checked in its child
+                _ => assert_eq!(
+                    Some(run.crc),
+                    naive_crc,
+                    "{contender} build diverged from naive at n={n}"
+                ),
+            }
+            secs[i].push(run.secs);
+            peaks[i].extend(run.peak_rss_mib);
         }
     }
     let naive_secs = median(secs[0].clone());
@@ -268,12 +338,10 @@ fn row_field(line: &str, field: &str) -> Option<f64> {
 }
 
 /// Re-measures the gate rungs against the committed baseline, with the
-/// sample count the baseline recorded (peak RSS depends on what earlier
-/// samples left in the allocator, so the gate repeats the same
-/// sequence); returns whether every check passed.
+/// sample count the baseline recorded; returns whether every check
+/// passed.
 fn gate(json: &str, threads: usize, quiet: bool) -> bool {
     let mut ok = true;
-    let rss_measurable = rss::reset_peak_rss();
     let samples = baseline_row(json, GATE_N, "buffered")
         .and_then(|l| row_field(l, "samples"))
         .map_or(1, |s| s as usize);
@@ -297,8 +365,8 @@ fn gate(json: &str, threads: usize, quiet: bool) -> bool {
                 ok = false;
             }
         }
-        if !rss_measurable {
-            println!("gate: peak RSS not measurable here (no VmHWM reset); RSS check skipped");
+        if rows.iter().any(|r| r.peak_rss_mib.is_none()) {
+            println!("gate: peak RSS not measurable here (no VmHWM); RSS check skipped");
             continue;
         }
         for row in rows.iter().filter(|r| r.contender != "naive") {
@@ -328,6 +396,11 @@ fn gate(json: &str, threads: usize, quiet: bool) -> bool {
 }
 
 fn main() {
+    let argv: Vec<String> = std::env::args().collect();
+    if argv.get(1).map(String::as_str) == Some(CHILD) {
+        child(&argv[2..]);
+        return;
+    }
     let args = Args::parse();
     let threads = mpcbf_concurrent::default_threads();
     let committed = std::fs::read_to_string("BENCH_bulk.json").unwrap_or_default();

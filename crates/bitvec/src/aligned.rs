@@ -319,10 +319,10 @@ pub fn advise_huge_slice<T>(slice: &mut [T]) {
 /// slice stays valid and writable; its elements hold unspecified values
 /// afterwards (zeros on the private anonymous memory heap allocations
 /// live in, the old contents where the kernel declines), which is sound
-/// because every bit pattern is a valid `u32`. A page written again
+/// because every bit pattern is a valid byte. A page written again
 /// faults back in. Partial pages at either end are left alone, and this
 /// is a no-op off Linux/x86-64.
-pub fn release_pages(slice: &mut [u32]) {
+pub fn release_pages(slice: &mut [u8]) {
     let start = slice.as_mut_ptr() as usize;
     madvise_raw(start, start + core::mem::size_of_val(slice), MADV_DONTNEED);
 }
@@ -721,15 +721,15 @@ mod tests {
 
     #[test]
     fn released_pages_stay_usable() {
-        let mut buf = vec![0u32; 1 << 18];
+        let mut buf = vec![0u8; 1 << 20];
         buf.iter_mut()
             .enumerate()
-            .for_each(|(i, x)| *x = i as u32 | 1);
-        release_pages(&mut buf[1_000..200_000]);
+            .for_each(|(i, x)| *x = i as u8 | 1);
+        release_pages(&mut buf[1_000..800_000]);
         // Whatever the kernel did inside, the edges are untouched and
         // the whole slice can be written and read again.
-        assert_eq!(buf[999], 999 | 1);
-        assert_eq!(buf[200_000], 200_000 | 1);
+        assert_eq!(buf[999], 999u32 as u8 | 1);
+        assert_eq!(buf[800_000], 800_000u32 as u8 | 1);
         buf[5_000] = 42;
         assert_eq!(buf[5_000], 42);
         release_pages(&mut buf[..0]);

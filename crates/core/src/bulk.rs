@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! key ─hash─▶ entry ─▶ L1 bucket ─▶ L2 bucket ─▶ L3 region ─▶ sweep
-//!             (u64)     (hot, 32KB)   (2MB)        (u32 entries)
+//!             (u64)     (hot, 32KB)   (2MB)        (3–8 B entries)
 //! ```
 //!
 //! * **L1**: up to 64 buckets of 64 entries, indexed by the high bits of
@@ -17,32 +17,41 @@
 //! * **L2**: up to 64 coarser buckets of 4096 entries. A full L1 bucket
 //!   is spilled into its enclosing L2 bucket with one contiguous copy.
 //! * **L3**: one bucket per *region* (an aligned range of `2^s3` words,
-//!   `2^14` for the MPCBF-1 shape and at most `2^15`, so the region's
-//!   words occupy at most 256 KB and stay cache-resident during a
-//!   sweep), all striped through one flat lazily-faulted slab. A full L2
-//!   bucket is split-appended by region; a full region bucket is
-//!   **flushed** as one sweep over the region's words.
+//!   from `2^12` to `2^15` by shape, so the region's words occupy at most
+//!   256 KB and stay cache-resident during a sweep), all striped through
+//!   one flat lazily-faulted byte slab. A full L2 bucket is
+//!   split-appended by region; a full region bucket is **flushed** as
+//!   one sweep over the region's words.
 //!
 //! # Packed entries
 //!
-//! L1 and L2 entries carry the absolute target word: one `u64`
-//! `word ‖ slots`, or a `(word, slots)` pair of them when the slots fill
-//! most of a `u64`. An L3 bucket's region is implicit in the bucket, so
-//! its entries carry only the word's offset in the region,
-//! `(word − base) ‖ slots`, in 32-bit slab words. The region width is
-//! chosen per shape so that an entry fits:
+//! A slot index is below `b1`, so it takes `⌈log₂ b1⌉` bits (§III of the
+//! paper: a word's first level has `b1` slots). L1 and L2 entries carry
+//! the absolute target word: one `u64` `word ‖ slots`, or a
+//! `(word, slots)` pair of them when the slots fill most of a `u64`. An
+//! L3 bucket's region is implicit in the bucket, so its entries carry
+//! only the word's offset in the region, `(word − base) ‖ slots`, in the
+//! fewest whole bytes, three to eight, that hold the slots and an offset
+//! into a region of at least `2^12` words; the region is then the widest,
+//! up to `2^15` words, that those bytes leave room for:
 //!
-//! | staging | slots | region | slab per entry |
+//! | staging | slots | slab per entry | region |
 //! |---|---|---|---|
-//! | deferred, `k ≤ 2` | `6k` bits | `2^15` words | 4 B (one key) |
-//! | deferred, `k = 3` (MPCBF-1) | 18 bits | `2^14` words | 4 B (one key) |
-//! | deferred, `4 ≤ k ≤ 8` | `6k` bits | `2^15` words | 8 B (one key) |
-//! | admitted | 6 bits | `2^15` words | 4 B (one probe) |
+//! | deferred, `k = 3`, `8 < b1 ≤ 16` (MPCBF-1 at 16 bits/key) | 12 bits | 3 B (one key) | `2^12` words |
+//! | deferred, `k = 3`, `16 < b1 ≤ 32` | 15 bits | 4 B (one key) | `2^15` words |
+//! | deferred, `k = 3`, `b1 > 32` (the served shapes, `b1` = 43, 37) | 18 bits | 4 B (one key) | `2^14` words |
+//! | deferred, `k ≤ 2` | `≤ 12` bits | 3 B (one key) | `2^12`–`2^15` words |
+//! | deferred, `4 ≤ k ≤ 8` | `k⌈log₂ b1⌉` bits | 3–8 B (one key) | `2^12`–`2^15` words |
+//! | admitted | `⌈log₂ b1⌉ ≤ 6` bits | 3 B (one probe) | `2^15` words |
 //!
-//! A region is never wider than the array, so a small array may pack
-//! tighter (one slab word whenever `6k + ⌈log₂ l⌉ ≤ 32`). A deferred shape
-//! whose slots leave fewer than 12 offset bits even in two slab words
-//! (`k ≥ 9`, unless the whole array is that narrow) stages admitted
+//! The slab is one byte buffer, read and written as unaligned
+//! little-endian `u64`s masked to the entry width, so one code path
+//! serves every width. Each region bucket is followed by `8 − width` pad
+//! bytes: the 8-byte store of its last entry then ends in its own pad,
+//! not in the next bucket's first entries. A region is never wider than
+//! the array, so a small array may pack tighter. A deferred shape whose
+//! slots leave fewer than 12 offset bits even in eight bytes (`k ≥ 9` at
+//! six-bit slots, unless the whole array is that narrow) stages admitted
 //! instead.
 //!
 //! # Memory budget
@@ -54,9 +63,12 @@
 //! Poisson with variance `cμ`, so the bucket sits eight standard
 //! deviations above the mean: every region buckets *all* of its entries
 //! and sweeps once, onto still-empty words. The slab is then the staged
-//! entries plus a few percent — 4 B per key for the MPCBF-1 shape (see
-//! the table above). A bucket that overflows anyway (pushes past the
-//! hint) only flushes early: speed is lost, never exactness.
+//! entries plus a few percent — for MPCBF-1, 3 B per key at the CLI's
+//! default 16 bits/key (`b1 ≤ 16`) and 4 B above `b1 = 16` (see the
+//! table above). The 10 M-key build of 2.5 M words stages 611 regions of
+//! 17,472 three-byte entries, 30.5 MiB. A bucket that overflows anyway
+//! (pushes past the hint) only flushes early: speed is lost, never
+//! exactness.
 //!
 //! The slab and the word array are never fully resident together. The
 //! slab is zero-allocated, so a bucket's pages fault in as its entries
@@ -66,10 +78,10 @@
 //! touched by the sweep (or mid-stream flush) that builds them, and only
 //! the regions no key reached are filled at the end. So while the finish
 //! runs, slab pages leave as word pages arrive, and a build peaks at
-//! about `max(filter, staged entries)` — `max(l × 8 B, 4 B × keys)` for
-//! MPCBF-1 — plus the L1/L2 buckets (about 2 MB per stage, freed as soon
-//! as the finish has drained them) and one sweep scratch per thread,
-//! rather than the sum of the two.
+//! about `max(filter, staged entries)` — `max(l × 8 B, 3 B × keys)` for
+//! MPCBF-1 at 16 bits/key — plus the L1/L2 buckets (about 2 MB per
+//! stage, freed as soon as the finish has drained them) and one sweep
+//! scratch per thread, rather than the sum of the two.
 //!
 //! The sweep itself has two tiers. A region's *first* sweep lands on
 //! words nothing has written, so it skips incremental increments
@@ -170,11 +182,17 @@ const L2_CAP: usize = 4096;
 /// keeping the append streams long and TLB-friendly on huge builds.
 const L3_REGION_BITS: u32 = 15;
 
-/// The narrowest region a deferred entry may use (unless the whole
-/// array is narrower): below it the per-region bucket slack and the
-/// spill fan-out outweigh the halved entry, and the stage packs two
-/// slab words per entry instead.
+/// The narrowest region an entry may use (unless the whole array is
+/// narrower): below it the per-region bucket slack and the spill
+/// fan-out outweigh the saved byte, and the stage widens the entry
+/// instead.
 const L3_MIN_REGION_BITS: u32 = 12;
+
+/// Bounds on an L3 entry's width in bytes. The slab is read and written
+/// as unaligned little-endian `u64`s, so an entry is at most eight
+/// bytes; three already hold an admitted probe over the widest region.
+const ENTRY_MIN_BYTES: u32 = 3;
+const ENTRY_MAX_BYTES: u32 = 8;
 
 /// Fallback region-bucket density (staged entries per region word) when
 /// the caller gives no expected-key hint. [`BulkStage::with_expected`]
@@ -199,9 +217,6 @@ const L3_SIGMAS: f64 = 8.0;
 /// regions (few expected entries, large relative spread) stay covered.
 const L3_SLACK: u64 = 64;
 
-/// In-word slot indices are `< b1 ≤ 63`, so six bits pack one.
-const SLOT_BITS: u32 = 6;
-
 /// Staging counters (spill/flush activity; admission totals live on the
 /// built filter as `items()` / `overflows()`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -222,11 +237,15 @@ struct Packing {
     /// `Some(k)` in deferred mode, where an entry carries a whole key's
     /// `k` slots; `None` in admitted mode (one admitted probe per entry).
     deferred: Option<u32>,
-    /// Slot bits below an entry's word field: `6k` deferred, 6 admitted.
+    /// Bits of one in-word slot index: `⌈log₂ b1⌉`.
+    slot_width: u32,
+    /// Slot bits below an entry's word field: `k` slots deferred, one
+    /// admitted.
     slot_bits: u32,
-    /// Slab `u32`s per L3 entry and `u64`s per L1/L2 entry: 1, or 2
-    /// when a deferred key's slots crowd out the word field.
+    /// `u64`s per L1/L2 entry: 1, or 2 when `word ‖ slots` overflows one.
     stride: usize,
+    /// Bytes per L3 entry, `ENTRY_MIN_BYTES..=ENTRY_MAX_BYTES`.
+    width: usize,
     /// `log₂` of the region width (`s3`).
     region_bits: u32,
     b1: u32,
@@ -236,39 +255,79 @@ struct Packing {
 
 impl Packing {
     /// Deferred packing when `defer` is asked for, `g == 1` and a key's
-    /// entry fits one or two slab words over a region of at least
-    /// `2^L3_MIN_REGION_BITS` words (or the whole array); admitted
-    /// packing otherwise.
+    /// slots fit an entry of at most [`ENTRY_MAX_BYTES`] over a region of
+    /// at least `2^L3_MIN_REGION_BITS` words (or the whole array);
+    /// admitted packing otherwise. Either way the entry takes the fewest
+    /// whole bytes that hold its slots and such a region, and the region
+    /// is the widest those bytes leave room for.
     fn new(l: u64, k: u32, g: u32, b1: u32, defer: bool) -> Self {
         let wb = index_bits(l);
-        let admitted = Packing {
-            deferred: None,
-            slot_bits: SLOT_BITS,
-            stride: 1,
-            region_bits: wb.min(L3_REGION_BITS),
-            b1,
-            cap: 64 - b1,
+        let slot_width = index_bits(u64::from(b1));
+        // At least one offset bit, so no shift below spans a whole `u64`.
+        let floor = wb.clamp(1, L3_MIN_REGION_BITS);
+        let fit = |deferred: Option<u32>, slot_bits: u32| {
+            let bytes = (ENTRY_MIN_BYTES..=ENTRY_MAX_BYTES).find(|b| 8 * b >= slot_bits + floor)?;
+            Some(Packing {
+                deferred,
+                slot_width,
+                slot_bits,
+                stride: if slot_bits + wb < 64 { 1 } else { 2 },
+                width: bytes as usize,
+                region_bits: (8 * bytes - slot_bits).min(L3_REGION_BITS).min(wb),
+                b1,
+                cap: 64 - b1,
+            })
         };
-        if !defer || g != 1 {
-            return admitted;
-        }
-        for stride in [1, 2] {
-            let Some(free) = (32 * stride as u32).checked_sub(SLOT_BITS * k) else {
-                continue;
-            };
-            let region_bits = free.min(L3_REGION_BITS).min(wb);
-            if region_bits >= wb.min(L3_MIN_REGION_BITS) {
-                return Packing {
-                    deferred: Some(k),
-                    slot_bits: SLOT_BITS * k,
-                    stride,
-                    region_bits,
-                    ..admitted
-                };
-            }
-        }
-        admitted
+        let deferred = if defer && g == 1 {
+            fit(Some(k), slot_width * k)
+        } else {
+            None
+        };
+        deferred
+            .or_else(|| fit(None, slot_width))
+            .expect("one slot and the widest region fit the narrowest entry")
     }
+
+    /// Mask of one slot index within an entry.
+    fn slot_mask(&self) -> u64 {
+        (1 << self.slot_width) - 1
+    }
+
+    /// Mask of one entry's bytes within an 8-byte slab read.
+    fn entry_mask(&self) -> u64 {
+        u64::MAX >> (64 - 8 * self.width)
+    }
+
+    /// Zero bytes after each region bucket, so the 8-byte store of its
+    /// last entry ends inside the bucket's own allocation instead of in
+    /// the next bucket's first entries.
+    fn pad(&self) -> usize {
+        ENTRY_MAX_BYTES as usize - self.width
+    }
+
+    /// Slab bytes of a bucket holding `cap` entries, its pad included.
+    fn bucket_bytes(&self, cap: usize) -> usize {
+        cap * self.width + self.pad()
+    }
+}
+
+/// Stores `entry` at byte `at` of a slab bucket as one unaligned 8-byte
+/// write. The bytes past the entry's width are zeroed: they belong to
+/// later entries, not yet appended, or to the bucket's pad.
+#[inline(always)]
+fn put_entry(bucket: &mut [u8], at: usize, entry: u64) {
+    bucket[at..at + 8].copy_from_slice(&entry.to_le_bytes());
+}
+
+/// The first `len` entries of a slab bucket, `offset ‖ slots` each.
+#[inline(always)]
+fn entries(bucket: &[u8], len: usize, pack: Packing) -> impl Iterator<Item = u64> + '_ {
+    let mask = pack.entry_mask();
+    bucket
+        .windows(8)
+        .step_by(pack.width)
+        .take(len)
+        .map(move |w| u64::from_le_bytes(w.try_into().expect("8-byte window")) & mask)
 }
 
 /// The staging hierarchy over one word array: routes packed probe
@@ -297,17 +356,18 @@ pub struct BulkStage {
     l1_len: Vec<u8>,
     l2: Vec<u64>,
     l2_len: Vec<u16>,
-    /// One flat hugepage-advised slab holding every region bucket at a
-    /// fixed stride of `l3_cap` entries (bucket `r3` = entries
-    /// `[r3·l3_cap, r3·l3_cap + l3_len[r3])`, each `pack.stride` `u32`s).
-    /// Flat beats a vec-of-vecs twice over: the zeroed allocation is
-    /// faulted in lazily, and one `madvise(MADV_HUGEPAGE)` covers all the
-    /// tails — the random appends of the L2 split are exactly the access
-    /// pattern 4 KB pages punish with a TLB miss each. A plain `Vec`,
-    /// deliberately: `vec![0u32; n]` rides `calloc`'s untouched zero
-    /// pages, where a cache-aligned allocation would eagerly `memset`
-    /// the worst-case gigabytes (see [`advise_huge_slice`]).
-    l3: Vec<u32>,
+    /// One flat hugepage-advised byte slab holding every region bucket
+    /// at a fixed stride of `pack.bucket_bytes(l3_cap)` bytes: bucket
+    /// `r3` holds its `l3_len[r3]` entries of `pack.width` bytes each,
+    /// then its pad. Flat beats a vec-of-vecs twice over: the zeroed
+    /// allocation is faulted in lazily, and one `madvise(MADV_HUGEPAGE)`
+    /// covers all the tails — the random appends of the L2 split are
+    /// exactly the access pattern 4 KB pages punish with a TLB miss each.
+    /// A plain `Vec`, deliberately: `vec![0u8; n]` rides `calloc`'s
+    /// untouched zero pages, where a cache-aligned allocation would
+    /// eagerly `memset` the worst-case gigabytes (see
+    /// [`advise_huge_slice`]).
+    l3: Vec<u8>,
     l3_len: Vec<u32>,
     /// Bucket stride: the capacity of every full-width region.
     l3_cap: usize,
@@ -417,7 +477,8 @@ impl BulkStage {
             l2: vec![0; r2 * L2_CAP],
             l2_len: vec![0; r2],
             l3: {
-                let mut slab = vec![0u32; ((r3 - 1) * l3_cap + l3_last_cap) * pack.stride];
+                let bytes = (r3 - 1) * pack.bucket_bytes(l3_cap) + pack.bucket_bytes(l3_last_cap);
+                let mut slab = vec![0u8; bytes];
                 advise_huge_slice(&mut slab);
                 slab
             },
@@ -441,6 +502,12 @@ impl BulkStage {
     /// span one sweep covers.
     pub fn region_words(&self) -> u64 {
         1 << self.pack.region_bits
+    }
+
+    /// Bytes one staged entry takes in the region buckets (see *Packed
+    /// entries* in the module docs).
+    pub fn entry_bytes(&self) -> usize {
+        self.pack.width
     }
 
     /// Keys admitted so far. Exact only after the stage is drained
@@ -473,7 +540,7 @@ impl BulkStage {
             let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, u64::from(self.pack.b1));
             let mut slots = 0u64;
             for j in 0..self.k {
-                slots |= (inner.next_index() as u64) << (SLOT_BITS * j);
+                slots |= (inner.next_index() as u64) << (self.pack.slot_width * j);
             }
             self.route(word, slots);
             true
@@ -515,6 +582,7 @@ impl BulkStage {
         }
         self.stats.keys += digests.len() as u64;
         let b1 = u64::from(self.pack.b1);
+        let sw = self.pack.slot_width;
         if self.k == 3 {
             // Unrolled MPCBF-1 shape: three probe draws, no slot loop.
             for &digest in digests {
@@ -522,8 +590,8 @@ impl BulkStage {
                 let word = picker.next_index() as u64;
                 let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, b1);
                 let slots = (inner.next_index() as u64)
-                    | ((inner.next_index() as u64) << SLOT_BITS)
-                    | ((inner.next_index() as u64) << (2 * SLOT_BITS));
+                    | ((inner.next_index() as u64) << sw)
+                    | ((inner.next_index() as u64) << (2 * sw));
                 self.route(word, slots);
             }
         } else {
@@ -533,7 +601,7 @@ impl BulkStage {
                 let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, b1);
                 let mut slots = 0u64;
                 for j in 0..self.k {
-                    slots |= (inner.next_index() as u64) << (SLOT_BITS * j);
+                    slots |= (inner.next_index() as u64) << (sw * j);
                 }
                 self.route(word, slots);
             }
@@ -554,7 +622,7 @@ impl BulkStage {
         if self.is_deferred() {
             let mut packed = 0u64;
             for (j, &slot) in slots.iter().enumerate() {
-                packed |= u64::from(slot) << (SLOT_BITS * j as u32);
+                packed |= u64::from(slot) << (self.pack.slot_width * j as u32);
             }
             self.route(u64::from(plan_words[0]), packed);
             true
@@ -659,28 +727,21 @@ impl BulkStage {
             return;
         }
         self.stats.l2_spills += 1;
-        match self.pack.stride {
-            1 => self.split_l2::<1>(r2 * L2_CAP, n),
-            _ => self.split_l2::<2>(r2 * L2_CAP, n),
-        }
-        self.l2_len[r2] = 0;
-    }
-
-    /// [`BulkStage::spill_l2`] for `N`-`u64` L2 entries: re-packs each
-    /// as a region-relative `N`-`u32` L3 entry.
-    fn split_l2<const N: usize>(&mut self, start: usize, n: usize) {
         let Packing {
             slot_bits,
             region_bits,
+            stride,
             ..
         } = self.pack;
+        let low = slot_bits + region_bits;
+        let start = r2 * L2_CAP;
         let last = self.l3_len.len() - 1;
-        for i in (start..start + n).step_by(N) {
-            let (r3, entry) = if N == 1 {
+        for i in (start..start + n).step_by(stride) {
+            // Re-pack as a region-relative entry, `offset ‖ slots`.
+            let (r3, entry) = if stride == 1 {
                 // `word ‖ slots`: the region is the top of the word, and
                 // the region-relative entry is what lies below it.
                 let e = self.l2[i];
-                let low = slot_bits + region_bits;
                 ((e >> low) as usize, e & ((1 << low) - 1))
             } else {
                 let (word, slots) = (self.l2[i], self.l2[i + 1]);
@@ -691,12 +752,7 @@ impl BulkStage {
                 )
             };
             let len = self.l3_len[r3] as usize;
-            let at = (r3 * self.l3_cap + len) * N;
-            self.l3[at] = entry as u32;
-            if N == 2 {
-                self.l3[at + 1] = (entry >> 32) as u32;
-            }
-            self.l3_len[r3] = (len + 1) as u32;
+            self.put_l3(r3, len, entry);
             let cap = if r3 == last {
                 self.l3_last_cap
             } else {
@@ -706,6 +762,16 @@ impl BulkStage {
                 self.flush_region(r3);
             }
         }
+        self.l2_len[r2] = 0;
+    }
+
+    /// Writes `entry` as the `i`-th of region `r3`'s bucket and counts
+    /// it staged.
+    #[inline(always)]
+    fn put_l3(&mut self, r3: usize, i: usize, entry: u64) {
+        let at = r3 * self.pack.bucket_bytes(self.l3_cap) + i * self.pack.width;
+        put_entry(&mut self.l3, at, entry);
+        self.l3_len[r3] = (i + 1) as u32;
     }
 
     /// Applies region `r3`'s staged entries mid-stream as one
@@ -713,10 +779,10 @@ impl BulkStage {
     fn flush_region(&mut self, r3: usize) {
         let len = self.l3_len[r3] as usize;
         self.stats.flushes += 1;
-        let start = r3 * self.l3_cap * self.pack.stride;
-        let entries = &self.l3[start..start + len * self.pack.stride];
+        let start = r3 * self.pack.bucket_bytes(self.l3_cap);
         let (items, refused) = sweep(
-            entries,
+            &self.l3[start..],
+            len,
             &mut self.words.chunk_mut(r3),
             self.pack,
             &mut self.scratch,
@@ -769,7 +835,7 @@ impl BulkStage {
         let mut slab = self.l3.as_mut_slice();
         for (r3, region) in self.words.chunks_mut().enumerate() {
             let cap = if r3 == last { l3_last_cap } else { l3_cap };
-            let (bucket, rest) = std::mem::take(&mut slab).split_at_mut(cap * pack.stride);
+            let (bucket, rest) = std::mem::take(&mut slab).split_at_mut(pack.bucket_bytes(cap));
             slab = rest;
             let len = std::mem::take(&mut self.l3_len[r3]) as usize;
             if len == 0 {
@@ -804,8 +870,9 @@ impl BulkStage {
 /// run disjoint regions on scoped threads: owns the region's slab bucket
 /// and its chunk of the word array.
 pub struct RegionJob<'w> {
-    /// The region's whole bucket; its first `len` entries are staged.
-    bucket: &'w mut [u32],
+    /// The region's whole bucket, pad included; its first `len` entries
+    /// are staged.
+    bucket: &'w mut [u8],
     len: usize,
     region: LazyChunk<'w, HcbfWord<u64>>,
     pack: Packing,
@@ -836,8 +903,7 @@ impl RegionJob<'_> {
     /// executor draining many jobs on one thread allocates it once. The
     /// bucket's pages go back to the kernel as soon as the sweep is done.
     pub fn run_with(&mut self, scratch: &mut SweepScratch) {
-        let entries = &self.bucket[..self.len * self.pack.stride];
-        let (items, refused) = sweep(entries, &mut self.region, self.pack, scratch);
+        let (items, refused) = sweep(self.bucket, self.len, &mut self.region, self.pack, scratch);
         self.items += items;
         self.refused += refused;
         self.len = 0;
@@ -845,33 +911,23 @@ impl RegionJob<'_> {
     }
 }
 
-/// One region's sweep: direct word construction when the region was
-/// never swept (its words are not even written yet), the incremental
-/// walk otherwise. Returns the (items, refused) admission tally.
+/// One region's sweep over the first `len` entries of `bucket`: direct
+/// word construction when the region was never swept (its words are not
+/// even written yet), the incremental walk otherwise. Returns the
+/// (items, refused) admission tally.
 fn sweep(
-    entries: &[u32],
+    bucket: &[u8],
+    len: usize,
     region: &mut LazyChunk<'_, HcbfWord<u64>>,
     pack: Packing,
     scratch: &mut SweepScratch,
 ) -> (u64, u64) {
-    match (region.is_init(), pack.stride) {
-        (false, 1) => construct_entries::<1>(entries, region, pack, scratch),
-        (false, _) => construct_entries::<2>(entries, region, pack, scratch),
-        (true, 1) => apply_entries::<1>(entries, region.get_or_fill(), pack),
-        (true, _) => apply_entries::<2>(entries, region.get_or_fill(), pack),
+    let entries = entries(bucket, len, pack);
+    if region.is_init() {
+        apply_entries(entries, len, region.get_or_fill(), pack)
+    } else {
+        construct_entries(entries, region, pack, scratch)
     }
-}
-
-/// The region's entries, `N` slab words each, as `offset ‖ slots`.
-#[inline(always)]
-fn decoded<const N: usize>(entries: &[u32]) -> impl Iterator<Item = u64> + '_ {
-    entries.chunks_exact(N).map(|c| {
-        if N == 1 {
-            u64::from(c[0])
-        } else {
-            u64::from(c[0]) | (u64::from(c[1]) << 32)
-        }
-    })
 }
 
 /// Applies `entries` to their region in staged (arrival) order as one
@@ -886,14 +942,20 @@ fn decoded<const N: usize>(entries: &[u32]) -> impl Iterator<Item = u64> + '_ {
 /// overlap (sorting by word was measured slower — it puts same-word
 /// entries back to back, serialising their dependent hierarchy walks,
 /// and pays three extra passes over the entries to boot).
-fn apply_entries<const N: usize>(
-    entries: &[u32],
+fn apply_entries(
+    entries: impl Iterator<Item = u64>,
+    len: usize,
     region: &mut [HcbfWord<u64>],
     pack: Packing,
 ) -> (u64, u64) {
     let Packing {
-        slot_bits, b1, cap, ..
+        slot_width: sw,
+        slot_bits,
+        b1,
+        cap,
+        ..
     } = pack;
+    let mask = pack.slot_mask();
     let mut items = 0u64;
     let mut refused = 0u64;
     // Warm the region's cachelines with one linear pass before the
@@ -901,7 +963,7 @@ fn apply_entries<const N: usize>(
     // previous flush, and a bandwidth-bound stream beats ~one
     // latency-bound DRAM miss per line scattered through the sweep.
     // (One load per 64-byte line; `black_box` keeps the pass alive.)
-    if entries.len() / N >= region.len() / 4 {
+    if len >= region.len() / 4 {
         let mut warm = 0u64;
         for word in region.iter().step_by(8) {
             warm ^= u64::from(word.total_count());
@@ -913,7 +975,7 @@ fn apply_entries<const N: usize>(
         // unrolling it drops the per-slot loop counter and lets the
         // three dependent walks schedule as straight-line code.
         Some(3) => {
-            for e in decoded::<N>(entries) {
+            for e in entries {
                 let w = (e >> slot_bits) as usize;
                 // Work on a register-held copy: the `k` dependent walks
                 // then never round-trip through the store buffer.
@@ -922,18 +984,18 @@ fn apply_entries<const N: usize>(
                     refused += 1;
                     continue;
                 }
-                word.increment((e & 0x3f) as u32, b1)
+                word.increment((e & mask) as u32, b1)
                     .expect("capacity checked against the running total");
-                word.increment(((e >> SLOT_BITS) & 0x3f) as u32, b1)
+                word.increment(((e >> sw) & mask) as u32, b1)
                     .expect("capacity checked against the running total");
-                word.increment(((e >> (2 * SLOT_BITS)) & 0x3f) as u32, b1)
+                word.increment(((e >> (2 * sw)) & mask) as u32, b1)
                     .expect("capacity checked against the running total");
                 region[w] = word;
                 items += 1;
             }
         }
         Some(k) => {
-            for e in decoded::<N>(entries) {
+            for e in entries {
                 let w = (e >> slot_bits) as usize;
                 let mut word = region[w];
                 if word.total_count() + k > cap {
@@ -941,7 +1003,7 @@ fn apply_entries<const N: usize>(
                     continue;
                 }
                 for j in 0..k {
-                    let slot = ((e >> (SLOT_BITS * j)) & 0x3f) as u32;
+                    let slot = ((e >> (sw * j)) & mask) as u32;
                     word.increment(slot, b1)
                         .expect("capacity checked against the running total");
                 }
@@ -950,9 +1012,9 @@ fn apply_entries<const N: usize>(
             }
         }
         None => {
-            for e in decoded::<N>(entries) {
+            for e in entries {
                 let w = (e >> slot_bits) as usize;
-                let slot = (e & 0x3f) as u32;
+                let slot = (e & mask) as u32;
                 region[w]
                     .increment(slot, b1)
                     .expect("entry was admitted at push time");
@@ -963,9 +1025,10 @@ fn apply_entries<const N: usize>(
 }
 
 /// Reusable per-thread scratch for `construct_entries`: slot histograms
-/// for every word of one region — 64 B of counts per word, so 1 MiB at
-/// the `2^14`-word region of the MPCBF-1 shape and 2 MiB at the widest,
-/// `2^15` words; cache-resident through a sweep. Kept all-zero between
+/// for every word of one region — 64 B of counts per word (73 B with
+/// the totals and masks), so 0.3 MiB at the `2^12`-word regions of
+/// MPCBF-1 at 16 bits/key, 1.2 MiB at `2^14` words and 2.3 MiB at the
+/// widest, `2^15`; cache-resident through a sweep. Kept all-zero between
 /// sweeps: the serialisation pass re-zeroes exactly the rows it
 /// consumed, so reuse costs nothing. Executors allocate one per thread.
 #[derive(Default)]
@@ -1015,15 +1078,20 @@ impl SweepScratch {
 /// resident scratch lines per key instead of executing ~`k` serial
 /// 20-to-40-cycle rank walks, and the region's words are *written once,
 /// sequentially* — never read, never warmed, never filled beforehand.
-fn construct_entries<const N: usize>(
-    entries: &[u32],
+fn construct_entries(
+    entries: impl Iterator<Item = u64>,
     region: &mut LazyChunk<'_, HcbfWord<u64>>,
     pack: Packing,
     scratch: &mut SweepScratch,
 ) -> (u64, u64) {
     let Packing {
-        slot_bits, b1, cap, ..
+        slot_width: sw,
+        slot_bits,
+        b1,
+        cap,
+        ..
     } = pack;
+    let slot = pack.slot_mask();
     scratch.ensure(region.len());
     let SweepScratch {
         totals,
@@ -1035,7 +1103,7 @@ fn construct_entries<const N: usize>(
     match pack.deferred {
         // The unrolled MPCBF-1 shape, mirroring `apply_entries`.
         Some(3) => {
-            for e in decoded::<N>(entries) {
+            for e in entries {
                 let w = (e >> slot_bits) as usize;
                 let t = u32::from(totals[w]);
                 if t + 3 > cap {
@@ -1045,9 +1113,9 @@ fn construct_entries<const N: usize>(
                 totals[w] = (t + 3) as u8;
                 items += 1;
                 let (s0, s1, s2) = (
-                    (e & 0x3f) as usize,
-                    ((e >> SLOT_BITS) & 0x3f) as usize,
-                    ((e >> (2 * SLOT_BITS)) & 0x3f) as usize,
+                    (e & slot) as usize,
+                    ((e >> sw) & slot) as usize,
+                    ((e >> (2 * sw)) & slot) as usize,
                 );
                 let row = w * 64;
                 counts[row + s0] += 1;
@@ -1057,7 +1125,7 @@ fn construct_entries<const N: usize>(
             }
         }
         Some(k) => {
-            for e in decoded::<N>(entries) {
+            for e in entries {
                 let w = (e >> slot_bits) as usize;
                 let t = u32::from(totals[w]);
                 if t + k > cap {
@@ -1068,7 +1136,7 @@ fn construct_entries<const N: usize>(
                 items += 1;
                 let row = w * 64;
                 for j in 0..k {
-                    let s = ((e >> (SLOT_BITS * j)) & 0x3f) as usize;
+                    let s = ((e >> (sw * j)) & slot) as usize;
                     counts[row + s] += 1;
                     mask[w] |= 1 << s;
                 }
@@ -1076,9 +1144,9 @@ fn construct_entries<const N: usize>(
         }
         // Admitted mode: one pre-admitted probe per entry, no tally.
         None => {
-            for e in decoded::<N>(entries) {
+            for e in entries {
                 let w = (e >> slot_bits) as usize;
-                let s = (e & 0x3f) as usize;
+                let s = (e & slot) as usize;
                 counts[w * 64 + s] += 1;
                 mask[w] |= 1 << s;
             }
@@ -1422,29 +1490,25 @@ mod tests {
         x ^ (x >> 31)
     }
 
-    /// One region's entries for `pack`, slab words as staged:
-    /// `offset ‖ slots`, split into `pack.stride` `u32`s.
-    fn encode(entries: &[(u64, u64)], pack: Packing) -> Vec<u32> {
-        let mut slab = Vec::new();
-        for &(offset, slots) in entries {
+    /// One region's bucket for `pack`, as staged: `offset ‖ slots`
+    /// entries of `pack.width` bytes, then the pad.
+    fn encode(entries: &[(u64, u64)], pack: Packing) -> Vec<u8> {
+        let mut bucket = vec![0; pack.bucket_bytes(entries.len())];
+        for (i, &(offset, slots)) in entries.iter().enumerate() {
             let e = (offset << pack.slot_bits) | slots;
-            assert!(
-                pack.stride == 2 || e >> 32 == 0,
-                "entry overflows its slab word"
-            );
-            slab.push(e as u32);
-            if pack.stride == 2 {
-                slab.push((e >> 32) as u32);
-            }
+            assert_eq!(e & pack.entry_mask(), e, "entry overflows its bytes");
+            put_entry(&mut bucket, i * pack.width, e);
         }
-        slab
+        bucket
     }
 
-    /// Sweeps `slab` over a fresh `rw`-word region — constructed — and
-    /// over an already-filled one — walked; returns both results.
+    /// Sweeps `len` entries of `bucket` over a fresh `rw`-word region —
+    /// constructed — and over an already-filled one — walked; returns
+    /// both results.
     #[allow(clippy::type_complexity)]
     fn construct_and_walk(
-        slab: &[u32],
+        bucket: &[u8],
+        len: usize,
         rw: usize,
         pack: Packing,
         scratch: &mut SweepScratch,
@@ -1453,11 +1517,11 @@ mod tests {
         (u64, u64, Vec<HcbfWord<u64>>),
     ) {
         let mut fresh = LazyVec::new(rw, rw, HcbfWord::new());
-        let (ci, cr) = sweep(slab, &mut fresh.chunk_mut(0), pack, scratch);
+        let (ci, cr) = sweep(bucket, len, &mut fresh.chunk_mut(0), pack, scratch);
         let mut filled = LazyVec::new(rw, rw, HcbfWord::new());
         let mut chunk = filled.chunk_mut(0);
         chunk.get_or_fill();
-        let (wi, wr) = sweep(slab, &mut chunk, pack, scratch);
+        let (wi, wr) = sweep(bucket, len, &mut chunk, pack, scratch);
         (
             (ci, cr, fresh.into_filled().to_vec()),
             (wi, wr, filled.into_filled().to_vec()),
@@ -1468,40 +1532,48 @@ mod tests {
     fn construct_matches_walk_on_fresh_regions() {
         // Differential: on a never-swept region, the histogram
         // construction must emit bit-identical words and tallies to the
-        // incremental walk, including under overflow pressure — in one
-        // slab word per entry and in two.
+        // incremental walk, including under overflow pressure — at every
+        // entry width from the narrowest that holds the shape to eight
+        // bytes.
         for (k, b1, rw, n) in [
             (3u32, 55u32, 64usize, 2_000usize),
+            (3, 16, 32, 1_200),
             (4, 40, 16, 1_500),
             (1, 60, 8, 400),
+            (8, 2, 4, 300),
         ] {
+            let sw = index_bits(u64::from(b1));
             let keys: Vec<(u64, u64)> = (0..n)
                 .map(|i| {
                     let r = mix(i as u64 ^ u64::from(k) << 32);
                     let mut slots = 0;
                     for j in 0..k {
-                        slots |= ((r >> (8 + 6 * j)) % u64::from(b1)) << (SLOT_BITS * j);
+                        slots |= ((r >> (8 + 6 * j)) % u64::from(b1)) << (sw * j);
                     }
                     (r % rw as u64, slots)
                 })
                 .collect();
-            for stride in [1, 2] {
+            let region_bits = index_bits(rw as u64);
+            let narrowest = (k * sw + region_bits).div_ceil(8).max(ENTRY_MIN_BYTES);
+            for width in narrowest..=ENTRY_MAX_BYTES {
                 let pack = Packing {
                     deferred: Some(k),
-                    slot_bits: SLOT_BITS * k,
-                    stride,
-                    region_bits: index_bits(rw as u64),
+                    slot_width: sw,
+                    slot_bits: sw * k,
+                    stride: 1,
+                    width: width as usize,
+                    region_bits,
                     b1,
                     cap: 64 - b1,
                 };
-                let slab = encode(&keys, pack);
+                let bucket = encode(&keys, pack);
                 let mut scratch = SweepScratch::new();
-                let (built, walked) = construct_and_walk(&slab, rw, pack, &mut scratch);
-                assert_eq!(built, walked, "diverged (k={k}, b1={b1}, stride={stride})");
+                let (built, walked) = construct_and_walk(&bucket, n, rw, pack, &mut scratch);
+                assert_eq!(built, walked, "diverged (k={k}, b1={b1}, width={width})");
                 // Scratch self-cleans: a second, different sweep through
                 // the same scratch must stay exact.
                 let half = encode(&keys[..n / 2], pack);
-                let (built, walked) = construct_and_walk(&half, rw, pack, &mut scratch);
+                let (built, walked) = construct_and_walk(&half, n / 2, rw, pack, &mut scratch);
                 assert_eq!(built, walked, "reused scratch diverged (k={k}, b1={b1})");
             }
         }
@@ -1526,8 +1598,10 @@ mod tests {
         }
         let pack = Packing::new(rw as u64, 3, 2, b1, true);
         assert!(pack.deferred.is_none());
-        let slab = encode(&probes, pack);
-        let (built, walked) = construct_and_walk(&slab, rw, pack, &mut SweepScratch::new());
+        assert_eq!(pack.width, 3);
+        let bucket = encode(&probes, pack);
+        let (built, walked) =
+            construct_and_walk(&bucket, probes.len(), rw, pack, &mut SweepScratch::new());
         assert_eq!(built, walked);
     }
 
@@ -1569,71 +1643,155 @@ mod tests {
 
     #[test]
     fn hinted_slab_holds_the_expected_entries_plus_a_tenth() {
-        // Deferred (one entry per key) on whole regions, two-word
-        // deferred (one entry of two slab words per key), and admitted
+        // Deferred (one entry per key) on whole regions — 4 bytes at
+        // b1 = 50, 3 at b1 = 16 (four keys a word, the CLI's 16 bits per
+        // key) — six-byte deferred (k = 5), and admitted
         // (k entries per key, clusters of two) with a narrow last region.
-        for (l, k, g, expected) in [
-            (1u64 << 18, 3u32, 1u32, 209_715u64),
-            (1 << 18, 5, 1, 150_000),
-            ((1 << 18) + 12_345, 4, 2, 70_000),
+        for (l, k, g, b1, expected, width) in [
+            (1u64 << 18, 3u32, 1u32, 50u32, 209_715u64, 4usize),
+            (1 << 18, 3, 1, 16, 1 << 20, 3),
+            (1 << 18, 5, 1, 50, 150_000, 6),
+            ((1 << 18) + 12_345, 4, 2, 50, 70_000, 3),
         ] {
-            let stage = BulkStage::with_expected(l, k, g, 50, expected);
+            let stage = BulkStage::with_expected(l, k, g, b1, expected);
+            assert_eq!(stage.entry_bytes(), width, "l={l} k={k} g={g} b1={b1}");
             let entries = if stage.is_deferred() {
                 expected
             } else {
                 expected * u64::from(k)
             };
-            let staged = (stage.l3.len() / stage.pack.stride) as f64;
+            let bytes = stage.l3.len() as f64;
             let regions = stage.l3_len.len() as f64;
-            let bound = 1.1 * entries as f64 + 64.0 * regions;
+            let (width, pad) = (width as f64, stage.pack.pad() as f64);
+            let bound = width * (1.1 * entries as f64 + 64.0 * regions) + pad * regions;
             assert!(
-                staged <= bound,
-                "slab {staged} entries over {bound:.0} (l={l}, k={k}, g={g})"
+                bytes <= bound,
+                "slab {bytes} B over {bound:.0} B (l={l}, k={k}, g={g}, b1={b1})"
             );
-            assert!(staged as u64 >= entries, "slab below the hint");
+            assert!(bytes >= width * entries as f64, "slab below the hint");
         }
     }
 
     #[test]
     fn no_shape_stages_more_bytes_than_a_u64_per_entry() {
-        // The packing never stages more than the one-`u64`-per-entry
+        // The packing never stages more bytes than the one-`u64`-per-entry
         // layout it replaced (deferred iff `6k + ⌈log₂ l⌉ ≤ 64`, else one
-        // entry per probe), and every entry fits its slab words.
+        // entry per probe), every entry fits its bytes, and no narrower
+        // entry would hold the slots over a region of the minimum width.
         for l in [2u64, 100, 256, 257, 1_024, 1_025, 1 << 14, 1 << 20, 1 << 32] {
             let wb = index_bits(l);
-            for k in 1..=12u32 {
-                for g in 1..=k.min(8) {
-                    let pack = Packing::new(l, k, g, 50, true);
-                    let was_deferred = g == 1 && SLOT_BITS * k + wb <= 64;
-                    let bytes = match pack.deferred {
-                        Some(_) => 4 * pack.stride as u32,
-                        None => 4 * k,
-                    };
-                    let before = if was_deferred { 8 } else { 8 * k };
-                    assert!(bytes <= before, "l={l} k={k} g={g}: {bytes} B > {before} B");
-                    assert!(pack.slot_bits + pack.region_bits <= 32 * pack.stride as u32);
-                    assert!(pack.region_bits <= L3_REGION_BITS.min(wb));
-                    if was_deferred {
-                        assert!(pack.deferred.is_some(), "l={l} k={k} lost deferred mode");
+            for b1 in [2u32, 16, 17, 33, 50, 63] {
+                for k in 1..=12u32 {
+                    for g in 1..=k.min(8) {
+                        let pack = Packing::new(l, k, g, b1, true);
+                        let at = format!("l={l} b1={b1} k={k} g={g}");
+                        let was_deferred = g == 1 && 6 * k + wb <= 64;
+                        let width = pack.width as u32;
+                        let bytes = match pack.deferred {
+                            Some(_) => width,
+                            None => width * k,
+                        };
+                        let before = if was_deferred { 8 } else { 8 * k };
+                        assert!(bytes <= before, "{at}: {bytes} B > {before} B");
+                        assert!((ENTRY_MIN_BYTES..=ENTRY_MAX_BYTES).contains(&width), "{at}");
+                        assert!(pack.slot_bits + pack.region_bits <= 8 * width, "{at}");
+                        // Stride-1 L2 entries split at `slot_bits + region_bits`.
+                        assert!(pack.slot_bits + wb < 64 || pack.stride == 2, "{at}");
+                        assert!(pack.region_bits <= L3_REGION_BITS.min(wb), "{at}");
+                        assert!(pack.region_bits >= L3_MIN_REGION_BITS.min(wb), "{at}");
+                        let floor = wb.clamp(1, L3_MIN_REGION_BITS);
+                        assert!(
+                            width == ENTRY_MIN_BYTES || 8 * (width - 1) < pack.slot_bits + floor,
+                            "{at}: a narrower entry fits"
+                        );
+                        if was_deferred {
+                            assert!(pack.deferred.is_some(), "{at}: lost deferred mode");
+                        }
                     }
                 }
             }
         }
+        // The fixed cases: `(k, g, b1, defer)` → (entry bytes, region bits).
         let wide = 1 << 20;
-        assert_eq!(Packing::new(wide, 3, 1, 50, true).region_bits, 14);
-        assert_eq!(Packing::new(wide, 3, 1, 50, true).stride, 1);
-        assert_eq!(Packing::new(wide, 2, 1, 50, true).region_bits, 15);
-        assert_eq!(Packing::new(wide, 6, 1, 50, true).stride, 2);
-        assert_eq!(Packing::new(wide, 3, 1, 50, false).region_bits, 15);
-        assert_eq!(Packing::new(wide, 6, 2, 50, true).stride, 1);
+        for (k, g, b1, defer, width, region_bits) in [
+            // MPCBF-1 at the CLI's 16 bits/key (b1 ≤ 16) and on the served
+            // shapes (b1 = 43, 37).
+            (3u32, 1u32, 16u32, true, 3usize, 12u32),
+            (3, 1, 4, true, 3, 15),
+            (3, 1, 50, true, 4, 14),
+            (3, 1, 43, true, 4, 14),
+            // k = 2 packs 12 slot bits: 3 bytes over 2^12 words.
+            (2, 1, 50, true, 3, 12),
+            // Deferred k = 4..8: 5 to 8 bytes at b1 > 32, k = 6 in six.
+            (4, 1, 50, true, 5, 15),
+            (6, 1, 50, true, 6, 12),
+            (7, 1, 50, true, 7, 14),
+            (8, 1, 50, true, 8, 15),
+            (8, 1, 32, true, 7, 15),
+            // Admitted: one slot over the widest region in 3 bytes.
+            (3, 1, 50, false, 3, 15),
+            (6, 2, 50, true, 3, 15),
+        ] {
+            let pack = Packing::new(wide, k, g, b1, defer);
+            assert_eq!(
+                (pack.width, pack.region_bits),
+                (width, region_bits),
+                "k={k} g={g} b1={b1} defer={defer}"
+            );
+        }
+    }
+
+    #[test]
+    fn adjacent_full_buckets_keep_their_edge_entries() {
+        // At every entry width, fill region 1's bucket to capacity, then
+        // region 0's, and read back the last entry of the first bucket
+        // and the first entry of the second. The first bucket's last
+        // 8-byte store reaches past its entries: only the pad keeps it
+        // off the second bucket's.
+        for (k, b1, width) in [
+            (3u32, 16u32, 3usize),
+            (3, 50, 4),
+            (4, 50, 5),
+            (5, 50, 6),
+            (7, 50, 7),
+            (8, 50, 8),
+        ] {
+            let mut stage = BulkStage::with_expected(1 << 17, k, 1, b1, 1 << 10);
+            assert_eq!(stage.entry_bytes(), width, "k={k} b1={b1}");
+            assert!(
+                stage.l3_len.len() > 2,
+                "test premise: a full-width second region"
+            );
+            let (pack, cap) = (stage.pack, stage.l3_cap);
+            // High bytes all ones, low bits unique per entry.
+            let value = |r3: usize, i: usize| pack.entry_mask() ^ (r3 * cap + i) as u64;
+            for r3 in [1, 0] {
+                for i in 0..cap {
+                    stage.put_l3(r3, i, value(r3, i));
+                }
+            }
+            let bucket = |r3: usize| &stage.l3[r3 * pack.bucket_bytes(cap)..];
+            let last = entries(bucket(0), cap, pack).last();
+            let first = entries(bucket(1), 1, pack).next();
+            assert_eq!(last, Some(value(0, cap - 1)), "width {width}");
+            assert_eq!(first, Some(value(1, 0)), "width {width}");
+            for r3 in [0, 1] {
+                let expected = (0..cap).map(|i| value(r3, i));
+                assert!(entries(bucket(r3), cap, pack).eq(expected), "width {width}");
+            }
+        }
     }
 
     #[test]
     fn unhinted_stage_keeps_the_minimum_density() {
-        let stage = BulkStage::new(1 << 16, 3, 1, 50);
-        assert_eq!(stage.l3.len() as u64, L3_MIN_DENSITY << 16);
-        let stage = BulkStage::admitted(1 << 16, 3, 1, 50);
-        assert_eq!(stage.l3.len() as u64, L3_MIN_DENSITY << 16);
+        for stage in [
+            BulkStage::new(1 << 16, 3, 1, 50),
+            BulkStage::admitted(1 << 16, 3, 1, 50),
+        ] {
+            let pads = stage.l3_len.len() * stage.pack.pad();
+            let entries = (stage.l3.len() - pads) / stage.pack.width;
+            assert_eq!(entries as u64, L3_MIN_DENSITY << 16);
+        }
     }
 
     #[test]

@@ -795,6 +795,12 @@ impl<H: Hasher128> Cbf<H> {
             .ok_or(CodecError::BadHeader("counter geometry"))?
             .div_ceil(64);
         let limbs = r.limbs(limb_count)?;
+        // The bits past the last counter are never written: set ones are
+        // damage, the same that [`Cbf::verify`] reports.
+        let used = len * width as usize - (limb_count - 1) * 64;
+        if used < 64 && limbs[limb_count - 1] >> used != 0 {
+            return Err(CodecError::BadHeader("counter padding"));
+        }
         Ok(Self::from_raw_parts(
             limbs,
             len,
@@ -1621,6 +1627,29 @@ mod tests {
         w.u64(0); // saturations
         let image = w.finish();
         assert!(Cbf::<Murmur3>::decode(&image).is_err());
+    }
+
+    #[test]
+    fn cbf_with_set_padding_bits_is_refused() {
+        // 100 four-bit counters fill 6¼ limbs; a sealed image whose last
+        // limb sets a bit past them decodes only up to that check.
+        let image = |last: u64| {
+            let mut w = Writer::new(KIND_CBF);
+            w.u64(100); // len
+            w.u32(4); // width
+            w.u32(3); // k
+            w.u64(1); // seed
+            w.u32(64); // word_bits
+            w.u64(0); // items
+            w.u64(0); // saturations
+            w.limbs([0, 0, 0, 0, 0, 0, last]);
+            w.finish()
+        };
+        assert!(Cbf::<Murmur3>::decode(&image(0xffff)).is_ok());
+        assert_eq!(
+            Cbf::<Murmur3>::decode(&image(1 << 16)).err(),
+            Some(CodecError::BadHeader("counter padding"))
+        );
     }
 
     fn loaded_elastic() -> ElasticMpcbf<Murmur3> {

@@ -29,7 +29,11 @@ pub struct RecoveryReport {
     /// Total WAL bytes removed by repairs.
     pub bytes_truncated: u64,
     /// Whether the post-replay integrity check, the structural check of
-    /// every shard, came back clean.
+    /// every shard that replayed at least one record, came back clean. A
+    /// shard that replayed none is not checked again and counts as
+    /// clean: its words are the snapshot's, each checked by the decoder
+    /// as it was loaded (a snapshot with a word that fails the check is
+    /// refused as corrupt), or a fresh pool's.
     pub scrub_clean: bool,
     /// Highest sequence number in the recovered state.
     pub last_seq: u64,
@@ -40,7 +44,8 @@ pub struct RecoveryReport {
     /// slowest shard's, as shards recover in parallel.
     pub replay: Duration,
     /// Wall time of the post-replay integrity check: the slowest
-    /// shard's, each run on its shard's replay thread after its replay.
+    /// shard's, each run on its shard's replay thread after its replay;
+    /// zero for a shard that replayed no record (see `scrub_clean`).
     pub verify: Duration,
 }
 

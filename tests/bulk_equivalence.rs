@@ -19,6 +19,7 @@ use mpcbf::durability::{DurabilityOptions, DurableSharded};
 use mpcbf::hash::{Hasher128, Murmur3};
 use mpcbf::workloads::BulkKeys;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn config(memory_bits: u64, items: u64, k: u32, g: u32, seed: u64) -> MpcbfConfig {
     MpcbfConfig::builder()
@@ -214,34 +215,56 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Every packing the stage can choose, bit for bit against the
-    /// scalar loop: one-word deferred (`k ≤ 3`), two-word deferred
-    /// (`4 ≤ k ≤ 8`), and admitted (`g ≥ 2`). The narrow array (700
-    /// words) is overfull, so refusals decide as much as admissions; the
-    /// wide one (2^14 + 5003 words) spans two or more regions with a
-    /// narrower last one.
+    /// scalar loop, over a `(k, b1, g)` grid: each `1 ≤ g ≤ k ≤ 8` at
+    /// three `n_max`, so `b1` runs from 63 (six-bit slots) down to as few
+    /// as `⌈k/g⌉` (one-bit slots, none at `b1 = 1`). That reaches every
+    /// entry width the stage picks: deferred (`g = 1`) in 3 to 8 bytes,
+    /// admitted (`g ≥ 2`) in 3. The narrow array (700 words) is overfull
+    /// at `n_max = 1`, where every width refuses keys, so refusals
+    /// depend on arrival order; the wide one (2^14 + 5003 words) spans
+    /// two or more regions with a narrower last one.
     #[test]
     fn every_small_shape_bulk_equals_sequential(
         seed in 1u64..1000,
-        n_max in 1u32..5,
         wide in any::<bool>(),
     ) {
         let (words, n) = if wide { ((1u64 << 14) + 5_003, 3_000) } else { (700, 1_500) };
         let stream = keys(seed, n, 3, 11);
+        let mut seen = BTreeSet::new();
+        let mut refusing = BTreeSet::new();
         for k in 1..=8u32 {
             for g in 1..=k {
-                let cfg = shaped(64 * words, n, k, g, n_max, seed);
-                let mut naive: Mpcbf<u64, Murmur3> = Mpcbf::new(cfg);
-                for key in &stream {
-                    let _ = naive.insert_bytes(key);
+                let per_word = k.div_ceil(g);
+                let mut n_maxes = vec![1, 32 / per_word, (64 - per_word) / per_word];
+                n_maxes.dedup();
+                for n_max in n_maxes {
+                    let at = format!("k={k} g={g} n_max={n_max}");
+                    let cfg = shaped(64 * words, n, k, g, n_max, seed);
+                    let shape = cfg.shape();
+                    let width = BulkStage::with_expected(shape.l, k, g, shape.b1, n).entry_bytes();
+                    let mut naive: Mpcbf<u64, Murmur3> = Mpcbf::new(cfg);
+                    for key in &stream {
+                        let _ = naive.insert_bytes(key);
+                    }
+                    let mut builder: BulkBuilder<Murmur3> = BulkBuilder::new(cfg);
+                    prop_assert_eq!(builder.is_deferred(), g == 1, "{}", at);
+                    ingest(&mut builder, 1, |feed| stream.iter().for_each(|k| feed.push(k)));
+                    let bulk = builder.finish();
+                    prop_assert_eq!(naive.raw_words(), bulk.raw_words(), "{}", at);
+                    prop_assert_eq!(naive.items(), bulk.items(), "{}", at);
+                    prop_assert_eq!(naive.overflows(), bulk.overflows(), "{}", at);
+                    seen.insert((g == 1, width));
+                    if bulk.overflows() > 0 {
+                        refusing.insert((g == 1, width));
+                    }
                 }
-                let mut builder: BulkBuilder<Murmur3> = BulkBuilder::new(cfg);
-                prop_assert_eq!(builder.is_deferred(), g == 1, "k={} g={}", k, g);
-                ingest(&mut builder, 1, |feed| stream.iter().for_each(|k| feed.push(k)));
-                let bulk = builder.finish();
-                prop_assert_eq!(naive.raw_words(), bulk.raw_words(), "k={} g={}", k, g);
-                prop_assert_eq!(naive.items(), bulk.items(), "k={} g={}", k, g);
-                prop_assert_eq!(naive.overflows(), bulk.overflows(), "k={} g={}", k, g);
             }
+        }
+        let every: BTreeSet<(bool, usize)> =
+            (3..=8).map(|w| (true, w)).chain([(false, 3)]).collect();
+        prop_assert_eq!(&seen, &every, "entry widths reached");
+        if !wide {
+            prop_assert_eq!(&refusing, &every, "entry widths that refused keys");
         }
     }
 }
