@@ -90,7 +90,7 @@ fn pool(items: u64) -> ShardedMpcbf<u64, Murmur3> {
 fn throughput(policy: FsyncPolicy, ops: u64) -> ThroughputRow {
     let dir = scratch_dir(&policy.name());
     let opts = DurabilityOptions::new(&dir).fsync(policy);
-    let mut durable = DurableSharded::create(pool(ops), opts).expect("create");
+    let durable = DurableSharded::create(pool(ops), opts).expect("create");
     let start = Instant::now();
     for i in 0..ops {
         let _ = durable.insert_bytes(&i.to_le_bytes());
@@ -110,7 +110,7 @@ fn recovery(wal_records: u64) -> RecoveryRow {
     let dir = scratch_dir(&format!("recover-{wal_records}"));
     // Relaxed fsync keeps setup fast; the final sync makes it all durable.
     let opts = DurabilityOptions::new(&dir).fsync(FsyncPolicy::EveryN(1024));
-    let mut durable = DurableSharded::create(pool(wal_records), opts).expect("create");
+    let durable = DurableSharded::create(pool(wal_records), opts).expect("create");
     for i in 0..wal_records {
         let _ = durable.insert_bytes(&i.to_le_bytes());
     }

@@ -1,4 +1,4 @@
-//! Filter-server soak: concurrent clients, a kill −9 drill, and the
+//! Filter-server soak: graceful restarts and kill −9 drills, the
 //! ack⟹durable contract checked end to end over a real process.
 //!
 //! ```text
@@ -7,25 +7,29 @@
 //! cargo run --release -p mpcbf-bench --bin bench_server -- --scale 10
 //! ```
 //!
-//! Emits `BENCH_server.json` (consumed by the CI server job) with two
+//! Emits `BENCH_server.json` (consumed by the CI server job) with three
 //! sections:
 //!
-//! * `throughput` — four client threads drive the paper's workload mix
-//!   (batched inserts, 80 %-member queries, churn removals) against a
+//! * `graceful_restart` — four client threads drive the paper's workload
+//!   mix (batched inserts, 80 %-member queries, churn removals) against a
 //!   live `mpcbf serve` child per fsync policy; the server is stopped
 //!   gracefully, restarted, and every acknowledged surviving key must
 //!   still answer present (a clean stop loses nothing even under
-//!   relaxed fsync);
+//!   relaxed fsync). Served throughput and latency are the repository
+//!   benchmark's `client.*` metrics, not this soak's;
 //! * `kill_drill` — under `Always` fsync the child is SIGKILLed
 //!   mid-stream; after `open_or_recover` (driven by a fresh `serve`),
-//!   zero false negatives on acknowledged keys and a clean scrub.
+//!   zero false negatives on acknowledged keys and a clean scrub;
+//! * `elastic_kill_drill` — the same against `mpcbf serve --elastic`
+//!   with the soak's `--items` divided by 16, killed only once `STATS`
+//!   reports a scale-up, so the kill lands while shards reorganise.
 //!
 //! The child binary is located next to this executable (or via
 //! `MPCBF_SERVER_BIN`); per-client key streams are pinned to
 //! `DRILL_SEEDS` so runs are reproducible.
 
 use mpcbf_bench::Args;
-use mpcbf_server::Client;
+use mpcbf_server::{Client, ClientError};
 use mpcbf_workloads::DRILL_SEEDS;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read};
@@ -33,6 +37,16 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+/// `STATS` counters are flat JSON numbers: reads `"name":N`.
+fn stat(json: &str, name: &str) -> Option<u64> {
+    json.split(&format!("\"{name}\":"))
+        .nth(1)?
+        .split([',', '}'])
+        .next()?
+        .parse()
+        .ok()
+}
 
 const CLIENTS: usize = 4;
 const BATCH: usize = 100;
@@ -61,9 +75,9 @@ fn server_bin() -> PathBuf {
     );
 }
 
-/// Spawns `mpcbf serve` on an OS-assigned port and parses the
-/// `listening on ADDR` line from its stdout.
-fn spawn_server(dir: &Path, fsync: &str, items: u64) -> (Child, SocketAddr) {
+/// Spawns `mpcbf serve` (`--elastic` when `elastic`) on an OS-assigned
+/// port and parses the `listening on ADDR` line from its stdout.
+fn spawn_server(dir: &Path, fsync: &str, items: u64, elastic: bool) -> (Child, SocketAddr) {
     let mut child = Command::new(server_bin())
         .args([
             "serve",
@@ -78,6 +92,7 @@ fn spawn_server(dir: &Path, fsync: &str, items: u64) -> (Child, SocketAddr) {
             "--items",
             &items.to_string(),
         ])
+        .args(elastic.then_some("--elastic"))
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
@@ -117,8 +132,6 @@ fn non_member_key(client: usize, i: u64) -> Vec<u8> {
 struct ClientOutcome {
     /// Keys acknowledged as inserted and never removed.
     surviving: Vec<Vec<u8>>,
-    /// Mutations (inserts + removals) acknowledged.
-    acked_ops: u64,
     /// Member queries that failed to hit while the server was live.
     live_false_negatives: u64,
 }
@@ -131,12 +144,14 @@ fn drive_mix(addr: SocketAddr, client_id: usize, keys_per_client: u64) -> Client
     let keys: Vec<Vec<u8>> = (0..keys_per_client)
         .map(|i| client_key(client_id, i))
         .collect();
-    let mut acked_ops = 0u64;
     let mut live_false_negatives = 0u64;
 
     for chunk in keys.chunks(BATCH) {
         let outcomes = client.insert_batch(chunk).expect("insert batch");
-        acked_ops += outcomes.iter().filter(|o| o.is_applied()).count() as u64;
+        assert!(
+            outcomes.iter().all(|o| o.is_applied()),
+            "inserts within capacity must apply"
+        );
 
         // Table II mix: ~80% of queries hit members, the rest miss.
         let members = (BATCH * 4) / 5;
@@ -155,12 +170,10 @@ fn drive_mix(addr: SocketAddr, client_id: usize, keys_per_client: u64) -> Client
         let outcomes = client.remove_batch(chunk).expect("remove batch");
         let applied = outcomes.iter().filter(|o| o.is_applied()).count();
         assert_eq!(applied, chunk.len(), "removing inserted keys must apply");
-        acked_ops += applied as u64;
     }
 
     ClientOutcome {
         surviving: keys[removed..].to_vec(),
-        acked_ops,
         live_false_negatives,
     }
 }
@@ -184,22 +197,18 @@ fn stats_scrub_clean(addr: SocketAddr) -> bool {
         .contains("\"scrub_clean\":true")
 }
 
-struct ThroughputRow {
+struct RestartRow {
     policy: String,
-    acked_ops: u64,
-    ops_per_sec: f64,
     false_negatives: u64,
     scrub_clean: bool,
 }
 
 /// Drive the mix from [`CLIENTS`] threads, stop gracefully, restart,
 /// and verify every acknowledged surviving key.
-fn soak_policy(fsync: &str, keys_per_client: u64) -> ThroughputRow {
+fn soak_policy(fsync: &str, keys_per_client: u64, items: u64) -> RestartRow {
     let dir = scratch_dir(&format!("soak-{fsync}"));
-    let items = (CLIENTS as u64 * keys_per_client * 2).max(10_000);
-    let (mut child, addr) = spawn_server(&dir, fsync, items);
+    let (mut child, addr) = spawn_server(&dir, fsync, items, false);
 
-    let start = Instant::now();
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| std::thread::spawn(move || drive_mix(addr, c, keys_per_client)))
         .collect();
@@ -207,12 +216,9 @@ fn soak_policy(fsync: &str, keys_per_client: u64) -> ThroughputRow {
         .into_iter()
         .map(|h| h.join().expect("client thread"))
         .collect();
-    let elapsed = start.elapsed().as_secs_f64();
-
     for o in &outcomes {
         assert_eq!(o.live_false_negatives, 0, "live member query missed");
     }
-    let acked_ops: u64 = outcomes.iter().map(|o| o.acked_ops).sum();
 
     Client::connect(addr)
         .expect("connect for shutdown")
@@ -222,7 +228,7 @@ fn soak_policy(fsync: &str, keys_per_client: u64) -> ThroughputRow {
     assert!(status.success(), "server exited uncleanly: {status}");
 
     // A clean stop must lose nothing, whatever the fsync policy.
-    let (mut child, addr) = spawn_server(&dir, fsync, items);
+    let (mut child, addr) = spawn_server(&dir, fsync, items, false);
     let false_negatives: u64 = outcomes
         .iter()
         .map(|o| count_false_negatives(addr, &o.surviving))
@@ -235,27 +241,28 @@ fn soak_policy(fsync: &str, keys_per_client: u64) -> ThroughputRow {
     child.wait().expect("second exit");
     let _ = std::fs::remove_dir_all(&dir);
 
-    ThroughputRow {
+    RestartRow {
         policy: fsync.to_string(),
-        acked_ops,
-        ops_per_sec: acked_ops as f64 / elapsed.max(1e-9),
         false_negatives,
         scrub_clean,
     }
 }
 
 struct KillDrillRow {
+    items: u64,
     acked_before_kill: u64,
+    /// Scale-ups `STATS` reported just before the kill (elastic only).
+    scale_events: u64,
     false_negatives: u64,
     scrub_clean: bool,
 }
 
 /// SIGKILL the server mid-stream under `Always` fsync; every key acked
-/// before the kill must survive recovery.
-fn kill_drill(max_keys_per_client: u64) -> KillDrillRow {
-    let dir = scratch_dir("kill");
-    let items = (CLIENTS as u64 * max_keys_per_client * 2).max(10_000);
-    let (mut child, addr) = spawn_server(&dir, "always", items);
+/// before the kill must survive recovery. An elastic server is killed
+/// only once `STATS` reports a scale-up.
+fn kill_drill(max_keys_per_client: u64, items: u64, elastic: bool) -> KillDrillRow {
+    let dir = scratch_dir(if elastic { "kill-elastic" } else { "kill" });
+    let (mut child, addr) = spawn_server(&dir, "always", items, elastic);
 
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
@@ -265,14 +272,14 @@ fn kill_drill(max_keys_per_client: u64) -> KillDrillRow {
                     Err(_) => return Vec::new(),
                 };
                 let mut acked: Vec<Vec<u8>> = Vec::new();
-                // Offset past the soak's key range is unnecessary (fresh
-                // dir); scalar inserts maximise ack granularity so the
-                // kill lands between acks, not between batches.
+                // Scalar inserts maximise ack granularity so the kill
+                // lands between acks, not between batches.
                 for i in 0..max_keys_per_client {
                     let key = client_key(c, i);
                     match client.insert(&key) {
                         Ok(outcome) if outcome.is_applied() => acked.push(key),
-                        Ok(_) => {}
+                        // Refused, or shed past every retry: not acked.
+                        Ok(_) | Err(ClientError::Overloaded { .. }) => {}
                         // The kill: connection drops mid-stream.
                         Err(_) => break,
                     }
@@ -282,7 +289,23 @@ fn kill_drill(max_keys_per_client: u64) -> KillDrillRow {
         })
         .collect();
 
-    std::thread::sleep(Duration::from_millis(400));
+    let started = Instant::now();
+    let mut stats = Client::connect(addr).expect("connect for stats");
+    let mut scale_events = 0;
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        if elastic {
+            let json = stats.stats_json().expect("stats before the kill");
+            scale_events = stat(&json, "scale_events").expect("elastic STATS");
+        }
+        if started.elapsed() >= Duration::from_millis(400) && (!elastic || scale_events > 0) {
+            break;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(120),
+            "the elastic server never scaled up"
+        );
+    }
     child.kill().expect("SIGKILL server");
     let _ = child.wait();
 
@@ -297,7 +320,7 @@ fn kill_drill(max_keys_per_client: u64) -> KillDrillRow {
     );
 
     // Recovery: a fresh serve on the same directory replays the WALs.
-    let (mut child, addr) = spawn_server(&dir, "always", items);
+    let (mut child, addr) = spawn_server(&dir, "always", items, elastic);
     let false_negatives: u64 = acked
         .iter()
         .map(|keys| count_false_negatives(addr, keys))
@@ -311,48 +334,78 @@ fn kill_drill(max_keys_per_client: u64) -> KillDrillRow {
     let _ = std::fs::remove_dir_all(&dir);
 
     KillDrillRow {
+        items,
         acked_before_kill,
+        scale_events,
         false_negatives,
         scrub_clean,
     }
 }
 
-fn to_json(rows: &[ThroughputRow], drill: &KillDrillRow) -> String {
+fn to_json(rows: &[RestartRow], drill: &KillDrillRow, elastic: &KillDrillRow) -> String {
     let mut json = String::with_capacity(2 * 1024);
-    json.push_str("{\n  \"clients\": 4,\n  \"throughput\": [\n");
+    json.push_str("{\n  \"clients\": 4,\n  \"graceful_restart\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"policy\": \"{}\", \"acked_ops\": {}, \"ops_per_sec\": {:.1}, \
-             \"false_negatives_after_restart\": {}, \"scrub_clean\": {}}}",
-            r.policy, r.acked_ops, r.ops_per_sec, r.false_negatives, r.scrub_clean
+            "    {{\"policy\": \"{}\", \"false_negatives_after_restart\": {}, \"scrub_clean\": {}}}",
+            r.policy, r.false_negatives, r.scrub_clean
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     let _ = write!(
         json,
-        "  ],\n  \"kill_drill\": {{\"policy\": \"always\", \"acked_before_kill\": {}, \
-         \"false_negatives\": {}, \"scrub_clean\": {}}}\n}}\n",
-        drill.acked_before_kill, drill.false_negatives, drill.scrub_clean
+        "  ],\n  \"kill_drill\": {{\"policy\": \"always\", \"items\": {}, \
+         \"acked_before_kill\": {}, \"false_negatives\": {}, \"scrub_clean\": {}}},\n  \
+         \"elastic_kill_drill\": {{\"policy\": \"always\", \"items\": {}, \
+         \"acked_before_kill\": {}, \"scale_events\": {}, \"false_negatives\": {}, \
+         \"scrub_clean\": {}}}\n}}\n",
+        drill.items,
+        drill.acked_before_kill,
+        drill.false_negatives,
+        drill.scrub_clean,
+        elastic.items,
+        elastic.acked_before_kill,
+        elastic.scale_events,
+        elastic.false_negatives,
+        elastic.scrub_clean
     );
     json
+}
+
+fn check_drill(name: &str, drill: &KillDrillRow) {
+    println!(
+        "  {name}: {} keys acked before kill, {} scale-ups, {} false negatives, scrub {}",
+        drill.acked_before_kill,
+        drill.scale_events,
+        drill.false_negatives,
+        if drill.scrub_clean { "clean" } else { "DIRTY" }
+    );
+    assert_eq!(
+        drill.false_negatives, 0,
+        "{name}: an acknowledged key vanished across the kill"
+    );
+    assert!(
+        drill.scrub_clean,
+        "{name}: recovered image must scrub clean"
+    );
 }
 
 fn main() {
     let args = Args::parse();
     let keys_per_client = args.scaled(2_000);
+    let items = (CLIENTS as u64 * keys_per_client * 2).max(10_000);
 
     println!(
         "server soak: {CLIENTS} clients × {keys_per_client} keys, mix per policy, then kill −9"
     );
-    let rows: Vec<ThroughputRow> = ["always", "every-64", "interval-2ms"]
+    let rows: Vec<RestartRow> = ["always", "every-64", "interval-2ms"]
         .iter()
         .map(|fsync| {
-            let row = soak_policy(fsync, keys_per_client);
+            let row = soak_policy(fsync, keys_per_client, items);
             println!(
-                "  {:<14} {:>10.0} acked ops/s  restart FNs {}  scrub {}",
+                "  {:<14} restart FNs {}  scrub {}",
                 row.policy,
-                row.ops_per_sec,
                 row.false_negatives,
                 if row.scrub_clean { "clean" } else { "DIRTY" }
             );
@@ -362,20 +415,17 @@ fn main() {
         })
         .collect();
 
-    let drill = kill_drill(args.scaled(2_000_000));
-    println!(
-        "  kill -9 drill: {} keys acked before kill, {} false negatives, scrub {}",
-        drill.acked_before_kill,
-        drill.false_negatives,
-        if drill.scrub_clean { "clean" } else { "DIRTY" }
-    );
-    assert_eq!(
-        drill.false_negatives, 0,
-        "an acknowledged key vanished across the kill"
-    );
-    assert!(drill.scrub_clean, "recovered image must scrub clean");
+    let max_keys = args.scaled(2_000_000);
+    let drill_items = (CLIENTS as u64 * max_keys * 2).max(10_000);
+    let drill = kill_drill(max_keys, drill_items, false);
+    check_drill("kill -9 drill", &drill);
+    // A sixteenth of the soak's capacity: the first second of scalar
+    // inserts overloads it, so the drill scales before the kill.
+    let elastic = kill_drill(max_keys, items / 16, true);
+    check_drill("elastic kill -9 drill", &elastic);
+    assert!(elastic.scale_events > 0, "the elastic drill must scale up");
 
-    let json = to_json(&rows, &drill);
+    let json = to_json(&rows, &drill, &elastic);
     std::fs::write("BENCH_server.json", &json).expect("write BENCH_server.json");
     println!("wrote BENCH_server.json");
 }

@@ -483,7 +483,7 @@ fn drill_kill(seed: u64, shards: usize, site: KillSite, op_hint: u64, byte_hint:
     let kill = KillSwitch::new();
     let opts = DurabilityOptions::new(&dir).kill(kill.clone());
     let pool = || -> ShardedMpcbf<u64, Murmur3> { ShardedMpcbf::new(cfg, shards) };
-    let mut durable = DurableSharded::create(pool(), opts).expect("create");
+    let durable = DurableSharded::create(pool(), opts).expect("create");
     let reference = pool();
 
     let ops = drill_ops(seed, 200);
@@ -505,11 +505,11 @@ fn drill_kill(seed: u64, shards: usize, site: KillSite, op_hint: u64, byte_hint:
             let _ = reference.remove_bytes(&k.to_le_bytes());
         }
     };
-    let apply_durable =
-        |durable: &mut DurableSharded<ShardedMpcbf<u64, Murmur3>>, op: DrillOp| match op {
-            DrillOp::Insert(k) => durable.insert_bytes(&k.to_le_bytes()),
-            DrillOp::Remove(k) => durable.remove_bytes(&k.to_le_bytes()),
-        };
+    let apply_durable = |durable: &DurableSharded<ShardedMpcbf<u64, Murmur3>>, op: DrillOp| match op
+    {
+        DrillOp::Insert(k) => durable.insert_bytes(&k.to_le_bytes()),
+        DrillOp::Remove(k) => durable.remove_bytes(&k.to_le_bytes()),
+    };
 
     // Acknowledged prefix, with a mid-stream snapshot to force recovery
     // through the snapshot + WAL-replay path, not WAL-only.
@@ -518,7 +518,7 @@ fn drill_kill(seed: u64, shards: usize, site: KillSite, op_hint: u64, byte_hint:
         if i == kill_at / 2 {
             durable.snapshot().expect("unarmed snapshot");
         }
-        match apply_durable(&mut durable, op) {
+        match apply_durable(&durable, op) {
             // Only a successful op guarantees key presence/absence; a
             // refused op is acked (and replayed) but changed nothing.
             Ok(()) => match op {
@@ -541,7 +541,7 @@ fn drill_kill(seed: u64, shards: usize, site: KillSite, op_hint: u64, byte_hint:
     match site {
         KillSite::WalAppend | KillSite::WalFsync => {
             let op = ops[kill_at];
-            let err = apply_durable(&mut durable, op).expect_err("armed op must crash");
+            let err = apply_durable(&durable, op).expect_err("armed op must crash");
             assert!(err.is_kill(), "expected a kill, got: {err}");
             if site == KillSite::WalFsync {
                 // Frame complete ⇒ durable, but never acknowledged:

@@ -381,7 +381,7 @@ fn recover_pool<P: mpcbf_durability::ShardPool>(
 ) -> Result<(), CliError> {
     use mpcbf_durability::{DurableError, DurableSharded};
 
-    let (mut durable, report) = DurableSharded::open_or_recover(durability, fallback)
+    let (durable, report) = DurableSharded::open_or_recover(durability, fallback)
         .map_err(|e| CliError::Runtime(format!("recovery failed: {e}")))?;
 
     writeln!(out, "{report}").map_err(|e| CliError::Runtime(format!("write error: {e}")))?;

@@ -49,7 +49,9 @@ commands:
             it over TCP (length-prefixed frame protocol; see
             mpcbf-server); prints `listening on ADDR`, then blocks until
             a client sends SHUTDOWN; acked mutations are WAL-logged
-            under the chosen fsync policy before the reply; with
+            under the chosen fsync policy before the reply;
+            --snapshot-every N checkpoints after every N logged keys
+            (a batch counts its keys, refused ones included); with
             --elastic, shards autoscale under overload (scale-ups are
             WAL-logged, mutations shed RETRY_LATER while a shard
             reorganises) — a DIR keeps its mode for life

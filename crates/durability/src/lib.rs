@@ -15,11 +15,12 @@
 //! * [`DurableSharded`] — the one durable wrapper, for both sharded
 //!   pools: the fixed-size [`mpcbf_concurrent::ShardedMpcbf`] and the
 //!   elastic [`mpcbf_concurrent::ElasticShardedMpcbf`], which plug in through
-//!   [`ShardPool`]: one WAL per shard (`wal-s{NNNN}`), one log-then-apply
-//!   step per shard ([`ShardLog`], also run by the server's shard
-//!   workers; after a failed append it refuses every later one with
-//!   [`DurableError::LogBroken`]), one checkpoint publisher ([`publish_checkpoint`]) and one
-//!   parallel recovery loop. A directory keeps its mode for life:
+//!   [`ShardPool`]: one WAL per shard (`wal-s{NNNN}`) behind its own
+//!   lock, one log-then-apply step that any thread runs on a shared
+//!   `&self` (after a failed append a shard's log refuses every later
+//!   one with [`DurableError::LogBroken`]; `mpcbf serve` writes through
+//!   it from its connection threads), one checkpoint publisher
+//!   ([`publish_checkpoint`]) and one parallel recovery loop. A directory keeps its mode for life:
 //!   recovery refuses another mode's intact snapshot with
 //!   [`DurableError::ModeMismatch`]. A one-shard pool is the durable
 //!   single filter.
@@ -43,7 +44,7 @@
 //! let pool = || -> ShardedMpcbf { ShardedMpcbf::new(config.clone(), 1) };
 //!
 //! // Log-then-apply: every acknowledged op is on disk first.
-//! let mut durable = DurableSharded::create(pool(), DurabilityOptions::new(&dir)).unwrap();
+//! let durable = DurableSharded::create(pool(), DurabilityOptions::new(&dir)).unwrap();
 //! durable.insert_bytes(b"alice").unwrap();
 //! durable.snapshot().unwrap();
 //! durable.insert_bytes(b"bob").unwrap();
@@ -77,7 +78,7 @@
 //! let pool = || -> ElasticShardedMpcbf {
 //!     ElasticShardedMpcbf::manual(config.clone(), 4, CapacityPolicy::default()).unwrap()
 //! };
-//! let mut durable = DurableSharded::create(pool(), DurabilityOptions::new(&dir)).unwrap();
+//! let durable = DurableSharded::create(pool(), DurabilityOptions::new(&dir)).unwrap();
 //! durable.insert_bytes(b"alice").unwrap();
 //! drop(durable); // simulated crash
 //!
@@ -103,8 +104,8 @@ pub use kill::{KillSite, KillSwitch};
 pub use record::{decode_frame, encode_frame, FrameError, WalOp, WalRecord};
 pub use report::RecoveryReport;
 pub use sharded::{
-    decode_envelope, encode_envelope, group_by_shard, publish_checkpoint, DurabilityOptions,
-    DurableSharded, ShardLog, ShardPool,
+    decode_envelope, encode_envelope, publish_checkpoint, DurabilityOptions, DurableSharded,
+    ShardPool,
 };
 pub use snapshot::{write_file_atomic, LoadedSnapshot, SnapshotStore};
 pub use wal::{FsyncPolicy, TornTail, Wal, WalScan};

@@ -11,20 +11,24 @@
 //!   pools' independent shards. Keys are routed to their log with
 //!   [`ShardPool::home_shard`], the same digest bits that route the probe,
 //!   so a shard's WAL replays entirely into that shard.
-//! * **Write path.** A [`ShardLog`] holds one shard's WAL and sequence
-//!   number and runs the one log-then-apply step: append the key op,
-//!   apply it, then ([`ShardLog::settle`]) log and apply any parked
-//!   [`WalOp::ScaleUp`] / [`WalOp::Compact`] and move one migration
-//!   batch. The fixed pool never parks a plan and never migrates, so for
-//!   it the structural steps are no-ops. The server's shard workers run
-//!   the same step, replying between the two halves. After a failed
-//!   append the log refuses every later one until the directory is
-//!   reopened.
-//! * **Checkpoints.** [`publish_checkpoint`] writes a small envelope (the
-//!   per-shard sequence numbers at capture time, then the pool's codec
-//!   image, CRC-sealed) as `snap-*.snap` and purges older snapshots. The
-//!   envelope streams to disk one shard at a time, so a checkpoint never
-//!   holds a second copy of the pool.
+//! * **Write path.** Each shard's WAL and sequence number sit behind that
+//!   shard's own lock, and every method takes `&self`, so any number of
+//!   threads write at once. A write locks its shard and runs the one
+//!   log-then-apply step: append the key op, apply it, then settle — log
+//!   and apply any parked [`WalOp::ScaleUp`] / [`WalOp::Compact`] and
+//!   move one migration batch — and unlock. A batch does the same for
+//!   each shard it touches, one shard at a time, in index order. The
+//!   fixed pool never parks a plan and never migrates, so for it the
+//!   structural steps are no-ops. After a failed append the shard's log
+//!   refuses every later one until the directory is reopened.
+//! * **Checkpoints.** [`DurableSharded::snapshot`] locks every shard in
+//!   index order, so no writer runs while [`publish_checkpoint`] writes a
+//!   small envelope (the per-shard sequence numbers, then the pool's
+//!   codec image, CRC-sealed) as `snap-*.snap` and purges older
+//!   snapshots; then each log is truncated. No other path holds two
+//!   shard locks at once, so no two paths can deadlock. The envelope
+//!   streams to disk one shard at a time, so a checkpoint never holds a
+//!   second copy of the pool.
 //! * **Recovery.** Load the newest valid snapshot, then scan, repair and
 //!   replay every shard's WAL **in parallel** (scoped threads — pool ops
 //!   take `&self`), each shard skipping records at or below its snapshot
@@ -53,7 +57,9 @@ use mpcbf_core::{FilterError, ScaleSpec};
 use mpcbf_hash::Hasher128;
 use std::io::{BufRead, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 const SNAP_PREFIX: &str = "snap";
 const ENVELOPE_MAGIC: &[u8; 4] = b"MPSS";
@@ -123,8 +129,10 @@ pub struct DurabilityOptions {
     pub dir: PathBuf,
     /// When the WALs fsync (see [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
-    /// Automatic checkpoint after this many logged records
-    /// (`None`: only explicit [`DurableSharded::snapshot`] calls).
+    /// Automatic checkpoint once this many keys were logged since the
+    /// last one, refused keys included: a 256-key batch counts 256,
+    /// whatever the number of shard frames it takes (`None`: only
+    /// explicit [`DurableSharded::snapshot`] calls).
     pub snapshot_every: Option<u64>,
     /// Crash-injection switch (drills only; defaults unarmed).
     pub kill: KillSwitch,
@@ -431,6 +439,10 @@ pub trait ShardPool: Send + Sync {
     fn step_compaction(&self, _shard: usize) -> bool {
         false
     }
+    /// Whether `shard` is migrating (a recovered pool may be).
+    fn compacting(&self, _shard: usize) -> bool {
+        false
+    }
 }
 
 impl<H: Hasher128> ShardPool for ShardedMpcbf<u64, H> {
@@ -528,11 +540,13 @@ impl<H: Hasher128> ShardPool for ElasticShardedMpcbf<H> {
             f.compacting()
         })
     }
+    fn compacting(&self, shard: usize) -> bool {
+        self.with_shard(shard, |f| f.compacting())
+    }
 }
 
-/// One shard's WAL and sequence number: the single writer of that
-/// shard's log, in the library wrapper and in each server shard worker
-/// alike.
+/// One shard's WAL and sequence number. [`DurableSharded`] keeps each
+/// behind its own lock, so a shard's log has one writer at a time.
 ///
 /// The first failed append breaks the log for good: the frame may sit
 /// whole or torn in the segment while the sequence number stayed put, so
@@ -540,9 +554,10 @@ impl<H: Hasher128> ShardPool for ElasticShardedMpcbf<H> {
 /// and recovery would cut the log there and drop every record after it.
 /// A broken log refuses every append with [`DurableError::LogBroken`]
 /// until the directory is reopened.
-pub struct ShardLog {
+struct ShardLog {
     shard: usize,
     wal: Wal,
+    /// Last assigned sequence number.
     seq: u64,
     broken: bool,
 }
@@ -566,16 +581,6 @@ impl ShardLog {
         })
     }
 
-    /// The shard this log belongs to.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Last assigned sequence number.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     fn append(&mut self, op: WalOp) -> Result<WalOp, DurableError> {
         if self.broken {
             return Err(DurableError::LogBroken { shard: self.shard });
@@ -595,9 +600,8 @@ impl ShardLog {
     /// Logs `op` and applies it to `pool`; per-key results in the op's
     /// key order. An `Err` means `op` was not applied and must not be
     /// acknowledged (its frame may still have reached the log: durable
-    /// but unacknowledged). Follow every applied op with
-    /// [`ShardLog::settle`].
-    pub fn apply<P: ShardPool + ?Sized>(
+    /// but unacknowledged).
+    fn apply<P: ShardPool + ?Sized>(
         &mut self,
         pool: &P,
         op: WalOp,
@@ -611,7 +615,7 @@ impl ShardLog {
     /// then moves one migration batch. Returns whether the shard is still
     /// migrating. An `Err` is a failed structural append; the log is
     /// broken and the plan stays unapplied.
-    pub fn settle<P: ShardPool + ?Sized>(&mut self, pool: &P) -> Result<bool, DurableError> {
+    fn settle<P: ShardPool + ?Sized>(&mut self, pool: &P) -> Result<bool, DurableError> {
         if let Some(spec) = pool.scale_plan(self.shard) {
             self.append(WalOp::ScaleUp {
                 memory_bits: spec.memory_bits,
@@ -624,14 +628,13 @@ impl ShardLog {
         Ok(pool.step_compaction(self.shard))
     }
 
-    /// Forces the WAL to disk.
-    pub fn sync(&mut self) -> Result<(), DurableError> {
+    fn sync(&mut self) -> Result<(), DurableError> {
         self.wal.sync()
     }
 
     /// Retires the records a just-published checkpoint covers: rotates
     /// to a fresh segment and purges the sealed ones.
-    pub fn truncate(&mut self) -> Result<(), DurableError> {
+    fn truncate(&mut self) -> Result<(), DurableError> {
         self.wal.rotate(self.seq + 1)?;
         self.wal.purge_below(self.seq + 1).map(|_| ())
     }
@@ -640,10 +643,10 @@ impl ShardLog {
 /// Publishes a whole-pool checkpoint: the envelope of `seqs` (each
 /// shard's sequence number at capture time) and `pool`'s image, written
 /// atomically, then every older snapshot purged. Writers must be
-/// quiesced: the pool's image is read in short lock holds (64 KiB of a
-/// fixed pool's shard at a time), so a writer running meanwhile could
-/// tear a shard and leave an image that matches no point in `seqs`.
-/// Afterwards each shard may [`ShardLog::truncate`].
+/// quiesced (as [`DurableSharded::snapshot`] does): the pool's image is
+/// read in short pieces (64 KiB of a fixed pool's shard at a time), so a
+/// writer running meanwhile could tear a shard and leave an image that
+/// matches no point in `seqs`.
 ///
 /// The envelope is streamed to disk, never held whole: a measuring pass
 /// finds the image length the header carries, then the header, the
@@ -674,7 +677,7 @@ pub fn publish_checkpoint<P: ShardPool + ?Sized>(
 /// Splits a batch by home shard, keeping request order within each
 /// shard: per shard, its keys and each key's index in the batch.
 #[allow(clippy::type_complexity)]
-pub fn group_by_shard<P: ShardPool + ?Sized>(
+fn group_by_shard<P: ShardPool + ?Sized>(
     pool: &P,
     keys: impl IntoIterator<Item = Vec<u8>>,
 ) -> (Vec<Vec<Vec<u8>>>, Vec<Vec<u32>>) {
@@ -690,17 +693,37 @@ pub fn group_by_shard<P: ShardPool + ?Sized>(
 }
 
 /// Write-ahead-logged sharded pool with per-shard logs and parallel
-/// crash recovery. Mutations take `&mut self` — the logging layer is
-/// single-writer even though the pool beneath is not; a concurrent
-/// server decomposes the wrapper with
-/// [`DurableSharded::into_service_parts`] and runs each shard's
-/// [`ShardLog`] on that shard's worker.
-pub struct DurableSharded<P> {
-    pool: P,
-    logs: Vec<ShardLog>,
+/// crash recovery, shared by any number of threads: every method takes
+/// `&self`.
+///
+/// Each shard's log sits behind its own lock. A write holds one shard's
+/// lock while it logs, applies and settles; a batch takes its shards one
+/// at a time, in index order. [`DurableSharded::snapshot`] takes every
+/// lock in index order, so the image it publishes holds each shard
+/// exactly at its logged seq; no other path holds two shard locks. An
+/// automatic snapshot (see [`DurabilityOptions::snapshot_every`]) runs
+/// after the write that crossed the threshold has released its lock.
+///
+/// The pool is the last field and may be unsized, so an
+/// `Arc<DurableSharded<ShardedMpcbf>>` coerces to an
+/// `Arc<DurableSharded<dyn ShardPool>>`.
+pub struct DurableSharded<P: ?Sized> {
+    logs: Vec<Mutex<ShardLog>>,
+    /// Per shard: whether it is migrating. Written under that shard's
+    /// lock; read without it (the server sheds writes to a migrating
+    /// shard).
+    migrating: Vec<AtomicBool>,
+    /// Raised when a shard starts migrating: wakes
+    /// [`DurableSharded::drain_migrations`].
+    drain_signal: (Mutex<bool>, Condvar),
     snapshots: SnapshotStore,
-    records_since_snapshot: u64,
+    /// Keys logged since the last snapshot, refused keys included. Grown
+    /// under a shard's lock and reset under all of them, so it is exact.
+    keys_since_snapshot: AtomicU64,
     snapshot_every: Option<u64>,
+    /// Snapshots published since the pool was opened.
+    snapshots_published: AtomicU64,
+    pool: P,
 }
 
 impl<P: ShardPool> DurableSharded<P> {
@@ -708,13 +731,7 @@ impl<P: ShardPool> DurableSharded<P> {
     /// per shard.
     pub fn create(pool: P, opts: DurabilityOptions) -> Result<Self, DurableError> {
         let (logs, snapshots) = Self::initialise(&pool, &opts)?;
-        Ok(DurableSharded {
-            pool,
-            logs,
-            snapshots,
-            records_since_snapshot: 0,
-            snapshot_every: opts.snapshot_every,
-        })
+        Ok(Self::assemble(pool, logs, snapshots, &opts))
     }
 
     /// Materialises a bulk-built pool as a durable directory without
@@ -737,6 +754,26 @@ impl<P: ShardPool> DurableSharded<P> {
             .collect::<Result<Vec<_>, _>>()?;
         publish_checkpoint(&snapshots, &vec![0; logs.len()], pool)?;
         Ok((logs, snapshots))
+    }
+
+    fn assemble(
+        pool: P,
+        logs: Vec<ShardLog>,
+        snapshots: SnapshotStore,
+        opts: &DurabilityOptions,
+    ) -> Self {
+        DurableSharded {
+            migrating: (0..logs.len())
+                .map(|shard| AtomicBool::new(pool.compacting(shard)))
+                .collect(),
+            logs: logs.into_iter().map(Mutex::new).collect(),
+            drain_signal: (Mutex::new(false), Condvar::new()),
+            snapshots,
+            keys_since_snapshot: AtomicU64::new(0),
+            snapshot_every: opts.snapshot_every,
+            snapshots_published: AtomicU64::new(0),
+            pool,
+        }
     }
 
     /// Recovers from `opts.dir`: newest valid snapshot, then every
@@ -831,18 +868,11 @@ impl<P: ShardPool> DurableSharded<P> {
             .enumerate()
             .map(|(shard, &seq)| ShardLog::open(&opts, shard, seq))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok((
-            DurableSharded {
-                pool,
-                logs,
-                snapshots,
-                records_since_snapshot: 0,
-                snapshot_every: opts.snapshot_every,
-            },
-            report,
-        ))
+        Ok((Self::assemble(pool, logs, snapshots, &opts), report))
     }
+}
 
+impl<P: ShardPool + ?Sized> DurableSharded<P> {
     /// The wrapped pool (reads only; mutate through the logged entry
     /// points).
     pub fn inner(&self) -> &P {
@@ -851,37 +881,69 @@ impl<P: ShardPool> DurableSharded<P> {
 
     /// Per-shard last-assigned sequence numbers.
     pub fn shard_seqs(&self) -> Vec<u64> {
-        self.logs.iter().map(ShardLog::seq).collect()
+        (0..self.logs.len()).map(|s| self.lock(s).seq).collect()
     }
 
-    fn log_apply(
-        &mut self,
-        shard: usize,
-        op: WalOp,
-    ) -> Result<Vec<Result<(), FilterError>>, DurableError> {
-        let log = &mut self.logs[shard];
-        let before = log.seq();
-        // A failed scale-up append fails the op that triggered it.
-        let applied = log
-            .apply(&self.pool, op)
-            .and_then(|results| log.settle(&self.pool).map(|_| results));
-        self.records_since_snapshot += log.seq() - before;
-        applied
+    /// Snapshots published since the pool was opened, automatic ones
+    /// included.
+    pub fn snapshots_published(&self) -> u64 {
+        self.snapshots_published.load(Ordering::Relaxed)
     }
 
-    fn maybe_snapshot(&mut self) -> Result<(), DurableError> {
-        if let Some(every) = self.snapshot_every {
-            if self.records_since_snapshot >= every {
-                self.snapshot()?;
-            }
+    /// Whether `shard` is migrating: from the write that logged its
+    /// scale-up until its sealed generations are drained.
+    pub fn is_migrating(&self, shard: usize) -> bool {
+        self.migrating[shard].load(Ordering::Relaxed)
+    }
+
+    fn lock(&self, shard: usize) -> MutexGuard<'_, ShardLog> {
+        self.logs[shard].lock().expect("shard log poisoned")
+    }
+
+    fn set_migrating(&self, shard: usize, migrating: bool) {
+        // Stored only on a change: neighbouring shards' flags share a
+        // cache line.
+        if self.migrating[shard].load(Ordering::Relaxed) == migrating {
+            return;
         }
-        Ok(())
+        self.migrating[shard].store(migrating, Ordering::Relaxed);
+        if migrating {
+            let (woken, wake) = &self.drain_signal;
+            *woken.lock().expect("drain signal poisoned") = true;
+            wake.notify_one();
+        }
     }
 
-    fn mutate(&mut self, key: &[u8], op: WalOp) -> Result<(), DurableError> {
-        let shard = self.pool.home_shard(key);
+    /// The write step, under `shard`'s lock: log `op`, apply it, settle.
+    /// A failed scale-up append fails the op that triggered it.
+    fn write(&self, shard: usize, op: WalOp) -> Result<Vec<Result<(), FilterError>>, DurableError> {
+        let mut log = self.lock(shard);
+        let keys = op.op_count();
+        let results = log.apply(&self.pool, op)?;
+        self.keys_since_snapshot.fetch_add(keys, Ordering::Relaxed);
+        let migrating = log.settle(&self.pool)?;
+        self.set_migrating(shard, migrating);
+        Ok(results)
+    }
+
+    fn maybe_snapshot(&self) -> Result<(), DurableError> {
+        let Some(every) = self.snapshot_every else {
+            return Ok(());
+        };
+        if self.keys_since_snapshot.load(Ordering::Relaxed) < every {
+            return Ok(());
+        }
+        let mut logs = self.lock_all();
+        // Another writer's snapshot may have run while this one waited.
+        if self.keys_since_snapshot.load(Ordering::Relaxed) < every {
+            return Ok(());
+        }
+        self.snapshot_locked(&mut logs)
+    }
+
+    fn mutate(&self, key: &[u8], op: WalOp) -> Result<(), DurableError> {
         let result = self
-            .log_apply(shard, op)?
+            .write(self.pool.home_shard(key), op)?
             .pop()
             .expect("a key op has one result");
         self.maybe_snapshot()?;
@@ -889,21 +951,22 @@ impl<P: ShardPool> DurableSharded<P> {
     }
 
     /// Logs to the key's home-shard WAL, then applies.
-    pub fn insert_bytes(&mut self, key: &[u8]) -> Result<(), DurableError> {
+    pub fn insert_bytes(&self, key: &[u8]) -> Result<(), DurableError> {
         self.mutate(key, WalOp::Insert(key.to_vec()))
     }
 
     /// Logs to the key's home-shard WAL, then applies.
-    pub fn remove_bytes(&mut self, key: &[u8]) -> Result<(), DurableError> {
+    pub fn remove_bytes(&self, key: &[u8]) -> Result<(), DurableError> {
         self.mutate(key, WalOp::Remove(key.to_vec()))
     }
 
     /// Logs the batch as one frame **per touched shard** and applies each
     /// frame as it lands (a shard's sub-batch replays all-or-nothing into
     /// that shard, preserving in-shard batch order). Per-key results in
-    /// input order.
+    /// input order. On an `Err` the shards before the failing one have
+    /// applied their frames, and no key may be acknowledged.
     pub fn insert_batch_bytes(
-        &mut self,
+        &self,
         keys: &[&[u8]],
     ) -> Result<Vec<Result<(), FilterError>>, DurableError> {
         self.mutate_batch(keys, WalOp::InsertBatch)
@@ -911,14 +974,14 @@ impl<P: ShardPool> DurableSharded<P> {
 
     /// Batch remove twin of [`DurableSharded::insert_batch_bytes`].
     pub fn remove_batch_bytes(
-        &mut self,
+        &self,
         keys: &[&[u8]],
     ) -> Result<Vec<Result<(), FilterError>>, DurableError> {
         self.mutate_batch(keys, WalOp::RemoveBatch)
     }
 
     fn mutate_batch(
-        &mut self,
+        &self,
         keys: &[&[u8]],
         frame: fn(Vec<Vec<u8>>) -> WalOp,
     ) -> Result<Vec<Result<(), FilterError>>, DurableError> {
@@ -929,7 +992,7 @@ impl<P: ShardPool> DurableSharded<P> {
                 continue;
             }
             for (result, &i) in self
-                .log_apply(shard, frame(group))?
+                .write(shard, frame(group))?
                 .into_iter()
                 .zip(&origin[shard])
             {
@@ -945,28 +1008,62 @@ impl<P: ShardPool> DurableSharded<P> {
         self.pool.contains_bytes(key)
     }
 
-    /// Forces every shard's WAL to disk.
-    pub fn sync(&mut self) -> Result<(), DurableError> {
-        self.logs.iter_mut().try_for_each(ShardLog::sync)
+    /// Forces every shard's WAL to disk, one shard lock at a time.
+    pub fn sync(&self) -> Result<(), DurableError> {
+        (0..self.logs.len()).try_for_each(|s| self.lock(s).sync())
     }
 
-    /// Decomposes the single-writer wrapper so a server can run each
-    /// shard's [`ShardLog`] on that shard's worker thread while sharing
-    /// the `&self`-concurrent pool across connections. Checkpoints go
-    /// through [`publish_checkpoint`] on the [`SnapshotStore`], so
-    /// service checkpoints and library recovery stay one format.
-    pub fn into_service_parts(self) -> (P, Vec<ShardLog>, SnapshotStore) {
-        (self.pool, self.logs, self.snapshots)
+    fn lock_all(&self) -> Vec<MutexGuard<'_, ShardLog>> {
+        (0..self.logs.len()).map(|s| self.lock(s)).collect()
     }
 
-    /// Whole-pool snapshot: syncs every WAL, publishes the checkpoint,
-    /// then rotates and purges every shard's log.
-    pub fn snapshot(&mut self) -> Result<(), DurableError> {
-        self.sync()?;
-        publish_checkpoint(&self.snapshots, &self.shard_seqs(), &self.pool)?;
-        self.logs.iter_mut().try_for_each(ShardLog::truncate)?;
-        self.records_since_snapshot = 0;
+    /// Whole-pool snapshot: locks every shard in index order, syncs every
+    /// WAL, publishes the checkpoint, then rotates and purges every
+    /// shard's log. Writers wait for it; readers do not.
+    pub fn snapshot(&self) -> Result<(), DurableError> {
+        let mut logs = self.lock_all();
+        self.snapshot_locked(&mut logs)
+    }
+
+    fn snapshot_locked(&self, logs: &mut [MutexGuard<'_, ShardLog>]) -> Result<(), DurableError> {
+        logs.iter_mut().try_for_each(|log| log.sync())?;
+        let seqs: Vec<u64> = logs.iter().map(|log| log.seq).collect();
+        publish_checkpoint(&self.snapshots, &seqs, &self.pool)?;
+        logs.iter_mut().try_for_each(|log| log.truncate())?;
+        self.keys_since_snapshot.store(0, Ordering::Relaxed);
+        self.snapshots_published.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Drains migrations until `stop()` holds: moves one batch of each
+    /// migrating shard at a time, under that shard's lock, and sleeps
+    /// while no shard migrates, until a write starts a migration or
+    /// `poll` passes (`stop` is checked between). Run it on one thread
+    /// beside the writers (`mpcbf serve --elastic` does). Without it a
+    /// shard's migration moves one batch per write to that shard.
+    pub fn drain_migrations(&self, poll: Duration, stop: impl Fn() -> bool) {
+        let (woken, wake) = &self.drain_signal;
+        while !stop() {
+            let mut migrating = false;
+            for shard in 0..self.logs.len() {
+                if self.is_migrating(shard) {
+                    let _log = self.lock(shard);
+                    let still = self.pool.step_compaction(shard);
+                    self.set_migrating(shard, still);
+                    migrating |= still;
+                }
+            }
+            if !migrating {
+                let mut raised = woken.lock().expect("drain signal poisoned");
+                if !*raised {
+                    raised = wake
+                        .wait_timeout(raised, poll)
+                        .expect("drain signal poisoned")
+                        .0;
+                }
+                *raised = false;
+            }
+        }
     }
 }
 
@@ -1229,7 +1326,7 @@ mod tests {
     fn clean_restart_recovers_bit_exact_in_parallel() {
         let dir = scratch_dir("clean");
         let opts = DurabilityOptions::new(&dir);
-        let mut durable = DurableSharded::create(filter(), opts.clone()).unwrap();
+        let durable = DurableSharded::create(filter(), opts.clone()).unwrap();
         let keys: Vec<Vec<u8>> = (0..2_000u64).map(|i| i.to_le_bytes().to_vec()).collect();
         for (i, key) in keys.iter().enumerate() {
             if i % 3 == 0 {
@@ -1272,7 +1369,7 @@ mod tests {
         ] {
             let dir = scratch_dir(tag);
             let opts = DurabilityOptions::new(&dir).fsync(policy);
-            let mut durable = DurableSharded::create(filter(), opts.clone()).unwrap();
+            let durable = DurableSharded::create(filter(), opts.clone()).unwrap();
             // 123 is deliberately not a multiple of any sync cadence.
             for i in 0..123u64 {
                 durable.insert_bytes(&i.to_le_bytes()).unwrap();
@@ -1299,7 +1396,7 @@ mod tests {
     #[test]
     fn batch_results_come_back_in_input_order() {
         let dir = scratch_dir("order");
-        let mut durable = DurableSharded::create(filter(), DurabilityOptions::new(&dir)).unwrap();
+        let durable = DurableSharded::create(filter(), DurabilityOptions::new(&dir)).unwrap();
         let keys: Vec<Vec<u8>> = (0..64u64).map(|i| i.to_le_bytes().to_vec()).collect();
         let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
         durable.insert_batch_bytes(&views[..32]).unwrap();
@@ -1316,7 +1413,7 @@ mod tests {
     fn snapshot_truncates_all_shard_logs() {
         let dir = scratch_dir("snap");
         let opts = DurabilityOptions::new(&dir);
-        let mut durable = DurableSharded::create(filter(), opts.clone()).unwrap();
+        let durable = DurableSharded::create(filter(), opts.clone()).unwrap();
         for i in 0..1_000u64 {
             durable.insert_bytes(&i.to_le_bytes()).unwrap();
         }
@@ -1349,7 +1446,7 @@ mod tests {
     fn overload_scales_through_the_log_and_recovers_the_stack() {
         let dir = scratch_dir("scale");
         let opts = DurabilityOptions::new(&dir);
-        let mut durable = DurableSharded::create(fresh_pool(11), opts.clone()).unwrap();
+        let durable = DurableSharded::create(fresh_pool(11), opts.clone()).unwrap();
         for i in 0..20_000u64 {
             durable.insert_bytes(&i.to_le_bytes()).unwrap();
         }
@@ -1376,7 +1473,7 @@ mod tests {
     fn snapshot_mid_migration_recovers_and_finishes_compaction() {
         let dir = scratch_dir("midmig");
         let opts = DurabilityOptions::new(&dir);
-        let mut durable = DurableSharded::create(fresh_pool(12), opts.clone()).unwrap();
+        let durable = DurableSharded::create(fresh_pool(12), opts.clone()).unwrap();
         // Push far enough that some shard is mid-compaction (the write
         // path drains `compact_batch` keys per op, so a burst right
         // after the trigger leaves a migration in flight).
@@ -1414,37 +1511,39 @@ mod tests {
         let dir = scratch_dir("broken");
         let kill = crate::KillSwitch::new();
         let opts = DurabilityOptions::new(&dir).kill(kill.clone());
-        let (pool, mut logs, _) = DurableSharded::create(fresh_pool(14), opts.clone())
-            .unwrap()
-            .into_service_parts();
+        let durable = DurableSharded::create(fresh_pool(14), opts.clone()).unwrap();
+        let pool = durable.inner();
         let (mut acked, mut refused, mut broken_shard) = (Vec::new(), 0, None);
         for i in 0..20_000u64 {
             let key = i.to_le_bytes().to_vec();
-            let log = &mut logs[pool.home_shard(&key)];
-            // Acknowledged once applied, before settling, as the server
-            // replies.
-            match log.apply(&pool, WalOp::Insert(key.clone())) {
+            let shard = pool.home_shard(&key);
+            // The write step, split at the settle so the scale-up's
+            // append can be made to fail.
+            let mut log = durable.lock(shard);
+            let applied = match log.apply(pool, WalOp::Insert(key.clone())) {
                 Ok(results) => {
                     assert_eq!(results[0], Ok(()));
-                    acked.push(key);
+                    true
                 }
                 Err(e) => {
-                    assert_eq!(Some(log.shard()), broken_shard, "{e}");
+                    assert_eq!(Some(shard), broken_shard, "{e}");
                     refused += 1;
+                    false
                 }
-            }
-            if broken_shard.is_none() && pool.scale_plan(log.shard()).is_some() {
-                // The ScaleUp frame is written whole; its fsync fails.
+            };
+            if broken_shard.is_none() && pool.scale_plan(shard).is_some() {
+                // The ScaleUp frame is written whole; its fsync fails,
+                // and so does the write that parked the plan.
                 kill.arm(crate::KillSite::WalFsync, 0);
-                assert!(log.settle(&pool).unwrap_err().is_kill());
-                broken_shard = Some(log.shard());
-            } else {
-                let _ = log.settle(&pool);
+                assert!(log.settle(pool).unwrap_err().is_kill());
+                broken_shard = Some(shard);
+            } else if applied && log.settle(pool).is_ok() {
+                acked.push(key);
             }
         }
         assert!(broken_shard.is_some(), "overload must park a scale-up");
         assert!(refused > 0, "the broken log must refuse later appends");
-        drop((pool, logs));
+        drop(durable);
 
         let (recovered, report) = DurableSharded::open_or_recover(opts, || fresh_pool(14)).unwrap();
         assert!(report.scrub_clean, "verify must pass: {report}");
@@ -1458,10 +1557,33 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_every_counts_logged_keys_not_frames() {
+        let dir = scratch_dir("every");
+        let mut opts = DurabilityOptions::new(&dir);
+        opts.snapshot_every = Some(512);
+        let durable = DurableSharded::create(filter(), opts.clone()).unwrap();
+        let keys: Vec<Vec<u8>> = (0..512u64).map(|i| i.to_le_bytes().to_vec()).collect();
+        let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+        durable.insert_batch_bytes(&views[..256]).unwrap();
+        assert_eq!(durable.snapshots_published(), 0, "256 keys are below 512");
+        durable.insert_batch_bytes(&views[256..]).unwrap();
+        // Two batches over 8 shards: 16 frames, 512 keys.
+        assert_eq!(durable.shard_seqs().iter().sum::<u64>(), 16);
+        assert_eq!(durable.snapshots_published(), 1, "512 keys reach 512");
+        drop(durable);
+
+        let (recovered, report) = DurableSharded::open_or_recover(opts, filter).unwrap();
+        assert!(report.snapshot_seq.is_some_and(|seq| seq > 0), "{report}");
+        assert_eq!(report.records_replayed, 0, "the snapshot covers both");
+        assert!(keys.iter().all(|k| recovered.contains_bytes(k)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn batches_and_removals_replay_into_the_elastic_pool() {
         let dir = scratch_dir("batch");
         let opts = DurabilityOptions::new(&dir);
-        let mut durable = DurableSharded::create(fresh_pool(13), opts.clone()).unwrap();
+        let durable = DurableSharded::create(fresh_pool(13), opts.clone()).unwrap();
         let keys: Vec<Vec<u8>> = (0..4_000u64).map(|i| i.to_le_bytes().to_vec()).collect();
         let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
         durable.insert_batch_bytes(&views).unwrap();

@@ -1,12 +1,12 @@
 //! Filter-as-a-service: a durable, multi-core TCP front-end for the
 //! multi-partitioned counting Bloom filter.
 //!
-//! The server wraps [`mpcbf_durability`]'s sharded WAL in a
-//! thread-per-shard service: connection threads answer queries straight
-//! from the shared lock-striped filter, while mutations route (by the
-//! same top-digest-bit rule the filter shards on) to the one worker
-//! thread that owns that shard's write-ahead log. An acknowledgement
-//! therefore always means "logged under the configured
+//! The server runs [`mpcbf_durability`]'s sharded WAL from its
+//! connection threads: queries read the shared filter in place, with no
+//! lock, while a mutation takes its shard's log lock (by the same
+//! top-digest-bit rule the filter shards on), logs, applies, and only
+//! then replies. An acknowledgement therefore always means "logged
+//! under the configured
 //! [`FsyncPolicy`](mpcbf_durability::FsyncPolicy)" — after a crash,
 //! [`Server::start`] replays the logs and every acked key answers
 //! present again.

@@ -1,5 +1,5 @@
-//! The filter server: a thread-per-shard service over
-//! [`DurableSharded`]'s decomposed parts.
+//! The filter server: connection threads over one shared
+//! [`DurableSharded`].
 //!
 //! # Architecture
 //!
@@ -7,44 +7,45 @@
 //!            accept loop (one thread)
 //!                 │ one thread per connection
 //!                 ▼
-//!   connection threads ── queries ──► Arc<dyn ShardPool>  (lock-striped,
-//!        │                                                 read in place)
-//!        │ mutations, routed by home_shard(key)
+//!   connection threads ── queries ──► the pool, read in place (no lock)
+//!        │
+//!        │ mutations
 //!        ▼
-//!   mpsc queue per shard ──► shard worker thread
-//!                              owns that shard's ShardLog (WAL + seq):
-//!                              log → apply → reply(ack)
+//!   Arc<DurableSharded<dyn ShardPool>>: per shard, one lock over its WAL;
+//!        the writer holds it to log → apply → settle, then replies
 //! ```
 //!
-//! The pool is the fixed-size [`ShardedMpcbf`] or, with `--elastic`, the
-//! autoscaling [`ElasticShardedMpcbf`]; the server picks one at start-up
-//! and otherwise sees only the [`ShardPool`] trait. Queries never touch a
-//! queue: connection threads read the shared pool directly. Mutations are WAL-first — a shard worker appends the
-//! record (the configured [`FsyncPolicy`] decides whether that append
-//! reaches the platter before the ack), applies it to the filter, and
-//! only then replies. A batch fans out as one WAL frame per touched
-//! shard and the connection thread reassembles per-key outcomes in
-//! request order.
+//! The pool is the fixed-size [`ShardedMpcbf`] (atomic words, no lock)
+//! or, with `--elastic`, the autoscaling [`ElasticShardedMpcbf`]; the
+//! server picks one at start-up and otherwise sees only
+//! `DurableSharded<dyn ShardPool>`. Queries never take a shard's log
+//! lock. Mutations are WAL-first: the connection thread takes the key's
+//! shard lock, appends the record (the configured [`FsyncPolicy`]
+//! decides whether that append reaches the platter before the ack),
+//! applies it to the filter, and only then replies. A batch logs one
+//! frame per touched shard, one shard lock at a time, and its per-key
+//! outcomes come back in request order.
 //!
-//! Checkpoints quiesce writers with a barrier: every worker fsyncs,
-//! parks at the gate, the coordinator snapshots the filter image plus
-//! the per-shard sequence vector, then workers truncate their logs and
-//! resume. Graceful shutdown runs a final checkpoint, drains every
-//! queue, and fsyncs each WAL, so a clean stop loses nothing under any
-//! fsync policy.
+//! A checkpoint takes every shard lock in index order, so writers wait
+//! while the image is written (readers do not); then each log is
+//! truncated. In elastic mode one drain thread moves migration batches
+//! under the migrating shard's lock while that shard sheds mutations.
+//! Graceful shutdown runs a final checkpoint, joins the connections, and
+//! fsyncs each WAL, so a clean stop loses nothing under any fsync policy.
+//!
+//! [`FsyncPolicy`]: mpcbf_durability::FsyncPolicy
 
 use crate::metrics;
 use crate::protocol::{
-    decode_request, key_code, write_frame, KeyOutcome, Request, MAX_FRAME, STATUS_BAD_REQUEST,
-    STATUS_OK, STATUS_REFUSED, STATUS_RETRY_LATER, STATUS_SERVER_ERROR,
+    decode_request, key_code, write_frame, Request, MAX_FRAME, STATUS_BAD_REQUEST, STATUS_OK,
+    STATUS_REFUSED, STATUS_RETRY_LATER, STATUS_SERVER_ERROR,
 };
 use mpcbf_concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
 use mpcbf_core::metrics::{OpCost, OpKind, OpSink};
 use mpcbf_core::policy::CapacityPolicy;
 use mpcbf_core::MpcbfConfig;
 use mpcbf_durability::{
-    group_by_shard, publish_checkpoint, DurabilityOptions, DurableError, DurableSharded,
-    RecoveryReport, ShardLog, ShardPool, SnapshotStore, WalOp,
+    DurabilityOptions, DurableError, DurableSharded, RecoveryReport, ShardPool,
 };
 use mpcbf_hash::Murmur3;
 use mpcbf_telemetry::Telemetry;
@@ -52,13 +53,12 @@ use std::fmt;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long blocked reads and idle accept polls wait between checks of
-/// the shutdown flag.
+/// How long blocked reads, idle accept polls and the idle drain thread
+/// wait between checks of the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Everything needed to start a [`Server`].
@@ -69,8 +69,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Optional bind address for the `/metrics` HTTP endpoint.
     pub metrics_addr: Option<String>,
-    /// Durability directory, fsync policy, segment size, and the
-    /// auto-checkpoint threshold (`snapshot_every` logged records).
+    /// Durability directory, fsync policy, and the auto-checkpoint
+    /// threshold (`snapshot_every` logged keys).
     pub durability: DurabilityOptions,
     /// Filter geometry used when the directory holds no usable state.
     pub filter: MpcbfConfig,
@@ -117,88 +117,22 @@ impl From<DurableError> for ServerError {
     }
 }
 
-/// Work dispatched to a shard worker.
-enum ShardJob {
-    /// Log, apply, and acknowledge one WAL operation.
-    Apply {
-        op: WalOp,
-        reply: Sender<ShardReply>,
-    },
-    /// Fsync this shard's WAL.
-    Sync { reply: Sender<ShardReply> },
-    /// Park at a checkpoint barrier (see [`Gate`]).
-    Checkpoint(Arc<Gate>),
-}
-
-/// A worker's answer to an `Apply` or `Sync` job.
-struct ShardReply {
-    shard: usize,
-    /// Per-key outcome codes, in the sub-batch's order. Empty for
-    /// `Sync`.
-    codes: Vec<u8>,
-    /// A WAL failure. The op was NOT acknowledged as durable.
-    error: Option<String>,
-}
-
-/// Checkpoint barrier shared by the coordinator and every worker.
-struct Gate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-struct GateState {
-    /// Each worker's sequence number at the instant it parked.
-    seqs: Vec<u64>,
-    arrived: usize,
-    /// A worker's pre-barrier fsync failed; the snapshot must not claim
-    /// its sequence.
-    sync_failed: bool,
-    /// Coordinator finished (snapshot written or abandoned).
-    released: bool,
-    /// Snapshot landed: workers may truncate their logs.
-    truncate: bool,
-}
-
-impl Gate {
-    fn new(shards: usize) -> Self {
-        Gate {
-            state: Mutex::new(GateState {
-                seqs: vec![0; shards],
-                arrived: 0,
-                sync_failed: false,
-                released: false,
-                truncate: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-}
-
 /// Monotone counters surfaced on `/metrics` and `STATS`.
 #[derive(Default)]
 struct ServerCounters {
     connections: AtomicU64,
     frames: AtomicU64,
     bad_requests: AtomicU64,
-    checkpoints: AtomicU64,
     /// Mutations refused with `RETRY_LATER` while a shard reorganised.
     shed: AtomicU64,
 }
 
-/// State shared by the acceptor, connection threads, and coordinator.
+/// State shared by the acceptor, connection threads, and drain thread.
 pub(crate) struct Shared {
-    pool: Arc<dyn ShardPool>,
-    /// The same pool, typed, in elastic mode: its capacity counters feed
-    /// `STATS` and `/metrics`.
-    elastic: Option<Arc<ElasticShardedMpcbf<Murmur3>>>,
-    /// Per-shard "reorganising" latches: raised by a shard worker from
-    /// the moment it commits to a logged scale-up until the migration
-    /// drains; dispatch sheds mutations for flagged shards.
-    scaling: Vec<Arc<AtomicBool>>,
-    /// Cleared at teardown so worker queues close once connection
-    /// threads (which hold clones) have exited.
-    shard_txs: Mutex<Vec<Sender<ShardJob>>>,
-    snapshots: SnapshotStore,
+    durable: Arc<DurableSharded<dyn ShardPool>>,
+    /// The same filter, typed, in elastic mode: its capacity counters
+    /// feed `STATS` and `/metrics`.
+    elastic: Option<Arc<DurableSharded<ElasticShardedMpcbf<Murmur3>>>>,
     telemetry: Arc<Telemetry>,
     counters: ServerCounters,
     recovery: RecoveryReport,
@@ -207,11 +141,6 @@ pub(crate) struct Shared {
     shutdown: AtomicBool,
     /// Wakes [`Server::wait`] when shutdown is requested.
     stop_signal: (Mutex<bool>, Condvar),
-    /// Serialises checkpoints (two concurrent gates would deadlock the
-    /// workers).
-    checkpoint_lock: Mutex<()>,
-    records_since_checkpoint: AtomicU64,
-    snapshot_every: Option<u64>,
 }
 
 impl Shared {
@@ -221,11 +150,19 @@ impl Shared {
         self.shutdown.load(Ordering::Relaxed)
     }
 
-    /// True while `shard`'s worker is scaling or compacting.
-    fn is_scaling(&self, shard: usize) -> bool {
-        self.scaling
-            .get(shard)
-            .is_some_and(|f| f.load(Ordering::Relaxed))
+    /// Whether a mutation of `keys` is shed (and counted): some key's
+    /// shard is migrating. Keys are routed only while a shard migrates.
+    fn shed(&self, keys: &[&[u8]]) -> bool {
+        let durable = &self.durable;
+        let pool = durable.inner();
+        let shed = (0..pool.shard_count()).any(|s| durable.is_migrating(s))
+            && keys
+                .iter()
+                .any(|key| durable.is_migrating(pool.home_shard(key)));
+        if shed {
+            self.counters.shed.fetch_add(1, Ordering::Relaxed);
+        }
+        shed
     }
 
     fn request_shutdown(&self) {
@@ -246,79 +183,15 @@ impl Shared {
         }
     }
 
-    /// Blocking checkpoint: barrier → snapshot → truncate.
-    fn checkpoint(&self) -> Result<(), String> {
-        let guard = self
-            .checkpoint_lock
-            .lock()
-            .expect("checkpoint lock poisoned");
-        self.checkpoint_locked(guard)
-    }
-
-    /// Opportunistic checkpoint after a mutation crossed the
-    /// `snapshot_every` threshold; skips if one is already running.
-    fn maybe_checkpoint(&self) {
-        let Some(every) = self.snapshot_every else {
-            return;
-        };
-        if self.records_since_checkpoint.load(Ordering::Relaxed) < every {
-            return;
-        }
-        if let Ok(guard) = self.checkpoint_lock.try_lock() {
-            let _ = self.checkpoint_locked(guard);
-        }
-    }
-
-    fn checkpoint_locked(&self, _guard: MutexGuard<'_, ()>) -> Result<(), String> {
-        let txs = self
-            .shard_txs
-            .lock()
-            .expect("shard queues poisoned")
-            .clone();
-        if txs.is_empty() {
-            return Err("server is stopping".into());
-        }
-        let gate = Arc::new(Gate::new(txs.len()));
-        let mut sent = 0;
-        let mut send_failed = false;
-        for tx in &txs {
-            if tx.send(ShardJob::Checkpoint(gate.clone())).is_ok() {
-                sent += 1;
-            } else {
-                send_failed = true;
-            }
-        }
-        let mut st = gate.state.lock().expect("gate poisoned");
-        while st.arrived < sent {
-            st = gate.cv.wait(st).expect("gate poisoned");
-        }
-        // Workers are parked: no writer can race the image capture.
-        let result = if send_failed {
-            Err("a shard worker is gone".to_string())
-        } else if st.sync_failed {
-            Err("a shard fsync failed; snapshot abandoned".to_string())
-        } else {
-            publish_checkpoint(&self.snapshots, &st.seqs, &*self.pool).map_err(|e| e.to_string())
-        };
-        st.truncate = result.is_ok();
-        st.released = true;
-        gate.cv.notify_all();
-        drop(st);
-        if result.is_ok() {
-            self.records_since_checkpoint.store(0, Ordering::Relaxed);
-            self.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-
     fn stats_json(&self) -> String {
         let snap = self.telemetry.snapshot();
         let ops: u64 = snap.kinds().iter().map(|(_, k)| k.ops).sum();
         let r = &self.recovery;
+        let pool = self.durable.inner();
         let elastic = match &self.elastic {
             None => String::new(),
-            Some(pool) => {
-                let st = pool.stats();
+            Some(durable) => {
+                let st = durable.inner().stats();
                 format!(
                     concat!(
                         ",\"elastic\":{{\"generations\":{},\"scale_events\":{},",
@@ -344,15 +217,15 @@ impl Shared {
                 "\"recovery\":{{\"records_replayed\":{},\"ops_replayed\":{},",
                 "\"torn_tails\":{},\"segments_dropped\":{},\"scrub_clean\":{}}}{}}}"
             ),
-            self.pool.shard_count(),
+            pool.shard_count(),
             self.mode(),
             self.fsync_name,
             ops,
-            self.pool.overflows(),
+            pool.overflows(),
             self.counters.connections.load(Ordering::Relaxed),
             self.counters.frames.load(Ordering::Relaxed),
             self.counters.bad_requests.load(Ordering::Relaxed),
-            self.counters.checkpoints.load(Ordering::Relaxed),
+            self.durable.snapshots_published(),
             self.counters.shed.load(Ordering::Relaxed),
             r.records_replayed,
             r.ops_replayed,
@@ -368,6 +241,7 @@ impl Shared {
     pub(crate) fn metrics_page(&self) -> String {
         let mut snap = self.telemetry.snapshot();
         let c = &self.counters;
+        let pool = self.durable.inner();
         snap.counters.insert(
             "server_connections".into(),
             c.connections.load(Ordering::Relaxed),
@@ -380,16 +254,16 @@ impl Shared {
         );
         snap.counters.insert(
             "server_checkpoints".into(),
-            c.checkpoints.load(Ordering::Relaxed),
+            self.durable.snapshots_published(),
         );
         snap.counters
             .insert("server_shed".into(), c.shed.load(Ordering::Relaxed));
         snap.gauges
-            .insert("server_shards".into(), self.pool.shard_count() as f64);
+            .insert("server_shards".into(), pool.shard_count() as f64);
         snap.gauges
-            .insert("filter_overflows".into(), self.pool.overflows() as f64);
-        if let Some(pool) = &self.elastic {
-            let st = pool.stats();
+            .insert("filter_overflows".into(), pool.overflows() as f64);
+        if let Some(durable) = &self.elastic {
+            let st = durable.inner().stats();
             snap.counters
                 .insert("elastic_scale_events".into(), st.scale_events);
             snap.counters
@@ -413,105 +287,6 @@ impl Shared {
     }
 }
 
-/// One shard's single-writer loop around its [`ShardLog`]: log, apply,
-/// reply, then settle (elastic mode: log a parked scale-up, move one
-/// migration batch). While the shard migrates it raises the shed latch
-/// and drains a batch whenever its queue is empty.
-struct ShardWorker {
-    log: ShardLog,
-    pool: Arc<dyn ShardPool>,
-    /// Shared with dispatch: raised while this shard reorganises.
-    scaling: Arc<AtomicBool>,
-}
-
-impl ShardWorker {
-    fn run(mut self, rx: Receiver<ShardJob>) {
-        // Recovery may hand back a shard mid-migration; resume draining
-        // (and shedding) instead of forgetting the in-flight work.
-        self.step();
-        loop {
-            let job = if self.scaling.load(Ordering::Relaxed) {
-                // Interleave migration batches with queued work: every
-                // applied op moves one batch, and an empty queue moves
-                // the next one at once, so an idle shard drains at full
-                // speed.
-                match rx.try_recv() {
-                    Ok(job) => Some(job),
-                    Err(TryRecvError::Empty) => None,
-                    Err(TryRecvError::Disconnected) => break,
-                }
-            } else {
-                match rx.recv() {
-                    Ok(job) => Some(job),
-                    Err(_) => break,
-                }
-            };
-            let Some(job) = job else {
-                self.step();
-                continue;
-            };
-            let shard = self.log.shard();
-            match job {
-                ShardJob::Apply { op, reply } => {
-                    let (codes, error) = match self.log.apply(&*self.pool, op) {
-                        Ok(results) => (results.iter().map(key_code).collect(), None),
-                        Err(e) => (Vec::new(), Some(e.to_string())),
-                    };
-                    let _ = reply.send(ShardReply {
-                        shard,
-                        codes,
-                        error,
-                    });
-                    // A failed structural append breaks the log: later
-                    // mutations on this shard are refused, never lost.
-                    if let Ok(migrating) = self.log.settle(&*self.pool) {
-                        self.scaling.store(migrating, Ordering::SeqCst);
-                    }
-                }
-                ShardJob::Sync { reply } => {
-                    let error = self.log.sync().err().map(|e| e.to_string());
-                    let _ = reply.send(ShardReply {
-                        shard,
-                        codes: Vec::new(),
-                        error,
-                    });
-                }
-                ShardJob::Checkpoint(gate) => {
-                    let synced = self.log.sync().is_ok();
-                    let truncate;
-                    {
-                        let mut st = gate.state.lock().expect("gate poisoned");
-                        st.seqs[shard] = self.log.seq();
-                        if !synced {
-                            st.sync_failed = true;
-                        }
-                        st.arrived += 1;
-                        gate.cv.notify_all();
-                        while !st.released {
-                            st = gate.cv.wait(st).expect("gate poisoned");
-                        }
-                        truncate = st.truncate;
-                    }
-                    if truncate {
-                        let _ = self.log.truncate();
-                    }
-                }
-            }
-        }
-        // Queue closed: graceful stop. Flush everything acknowledged
-        // under a relaxed policy before the thread exits. An in-flight
-        // migration is persisted by the teardown checkpoint's image and
-        // resumes after recovery.
-        let _ = self.log.sync();
-    }
-
-    /// Moves one migration batch; drops the shed latch once drained.
-    fn step(&self) {
-        let migrating = self.pool.step_compaction(self.log.shard());
-        self.scaling.store(migrating, Ordering::SeqCst);
-    }
-}
-
 /// A running filter server. Stop it with [`Server::shutdown`] (or send
 /// the `SHUTDOWN` opcode and [`Server::wait`]).
 pub struct Server {
@@ -520,14 +295,15 @@ pub struct Server {
     metrics_addr: Option<SocketAddr>,
     acceptor: Option<JoinHandle<()>>,
     metrics_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Elastic mode's migration drain thread.
+    drain: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
     /// Recovers (or creates) the durable filter from
-    /// `config.durability.dir`, binds the sockets, and spawns the shard
-    /// workers, acceptor, and metrics threads.
+    /// `config.durability.dir`, binds the sockets, and spawns the
+    /// acceptor and metrics threads (and, elastic, the drain thread).
     pub fn start(config: ServerConfig) -> Result<Server, ServerError> {
         let ServerConfig {
             addr,
@@ -538,28 +314,20 @@ impl Server {
             elastic,
         } = config;
         let fsync_name = durability.fsync.name();
-        let snapshot_every = durability.snapshot_every;
         // The one branch on the mode: everything below sees the trait.
-        let (pool, elastic, logs, snapshots, recovery): (Arc<dyn ShardPool>, _, _, _, _) =
-            if elastic {
-                let (durable, recovery) = DurableSharded::open_or_recover(durability, || {
-                    ElasticShardedMpcbf::<Murmur3>::manual(
-                        filter,
-                        shards,
-                        CapacityPolicy::default(),
-                    )
+        let (durable, elastic, recovery): (Arc<DurableSharded<dyn ShardPool>>, _, _) = if elastic {
+            let (durable, recovery) = DurableSharded::open_or_recover(durability, || {
+                ElasticShardedMpcbf::<Murmur3>::manual(filter, shards, CapacityPolicy::default())
                     .expect("default capacity policy is valid")
-                })?;
-                let (pool, logs, snapshots) = durable.into_service_parts();
-                let pool = Arc::new(pool);
-                (pool.clone(), Some(pool), logs, snapshots, recovery)
-            } else {
-                let (durable, recovery) = DurableSharded::open_or_recover(durability, || {
-                    ShardedMpcbf::<u64, Murmur3>::new(filter, shards)
-                })?;
-                let (pool, logs, snapshots) = durable.into_service_parts();
-                (Arc::new(pool), None, logs, snapshots, recovery)
-            };
+            })?;
+            let durable = Arc::new(durable);
+            (durable.clone(), Some(durable), recovery)
+        } else {
+            let (durable, recovery) = DurableSharded::open_or_recover(durability, || {
+                ShardedMpcbf::<u64, Murmur3>::new(filter, shards)
+            })?;
+            (Arc::new(durable), None, recovery)
+        };
         let telemetry = Arc::new(Telemetry::new());
         recovery.record_to(&telemetry);
 
@@ -574,33 +342,9 @@ impl Server {
             None => None,
         };
 
-        let mut txs = Vec::with_capacity(logs.len());
-        let mut workers = Vec::with_capacity(logs.len());
-        let mut scaling = Vec::with_capacity(logs.len());
-        for log in logs {
-            let shard = log.shard();
-            let (tx, rx) = channel();
-            txs.push(tx);
-            let flag = Arc::new(AtomicBool::new(false));
-            scaling.push(flag.clone());
-            let worker = ShardWorker {
-                log,
-                pool: pool.clone(),
-                scaling: flag,
-            };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("mpcbf-shard-{shard}"))
-                    .spawn(move || worker.run(rx))?,
-            );
-        }
-
         let shared = Arc::new(Shared {
-            pool,
+            durable,
             elastic,
-            scaling,
-            shard_txs: Mutex::new(txs),
-            snapshots,
             telemetry,
             counters: ServerCounters::default(),
             recovery,
@@ -608,9 +352,6 @@ impl Server {
             local_addr,
             shutdown: AtomicBool::new(false),
             stop_signal: (Mutex::new(false), Condvar::new()),
-            checkpoint_lock: Mutex::new(()),
-            records_since_checkpoint: AtomicU64::new(0),
-            snapshot_every,
         });
 
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -632,6 +373,22 @@ impl Server {
             }
             None => None,
         };
+        // A shard recovery hands back mid-migration drains from here on.
+        let drain = match shared.elastic {
+            Some(_) => {
+                let shared = shared.clone();
+                Some(
+                    std::thread::Builder::new()
+                        .name("mpcbf-drain".into())
+                        .spawn(move || {
+                            shared
+                                .durable
+                                .drain_migrations(POLL_INTERVAL, || shared.shutting_down())
+                        })?,
+                )
+            }
+            None => None,
+        };
 
         Ok(Server {
             shared,
@@ -639,7 +396,7 @@ impl Server {
             metrics_addr,
             acceptor: Some(acceptor),
             metrics_thread,
-            workers,
+            drain,
             conns,
         })
     }
@@ -667,7 +424,7 @@ impl Server {
 
     /// Blocks until shutdown is requested (by [`Self::request_shutdown`]
     /// or a client's `SHUTDOWN` frame), then tears down: final
-    /// checkpoint, drain and join every thread, fsync every WAL.
+    /// checkpoint, join every thread, fsync every WAL.
     pub fn wait(mut self) -> Result<(), ServerError> {
         self.teardown();
         Ok(())
@@ -688,30 +445,24 @@ impl Server {
                 stopped = cv.wait(stopped).expect("stop signal poisoned");
             }
         }
-        // Bound the restart's replay; workers still serve queued jobs.
-        let _ = self.shared.checkpoint();
+        // Bound the restart's replay; in-flight writes wait for it.
+        let _ = self.shared.durable.snapshot();
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        let conn_handles: Vec<_> = self
+        let conns: Vec<_> = self
             .conns
             .lock()
             .expect("connection registry poisoned")
             .drain(..)
             .collect();
-        for h in conn_handles {
+        for h in conns.into_iter().chain(self.drain.take()) {
             let _ = h.join();
         }
-        // All producers are gone; closing the queues lets each worker
-        // drain, run its final fsync, and exit.
-        self.shared
-            .shard_txs
-            .lock()
-            .expect("shard queues poisoned")
-            .clear();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        // Every writer is gone: flush what a relaxed policy acknowledged.
+        // An in-flight migration is in the checkpoint's image and resumes
+        // after recovery.
+        let _ = self.shared.durable.sync();
         if let Some(h) = self.metrics_thread.take() {
             let _ = h.join();
         }
@@ -799,10 +550,10 @@ fn read_frame_polling(stream: &mut TcpStream, shutdown: &AtomicBool) -> Option<V
     }
 }
 
-/// The suggested client backoff while a shard reorganises. A shed
-/// shard's queue empties, and its worker then drains the migration batch
-/// after batch, so single-digit-millisecond retries converge quickly
-/// without hammering the dispatch path.
+/// The suggested client backoff while a shard reorganises. The drain
+/// thread moves the shed shard's migration batch after batch, so
+/// single-digit-millisecond retries converge quickly without hammering
+/// the dispatch path.
 const RETRY_AFTER_MS: u32 = 5;
 
 fn shed_response() -> Vec<u8> {
@@ -857,7 +608,7 @@ fn dispatch(shared: &Shared, req: Request) -> Vec<u8> {
         Request::Ping => vec![STATUS_OK],
         Request::Query(key) => {
             let start = Instant::now();
-            let present = shared.pool.contains_bytes(&key);
+            let present = shared.durable.contains_bytes(&key);
             shared.telemetry.record_batch(
                 OpKind::Query,
                 1,
@@ -869,7 +620,7 @@ fn dispatch(shared: &Shared, req: Request) -> Vec<u8> {
         Request::QueryBatch(keys) => {
             let start = Instant::now();
             let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            let hits = shared.pool.contains_batch_bytes(&views);
+            let hits = shared.durable.inner().contains_batch_bytes(&views);
             shared.telemetry.record_batch(
                 OpKind::Query,
                 hits.len() as u64,
@@ -891,207 +642,80 @@ fn dispatch(shared: &Shared, req: Request) -> Vec<u8> {
             out.extend_from_slice(shared.stats_json().as_bytes());
             out
         }
-        Request::Checkpoint => match shared.checkpoint() {
-            Ok(()) => vec![STATUS_OK],
-            Err(reason) => error_response(STATUS_SERVER_ERROR, &reason),
-        },
-        Request::Flush => flush_all(shared),
+        Request::Checkpoint => status_of(shared.durable.snapshot()),
+        Request::Flush => status_of(shared.durable.sync()),
         Request::Shutdown => vec![STATUS_OK],
     }
 }
 
-fn flush_all(shared: &Shared) -> Vec<u8> {
-    let txs = shared
-        .shard_txs
-        .lock()
-        .expect("shard queues poisoned")
-        .clone();
-    let (reply_tx, reply_rx) = channel();
-    let mut pending = 0;
-    for tx in &txs {
-        if tx
-            .send(ShardJob::Sync {
-                reply: reply_tx.clone(),
-            })
-            .is_ok()
-        {
-            pending += 1;
-        }
+fn status_of(result: Result<(), DurableError>) -> Vec<u8> {
+    match result {
+        Ok(()) => vec![STATUS_OK],
+        Err(e) => error_response(STATUS_SERVER_ERROR, &e.to_string()),
     }
-    drop(reply_tx);
-    if pending < txs.len() || txs.is_empty() {
-        return error_response(STATUS_SERVER_ERROR, "a shard worker is gone");
-    }
-    for _ in 0..pending {
-        match reply_rx.recv() {
-            Ok(reply) => {
-                if let Some(msg) = reply.error {
-                    return error_response(STATUS_SERVER_ERROR, &msg);
-                }
-            }
-            Err(_) => return error_response(STATUS_SERVER_ERROR, "a shard worker died"),
-        }
-    }
-    vec![STATUS_OK]
 }
 
 fn mutate_scalar(shared: &Shared, key: Vec<u8>, insert: bool) -> Vec<u8> {
     let start = Instant::now();
-    let kind = if insert {
-        OpKind::Insert
-    } else {
-        OpKind::Remove
-    };
-    let shard = shared.pool.home_shard(&key);
-    if shared.is_scaling(shard) {
-        shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+    if shared.shed(&[&key]) {
         return shed_response();
     }
-    let txs = shared
-        .shard_txs
-        .lock()
-        .expect("shard queues poisoned")
-        .clone();
-    let Some(tx) = txs.get(shard) else {
-        return error_response(STATUS_SERVER_ERROR, "server is stopping");
-    };
-    let op = if insert {
-        WalOp::Insert(key)
+    let durable = &shared.durable;
+    let (kind, result) = if insert {
+        (OpKind::Insert, durable.insert_bytes(&key))
     } else {
-        WalOp::Remove(key)
+        (OpKind::Remove, durable.remove_bytes(&key))
     };
-    let (reply_tx, reply_rx) = channel();
-    if tx
-        .send(ShardJob::Apply {
-            op,
-            reply: reply_tx,
-        })
-        .is_err()
-    {
-        return error_response(STATUS_SERVER_ERROR, "shard worker unavailable");
-    }
-    let response = match reply_rx.recv() {
-        Ok(reply) => match reply.error {
-            None => {
-                let code = reply.codes.first().copied().unwrap_or(0);
-                if code == KeyOutcome::Applied.code() {
-                    vec![STATUS_OK]
-                } else {
-                    vec![STATUS_REFUSED, code]
-                }
-            }
-            Some(msg) => error_response(STATUS_SERVER_ERROR, &msg),
-        },
-        Err(_) => error_response(STATUS_SERVER_ERROR, "shard worker died"),
+    let response = match result {
+        Ok(()) => vec![STATUS_OK],
+        Err(DurableError::Filter(e)) => vec![STATUS_REFUSED, key_code(&Err(e))],
+        Err(e) => error_response(STATUS_SERVER_ERROR, &e.to_string()),
     };
     shared
         .telemetry
         .record_batch(kind, 1, OpCost::zero(), start.elapsed().as_nanos() as u64);
-    shared
-        .records_since_checkpoint
-        .fetch_add(1, Ordering::Relaxed);
-    shared.maybe_checkpoint();
     response
 }
 
 fn mutate_batch(shared: &Shared, keys: Vec<Vec<u8>>, insert: bool) -> Vec<u8> {
     let start = Instant::now();
-    let kind = if insert {
-        OpKind::Insert
-    } else {
-        OpKind::Remove
-    };
-    let n = keys.len();
-    let txs = shared
-        .shard_txs
-        .lock()
-        .expect("shard queues poisoned")
-        .clone();
-    if txs.is_empty() {
-        return error_response(STATUS_SERVER_ERROR, "server is stopping");
-    }
-    // Route each key to its home shard, remembering where it came from
-    // so the reply codes land back in request order.
-    let (per_shard, origin) = group_by_shard(&*shared.pool, keys);
+    let views: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
     // A batch is one all-or-nothing frame per shard: if any touched
     // shard is reorganising, shed the whole batch (partial acks would
     // force the client to split the batch to retry).
-    if per_shard
-        .iter()
-        .enumerate()
-        .any(|(shard, group)| !group.is_empty() && shared.is_scaling(shard))
-    {
-        shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+    if shared.shed(&views) {
         return shed_response();
     }
-    let (reply_tx, reply_rx) = channel();
-    let mut pending = 0;
-    for (shard, group) in per_shard.into_iter().enumerate() {
-        if group.is_empty() {
-            continue;
-        }
-        let op = if insert {
-            WalOp::InsertBatch(group)
-        } else {
-            WalOp::RemoveBatch(group)
-        };
-        if txs[shard]
-            .send(ShardJob::Apply {
-                op,
-                reply: reply_tx.clone(),
-            })
-            .is_err()
-        {
-            // Sub-batches already dispatched may still apply, but the
-            // whole frame errors, so no key is acknowledged.
-            return error_response(STATUS_SERVER_ERROR, "shard worker unavailable");
-        }
-        pending += 1;
-    }
-    drop(reply_tx);
-    let mut codes = vec![0u8; n];
-    let mut failed: Option<String> = None;
-    for _ in 0..pending {
-        match reply_rx.recv() {
-            Ok(reply) => {
-                if let Some(msg) = reply.error {
-                    failed = Some(msg);
-                    continue;
-                }
-                for (j, &ki) in origin[reply.shard].iter().enumerate() {
-                    codes[ki as usize] = reply.codes.get(j).copied().unwrap_or(0);
-                }
-            }
-            Err(_) => {
-                failed = Some("shard worker died".into());
-                break;
-            }
-        }
-    }
-    if let Some(msg) = failed {
-        return error_response(STATUS_SERVER_ERROR, &msg);
-    }
+    let durable = &shared.durable;
+    let (kind, results) = if insert {
+        (OpKind::Insert, durable.insert_batch_bytes(&views))
+    } else {
+        (OpKind::Remove, durable.remove_batch_bytes(&views))
+    };
+    let results = match results {
+        Ok(results) => results,
+        // Frames before the failing shard's may have applied, but no key
+        // is acknowledged.
+        Err(e) => return error_response(STATUS_SERVER_ERROR, &e.to_string()),
+    };
+    let n = results.len();
     shared.telemetry.record_batch(
         kind,
         n as u64,
         OpCost::zero(),
         start.elapsed().as_nanos() as u64,
     );
-    shared
-        .records_since_checkpoint
-        .fetch_add(n as u64, Ordering::Relaxed);
-    shared.maybe_checkpoint();
     let mut out = Vec::with_capacity(5 + n);
     out.push(STATUS_OK);
     out.extend_from_slice(&(n as u32).to_le_bytes());
-    out.extend_from_slice(&codes);
+    out.extend(results.iter().map(key_code));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
+    use crate::client::{Client, ClientConfig};
     use mpcbf_durability::FsyncPolicy;
     use std::path::PathBuf;
 
@@ -1281,10 +905,39 @@ mod tests {
         let dir = scratch_dir("concurrent");
         let server = Server::start(test_config(&dir)).expect("start");
         let addr = server.local_addr();
-        let handles: Vec<_> = (0..4)
+        let writing = Arc::new(AtomicBool::new(true));
+        // A deadlock fails the test instead of hanging it.
+        let connect = move || {
+            let config = ClientConfig {
+                read_timeout: Some(Duration::from_secs(10)),
+                max_retries: 0,
+                ..ClientConfig::default()
+            };
+            Client::connect_with(addr, config).expect("connect")
+        };
+        // Every checkpoint and flush must answer OK, within the timeout,
+        // while writers hold and wait for shard locks.
+        let checkpointer = |flush: bool| {
+            let writing = writing.clone();
+            std::thread::spawn(move || {
+                let mut client = connect();
+                let mut rounds = 0u32;
+                while writing.load(Ordering::Relaxed) || rounds == 0 {
+                    client.checkpoint().expect("CHECKPOINT answers OK");
+                    if flush {
+                        client.flush().expect("FLUSH answers OK");
+                    }
+                    rounds += 1;
+                }
+                rounds
+            })
+        };
+        let loops = checkpointer(true);
+        let second = checkpointer(false);
+        let clients: Vec<_> = (0..4)
             .map(|t| {
                 std::thread::spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
+                    let mut client = connect();
                     let keys: Vec<Vec<u8>> = (0..250u32)
                         .map(|i| format!("client-{t}-key-{i}").into_bytes())
                         .collect();
@@ -1294,12 +947,24 @@ mod tests {
                     }
                     let hits = client.query_batch(&keys).expect("query");
                     assert!(hits.iter().all(|&h| h));
+                    keys
                 })
             })
             .collect();
-        for h in handles {
-            h.join().expect("client thread");
-        }
+        let acked: Vec<Vec<u8>> = clients
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect();
+        writing.store(false, Ordering::Relaxed);
+        assert!(loops.join().expect("checkpoint and flush loop") > 0);
+        assert!(second.join().expect("checkpoint loop") > 0);
+        server.shutdown().expect("shutdown");
+
+        // Every acked key survives the graceful stop.
+        let server = Server::start(test_config(&dir)).expect("restart");
+        let mut client = Client::connect(server.local_addr()).expect("reconnect");
+        let hits = client.query_batch(&acked).expect("query after restart");
+        assert!(hits.iter().all(|&h| h), "an acked key was lost");
         server.shutdown().expect("shutdown");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -90,7 +90,7 @@ fn apply_ref(reference: &ShardedMpcbf<u64, Murmur3>, op: &Op) {
 /// Applies one op through the durable wrapper, recording acknowledged
 /// key-count deltas into the oracle. Returns `Err` only on a kill.
 fn apply_durable(
-    durable: &mut DurableSharded<ShardedMpcbf<u64, Murmur3>>,
+    durable: &DurableSharded<ShardedMpcbf<u64, Murmur3>>,
     op: &Op,
     oracle: &mut HashMap<u8, i64>,
 ) -> Result<(), ()> {
@@ -145,7 +145,7 @@ proptest! {
         let kill_at = (kill_at_hint % ops.len() as u64) as usize;
         let dir = scratch_dir();
         let kill = KillSwitch::new();
-        let mut durable = DurableSharded::create(
+        let durable = DurableSharded::create(
             one_shard(),
             DurabilityOptions::new(&dir).kill(kill.clone()),
         )
@@ -158,7 +158,7 @@ proptest! {
                 durable.snapshot().unwrap();
             }
             prop_assert!(
-                apply_durable(&mut durable, op, &mut oracle).is_ok(),
+                apply_durable(&durable, op, &mut oracle).is_ok(),
                 "unarmed op must not crash"
             );
             apply_ref(&reference, op);
@@ -176,7 +176,7 @@ proptest! {
                 let op = &ops[kill_at];
                 let before = oracle.clone();
                 prop_assert!(
-                    apply_durable(&mut durable, op, &mut oracle).is_err(),
+                    apply_durable(&durable, op, &mut oracle).is_err(),
                     "armed op must crash"
                 );
                 oracle = before; // a killed op is never acknowledged
@@ -443,7 +443,7 @@ fn streamed_checkpoints_equal_the_in_memory_envelope() {
 
     let dir = scratch_dir();
     let pool: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(raw_config(), 4);
-    let mut durable = DurableSharded::create(pool, DurabilityOptions::new(&dir)).unwrap();
+    let durable = DurableSharded::create(pool, DurabilityOptions::new(&dir)).unwrap();
     durable.insert_batch_bytes(&views).unwrap();
     durable.snapshot().unwrap();
     let expected = encode_envelope(&durable.shard_seqs(), &durable.inner().encode());
@@ -454,7 +454,7 @@ fn streamed_checkpoints_equal_the_in_memory_envelope() {
     let dir = scratch_dir();
     let pool: ElasticShardedMpcbf<Murmur3> =
         ElasticShardedMpcbf::manual(raw_config(), 4, CapacityPolicy::default()).unwrap();
-    let mut durable = DurableSharded::create(pool, DurabilityOptions::new(&dir)).unwrap();
+    let durable = DurableSharded::create(pool, DurabilityOptions::new(&dir)).unwrap();
     durable.insert_batch_bytes(&views).unwrap();
     durable.snapshot().unwrap();
     let expected = encode_envelope(&durable.shard_seqs(), &durable.inner().encode());
@@ -490,7 +490,7 @@ fn a_torn_streamed_checkpoint_recovers_the_previous_snapshot() {
         let kill = KillSwitch::new();
         let opts = DurabilityOptions::new(&dir).kill(kill.clone());
         let pool: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(raw_config(), SHARDS);
-        let mut durable = DurableSharded::create(pool, opts.clone()).unwrap();
+        let durable = DurableSharded::create(pool, opts.clone()).unwrap();
         for key in &first {
             durable.insert_bytes(key).unwrap();
         }
@@ -587,7 +587,7 @@ fn an_unreadable_snapshot_fails_recovery_and_loses_no_acked_key() {
         let dir = scratch_dir();
         let opts = DurabilityOptions::new(&dir);
         let fresh = || ShardedMpcbf::<u64, Murmur3>::new(raw_config(), shards);
-        let mut durable = DurableSharded::create(fresh(), opts.clone()).unwrap();
+        let durable = DurableSharded::create(fresh(), opts.clone()).unwrap();
         for key in &keys {
             durable.insert_bytes(key).unwrap();
         }
@@ -652,7 +652,7 @@ fn refuses_other_shard_counts<P: ShardPool, F: FnOnce() -> P>(
 ) {
     let dir = scratch_dir();
     let opts = DurabilityOptions::new(&dir);
-    let (mut durable, _) = DurableSharded::open_or_recover(opts.clone(), pool(written)).unwrap();
+    let (durable, _) = DurableSharded::open_or_recover(opts.clone(), pool(written)).unwrap();
     let keys = streamed_keys("reshard", 1_000);
     for key in &keys {
         durable.insert_bytes(key).unwrap();
@@ -845,7 +845,7 @@ fn damage_config() -> MpcbfConfig {
 fn every_damaged_published_snapshot_is_skipped_never_loaded_or_misread() {
     let dir = scratch_dir();
     let pool: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(damage_config(), 4);
-    let mut durable = DurableSharded::create(pool, DurabilityOptions::new(&dir)).unwrap();
+    let durable = DurableSharded::create(pool, DurabilityOptions::new(&dir)).unwrap();
     for i in 0..40u32 {
         durable.insert_bytes(&i.to_le_bytes()).unwrap();
     }

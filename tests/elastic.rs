@@ -152,7 +152,7 @@ fn durable_elastic_recovers_a_crash_mid_scale_up() {
     {
         let pool = ElasticShardedMpcbf::manual(config, 2, CapacityPolicy::default())
             .expect("manual elastic pool");
-        let mut durable: DurableSharded<ElasticShardedMpcbf<Murmur3>> =
+        let durable: DurableSharded<ElasticShardedMpcbf<Murmur3>> =
             DurableSharded::create(pool, opts()).expect("create durable elastic");
         // Push far past capacity; stop the moment a migration is in
         // flight so the "crash" lands mid-scale-up.
