@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Emits `BENCH_durability.json` (consumed by the CI durability job) with
-//! three sections:
+//! four sections:
 //!
 //! * `throughput` — durable scalar inserts per second under `Always`,
 //!   `EveryN(64)` and `Interval(2ms)` fsync, against the same filter
@@ -16,6 +16,10 @@
 //! * `recovery` — wall-clock `open_or_recover` time versus the number of
 //!   WAL records replayed (no snapshot taken, so every record replays),
 //!   plus the verify verdict;
+//! * `image_load` — in-memory `Mpcbf::decode` of a bulk-built image of
+//!   the `bulk-ingest` shape (10 M keys at 16 bits/key at `--scale 1`, a
+//!   20 MB image): the load each `bulk-ingest` set-up times after reading
+//!   the file, with its sample count, median and interquartile range;
 //! * `cold_start` — `bootstrap` plus `open_or_recover` of a bulk-built
 //!   8-shard filter (the `batch-mix-dram` shape at `--scale 1`: 6.4 M
 //!   keys in 512 Mb, k = 3), and the streamed stages inside them —
@@ -40,7 +44,7 @@
 
 use mpcbf_bench::{rss, Args};
 use mpcbf_concurrent::{ShardedBulkBuilder, ShardedMpcbf};
-use mpcbf_core::MpcbfConfig;
+use mpcbf_core::{BulkBuilder, Mpcbf, MpcbfConfig};
 use mpcbf_durability::{
     publish_checkpoint, DurabilityOptions, DurableSharded, FsyncPolicy, KillSwitch, SnapshotStore,
 };
@@ -233,6 +237,74 @@ fn median_millis<T>(mut f: impl FnMut() -> T) -> f64 {
     median(&mut samples)
 }
 
+/// Decodes timed by the `image_load` row.
+const IMAGE_LOAD_SAMPLES: usize = 21;
+
+struct ImageLoadRow {
+    keys: u64,
+    image_bytes: usize,
+    /// Milliseconds per decode, sorted.
+    samples: Vec<f64>,
+}
+
+impl ImageLoadRow {
+    /// The sample at quantile `q` (nearest rank).
+    fn quantile(&self, q: f64) -> f64 {
+        self.samples[((self.samples.len() - 1) as f64 * q).round() as usize]
+    }
+}
+
+/// Bulk-builds a `keys`-key filter at 16 bits/key (the CLI's default
+/// density, and the `bulk-ingest` shape) and times
+/// [`IMAGE_LOAD_SAMPLES`] in-memory decodes of its image.
+fn image_load(keys: u64) -> ImageLoadRow {
+    let config = MpcbfConfig::builder()
+        .memory_bits(16 * keys)
+        .expected_items(keys)
+        .hashes(3)
+        .seed(7)
+        .build()
+        .expect("shape");
+    let mut builder: BulkBuilder<Murmur3> = BulkBuilder::new(config);
+    BulkKeys::new(7, keys).for_each_chunk(4096, |chunk| {
+        for key in chunk {
+            builder.push(key);
+        }
+    });
+    let image = builder.finish().encode();
+    let mut samples: Vec<f64> = (0..IMAGE_LOAD_SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            let filter = std::hint::black_box(Mpcbf::<u64, Murmur3>::decode(&image));
+            let millis = start.elapsed().as_secs_f64() * 1e3;
+            assert!(filter.is_ok(), "a freshly encoded image must decode");
+            millis
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    ImageLoadRow {
+        keys,
+        image_bytes: image.len(),
+        samples,
+    }
+}
+
+fn print_image_load(row: &ImageLoadRow) {
+    println!(
+        "in-memory load of a {}-key bulk image ({:.1} MB, {} decodes):",
+        row.keys,
+        row.image_bytes as f64 / 1e6,
+        row.samples.len()
+    );
+    println!(
+        "  median {:>7.2} ms   IQR {:.2} ms ({:.2} .. {:.2})",
+        row.quantile(0.5),
+        row.quantile(0.75) - row.quantile(0.25),
+        row.quantile(0.25),
+        row.quantile(0.75)
+    );
+}
+
 fn cold_start(keys: u64) -> ColdStartRow {
     let config = MpcbfConfig::builder()
         .memory_bits(80 * keys)
@@ -311,6 +383,7 @@ fn cold_start(keys: u64) -> ColdStartRow {
 fn to_json(
     throughputs: &[ThroughputRow],
     recoveries: &[RecoveryRow],
+    image: &ImageLoadRow,
     cold: &ColdStartRow,
 ) -> String {
     let mut json = String::with_capacity(4 * 1024);
@@ -341,10 +414,22 @@ fn to_json(
             "\n"
         });
     }
+    let _ = write!(
+        json,
+        "  ],\n  \"image_load\": {{\"keys\": {}, \"image_bytes\": {}, \"samples\": {}, \
+         \"median_ms\": {:.2}, \"p25_ms\": {:.2}, \"p75_ms\": {:.2}, \"iqr_ms\": {:.2}}},",
+        image.keys,
+        image.image_bytes,
+        image.samples.len(),
+        image.quantile(0.5),
+        image.quantile(0.25),
+        image.quantile(0.75),
+        image.quantile(0.75) - image.quantile(0.25)
+    );
     let growth = |v: Option<String>| v.unwrap_or_else(|| "null".into());
     let _ = write!(
         json,
-        "  ],\n  \"cold_start\": {{\"keys\": {}, \"shards\": {COLD_SHARDS}, \"snapshot_bytes\": {}, \
+        "\n  \"cold_start\": {{\"keys\": {}, \"shards\": {COLD_SHARDS}, \"snapshot_bytes\": {}, \
          \"bootstrap_ms\": {:.2}, \"open_or_recover_ms\": {:.2}, \
          \"publish_rss_growth_bytes\": {}, \"publish_rss_ratio\": {}, \
          \"load_rss_growth_bytes\": {}, \"load_rss_ratio\": {}, \"scrub_clean\": {}, \
@@ -483,7 +568,12 @@ fn main() {
     let cold = cold_start(args.scaled(6_400_000));
     print_cold_start(&cold);
     assert!(cold.scrub_clean, "cold-started image must scrub clean");
-    let json = to_json(&throughputs, &recoveries, &cold);
+
+    // After the cold start, whose peak-RSS readings the image's buffers
+    // would otherwise shift.
+    let image = image_load(args.scaled(10_000_000));
+    print_image_load(&image);
+    let json = to_json(&throughputs, &recoveries, &image, &cold);
     std::fs::write("BENCH_durability.json", &json).expect("write BENCH_durability.json");
     println!("wrote BENCH_durability.json");
 }

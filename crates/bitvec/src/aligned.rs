@@ -146,54 +146,8 @@ impl<T> AlignedVec<T> {
     }
 
     /// Allocates `len` elements, initialising element `i` to `f(i)`.
-    pub fn from_fn(len: usize, f: impl FnMut(usize) -> T) -> Self {
-        Self::build(len, false, f)
-    }
-
-    /// [`AlignedVec::from_fn`], but the fresh buffer is advised toward
-    /// transparent huge pages *before* `f`'s values first touch it. At
-    /// hundreds of megabytes an eager fill is otherwise dominated by one
-    /// minor page fault per 4 KB page; hugepage faults cut the fault
-    /// count 512-fold, leaving a bandwidth-bound fill — and the buffer
-    /// keeps its TLB advantage for whatever scattered access follows.
-    /// Purely advisory, like [`AlignedVec::advise_huge`].
-    pub fn from_fn_huge(len: usize, f: impl FnMut(usize) -> T) -> Self {
-        Self::build(len, true, f)
-    }
-
-    /// Allocates `len` copies of `value`.
-    pub fn filled(len: usize, value: T) -> Self
-    where
-        T: Clone,
-    {
-        Self::from_fn(len, |_| value.clone())
-    }
-
-    /// Allocates room for `len` elements without writing any (so no
-    /// page of a large buffer is touched yet), advised toward huge pages
-    /// when `huge` is set. Dangling when that is zero bytes (`len == 0`
-    /// or a zero-sized `T`), which `Drop` then never frees.
-    fn allocate(len: usize, huge: bool) -> NonNull<T> {
-        let layout = Self::layout(len);
-        if layout.size() == 0 {
-            return NonNull::dangling();
-        }
-        // SAFETY: `layout` is non-zero-sized (checked just above).
-        let raw = unsafe { alloc(layout) };
-        let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
-            handle_alloc_error(layout);
-        };
-        if huge {
-            madvise_raw(raw as usize, raw as usize + layout.size(), MADV_HUGEPAGE);
-        }
-        ptr
-    }
-
-    /// The one initialising constructor: allocates, optionally advises
-    /// huge pages before the first write, then initialises element `i`
-    /// to `f(i)`.
-    fn build(len: usize, huge: bool, mut f: impl FnMut(usize) -> T) -> Self {
-        let ptr = Self::allocate(len, huge);
+    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> T) -> Self {
+        let ptr = Self::allocate(len, false);
         if len == 0 {
             return AlignedVec {
                 ptr,
@@ -218,6 +172,36 @@ impl<T> AlignedVec<T> {
             len,
             _owns: PhantomData,
         }
+    }
+
+    /// Allocates `len` copies of `value`.
+    pub fn filled(len: usize, value: T) -> Self
+    where
+        T: Clone,
+    {
+        Self::from_fn(len, |_| value.clone())
+    }
+
+    /// Allocates room for `len` elements without writing any (so no
+    /// page of a large buffer is touched yet), advised toward huge pages
+    /// when `huge` is set: at hundreds of megabytes a fill is otherwise
+    /// dominated by one minor page fault per 4 KB page, and hugepage
+    /// faults cut the count 512-fold. Dangling when that is zero bytes
+    /// (`len == 0` or a zero-sized `T`), which `Drop` then never frees.
+    fn allocate(len: usize, huge: bool) -> NonNull<T> {
+        let layout = Self::layout(len);
+        if layout.size() == 0 {
+            return NonNull::dangling();
+        }
+        // SAFETY: `layout` is non-zero-sized (checked just above).
+        let raw = unsafe { alloc(layout) };
+        let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
+            handle_alloc_error(layout);
+        };
+        if huge {
+            madvise_raw(raw as usize, raw as usize + layout.size(), MADV_HUGEPAGE);
+        }
+        ptr
     }
 
     /// Advises the kernel to back this buffer with transparent huge
@@ -358,8 +342,8 @@ impl<T: Copy> LazyVec<T> {
     /// `len` elements in chunks of `chunk` (the last may be shorter),
     /// each chunk to be initialised on first access — to `fill` unless
     /// its first access supplies the elements. The buffer is advised
-    /// toward transparent huge pages (see [`AlignedVec::from_fn_huge`]);
-    /// no page is touched yet.
+    /// toward transparent huge pages before anything is written; no page
+    /// is touched yet.
     ///
     /// # Panics
     /// Panics if `chunk == 0`.
@@ -623,14 +607,6 @@ mod tests {
         plain[12_345] = 7;
         super::advise_huge_slice(&mut plain[..0]);
         assert_eq!(plain[12_345], 7);
-    }
-
-    #[test]
-    fn huge_advised_buffers_hold_what_they_were_built_with() {
-        let v = AlignedVec::from_fn_huge(300_000, |i| i as u64 * 3);
-        assert_eq!(v.as_ptr() as usize % CACHE_LINE_BYTES, 0);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i as u64 * 3));
-        assert!(AlignedVec::<u64>::from_fn_huge(0, |_| unreachable!()).is_empty());
     }
 
     #[test]

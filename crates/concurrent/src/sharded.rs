@@ -731,9 +731,11 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
     }
 
     /// [`ShardedMpcbf::decode`] of a `len`-byte image streamed from
-    /// `src` (a snapshot file): each shard's words are read in cache-sized
-    /// chunks, checksummed, checked and written straight into that
-    /// shard's array, so the load holds one copy of the filter.
+    /// `src` (a snapshot file): each shard's words are read, checksummed,
+    /// checked and written straight into that shard's array (on two
+    /// threads for a shard of at least 1 MiB, see
+    /// [`codec::Reader::hcbf_words`]), so the load holds one copy of the
+    /// filter.
     pub fn read_from(src: &mut dyn BufRead, len: u64) -> codec::Framed<Self> {
         codec::read_framed(src, len, codec::KIND_SHARDED64, Self::read_body)
     }

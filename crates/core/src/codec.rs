@@ -19,11 +19,12 @@
 //! Both directions stream, so each byte of an image crosses memory once
 //! per side. A [`Writer`] checksums and hands on cache-sized pieces as
 //! it goes, into any [`Sink`] (a `Vec`, a [`Measure`], a file). A
-//! [`Reader`] reads from any [`BufRead`] (a slice, or a buffered file):
-//! per cache-sized chunk it checksums, parses, checks each word and
-//! writes it straight into the filter's array. Decoding still checks
-//! everything before a filter is returned, with the checks run while
-//! the bytes stream:
+//! [`Reader`] reads from any [`BufRead`] (a slice, or a buffered file),
+//! checksums and parses as it goes, and checks each filter word and
+//! writes it straight into the filter's array. A word array of at least
+//! [`LOAD_BLOCK_WORDS`] loads on two cores (see [`Reader::hcbf_words`]).
+//! Decoding still checks everything before a filter is returned, with
+//! the checks run while the bytes stream:
 //!
 //! * magic, kind and version come first, from the header;
 //! * every length field is bounded by the bytes the image holds (the
@@ -44,7 +45,7 @@ use crate::config::MpcbfConfig;
 use crate::hcbf::HcbfWord;
 use crate::mpcbf::Mpcbf;
 use crate::traits::Filter;
-use mpcbf_bitvec::AlignedVec;
+use mpcbf_bitvec::{AlignedVec, LazyChunk, LazyVec};
 use mpcbf_hash::Hasher128;
 use std::io::BufRead;
 
@@ -198,60 +199,52 @@ pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     !crc
 }
 
+/// `a·b` modulo the CRC polynomial, over GF(2) in the CRC's reflected
+/// bit order (bit 31 is x⁰).
+const fn mult_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 0;
+    while bit < 32 {
+        if a & (1 << (31 - bit)) != 0 {
+            product ^= b;
+        }
+        b = (b >> 1) ^ (CRC_POLY & (b & 1).wrapping_neg());
+        bit += 1;
+    }
+    product
+}
+
+/// `X_POW_2N[k]` is x^(2^k) modulo the CRC polynomial.
+static X_POW_2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 30;
+    let mut k = 1;
+    while k < 32 {
+        table[k] = mult_mod_p(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+};
+
 /// The CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`,
 /// without touching the bytes: zlib's `crc32_combine`, which shifts
-/// `crc32(a)` across `len_b` zero bytes by squaring a GF(2) 32×32
-/// matrix, O(log len_b) steps. The snapshot envelope uses it to take in
-/// the CRC its image already carries instead of checksumming the image a
-/// second time, on write and on load.
+/// `crc32(a)` across `len_b` zero bytes by multiplying it by x^(8·len_b)
+/// modulo the polynomial, built from the powers x^(2^k) in
+/// O(log len_b) products of 32 steps each (about a microsecond). The
+/// snapshot envelope uses it to take in the CRC its image already carries
+/// instead of checksumming the image a second time, on write and on load;
+/// a two-core load joins its chunks' CRCs with it, 16 per 1 MiB block.
 pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
-    fn times(matrix: &[u32; 32], mut vector: u32) -> u32 {
-        let mut sum = 0;
-        let mut row = 0;
-        while vector != 0 {
-            if vector & 1 != 0 {
-                sum ^= matrix[row];
-            }
-            vector >>= 1;
-            row += 1;
-        }
-        sum
-    }
-    fn square(matrix: &[u32; 32]) -> [u32; 32] {
-        std::array::from_fn(|row| times(matrix, matrix[row]))
-    }
-    if len_b == 0 {
-        return crc_a;
-    }
-    // The operator for one zero bit, then two, then four.
-    let mut odd = [0u32; 32];
-    odd[0] = CRC_POLY;
-    for (row, slot) in odd.iter_mut().enumerate().skip(1) {
-        *slot = 1 << (row - 1);
-    }
-    let mut even = square(&odd);
-    odd = square(&even);
-    // Apply len_b zero bytes, one power-of-two operator per set bit.
-    let (mut crc, mut len) = (crc_a, len_b);
-    loop {
-        even = square(&odd);
+    // x^(8·len_b): one factor x^(2^k) per set bit k of 8·len_b.
+    let (mut shift, mut len, mut k) = (1u32 << 31, len_b, 3);
+    while len != 0 {
         if len & 1 != 0 {
-            crc = times(&even, crc);
+            shift = mult_mod_p(X_POW_2N[k % 32], shift);
         }
         len >>= 1;
-        if len == 0 {
-            break;
-        }
-        odd = square(&even);
-        if len & 1 != 0 {
-            crc = times(&odd, crc);
-        }
-        len >>= 1;
-        if len == 0 {
-            break;
-        }
+        k += 1;
     }
-    crc ^ crc_b
+    mult_mod_p(shift, crc_a) ^ crc_b
 }
 
 /// The CRC-32 of any sealed image — a body followed by its own CRC-32,
@@ -341,6 +334,19 @@ impl Sink for Measure {
 /// Bytes a [`Writer`] checksums and hands to its sink at once: small
 /// enough to stay in L1 between the two.
 const CHUNK: usize = 4096;
+
+/// Words per block of a two-core load (1 MiB of image): a word array at
+/// least this long is read a block at a time, and each block's chunks are
+/// shared between the calling thread and one helper thread (see
+/// [`Reader::hcbf_words`]). A shorter array loads inline. Each block
+/// spawns its helper, so a block must stay large enough (about 1 MiB)
+/// that the spawn is a small fraction of the block's work.
+pub const LOAD_BLOCK_WORDS: usize = 1 << 17;
+
+/// Words per chunk of a two-core load's array (64 KiB): the unit a block
+/// is shared out in, and the piece a thread checksums before checking
+/// its words, so the second pass reads from cache.
+const LOAD_CHUNK_WORDS: usize = 8192;
 
 /// Builds a framed image: magic + kind + version, caller-appended
 /// fields, and a trailing CRC-32 sealed by [`Writer::finish`]. The CRC
@@ -455,9 +461,11 @@ pub type Framed<T> = (Result<T, CodecError>, u32);
 ///
 /// The image's length is known up front (the slice's, or the file's), so
 /// every length field is bounded by the bytes that remain before anything
-/// is allocated for it. Bytes are read in 4 KiB pieces, each
-/// checksummed and parsed while it sits in L1, so each byte crosses
-/// memory once. Decoders run inside [`read_framed`], which owns the
+/// is allocated for it. Fields and short word arrays are read in 4 KiB
+/// pieces, each checksummed and parsed while it sits in cache; a word
+/// array of at least [`LOAD_BLOCK_WORDS`] is read in 1 MiB blocks, each
+/// checked on two threads ([`Reader::hcbf_words`]). Either way each byte
+/// crosses memory once. Decoders run inside [`read_framed`], which owns the
 /// verdict order: magic, kind and version are checked first; after any
 /// other failure the rest of the body is still checksummed, so a damaged
 /// image reports [`CodecError::ChecksumMismatch`] ahead of whatever
@@ -472,6 +480,10 @@ pub struct Reader<'a> {
     crc: u32,
     /// The header's kind byte.
     kind: u8,
+    /// The block buffer of a two-core load from a source that does not
+    /// hold a whole block: allocated by the first such block, then reused
+    /// for every later one (the shards of a sharded image included).
+    block: Vec<u8>,
 }
 
 /// Reads the `len`-byte framed image at the front of `src` with `body`
@@ -493,6 +505,7 @@ fn frame<T>(
         body_left: len - trailer as u64,
         crc: 0,
         kind: 0,
+        block: Vec::new(),
     };
     let header = r.header(len, kind);
     let early = header.is_err();
@@ -586,13 +599,20 @@ impl Reader<'_> {
 
     /// Reads `out.len()` body bytes, checksummed.
     fn fill(&mut self, out: &mut [u8]) -> Result<(), CodecError> {
+        self.fill_raw(out)?;
+        self.crc = crc32_update(self.crc, out);
+        Ok(())
+    }
+
+    /// Reads `out.len()` body bytes without checksumming them: the caller
+    /// folds them into `crc` itself.
+    fn fill_raw(&mut self, out: &mut [u8]) -> Result<(), CodecError> {
         if out.len() as u64 > self.body_left {
             return Err(CodecError::Truncated);
         }
         self.src
             .read_exact(out)
             .map_err(|e| CodecError::Io(e.kind()))?;
-        self.crc = crc32_update(self.crc, out);
         self.body_left -= out.len() as u64;
         Ok(())
     }
@@ -678,47 +698,76 @@ impl Reader<'_> {
     }
 
     /// Reads `count` HCBF words straight into a new cache-line-aligned
-    /// array, checking each word's invariant for `b1` while its chunk is
-    /// in L1: the array is written once, never prefilled or copied. The
-    /// count is checked against the remaining body before the array is
-    /// allocated, which is advised toward huge pages before its first
-    /// write (it is the filter the caller serves). After the first
-    /// error the rest of the array is left empty and dropped.
+    /// array, checking each word's invariant for `b1`: the array is
+    /// written once, never prefilled or copied. The count is checked
+    /// against the remaining body before the array is allocated, which is
+    /// advised toward huge pages before its first write (it is the filter
+    /// the caller serves).
+    ///
+    /// An array of at least [`LOAD_BLOCK_WORDS`] loads on two cores, a
+    /// block at a time. A block is read in place when the source already
+    /// buffers it (a slice holds the whole image); otherwise it is read
+    /// into one reused block buffer (a `BufReader` passes a read this
+    /// large straight through to the file). The block's 64 KiB chunks of
+    /// the array are then shared between the calling thread and one
+    /// scoped helper thread, each taking the next chunk as it finishes
+    /// one, and checksumming, checking and writing it; the chunks' CRCs
+    /// join in order through [`crc32_combine`]. HCBF words are
+    /// self-contained (every level of a word lives in the word), so the
+    /// threads share nothing but the queue of chunks. A shorter array
+    /// loads inline in 4 KiB pieces, with no helper and no block buffer.
+    ///
+    /// After a block (or piece) holding a broken word, the read stops
+    /// with [`CodecError::BadHeader`] and the array is dropped; the bytes
+    /// read so far are checksummed, so [`read_framed`] still reports a
+    /// damaged image's checksum mismatch first.
     pub fn hcbf_words(
         &mut self,
         count: usize,
         b1: u32,
     ) -> Result<AlignedVec<HcbfWord<u64>>, CodecError> {
-        let mut left = self.limb_bytes(count)? as usize;
-        let mut chunk = [0u8; CHUNK];
-        let (mut pos, mut end) = (0, 0);
-        let mut failed = None;
-        let words = AlignedVec::from_fn_huge(count, |_| {
-            if failed.is_some() {
-                return HcbfWord::new();
-            }
-            if pos == end {
-                end = left.min(CHUNK);
-                if let Err(e) = self.fill(&mut chunk[..end]) {
-                    failed = Some(e);
-                    return HcbfWord::new();
+        self.limb_bytes(count)?;
+        let broken = CodecError::BadHeader("word invariant");
+        if count < LOAD_BLOCK_WORDS {
+            let mut words = LazyVec::new(count, CHUNK / 8, HcbfWord::new());
+            let mut piece = [0u8; CHUNK];
+            for mut chunk in words.chunks_mut() {
+                let bytes = &mut piece[..chunk.len() * 8];
+                self.fill_raw(bytes)?;
+                let (crc, held) = load_words(self.crc, bytes, &mut chunk, b1);
+                self.crc = crc;
+                if !held {
+                    return Err(broken);
                 }
-                left -= end;
-                pos = 0;
             }
-            let raw = u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("8 bytes"));
-            pos += 8;
-            let word = HcbfWord::from_raw(raw);
-            if word.check_invariants(b1).is_err() {
-                failed = Some(CodecError::BadHeader("word invariant"));
-                return HcbfWord::new();
-            }
-            word
-        });
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(words),
+            return Ok(words.into_filled());
         }
+        let mut words = LazyVec::new(count, LOAD_CHUNK_WORDS, HcbfWord::new());
+        let mut chunks: Vec<_> = words.chunks_mut().collect();
+        for block in chunks.chunks_mut(LOAD_BLOCK_WORDS / LOAD_CHUNK_WORDS) {
+            let need = block.iter().map(LazyChunk::len).sum::<usize>() * 8;
+            let buffered = self.src.fill_buf().map_or(0, <[u8]>::len);
+            let (crc, held) = if buffered >= need {
+                let bytes = self.src.fill_buf().map_err(|e| CodecError::Io(e.kind()))?;
+                let done = load_block(self.crc, &bytes[..need], block, b1);
+                self.src.consume(need);
+                self.body_left -= need as u64;
+                done
+            } else {
+                let mut buf = std::mem::take(&mut self.block);
+                buf.resize(need, 0);
+                let read = self.fill_raw(&mut buf);
+                let done = read.map(|()| load_block(self.crc, &buf, block, b1));
+                self.block = buf;
+                done?
+            };
+            self.crc = crc;
+            if !held {
+                return Err(broken);
+            }
+        }
+        drop(chunks);
+        Ok(words.into_filled())
     }
 
     /// Reads a nested `len`-byte framed image with `read` (a type's
@@ -740,6 +789,82 @@ impl Reader<'_> {
         self.body_left -= len;
         result
     }
+}
+
+/// Checksums `bytes` on from `crc`, then writes the words they hold into
+/// `chunk` (exactly as many), checking each for `b1` while the bytes are
+/// still in cache. Returns the CRC and whether every word held; words
+/// after a broken one are still written, unchecked, since the caller
+/// then drops the array.
+fn load_words(
+    crc: u32,
+    bytes: &[u8],
+    chunk: &mut LazyChunk<'_, HcbfWord<u64>>,
+    b1: u32,
+) -> (u32, bool) {
+    let crc = crc32_update(crc, bytes);
+    let mut held = true;
+    let mut raw = bytes.chunks_exact(8);
+    chunk.get_or_init_with(|_| {
+        let raw = raw.next().expect("one word per slot");
+        let word = HcbfWord::from_raw(u64::from_le_bytes(raw.try_into().expect("8 bytes")));
+        held = held && word.check_invariants(b1).is_ok();
+        word
+    });
+    (crc, held)
+}
+
+/// [`load_words`] of one block on two threads: its chunks are handed out
+/// one at a time to the calling thread and one scoped helper, each taking
+/// the next as it finishes one, so a thread that runs slower (a busier
+/// core, a colder cache) takes fewer and neither waits long for the
+/// other. Each chunk's CRC is taken alone; the CRCs join in chunk order
+/// through [`crc32_combine`]. A block of one chunk loads inline.
+fn load_block(
+    crc: u32,
+    bytes: &[u8],
+    chunks: &mut [LazyChunk<'_, HcbfWord<u64>>],
+    b1: u32,
+) -> (u32, bool) {
+    if let [chunk] = chunks {
+        return load_words(crc, bytes, chunk, b1);
+    }
+    let queue = std::sync::Mutex::new(
+        chunks
+            .iter_mut()
+            .zip(bytes.chunks(LOAD_CHUNK_WORDS * 8))
+            .enumerate(),
+    );
+    // Per chunk taken: its index, its CRC alone, its length, whether
+    // every word held.
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("no thread panics holding it").next();
+            let Some((i, (chunk, bytes))) = next else {
+                return done;
+            };
+            let (crc, held) = load_words(0, bytes, chunk, b1);
+            done.push((i, crc, bytes.len() as u64, held));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helper = s.spawn(drain);
+        let mut done = drain();
+        done.extend(
+            helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+        );
+        done
+    });
+    done.sort_unstable_by_key(|&(i, ..)| i);
+    done.iter().fold(
+        (crc, true),
+        |(crc, held), &(_, chunk_crc, len, chunk_held)| {
+            (crc32_combine(crc, chunk_crc, len), held && chunk_held)
+        },
+    )
 }
 
 impl<H: Hasher128> Cbf<H> {
@@ -1521,6 +1646,153 @@ mod tests {
             }
             assert_eq!(src, b"NEXT");
             assert_eq!(all, crc32(bytes));
+        }
+    }
+
+    /// The image of a filter of exactly `words` words, half of them
+    /// holding a key, so the words are not all empty.
+    fn image_of_words(words: usize) -> Vec<u8> {
+        let cfg = MpcbfConfig::builder()
+            .memory_bits(words as u64 * 64)
+            .expected_items(words as u64 / 2)
+            .hashes(3)
+            .seed(words as u64)
+            .build()
+            .unwrap();
+        let mut f: Mpcbf<u64, Murmur3> = Mpcbf::new(cfg);
+        assert_eq!(f.shape().l as usize, words);
+        for i in 0..words as u64 / 2 {
+            let _ = f.insert(&i);
+        }
+        f.encode()
+    }
+
+    /// Byte offset of word `i` in the image of a filter of `words` words.
+    fn word_at(image: &[u8], words: usize, i: usize) -> usize {
+        image.len() - 4 - 8 * words + 8 * i
+    }
+
+    /// `image` with its trailer recomputed over its (possibly altered)
+    /// body: a well-sealed image.
+    fn resealed(mut image: Vec<u8>) -> Vec<u8> {
+        let body = image.len() - 4;
+        let crc = crc32(&image[..body]);
+        image[body..].copy_from_slice(&crc.to_le_bytes());
+        image
+    }
+
+    /// Decodes `image` from a slice and streamed through `BufReader`s of
+    /// 4 KiB, 256 KiB and 2 MiB (the block buffer, and in place): every
+    /// verdict must agree. Each read must consume the whole image, and
+    /// its CRC must cover every byte.
+    fn decode_every_way(image: &[u8]) -> Result<Mpcbf<u64, Murmur3>, CodecError> {
+        let slice = Mpcbf::<u64, Murmur3>::decode(image);
+        for capacity in [4 << 10, 256 << 10, 2 << 20] {
+            let mut stream = image.to_vec();
+            stream.extend_from_slice(b"NEXT");
+            let mut src = std::io::BufReader::with_capacity(capacity, &stream[..]);
+            let (streamed, all) = Mpcbf::<u64, Murmur3>::read_from(&mut src, image.len() as u64);
+            assert_eq!(
+                streamed.as_ref().map(Mpcbf::encode).err(),
+                slice.as_ref().map(Mpcbf::encode).err(),
+                "capacity {capacity}"
+            );
+            if let (Ok(a), Ok(b)) = (&streamed, &slice) {
+                assert_eq!(a.encode(), b.encode(), "capacity {capacity}");
+            }
+            let mut rest = Vec::new();
+            std::io::Read::read_to_end(&mut src, &mut rest).unwrap();
+            assert_eq!(rest, b"NEXT", "capacity {capacity}");
+            assert_eq!(all, crc32(image), "capacity {capacity}");
+        }
+        slice
+    }
+
+    #[test]
+    fn two_core_loads_equal_the_encoded_filter_at_every_source() {
+        // One word short of a block (inline), a block, a block and a word
+        // (a one-word last block, inline), and an odd count whose last
+        // block of three chunks and five words is shared unevenly.
+        let odd = 2 * LOAD_BLOCK_WORDS + 3 * LOAD_CHUNK_WORDS + 5;
+        for words in [
+            LOAD_BLOCK_WORDS - 1,
+            LOAD_BLOCK_WORDS,
+            LOAD_BLOCK_WORDS + 1,
+            odd,
+        ] {
+            let image = image_of_words(words);
+            let decoded = decode_every_way(&image).unwrap();
+            assert_eq!(decoded.encode(), image, "{words} words");
+        }
+    }
+
+    /// Words at the chunk boundaries a two-core load shares out: the
+    /// first and last of a block, both sides of its first and of its
+    /// middle chunk boundary, and the first of the next block.
+    fn boundary_words() -> [usize; 7] {
+        let mid = LOAD_BLOCK_WORDS / 2;
+        [
+            0,
+            LOAD_CHUNK_WORDS - 1,
+            LOAD_CHUNK_WORDS,
+            mid - 1,
+            mid,
+            LOAD_BLOCK_WORDS - 1,
+            LOAD_BLOCK_WORDS,
+        ]
+    }
+
+    #[test]
+    fn a_flipped_byte_in_any_chunk_reports_the_checksum() {
+        // Whichever thread takes the chunk, its CRC must join in place.
+        let words = 2 * LOAD_BLOCK_WORDS;
+        let image = image_of_words(words);
+        for i in boundary_words() {
+            let mut damaged = image.clone();
+            damaged[word_at(&image, words, i) + 3] ^= 0x10;
+            let err = decode_every_way(&damaged).unwrap_err();
+            assert!(
+                matches!(err, CodecError::ChecksumMismatch { .. }),
+                "word {i}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_resealed_broken_word_in_any_chunk_is_a_word_error() {
+        // A well-sealed image with one broken word: the structural
+        // error, not a checksum, wherever the word sits and whichever
+        // thread checks it; the last word of the image too.
+        let words = 2 * LOAD_BLOCK_WORDS + 1;
+        let image = image_of_words(words);
+        for i in boundary_words().into_iter().chain([words - 1]) {
+            let mut broken = image.clone();
+            let at = word_at(&image, words, i);
+            broken[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let err = decode_every_way(&resealed(broken)).unwrap_err();
+            assert_eq!(err, CodecError::BadHeader("word invariant"), "word {i}");
+        }
+    }
+
+    #[test]
+    fn a_stream_that_ends_mid_block_is_a_read_error() {
+        let words = 2 * LOAD_BLOCK_WORDS;
+        let image = image_of_words(words);
+        for i in [1, LOAD_BLOCK_WORDS / 2 + 1, LOAD_BLOCK_WORDS + 3, words - 1] {
+            let cut = word_at(&image, words, i) + 5;
+            let short = &image[..cut];
+            let (in_place, _) = Mpcbf::<u64, Murmur3>::read_from(&mut &*short, image.len() as u64);
+            let (buffered, _) = Mpcbf::<u64, Murmur3>::read_from(
+                &mut std::io::BufReader::with_capacity(4 << 10, short),
+                image.len() as u64,
+            );
+            for result in [in_place, buffered] {
+                assert_eq!(
+                    result.err(),
+                    Some(CodecError::Io(std::io::ErrorKind::UnexpectedEof)),
+                    "cut in word {i}"
+                );
+            }
         }
     }
 

@@ -679,7 +679,7 @@ pub fn publish_checkpoint<P: ShardPool + ?Sized>(
 #[allow(clippy::type_complexity)]
 fn group_by_shard<P: ShardPool + ?Sized>(
     pool: &P,
-    keys: impl IntoIterator<Item = Vec<u8>>,
+    keys: Vec<Vec<u8>>,
 ) -> (Vec<Vec<Vec<u8>>>, Vec<Vec<u32>>) {
     let count = pool.shard_count();
     let mut groups = vec![Vec::new(); count];
@@ -965,9 +965,12 @@ impl<P: ShardPool + ?Sized> DurableSharded<P> {
     /// that shard, preserving in-shard batch order). Per-key results in
     /// input order. On an `Err` the shards before the failing one have
     /// applied their frames, and no key may be acknowledged.
+    ///
+    /// Takes the keys by value: each moves into its shard's frame
+    /// uncopied (the server hands over the keys it decoded).
     pub fn insert_batch_bytes(
         &self,
-        keys: &[&[u8]],
+        keys: Vec<Vec<u8>>,
     ) -> Result<Vec<Result<(), FilterError>>, DurableError> {
         self.mutate_batch(keys, WalOp::InsertBatch)
     }
@@ -975,18 +978,18 @@ impl<P: ShardPool + ?Sized> DurableSharded<P> {
     /// Batch remove twin of [`DurableSharded::insert_batch_bytes`].
     pub fn remove_batch_bytes(
         &self,
-        keys: &[&[u8]],
+        keys: Vec<Vec<u8>>,
     ) -> Result<Vec<Result<(), FilterError>>, DurableError> {
         self.mutate_batch(keys, WalOp::RemoveBatch)
     }
 
     fn mutate_batch(
         &self,
-        keys: &[&[u8]],
+        keys: Vec<Vec<u8>>,
         frame: fn(Vec<Vec<u8>>) -> WalOp,
     ) -> Result<Vec<Result<(), FilterError>>, DurableError> {
-        let (groups, origin) = group_by_shard(&self.pool, keys.iter().map(|k| k.to_vec()));
         let mut results = vec![Ok(()); keys.len()];
+        let (groups, origin) = group_by_shard(&self.pool, keys);
         for (shard, group) in groups.into_iter().enumerate() {
             if group.is_empty() {
                 continue;
@@ -1333,9 +1336,8 @@ mod tests {
                 durable.insert_bytes(key).unwrap();
             }
         }
-        let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        durable.insert_batch_bytes(&views[..500]).unwrap();
-        durable.remove_batch_bytes(&views[..100]).unwrap();
+        durable.insert_batch_bytes(keys[..500].to_vec()).unwrap();
+        durable.remove_batch_bytes(keys[..100].to_vec()).unwrap();
         let reference: Vec<Vec<u64>> = (0..durable.inner().shard_count())
             .map(|s| durable.inner().shard_raw_words(s))
             .collect();
@@ -1398,11 +1400,10 @@ mod tests {
         let dir = scratch_dir("order");
         let durable = DurableSharded::create(filter(), DurabilityOptions::new(&dir)).unwrap();
         let keys: Vec<Vec<u8>> = (0..64u64).map(|i| i.to_le_bytes().to_vec()).collect();
-        let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        durable.insert_batch_bytes(&views[..32]).unwrap();
+        durable.insert_batch_bytes(keys[..32].to_vec()).unwrap();
         // The first half is present, the second half is refused as
         // absent: each verdict must land on its own key's slot.
-        let results = durable.remove_batch_bytes(&views).unwrap();
+        let results = durable.remove_batch_bytes(keys).unwrap();
         for (i, result) in results.iter().enumerate() {
             assert_eq!(result.is_ok(), i < 32, "key {i}: {result:?}");
         }
@@ -1563,10 +1564,9 @@ mod tests {
         opts.snapshot_every = Some(512);
         let durable = DurableSharded::create(filter(), opts.clone()).unwrap();
         let keys: Vec<Vec<u8>> = (0..512u64).map(|i| i.to_le_bytes().to_vec()).collect();
-        let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        durable.insert_batch_bytes(&views[..256]).unwrap();
+        durable.insert_batch_bytes(keys[..256].to_vec()).unwrap();
         assert_eq!(durable.snapshots_published(), 0, "256 keys are below 512");
-        durable.insert_batch_bytes(&views[256..]).unwrap();
+        durable.insert_batch_bytes(keys[256..].to_vec()).unwrap();
         // Two batches over 8 shards: 16 frames, 512 keys.
         assert_eq!(durable.shard_seqs().iter().sum::<u64>(), 16);
         assert_eq!(durable.snapshots_published(), 1, "512 keys reach 512");
@@ -1585,9 +1585,8 @@ mod tests {
         let opts = DurabilityOptions::new(&dir);
         let durable = DurableSharded::create(fresh_pool(13), opts.clone()).unwrap();
         let keys: Vec<Vec<u8>> = (0..4_000u64).map(|i| i.to_le_bytes().to_vec()).collect();
-        let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        durable.insert_batch_bytes(&views).unwrap();
-        durable.remove_batch_bytes(&views[..1_000]).unwrap();
+        durable.insert_batch_bytes(keys.clone()).unwrap();
+        durable.remove_batch_bytes(keys[..1_000].to_vec()).unwrap();
         durable.remove_bytes(&keys[1_000]).unwrap();
         drop(durable);
 

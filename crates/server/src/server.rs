@@ -686,11 +686,12 @@ fn mutate_batch(shared: &Shared, keys: Vec<Vec<u8>>, insert: bool) -> Vec<u8> {
     if shared.shed(&views) {
         return shed_response();
     }
+    // The keys move into the shards' WAL frames uncopied.
     let durable = &shared.durable;
     let (kind, results) = if insert {
-        (OpKind::Insert, durable.insert_batch_bytes(&views))
+        (OpKind::Insert, durable.insert_batch_bytes(keys))
     } else {
-        (OpKind::Remove, durable.remove_batch_bytes(&views))
+        (OpKind::Remove, durable.remove_batch_bytes(keys))
     };
     let results = match results {
         Ok(results) => results,

@@ -293,3 +293,76 @@ fn sharded_image() -> Vec<u8> {
     }
     filter.encode()
 }
+
+/// A 2 MB image: two blocks of the two-core load
+/// ([`LOAD_BLOCK_WORDS`](mpcbf::core::codec::LOAD_BLOCK_WORDS) words
+/// each), whose chunks the calling thread and a helper thread share.
+/// Returns the image and the offset of its first word.
+fn split_image() -> (Vec<u8>, usize) {
+    let words = 2 * mpcbf::core::codec::LOAD_BLOCK_WORDS;
+    let cfg = MpcbfConfig::builder()
+        .memory_bits(words as u64 * 64)
+        .expected_items(words as u64 / 2)
+        .hashes(3)
+        .seed(0xDEC0DE)
+        .build()
+        .unwrap();
+    let mut f: Mpcbf<u64, Murmur3> = Mpcbf::new(cfg);
+    for i in 0..words as u64 / 2 {
+        let _ = f.insert(&i);
+    }
+    let image = f.encode();
+    assert_eq!(image.len(), 2 * 1024 * 1024 + 54);
+    let words_from = image.len() - 4 - 8 * words;
+    (image, words_from)
+}
+
+#[test]
+fn single_bit_flips_above_the_split_size_are_detected() {
+    // The first and last word of each half of each block (so both
+    // sides of each block's middle chunk boundary, whichever thread
+    // takes each chunk), and every trailer byte.
+    use mpcbf::core::CodecError;
+    let (image, words_from) = split_image();
+    assert!(Mpcbf::<u64, Murmur3>::decode(&image).is_ok());
+    let half = mpcbf::core::codec::LOAD_BLOCK_WORDS / 2;
+    let mut bytes: Vec<usize> = (0..4)
+        .flat_map(|h| [h * half, (h + 1) * half - 1])
+        .flat_map(|word| [words_from + 8 * word, words_from + 8 * word + 7])
+        .collect();
+    bytes.extend(image.len() - 4..image.len());
+    for byte in bytes {
+        for bit in [0, 3, 7] {
+            let mut corrupt = image.clone();
+            corrupt[byte] ^= 1 << bit;
+            let err = Mpcbf::<u64, Murmur3>::decode(&corrupt).err();
+            assert!(
+                matches!(err, Some(CodecError::ChecksumMismatch { .. })),
+                "flip of byte {byte} bit {bit}: {err:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn truncation_above_the_split_size_is_a_structured_error() {
+    let (image, words_from) = split_image();
+    let half = 8 * mpcbf::core::codec::LOAD_BLOCK_WORDS / 2;
+    for cut in [
+        0,
+        5,
+        words_from - 1,
+        words_from,
+        words_from + half - 3,
+        words_from + half,
+        words_from + 2 * half + 11,
+        words_from + 3 * half,
+        image.len() - 4,
+        image.len() - 1,
+    ] {
+        let err = Mpcbf::<u64, Murmur3>::decode(&image[..cut])
+            .err()
+            .unwrap_or_else(|| panic!("cut at {cut} decoded"));
+        assert!(!err.to_string().is_empty());
+    }
+}

@@ -112,8 +112,7 @@ fn apply_durable(
             Err(_) => Ok(()),
         },
         Op::InsertBatch(keys) => {
-            let views: Vec<&[u8]> = keys.iter().map(std::slice::from_ref).collect();
-            match durable.insert_batch_bytes(&views) {
+            match durable.insert_batch_bytes(keys.iter().map(|k| vec![*k]).collect()) {
                 Ok(results) => {
                     for (k, r) in keys.iter().zip(&results) {
                         if r.is_ok() {
@@ -439,12 +438,11 @@ fn streamed_keys(tag: &str, n: usize) -> Vec<Vec<u8>> {
 #[test]
 fn streamed_checkpoints_equal_the_in_memory_envelope() {
     let keys = streamed_keys("stream", 3_000);
-    let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
 
     let dir = scratch_dir();
     let pool: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(raw_config(), 4);
     let durable = DurableSharded::create(pool, DurabilityOptions::new(&dir)).unwrap();
-    durable.insert_batch_bytes(&views).unwrap();
+    durable.insert_batch_bytes(keys.clone()).unwrap();
     durable.snapshot().unwrap();
     let expected = encode_envelope(&durable.shard_seqs(), &durable.inner().encode());
     assert_eq!(snapshot_file(&dir), expected, "fixed pool");
@@ -455,7 +453,7 @@ fn streamed_checkpoints_equal_the_in_memory_envelope() {
     let pool: ElasticShardedMpcbf<Murmur3> =
         ElasticShardedMpcbf::manual(raw_config(), 4, CapacityPolicy::default()).unwrap();
     let durable = DurableSharded::create(pool, DurabilityOptions::new(&dir)).unwrap();
-    durable.insert_batch_bytes(&views).unwrap();
+    durable.insert_batch_bytes(keys.clone()).unwrap();
     durable.snapshot().unwrap();
     let expected = encode_envelope(&durable.shard_seqs(), &durable.inner().encode());
     assert_eq!(snapshot_file(&dir), expected, "elastic pool");
