@@ -19,7 +19,11 @@
 //! * `image_load` — in-memory `Mpcbf::decode` of a bulk-built image of
 //!   the `bulk-ingest` shape (10 M keys at 16 bits/key at `--scale 1`, a
 //!   20 MB image): the load each `bulk-ingest` set-up times after reading
-//!   the file, with its sample count, median and interquartile range;
+//!   the file, with its sample count, median and interquartile range,
+//!   and per decode its time, the minor page faults it took and the
+//!   process's `AnonHugePages` growth across it (a decode into fresh
+//!   memory faults its array in; one into memory the allocator kept
+//!   from the previous decode takes none);
 //! * `cold_start` — `bootstrap` plus `open_or_recover` of a bulk-built
 //!   8-shard filter (the `batch-mix-dram` shape at `--scale 1`: 6.4 M
 //!   keys in 512 Mb, k = 3), and the streamed stages inside them —
@@ -240,23 +244,37 @@ fn median_millis<T>(mut f: impl FnMut() -> T) -> f64 {
 /// Decodes timed by the `image_load` row.
 const IMAGE_LOAD_SAMPLES: usize = 21;
 
+/// One timed decode of the `image_load` row.
+struct ImageLoadSample {
+    millis: f64,
+    /// Minor page faults taken during the decode.
+    minor_faults: Option<u64>,
+    /// Growth of the process's `AnonHugePages` across the decode, with
+    /// the decoded filter still alive (negative when the allocator
+    /// returned huge pages of an earlier buffer first).
+    thp_growth_bytes: Option<i64>,
+}
+
 struct ImageLoadRow {
     keys: u64,
     image_bytes: usize,
-    /// Milliseconds per decode, sorted.
-    samples: Vec<f64>,
+    /// One per decode, in the order they ran.
+    samples: Vec<ImageLoadSample>,
 }
 
 impl ImageLoadRow {
-    /// The sample at quantile `q` (nearest rank).
+    /// The time at quantile `q` (nearest rank), in ms.
     fn quantile(&self, q: f64) -> f64 {
-        self.samples[((self.samples.len() - 1) as f64 * q).round() as usize]
+        let mut millis: Vec<f64> = self.samples.iter().map(|s| s.millis).collect();
+        millis.sort_by(f64::total_cmp);
+        millis[((millis.len() - 1) as f64 * q).round() as usize]
     }
 }
 
 /// Bulk-builds a `keys`-key filter at 16 bits/key (the CLI's default
 /// density, and the `bulk-ingest` shape) and times
-/// [`IMAGE_LOAD_SAMPLES`] in-memory decodes of its image.
+/// [`IMAGE_LOAD_SAMPLES`] in-memory decodes of its image, counting the
+/// page faults and huge-page growth of each.
 fn image_load(keys: u64) -> ImageLoadRow {
     let config = MpcbfConfig::builder()
         .memory_bits(16 * keys)
@@ -272,16 +290,24 @@ fn image_load(keys: u64) -> ImageLoadRow {
         }
     });
     let image = builder.finish().encode();
-    let mut samples: Vec<f64> = (0..IMAGE_LOAD_SAMPLES)
+    let samples: Vec<ImageLoadSample> = (0..IMAGE_LOAD_SAMPLES)
         .map(|_| {
+            let (faults, thp) = (rss::minor_faults(), rss::anon_huge_pages_bytes());
             let start = Instant::now();
             let filter = std::hint::black_box(Mpcbf::<u64, Murmur3>::decode(&image));
             let millis = start.elapsed().as_secs_f64() * 1e3;
+            let minor_faults = faults.zip(rss::minor_faults()).map(|(a, b)| b - a);
+            let thp_growth_bytes = thp
+                .zip(rss::anon_huge_pages_bytes())
+                .map(|(a, b)| b as i64 - a as i64);
             assert!(filter.is_ok(), "a freshly encoded image must decode");
-            millis
+            ImageLoadSample {
+                millis,
+                minor_faults,
+                thp_growth_bytes,
+            }
         })
         .collect();
-    samples.sort_by(f64::total_cmp);
     ImageLoadRow {
         keys,
         image_bytes: image.len(),
@@ -303,6 +329,15 @@ fn print_image_load(row: &ImageLoadRow) {
         row.quantile(0.25),
         row.quantile(0.75)
     );
+    let opt = |v: Option<String>| v.unwrap_or_else(|| "n/a".into());
+    for s in &row.samples {
+        println!(
+            "  {:>7.2} ms   {:>6} minor faults   AnonHugePages {:>+8} KiB",
+            s.millis,
+            opt(s.minor_faults.map(|f| f.to_string())),
+            opt(s.thp_growth_bytes.map(|b| (b / 1024).to_string()))
+        );
+    }
 }
 
 fn cold_start(keys: u64) -> ColdStartRow {
@@ -414,19 +449,33 @@ fn to_json(
             "\n"
         });
     }
+    let growth = |v: Option<String>| v.unwrap_or_else(|| "null".into());
+    let decodes: Vec<String> = image
+        .samples
+        .iter()
+        .map(|s| {
+            format!(
+                "{{\"ms\": {:.2}, \"minor_faults\": {}, \"thp_growth_bytes\": {}}}",
+                s.millis,
+                growth(s.minor_faults.map(|f| f.to_string())),
+                growth(s.thp_growth_bytes.map(|b| b.to_string()))
+            )
+        })
+        .collect();
     let _ = write!(
         json,
         "  ],\n  \"image_load\": {{\"keys\": {}, \"image_bytes\": {}, \"samples\": {}, \
-         \"median_ms\": {:.2}, \"p25_ms\": {:.2}, \"p75_ms\": {:.2}, \"iqr_ms\": {:.2}}},",
+         \"median_ms\": {:.2}, \"p25_ms\": {:.2}, \"p75_ms\": {:.2}, \"iqr_ms\": {:.2}, \
+         \"decodes\": [\n    {}\n  ]}},",
         image.keys,
         image.image_bytes,
         image.samples.len(),
         image.quantile(0.5),
         image.quantile(0.25),
         image.quantile(0.75),
-        image.quantile(0.75) - image.quantile(0.25)
+        image.quantile(0.75) - image.quantile(0.25),
+        decodes.join(",\n    ")
     );
-    let growth = |v: Option<String>| v.unwrap_or_else(|| "null".into());
     let _ = write!(
         json,
         "\n  \"cold_start\": {{\"keys\": {}, \"shards\": {COLD_SHARDS}, \"snapshot_bytes\": {}, \

@@ -36,6 +36,24 @@ pub fn reset_peak_rss() -> bool {
     fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
+/// Minor page faults the process has taken so far (field 10 of
+/// `/proc/self/stat`), if measurable.
+pub fn minor_faults() -> Option<u64> {
+    let stat = fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) may hold spaces: count from its `)`.
+    let after_name = &stat[stat.rfind(')')? + 1..];
+    after_name.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// Bytes of the process's anonymous memory backed by transparent huge
+/// pages (`AnonHugePages` in `/proc/self/smaps_rollup`), if measurable.
+pub fn anon_huge_pages_bytes() -> Option<u64> {
+    let rollup = fs::read_to_string("/proc/self/smaps_rollup").ok()?;
+    let line = rollup.lines().find(|l| l.starts_with("AnonHugePages:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
 /// Bytes as mebibytes for report rows.
 pub fn bytes_to_mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
@@ -63,6 +81,19 @@ mod tests {
             after >= 48 << 20,
             "peak {after} should reflect a 64 MiB spike"
         );
+    }
+
+    #[test]
+    fn touching_fresh_pages_takes_minor_faults() {
+        let Some(before) = minor_faults() else {
+            return;
+        };
+        let fresh = vec![1u8; 16 << 20];
+        let sum: u64 = fresh.iter().step_by(4096).map(|&b| u64::from(b)).sum();
+        assert_eq!(sum, (16 << 20) / 4096);
+        let after = minor_faults().expect("procfs was readable above");
+        assert!(after > before, "{before} -> {after} faults");
+        assert!(anon_huge_pages_bytes().is_some());
     }
 
     #[test]

@@ -19,19 +19,23 @@
 //! paper's word sizes (w = 16…64 in the figures) and beyond (256/512-bit
 //! cache-line words).
 //!
-//! The crate is safe Rust except for one tightly-scoped module,
+//! The crate is safe Rust except for two tightly-scoped modules:
 //! [`aligned`] (cache-line-aligned allocation, the in-place hand-over
 //! [`AlignedVec::map_in_place`], and the page handling of bulk builds:
-//! [`LazyVec`], [`release_pages`]), whose blocks carry
-//! per-block safety comments; everything else compiles to the obvious
-//! mask-and-shift instruction sequences.
+//! [`LazyVec`], [`release_pages`]) and [`simd`] (the carry-less-multiply
+//! CRC-32 and the AVX2 build of the word check, each called only after a
+//! run-time CPU check). Every unsafe block carries a `SAFETY:` comment,
+//! which the lints below enforce; everything else compiles to the
+//! obvious mask-and-shift instruction sequences.
 
 #![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod aligned;
 pub mod bitvec;
 pub mod counters;
+pub mod simd;
 pub mod wide;
 pub mod word;
 

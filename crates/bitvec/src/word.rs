@@ -169,7 +169,9 @@ macro_rules! impl_word_for_prim {
             #[inline]
             fn is_zero_from(&self, pos: u32) -> bool {
                 debug_assert!(pos <= Self::BITS);
-                *self & !Self::mask_below(pos) == 0
+                // A shift, not a mask: one instruction per lane when a
+                // run of words is checked in vector registers.
+                self.checked_shr(pos).unwrap_or(0) == 0
             }
 
             #[inline]

@@ -491,13 +491,23 @@ impl<W: Word> HcbfWord<W> {
     /// every 16-bit word and for arbitrary 64-bit ones.
     #[inline]
     pub fn check_invariants(&self, b1: u32) -> Result<(), String> {
-        let used = self.used_bits(b1);
-        // `&`/`|`, not `&&`/`||`: the common (valid) case stays branch-free.
-        if (used <= W::BITS) & ((self.bits.used_bits() < used) | self.is_empty()) {
+        if self.holds(b1) {
             Ok(())
         } else {
             Err(self.invariant_violation(b1))
         }
+    }
+
+    /// Whether the word passes [`Self::check_invariants`], as a bare
+    /// verdict with no branch: the form a load folds over a run of words,
+    /// which the compiler can vectorize. Check 1, then checks 2 and 3 as
+    /// one: no one at or above bit `used − 1` (an empty word has none,
+    /// even where `used − 1` wraps).
+    #[inline(always)]
+    pub fn holds(&self, b1: u32) -> bool {
+        let used = self.used_bits(b1);
+        // `&`, not `&&`: the common (valid) case stays branch-free.
+        (used <= W::BITS) & self.bits.is_zero_from(used.wrapping_sub(1).min(W::BITS))
     }
 
     /// Names the first invariant of [`Self::check_invariants`] that fails.

@@ -21,7 +21,7 @@
 //! response is [`FilterError::CorruptionDetected`] and a rebuild from the
 //! source of truth, not a guess.
 
-use crate::codec::crc32_update;
+use crate::codec::crc32;
 use crate::FilterError;
 
 /// 64-bit limbs per checksummed segment (512 bytes of filter state — a
@@ -99,21 +99,28 @@ impl FilterSeal {
 
 /// Streams `limbs` through the CRC, calling `f(segment, crc)` as each
 /// [`SEGMENT_WORDS`]-limb segment (the last one possibly short) closes.
-/// Returns the limb count.
+/// Each segment is copied into a stack buffer and checksummed in one
+/// call, so a whole segment takes the fast CRC kernel. Returns the limb
+/// count.
 fn segment_crcs(limbs: impl IntoIterator<Item = u64>, mut f: impl FnMut(usize, u32)) -> usize {
-    let (mut count, mut crc) = (0usize, 0u32);
-    for limb in limbs {
-        crc = crc32_update(crc, &limb.to_le_bytes());
-        count += 1;
-        if count % SEGMENT_WORDS == 0 {
-            f(count / SEGMENT_WORDS - 1, crc);
-            crc = 0;
+    let mut limbs = limbs.into_iter();
+    let mut segment = [0u8; SEGMENT_WORDS * 8];
+    let mut count = 0;
+    loop {
+        let mut filled = 0;
+        for (slot, limb) in segment.chunks_exact_mut(8).zip(&mut limbs) {
+            slot.copy_from_slice(&limb.to_le_bytes());
+            filled += 8;
+        }
+        if filled == 0 {
+            return count;
+        }
+        f(count / SEGMENT_WORDS, crc32(&segment[..filled]));
+        count += filled / 8;
+        if filled < segment.len() {
+            return count;
         }
     }
-    if count % SEGMENT_WORDS != 0 {
-        f(count / SEGMENT_WORDS, crc);
-    }
-    count
 }
 
 /// Outcome of one scrub pass over a filter's storage.
@@ -182,6 +189,34 @@ mod tests {
             }
         }
         assert!(seal.diff(limbs.iter().copied()).is_empty());
+    }
+
+    #[test]
+    fn segment_crcs_equal_the_per_limb_crc() {
+        // The seal values of the limb-at-a-time CRC this module used to
+        // run: stored seals stay valid.
+        let limbs: Vec<u64> = (0..300u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        for len in [0, 1, 63, 64, 65, 128, 200, 300] {
+            let mut expected = Vec::new();
+            for segment in limbs[..len].chunks(SEGMENT_WORDS) {
+                let crc = segment.iter().fold(0, |crc, limb| {
+                    crate::codec::crc32_update(crc, &limb.to_le_bytes())
+                });
+                expected.push(crc);
+            }
+            let mut seen = Vec::new();
+            assert_eq!(
+                segment_crcs(limbs[..len].iter().copied(), |i, crc| seen.push((i, crc))),
+                len
+            );
+            assert_eq!(
+                seen,
+                expected.into_iter().enumerate().collect::<Vec<_>>(),
+                "{len} limbs"
+            );
+        }
     }
 
     #[test]

@@ -345,6 +345,24 @@ fn single_bit_flips_above_the_split_size_are_detected() {
 }
 
 #[test]
+fn a_resealed_broken_final_word_above_the_split_size_is_a_word_error() {
+    // The last word of the last chunk of a two-core load: where the
+    // helper thread may be working, and where the word check's vector
+    // loop ends. Bit 63 set breaks any word (it must lie below bit
+    // `used - 1`, which is at most 63).
+    use mpcbf::core::CodecError;
+    let (mut image, _) = split_image();
+    let body = image.len() - 4;
+    image[body - 1] |= 0x80;
+    let crc = mpcbf::core::codec::crc32(&image[..body]);
+    image[body..].copy_from_slice(&crc.to_le_bytes());
+    assert_eq!(
+        Mpcbf::<u64, Murmur3>::decode(&image).err(),
+        Some(CodecError::BadHeader("word invariant"))
+    );
+}
+
+#[test]
 fn truncation_above_the_split_size_is_a_structured_error() {
     let (image, words_from) = split_image();
     let half = 8 * mpcbf::core::codec::LOAD_BLOCK_WORDS / 2;
