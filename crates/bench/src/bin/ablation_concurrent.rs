@@ -44,10 +44,10 @@ fn main() {
         let locked = Mutex::new(Mpcbf::<u64, Murmur3>::new(cfg));
         let mutex_mops = {
             let start = Instant::now();
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for tid in 0..threads {
                     let locked = &locked;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         run_mix(tid as u64, ops_per_thread, |op, key| {
                             let mut f = locked.lock().unwrap();
                             match op {
@@ -64,8 +64,7 @@ fn main() {
                         });
                     });
                 }
-            })
-            .unwrap();
+            });
             total_ops as f64 / start.elapsed().as_secs_f64() / 1e6
         };
 
@@ -73,10 +72,10 @@ fn main() {
         let [sharded_mops, one_shard_mops] = [256, 1].map(|shards| {
             let f: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(cfg, shards);
             let start = Instant::now();
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for tid in 0..threads {
                     let f = &f;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         run_mix(tid as u64, ops_per_thread, |op, key| match op {
                             0 => {
                                 let _ = f.insert(&key);
@@ -90,8 +89,7 @@ fn main() {
                         });
                     });
                 }
-            })
-            .unwrap();
+            });
             total_ops as f64 / start.elapsed().as_secs_f64() / 1e6
         });
 

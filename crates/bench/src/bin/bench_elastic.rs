@@ -1,26 +1,24 @@
 //! Elastic capacity benchmark: throughput and FPR before, during, and
-//! after a scale-up, plus the sliding-window rotation check.
+//! after a scale-up.
 //!
 //! ```text
 //! cargo run --release -p mpcbf-bench --bin bench_elastic
 //! cargo run --release -p mpcbf-bench --bin bench_elastic -- --scale 4
 //! ```
 //!
-//! Emits `BENCH_elastic.json` (uploaded by the CI ramp-and-rotate job)
-//! with three sections:
+//! Emits `BENCH_elastic.json` (uploaded by the CI ramp job) with two
+//! sections:
 //!
 //! * `ramp` — per-phase rows from a 10x key ramp against a manual-mode
 //!   [`ElasticMpcbf`]: insert throughput, generation count, empirical
 //!   FPR versus the analytic stacked envelope, and whether the phase
 //!   crossed an in-flight compaction;
 //! * `migration` — FPR sampled *inside* a compaction (the envelope must
-//!   hold mid-migration, not just at fixed points);
-//! * `window` — a full [`SlidingWindowMpcbf`] rotation cycle: rotation
-//!   throughput and the in-window false-negative sweep (must be zero).
+//!   hold mid-migration, not just at fixed points).
 
 use mpcbf_bench::{rss, Args};
 use mpcbf_core::policy::CapacityPolicy;
-use mpcbf_core::{ElasticMpcbf, Filter, MpcbfConfig, SlidingWindowMpcbf};
+use mpcbf_core::{ElasticMpcbf, Filter, MpcbfConfig};
 use mpcbf_hash::Murmur3;
 use mpcbf_workloads::RampSpec;
 use std::fmt::Write as _;
@@ -113,37 +111,7 @@ fn main() {
     }
     filter.verify().expect("elastic invariants");
 
-    // Sliding window: rotation cost and the in-window FN sweep.
-    let slots = 4usize;
-    let per_epoch = args.scaled(2_000);
-    let mut window: SlidingWindowMpcbf<Murmur3> = SlidingWindowMpcbf::new(config, slots);
-    let mut epochs: Vec<Vec<Vec<u8>>> = Vec::new();
-    let mut rotate_secs = 0.0f64;
-    let mut window_fn = 0u64;
-    for epoch in 0..(2 * slots as u64 + 1) {
-        let keys: Vec<Vec<u8>> = (0..per_epoch)
-            .map(|i| format!("w-{epoch}-{i}").into_bytes())
-            .collect();
-        for key in &keys {
-            window.insert_bytes(key).expect("window insert");
-        }
-        epochs.push(keys);
-        for keys in epochs.iter().rev().take(slots) {
-            window_fn += keys.iter().filter(|k| !window.contains_bytes(k)).count() as u64;
-        }
-        let start = Instant::now();
-        window.rotate();
-        rotate_secs += start.elapsed().as_secs_f64();
-    }
-    let rotations = window.rotations();
-    assert_eq!(window_fn, 0, "in-window keys must never go false-negative");
     let peak_rss_mib = rss::peak_rss_bytes().map(rss::bytes_to_mib);
-    if !args.quiet {
-        println!(
-            "window: {rotations} rotations, {:.1} ms/rotation, {window_fn} in-window FNs",
-            1e3 * rotate_secs / rotations as f64
-        );
-    }
 
     let mut json = String::from("{\n  \"ramp\": [\n");
     for (i, r) in phases.iter().enumerate() {
@@ -175,10 +143,7 @@ fn main() {
     }
     let _ = write!(
         json,
-        "  ],\n  \"window\": {{\"slots\": {slots}, \"rotations\": {rotations}, \
-         \"ms_per_rotation\": {:.3}, \"in_window_false_negatives\": {window_fn}}},\n  \
-         \"scale_events\": {}, \"compactions\": {}, \"migrated_keys\": {},          \"peak_rss_mib\": {}\n}}\n",
-        1e3 * rotate_secs / rotations as f64,
+        "  ],\n  \"scale_events\": {}, \"compactions\": {}, \"migrated_keys\": {}, \"peak_rss_mib\": {}\n}}\n",
         filter.scale_events(),
         filter.compactions(),
         filter.migrated_keys(),

@@ -888,17 +888,16 @@ mod tests {
         let f = filter();
         let threads = 8u64;
         let per = 1_000u64;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let f = &f;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in t * per..(t + 1) * per {
                         f.insert(&i).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         for i in 0..threads * per {
             assert!(f.contains(&i), "lost {i}");
         }
@@ -910,18 +909,17 @@ mod tests {
         let f = filter();
         let threads = 4u64;
         let per = 1_000u64;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let f = &f;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let keys: Vec<u64> = (t * per..(t + 1) * per).collect();
                     for r in f.insert_batch(&keys) {
                         r.unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let keys: Vec<u64> = (0..threads * per).collect();
         for (k, hit) in keys.iter().zip(f.contains_batch(&keys)) {
             assert!(hit, "lost {k}");
@@ -932,28 +930,26 @@ mod tests {
     fn parallel_insert_then_parallel_remove_drains() {
         let f = filter();
         let keys: Vec<u64> = (0..8_000).collect();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for chunk in keys.chunks(1_000) {
                 let f = &f;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in chunk {
                         f.insert(k).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
-        crossbeam::scope(|s| {
+        });
+        std::thread::scope(|s| {
             for chunk in keys.chunks(1_000) {
                 let f = &f;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in chunk {
                         f.remove(k).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(f.total_load(), 0);
     }
 
@@ -964,11 +960,11 @@ mod tests {
         for k in &stable {
             f.insert(k).unwrap();
         }
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             // Writers churn a disjoint key range, in batches.
             for t in 0..4u64 {
                 let f = &f;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..50u64 {
                         let keys: Vec<u64> = (0..10)
                             .map(|j| 1_000_000 + t * 1_000 + i * 10 + j)
@@ -986,7 +982,7 @@ mod tests {
             for _ in 0..4 {
                 let f = &f;
                 let stable = &stable;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..5 {
                         for hit in f.contains_batch(stable) {
                             assert!(hit, "stable key lost");
@@ -994,8 +990,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -1157,10 +1152,10 @@ mod tests {
             expected[2] = expected[2].add(scalar_costs(&twin, half, Some(Update::Remove)));
         }
         let sink = TallySink::default();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for mine in &owned {
                 let (f, sink) = (&f, &sink);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut scratch = ShardBatch::new();
                     for chunk in mine.chunks(64) {
                         let (results, _) =
@@ -1175,8 +1170,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(sink.kind(OpKind::Query), (8_000, expected[0]));
         assert_eq!(sink.kind(OpKind::Insert), (8_000, expected[1]));
         let removed = owned.iter().map(|m| m.len() as u64 / 2).sum::<u64>();
@@ -1253,10 +1247,10 @@ mod tests {
         // be lost.
         let f = filter();
         let start = std::sync::Barrier::new(4);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let (f, start) = (&f, &start);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     start.wait();
                     for _ in 0..2_000 {
                         f.insert(&"hot-key").unwrap();
@@ -1264,8 +1258,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert!(!f.contains(&"hot-key"));
         assert_eq!(f.total_load(), 0);
         assert_eq!(f.overflows(), 0);
@@ -1290,10 +1283,10 @@ mod tests {
             .unwrap();
         let f: ShardedMpcbf<u64> = ShardedMpcbf::new(c, 2);
         let start = std::sync::Barrier::new(4);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let (f, start) = (&f, &start);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     start.wait();
                     for _ in 0..2_000 {
                         for r in [f.insert(&"hot"), f.remove(&"hot")] {
@@ -1311,8 +1304,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let _ = f.contains(&"hot");
         while f.remove(&"hot").is_ok() {}
         assert_eq!(f.verify(), Ok(()));

@@ -77,11 +77,6 @@ impl<H: Hasher128> BloomFilter<H> {
         self
     }
 
-    /// Number of bits in the vector.
-    pub fn len_bits(&self) -> usize {
-        self.bits.len()
-    }
-
     /// Number of (net) insertions performed.
     pub fn items(&self) -> u64 {
         self.items

@@ -31,9 +31,7 @@
 //! live key count. That is the price of *online migration and correct
 //! deletion* for a Bloom-family structure (a filter alone cannot
 //! enumerate its keys); queries never touch the roster, so the paper's
-//! word-access model still governs the hot path. Deployments that only
-//! need age-out semantics without per-key deletion should prefer the
-//! roster-free [`SlidingWindowMpcbf`](crate::window::SlidingWindowMpcbf).
+//! word-access model still governs the hot path.
 //!
 //! Grounding: "Autoscaling Bloom Filter" (arXiv 1705.03934) for the
 //! controlled trade-off during growth, "Dynamic Partition Bloom Filters"

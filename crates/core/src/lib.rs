@@ -55,7 +55,6 @@ pub mod policy;
 pub mod resilient;
 pub mod scrub;
 pub mod traits;
-pub mod window;
 
 pub use codec::CodecError;
 
@@ -75,7 +74,6 @@ pub use policy::CapacityPolicy;
 pub use resilient::{ResilientMpcbf, ResilientSeal};
 pub use scrub::{FilterSeal, ScrubReport, SEGMENT_WORDS};
 pub use traits::{CountingFilter, Filter};
-pub use window::SlidingWindowMpcbf;
 
 /// Salt for the word-selector hash stream (`H_1..H_g` in the paper).
 pub(crate) const WORD_SALT: u64 = 0x4d50_4342_465f_5744; // "MPCBF_WD"
@@ -116,7 +114,6 @@ pub mod prelude {
     pub use crate::resilient::{ResilientMpcbf, ResilientSeal};
     pub use crate::scrub::{FilterSeal, ScrubReport};
     pub use crate::traits::{CountingFilter, Filter};
-    pub use crate::window::SlidingWindowMpcbf;
 }
 
 #[cfg(test)]

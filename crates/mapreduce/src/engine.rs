@@ -4,9 +4,9 @@
 //! split across map tasks; each map task emits `(key, value)` pairs into
 //! hash partitions; the shuffle hands each partition to a reduce task,
 //! which sorts by key, groups, and reduces. Everything is in-process and
-//! multi-threaded with crossbeam scoped threads; Hadoop's counters and
-//! per-phase wall times are measured so the join harness can report the
-//! quantities Table IV tracks.
+//! multi-threaded with scoped threads (`std::thread::scope`); Hadoop's
+//! counters and per-phase wall times are measured so the join harness can
+//! report the quantities Table IV tracks.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -110,6 +110,10 @@ impl<K: Hash, V> Emitter<K, V> {
 ///
 /// Returns the concatenated reducer outputs (ordered by partition, then by
 /// key within each partition) and the job statistics.
+///
+/// # Panics
+/// Panics if a map or reduce task panics: the job fails as a whole and
+/// returns no partial output.
 pub fn run_job<I, K, V, O, M, R>(
     config: &JobConfig,
     inputs: Vec<I>,
@@ -187,11 +191,11 @@ where
     let reduce_tasks = config.reduce_tasks;
     let mapper = &mapper;
     let combiner = combiner.as_ref();
-    let map_outputs: Vec<Emitter<K, V>> = crossbeam::scope(|s| {
+    let map_outputs: Vec<Emitter<K, V>> = std::thread::scope(|s| {
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|c| {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut em = Emitter::new(reduce_tasks);
                     for record in c {
                         mapper(record, &mut em);
@@ -228,8 +232,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("map task panicked"))
             .collect()
-    })
-    .expect("map scope");
+    });
     stats.map_wall = map_start.elapsed();
 
     // ---- Shuffle ---------------------------------------------------------
@@ -248,11 +251,11 @@ where
 
     // ---- Sort + reduce ---------------------------------------------------
     let reducer = &reducer;
-    let results: Vec<(Vec<O>, u64)> = crossbeam::scope(|s| {
+    let results: Vec<(Vec<O>, u64)> = std::thread::scope(|s| {
         let handles: Vec<_> = partitions
             .into_iter()
             .map(|mut part| {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     part.sort_by(|a, b| a.0.cmp(&b.0));
                     let mut out = Vec::new();
                     let mut groups = 0u64;
@@ -277,8 +280,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("reduce task panicked"))
             .collect()
-    })
-    .expect("reduce scope");
+    });
 
     let mut outputs = Vec::new();
     for (mut out, groups) in results {
@@ -457,5 +459,39 @@ mod tests {
         );
         assert!(stats.total_wall >= stats.map_wall);
         assert!(stats.total_wall >= stats.reduce_wall);
+    }
+
+    #[test]
+    #[should_panic(expected = "map task panicked")]
+    fn a_panicking_map_task_fails_the_job() {
+        let _ = run_job(
+            &JobConfig {
+                map_tasks: 4,
+                reduce_tasks: 2,
+            },
+            (0..100u64).collect(),
+            |x, em: &mut Emitter<u64, u64>| {
+                assert_ne!(x, 57, "bad record");
+                em.emit(x, x);
+            },
+            |k, _, out: &mut Vec<u64>| out.push(*k),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "reduce task panicked")]
+    fn a_panicking_reduce_task_fails_the_job() {
+        let _ = run_job(
+            &JobConfig {
+                map_tasks: 2,
+                reduce_tasks: 4,
+            },
+            (0..100u64).collect(),
+            |x, em: &mut Emitter<u64, u64>| em.emit(x % 10, x),
+            |k, _, out: &mut Vec<u64>| {
+                assert_ne!(*k, 7, "bad group");
+                out.push(*k);
+            },
+        );
     }
 }

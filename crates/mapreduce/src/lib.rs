@@ -12,8 +12,8 @@
 //! crate implements the same *programming model* in-process, faithfully
 //! enough that Table IV's quantities are measured rather than modelled:
 //!
-//! * [`engine`] — input splits, parallel map tasks (crossbeam scoped
-//!   threads), hash partitioning, a sort-based shuffle, parallel reduce
+//! * [`engine`] — input splits, parallel map tasks (scoped threads),
+//!   hash partitioning, a sort-based shuffle, parallel reduce
 //!   tasks, and per-phase counters/timings (the Hadoop counter set);
 //! * [`cache`] — the DistributedCache analog: a byte-accounted broadcast
 //!   of read-only side data (here: the filter) to all map tasks;

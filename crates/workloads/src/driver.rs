@@ -78,18 +78,6 @@ pub fn insert_batched<F: Filter, K: Key>(
     insert_batched_inner(filter, keys, batch, report, None);
 }
 
-/// [`insert_batched`], additionally streaming every batch's
-/// [`OpCost`]/latency into `sink`.
-pub fn insert_batched_metered<F: Filter, K: Key>(
-    filter: &mut F,
-    keys: &[K],
-    batch: usize,
-    report: &mut DriverReport,
-    sink: &dyn OpSink,
-) {
-    insert_batched_inner(filter, keys, batch, report, Some(sink));
-}
-
 fn remove_batched_inner<F: CountingFilter, K: Key>(
     filter: &mut F,
     keys: &[K],
@@ -119,18 +107,6 @@ pub fn remove_batched<F: CountingFilter, K: Key>(
     report: &mut DriverReport,
 ) {
     remove_batched_inner(filter, keys, batch, report, None);
-}
-
-/// [`remove_batched`], additionally streaming every batch's
-/// [`OpCost`]/latency into `sink`.
-pub fn remove_batched_metered<F: CountingFilter, K: Key>(
-    filter: &mut F,
-    keys: &[K],
-    batch: usize,
-    report: &mut DriverReport,
-    sink: &dyn OpSink,
-) {
-    remove_batched_inner(filter, keys, batch, report, Some(sink));
 }
 
 fn query_batched_inner<F: Filter, K: Key>(
@@ -180,19 +156,6 @@ pub fn query_batched<F: Filter, K: Key>(
     query_batched_inner(filter, keys, is_member, batch, report, None);
 }
 
-/// [`query_batched`], additionally streaming every batch's
-/// [`OpCost`]/latency into `sink`.
-pub fn query_batched_metered<F: Filter, K: Key>(
-    filter: &F,
-    keys: &[K],
-    is_member: Option<&[bool]>,
-    batch: usize,
-    report: &mut DriverReport,
-    sink: &dyn OpSink,
-) {
-    query_batched_inner(filter, keys, is_member, batch, report, Some(sink));
-}
-
 fn churn_batched_inner<F: CountingFilter, K: Key>(
     filter: &mut F,
     plan: &ChurnPlan<K>,
@@ -215,18 +178,6 @@ pub fn churn_batched<F: CountingFilter, K: Key>(
     report: &mut DriverReport,
 ) {
     churn_batched_inner(filter, plan, batch, report, None);
-}
-
-/// [`churn_batched`], additionally streaming every batch's
-/// [`OpCost`]/latency into `sink`.
-pub fn churn_batched_metered<F: CountingFilter, K: Key>(
-    filter: &mut F,
-    plan: &ChurnPlan<K>,
-    batch: usize,
-    report: &mut DriverReport,
-    sink: &dyn OpSink,
-) {
-    churn_batched_inner(filter, plan, batch, report, Some(sink));
 }
 
 /// Replays the §IV.A synthetic protocol: insert the test set, run the
@@ -279,30 +230,10 @@ pub fn replay_flowtrace<F: CountingFilter>(
     trace: &FlowTrace,
     batch: usize,
 ) -> DriverReport {
-    replay_flowtrace_inner(filter, trace, batch, None)
-}
-
-/// [`replay_flowtrace`], additionally streaming every batch's
-/// [`OpCost`]/latency into `sink`.
-pub fn replay_flowtrace_metered<F: CountingFilter>(
-    filter: &mut F,
-    trace: &FlowTrace,
-    batch: usize,
-    sink: &dyn OpSink,
-) -> DriverReport {
-    replay_flowtrace_inner(filter, trace, batch, Some(sink))
-}
-
-fn replay_flowtrace_inner<F: CountingFilter>(
-    filter: &mut F,
-    trace: &FlowTrace,
-    batch: usize,
-    sink: Option<&dyn OpSink>,
-) -> DriverReport {
     let mut report = DriverReport::default();
-    insert_batched_inner(filter, &trace.test_set, batch, &mut report, sink);
-    query_batched_inner(filter, &trace.records, None, batch, &mut report, sink);
-    churn_batched_inner(filter, &trace.churn, batch, &mut report, sink);
+    insert_batched(filter, &trace.test_set, batch, &mut report);
+    query_batched(filter, &trace.records, None, batch, &mut report);
+    churn_batched(filter, &trace.churn, batch, &mut report);
     report
 }
 

@@ -46,7 +46,7 @@ fn main() {
     let hits = AtomicU64::new(0);
     let churn_done = AtomicBool::new(false);
     let start = Instant::now();
-    crossbeam_scope(&filter, &shards, &hits, &churn_done, &trace);
+    run_pipeline(&filter, &shards, &hits, &churn_done, &trace);
     let elapsed = start.elapsed();
 
     println!(
@@ -59,7 +59,7 @@ fn main() {
     println!("word overflows:    {}", filter.overflows());
 }
 
-fn crossbeam_scope(
+fn run_pipeline(
     filter: &ShardedMpcbf<u64, Murmur3>,
     shards: &[&[(u32, u32)]],
     hits: &AtomicU64,
